@@ -137,9 +137,6 @@ class AdaptiveRecommender:
         self.kind = f"ad_{variant}"
         self.history_: History | None = None
 
-    def get_params(self) -> dict:
-        return {"variant": self.variant, "seed": self.seed}
-
     def fit(self, history: History) -> "AdaptiveRecommender":
         self.history_ = history
         return self

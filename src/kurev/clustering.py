@@ -20,9 +20,6 @@ class PcaReducer:
     def __init__(self, variance_threshold: float = 0.95):
         self.variance_threshold = variance_threshold
 
-    def get_params(self) -> dict:
-        return {"variance_threshold": self.variance_threshold}
-
     def fit(self, data) -> "PcaReducer":
         X = np.asarray(data, dtype=float)
         if X.ndim != 2 or X.shape[0] < 2:
@@ -64,13 +61,6 @@ class KMeans:
         self.n_clusters = n_clusters
         self.seed = seed
         self.max_iter = max_iter
-
-    def get_params(self) -> dict:
-        return {
-            "n_clusters": self.n_clusters,
-            "seed": self.seed,
-            "max_iter": self.max_iter,
-        }
 
     def _init_centers(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = X.shape[0]

@@ -17,7 +17,7 @@ from .adaptive import VARIANTS, AdaptiveRecommender, safe_recommend
 from .catalog import load_catalog, serialize_catalog
 from .clustering import DegenerateDataError, diff_values, gini, pca_reduce, select_k
 from .errors import KurevError
-from .evaluation import EvalReport, average_precision, reasonableness, top_k_accuracy
+from .evaluation import EvalReport, map_at_k, reasonableness, top_k_accuracy
 from .mining import KuStore, _git, build_ku_store
 from .prstore import (
     PrDataset,
@@ -116,13 +116,9 @@ def evaluate_project(
     for kind, recs in recs_by_kind.items():
         for k in range(1, 6):
             report.accuracy[(kind, k)] = top_k_accuracy(recs, truth, k)
-            total = sum(
-                average_precision(r.developers(), truth[r.pr_id], k) for r in recs
-            )
-            report.mean_ap[(kind, k)] = total / len(recs) if recs else 0.0
+            report.mean_ap[(kind, k)] = map_at_k(recs, truth, k)
 
-    prior_all = list(history.prs.prs)
-    commits = history.store.commits
+    asof = history.asof
     for kind, recs in recs_by_kind.items():
         applicable = 0
         reasonable = 0
@@ -133,8 +129,8 @@ def evaluate_project(
             verdict = reasonableness(
                 pr,
                 top[0],
-                commits,
-                [p for p in prior_all if p.opened_at < pr.opened_at],
+                asof.commits_before(pr.opened_at),
+                asof.prs_before(pr.opened_at),
             )
             if verdict is None:
                 continue

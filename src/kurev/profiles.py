@@ -5,17 +5,24 @@ column holds each developer's share of all observed occurrences of that
 KU, as of a strict cutoff. LastTouch records the most recent contact a
 developer had with each KU on the same side (commit date / reviewed-PR
 opening date).
+
+Every "strictly before" question is answered by one :class:`AsOf` index
+per store and PR set: sorted commits and PRs, per-file snapshots, memoised
+PR vectors and per-developer running sums, each queried with ``bisect``.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .catalog import KU_COUNT, KU_NAMES
-from .mining import KuStore
+from .mining import CommitRecord, KuStore
 from .prstore import PrDataset, PullRequest
 from .util import format_rfc3339, parse_rfc3339, read_jsonl, write_jsonl
 
@@ -29,19 +36,16 @@ class ExpertiseMatrix:
     developers: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]  # developers x 28, in [0,1]
 
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {dev: i for i, dev in enumerate(self.developers)}
+
     def value(self, developer: str, ku_index: int) -> float:
         """Ratio for a 1-based KU index; unknown developers score 0."""
-        try:
-            row = self.developers.index(developer)
-        except ValueError:
+        row = self._rows.get(developer)
+        if row is None:
             return 0.0
         return self.values[row][ku_index - 1]
-
-    def row(self, developer: str) -> tuple[float, ...]:
-        try:
-            return self.values[self.developers.index(developer)]
-        except ValueError:
-            return tuple(0.0 for _ in range(KU_COUNT))
 
 
 @dataclass
@@ -58,81 +62,215 @@ class LastTouch:
             self.dates[key] = when
 
 
-def _normalize(raw: dict[str, list[float]], kind: str, cutoff) -> ExpertiseMatrix:
-    developers = tuple(sorted(raw))
-    totals = [0.0] * KU_COUNT
-    for dev in developers:
-        for k in range(KU_COUNT):
-            totals[k] += raw[dev][k]
-    values = tuple(
-        tuple(
-            raw[dev][k] / totals[k] if totals[k] > 0 else 0.0
-            for k in range(KU_COUNT)
+# Raw sums and last-touch dates (None = never) of one developer, per KU.
+Row = tuple[tuple[int, ...], tuple[datetime | None, ...]]
+
+
+@dataclass(frozen=True)
+class Expertise:
+    """One side's raw sums as of a cutoff, before normalization.
+
+    ``rows`` holds every developer with at least one event before the
+    cutoff, even when all their counts are zero; ``totals`` are the column
+    sums over all of them.
+    """
+
+    kind: str  # development | review
+    cutoff: datetime | None
+    rows: dict[str, Row]
+    totals: tuple[int, ...]
+
+    def matrix(self) -> ExpertiseMatrix:
+        developers = tuple(sorted(self.rows))
+        values = tuple(
+            tuple(
+                self.rows[dev][0][k] / self.totals[k] if self.totals[k] > 0 else 0.0
+                for k in range(KU_COUNT)
+            )
+            for dev in developers
         )
-        for dev in developers
-    )
-    return ExpertiseMatrix(kind=kind, cutoff=cutoff, developers=developers, values=values)
+        return ExpertiseMatrix(
+            kind=self.kind, cutoff=self.cutoff, developers=developers, values=values
+        )
+
+    def last_touch(self) -> LastTouch:
+        return LastTouch(
+            {
+                (dev, k + 1): when
+                for dev, (_, touched) in self.rows.items()
+                for k, when in enumerate(touched)
+                if when is not None
+            }
+        )
+
+    def pair(self) -> tuple[ExpertiseMatrix, LastTouch]:
+        """(matrix, last touches), as ``dev_exp_matrix``/``rev_exp_matrix`` return."""
+        return self.matrix(), self.last_touch()
+
+
+_NO_ROW: Row = ((0,) * KU_COUNT, (None,) * KU_COUNT)
+
+
+class _Side:
+    """Running sums of one side: one entry per event, per developer.
+
+    Events must arrive in date order, so a developer's last entry before a
+    cutoff holds their sums and latest touches as of that cutoff.
+    """
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.dates: dict[str, list[datetime]] = {}
+        self.rows: dict[str, list[Row]] = {}
+        self.total_dates: list[datetime] = []
+        self.totals: list[tuple[int, ...]] = []
+
+    def add(
+        self, developer: str, when: datetime, vectors: Iterable[list[int] | None]
+    ) -> None:
+        """One event; None vectors (unresolvable files) add nothing."""
+        rows = self.rows.setdefault(developer, [])
+        counts, touched = map(list, rows[-1] if rows else _NO_ROW)
+        totals = list(self.totals[-1] if self.totals else _NO_ROW[0])
+        for vector in vectors:
+            for k, count in enumerate(vector or ()):
+                if count:
+                    counts[k] += count
+                    totals[k] += count
+                    touched[k] = when
+        self.dates.setdefault(developer, []).append(when)
+        rows.append((tuple(counts), tuple(touched)))
+        self.total_dates.append(when)
+        self.totals.append(tuple(totals))
+
+    def before(self, cutoff: datetime | None) -> Expertise:
+        rows = {}
+        for dev, dates in self.dates.items():
+            i = len(dates) if cutoff is None else bisect_left(dates, cutoff)
+            if i:
+                rows[dev] = self.rows[dev][i - 1]
+        dates = self.total_dates
+        n = len(dates) if cutoff is None else bisect_left(dates, cutoff)
+        totals = self.totals[n - 1] if n else _NO_ROW[0]
+        return Expertise(kind=self.kind, cutoff=cutoff, rows=rows, totals=totals)
+
+
+class AsOf:
+    """Everything known strictly before a date, over one store and PR set.
+
+    Built once and queried per PR: commits sorted by (date, store order),
+    PRs by (opening date, id), each file's snapshots by (date, store
+    order), each PR's KU vector computed once, and per-developer running
+    sums for both sides. The parts are built on first use.
+    """
+
+    def __init__(self, store: KuStore, prs: Sequence[PullRequest] = ()):
+        self.store = store
+        self.commits = sorted(store.commits, key=lambda c: c.authored_at)
+        self._commit_dates = [c.authored_at for c in self.commits]
+        self.prs = sorted(prs, key=lambda p: (p.opened_at, p.id))
+        self._pr_dates = [p.opened_at for p in self.prs]
+        self._pr_vectors: dict[PullRequest, list[int]] = {}
+
+    def commits_before(self, when: datetime) -> list[CommitRecord]:
+        return self.commits[: bisect_left(self._commit_dates, when)]
+
+    def prs_before(self, when: datetime) -> list[PullRequest]:
+        return self.prs[: bisect_left(self._pr_dates, when)]
+
+    @cached_property
+    def _snapshots(self) -> dict[str, tuple[list[datetime], list[list[int]]]]:
+        """Per path: dates and vectors of its resolvable snapshots."""
+        out: dict[str, tuple[list[datetime], list[list[int]]]] = {}
+        for commit in self.commits:
+            for path in commit.changed_java_files:
+                vector = self.store.vector(commit.hash, path)
+                if vector is not None:
+                    dates, vectors = out.setdefault(path, ([], []))
+                    dates.append(commit.authored_at)
+                    vectors.append(vector)
+        return out
+
+    def file_vector(self, pr: PullRequest, path: str) -> list[int] | None:
+        """KU vector backing one changed file of a PR.
+
+        Prefers the snapshot at the PR's recorded head commit; otherwise the
+        file's latest snapshot from a commit before the PR was opened (on
+        equal dates, the later commit in store order).
+        """
+        if pr.head_commit is not None:
+            vector = self.store.vector(pr.head_commit, path)
+            if vector is not None:
+                return vector
+        dates, vectors = self._snapshots.get(path, ((), ()))
+        i = bisect_left(dates, pr.opened_at)
+        return vectors[i - 1] if i else None
+
+    def pr_vector(self, pr: PullRequest) -> list[int]:
+        """Aggregate KU vector over a PR's changed Java files (memoised)."""
+        total = self._pr_vectors.get(pr)
+        if total is None:
+            total = [0] * KU_COUNT
+            for path in pr.changed_java_files():
+                vector = self.file_vector(pr, path)
+                if vector is None:
+                    log.warning(
+                        "PR %s: no content resolvable for %s; skipped", pr.id, path
+                    )
+                    continue
+                for k, count in enumerate(vector):
+                    total[k] += count
+            self._pr_vectors[pr] = total
+        return total
+
+    @cached_property
+    def _development(self) -> _Side:
+        side = _Side("development")
+        for commit in self.commits:
+            vectors = [self.store.vector(commit.hash, path)
+                       for path in commit.changed_java_files]
+            side.add(commit.author, commit.authored_at, vectors)
+        return side
+
+    @cached_property
+    def _review(self) -> _Side:
+        side = _Side("review")
+        for pr in self.prs:
+            if pr.reviewers:
+                vector = self.pr_vector(pr)
+                for reviewer in pr.reviewers:
+                    side.add(reviewer, pr.opened_at, (vector,))
+        return side
+
+    def development(self, cutoff: datetime | None) -> Expertise:
+        """Occurrences per author over commits strictly before the cutoff."""
+        return self._development.before(cutoff)
+
+    def review(self, cutoff: datetime | None) -> Expertise:
+        """Occurrences per reviewer over PRs opened strictly before the cutoff.
+
+        Every reviewer of a PR is credited the full occurrences of its files.
+        """
+        return self._review.before(cutoff)
 
 
 def dev_exp_matrix(
     store: KuStore, cutoff: datetime | None
 ) -> tuple[ExpertiseMatrix, LastTouch]:
     """Occurrences per author over commits strictly before the cutoff."""
-    raw: dict[str, list[float]] = {}
-    touch = LastTouch()
-    for commit in store.commits:
-        if cutoff is not None and commit.authored_at >= cutoff:
-            continue
-        row = raw.setdefault(commit.author, [0.0] * KU_COUNT)
-        for path in commit.changed_java_files:
-            vector = store.vector(commit.hash, path)
-            if vector is None:
-                continue
-            for k, count in enumerate(vector):
-                if count:
-                    row[k] += count
-                    touch.note(commit.author, k + 1, commit.authored_at)
-    return _normalize(raw, "development", cutoff), touch
+    return AsOf(store).development(cutoff).pair()
 
 
 def resolve_pr_file_vector(
     store: KuStore, pr: PullRequest, path: str
 ) -> list[int] | None:
-    """KU vector backing one changed file of a PR.
-
-    Prefers the snapshot at the PR's recorded head commit; otherwise the
-    file's latest snapshot from a commit before the PR was opened.
-    """
-    if pr.head_commit is not None:
-        vector = store.vector(pr.head_commit, path)
-        if vector is not None:
-            return vector
-    best: list[int] | None = None
-    best_at = None
-    for commit in store.commits:
-        if commit.authored_at >= pr.opened_at:
-            continue
-        if path not in commit.changed_java_files:
-            continue
-        vector = store.vector(commit.hash, path)
-        if vector is None:
-            continue
-        if best_at is None or commit.authored_at >= best_at:
-            best, best_at = vector, commit.authored_at
-    return best
+    """KU vector backing one changed file of a PR (see :meth:`AsOf.file_vector`)."""
+    return AsOf(store).file_vector(pr, path)
 
 
 def pr_ku_vector(store: KuStore, pr: PullRequest) -> list[int]:
     """Aggregate KU vector over a PR's changed Java files."""
-    total = [0] * KU_COUNT
-    for path in pr.changed_java_files():
-        vector = resolve_pr_file_vector(store, pr, path)
-        if vector is None:
-            log.warning("PR %s: no content resolvable for %s; skipped", pr.id, path)
-            continue
-        for k, count in enumerate(vector):
-            total[k] += count
-    return total
+    return AsOf(store).pr_vector(pr)
 
 
 def rev_exp_matrix(
@@ -142,21 +280,10 @@ def rev_exp_matrix(
 
     Every reviewer of a PR is credited the full occurrences of its files.
     """
-    raw: dict[str, list[float]] = {}
-    touch = LastTouch()
-    for pr in prs.prs:
-        if cutoff is not None and pr.opened_at >= cutoff:
-            continue
-        if not pr.reviewers:
-            continue
-        vector = pr_ku_vector(store, pr)
-        for reviewer in pr.reviewers:
-            row = raw.setdefault(reviewer, [0.0] * KU_COUNT)
-            for k, count in enumerate(vector):
-                if count:
-                    row[k] += count
-                    touch.note(reviewer, k + 1, pr.opened_at)
-    return _normalize(raw, "review", cutoff), touch
+    # Later PRs could not count; indexing them would only resolve (and warn
+    # about) their files.
+    prior = [p for p in prs.prs if cutoff is None or p.opened_at < cutoff]
+    return AsOf(store, prior).review(cutoff).pair()
 
 
 def global_ku_profiles(store: KuStore) -> ExpertiseMatrix:

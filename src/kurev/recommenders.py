@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 
 from .catalog import KU_COUNT
 from .errors import NoKuError
 from .mining import KuStore
 from .prstore import PrDataset, PullRequest
-from .profiles import dev_exp_matrix, pr_ku_vector, rev_exp_matrix
+from .profiles import AsOf, Expertise
+# The profile builders stay importable from here for existing callers.
+from .profiles import dev_exp_matrix, pr_ku_vector, rev_exp_matrix  # noqa: F401
 
 KIND_ORDER = ("kurec", "rf", "chrev", "er", "cf")
 
@@ -40,13 +43,10 @@ class History:
     store: KuStore
     prs: PrDataset
 
-    def prior_prs(self, pr: PullRequest) -> list[PullRequest]:
-        return [
-            p for p in self.prs.prs if p.opened_at < pr.opened_at and p.id != pr.id
-        ]
-
-    def prior_commits(self, pr: PullRequest):
-        return [c for c in self.store.commits if c.authored_at < pr.opened_at]
+    @cached_property
+    def asof(self) -> AsOf:
+        """The as-of index every recommender queries, built on first use."""
+        return AsOf(self.store, self.prs.prs)
 
 
 def rank(scores: dict[str, float], pr_id: int, kind: str) -> Recommendation:
@@ -82,8 +82,21 @@ class BaseRecommender:
     def recommend(self, pr: PullRequest) -> Recommendation:
         raise NotImplementedError
 
-    def get_params(self) -> dict:
-        return {}
+
+def _side_score(
+    side: Expertise, developer: str, present: list[int], pr_open: datetime
+) -> float:
+    """Sum over present KUs (0-based) of ratio plus recency bonus."""
+    row = side.rows.get(developer)
+    if row is None:
+        return 0.0
+    counts, touched = row
+    score = 0.0
+    for k in present:
+        total = side.totals[k]
+        score += counts[k] / total if total > 0 else 0.0
+        score += recency_bonus(touched[k], pr_open)
+    return score
 
 
 class KurecRecommender(BaseRecommender):
@@ -92,54 +105,29 @@ class KurecRecommender(BaseRecommender):
     kind = "kurec"
 
     def recommend(self, pr: PullRequest) -> Recommendation:
-        history = self._history()
-        vector = pr_ku_vector(history.store, pr)
-        present = [k + 1 for k in range(KU_COUNT) if vector[k] > 0]
-        if not present:
-            raise NoKuError(f"PR {pr.id} contains no detectable KUs")
-
-        dev_matrix, dev_touch = dev_exp_matrix(history.store, pr.opened_at)
-        rev_matrix, rev_touch = rev_exp_matrix(history.prs, history.store, pr.opened_at)
-
-        candidates = set(dev_matrix.developers) | set(rev_matrix.developers)
-        candidates.discard(pr.author)
-        scores: dict[str, float] = {}
-        for dev in candidates:
-            dev_score = 0.0
-            rev_score = 0.0
-            for ku in present:
-                dev_score += dev_matrix.value(dev, ku)
-                dev_score += recency_bonus(dev_touch.get(dev, ku), pr.opened_at)
-                rev_score += rev_matrix.value(dev, ku)
-                rev_score += recency_bonus(rev_touch.get(dev, ku), pr.opened_at)
-            scores[dev] = dev_score + rev_score
+        scores = {dev: d + r for dev, (d, r) in self._scores(pr).items()}
         return rank(scores, pr.id, self.kind)
 
     def decompose(self, pr: PullRequest) -> dict[str, tuple[float, float]]:
         """Per-candidate (DevScore, RevScore) pairs, for auditability."""
-        history = self._history()
-        vector = pr_ku_vector(history.store, pr)
-        present = [k + 1 for k in range(KU_COUNT) if vector[k] > 0]
+        return self._scores(pr)
+
+    def _scores(self, pr: PullRequest) -> dict[str, tuple[float, float]]:
+        asof = self._history().asof
+        vector = asof.pr_vector(pr)
+        present = [k for k in range(KU_COUNT) if vector[k] > 0]
         if not present:
             raise NoKuError(f"PR {pr.id} contains no detectable KUs")
-        dev_matrix, dev_touch = dev_exp_matrix(history.store, pr.opened_at)
-        rev_matrix, rev_touch = rev_exp_matrix(history.prs, history.store, pr.opened_at)
-        candidates = set(dev_matrix.developers) | set(rev_matrix.developers)
-        candidates.discard(pr.author)
-        out = {}
-        for dev in sorted(candidates):
-            dev_score = sum(
-                dev_matrix.value(dev, ku)
-                + recency_bonus(dev_touch.get(dev, ku), pr.opened_at)
-                for ku in present
+        dev = asof.development(pr.opened_at)
+        rev = asof.review(pr.opened_at)
+        candidates = (dev.rows.keys() | rev.rows.keys()) - {pr.author}
+        return {
+            name: (
+                _side_score(dev, name, present, pr.opened_at),
+                _side_score(rev, name, present, pr.opened_at),
             )
-            rev_score = sum(
-                rev_matrix.value(dev, ku)
-                + recency_bonus(rev_touch.get(dev, ku), pr.opened_at)
-                for ku in present
-            )
-            out[dev] = (dev_score, rev_score)
-        return out
+            for name in sorted(candidates)
+        }
 
 
 class CfRecommender(BaseRecommender):
@@ -148,9 +136,8 @@ class CfRecommender(BaseRecommender):
     kind = "cf"
 
     def recommend(self, pr: PullRequest) -> Recommendation:
-        history = self._history()
         counts: dict[str, float] = {}
-        for commit in history.prior_commits(pr):
+        for commit in self._history().asof.commits_before(pr.opened_at):
             counts[commit.author] = counts.get(commit.author, 0.0) + 1.0
         counts.pop(pr.author, None)
         return rank(counts, pr.id, self.kind)
@@ -171,13 +158,9 @@ class RfRecommender(BaseRecommender):
             raise ValueError(f"unknown RF mode {mode!r}")
         self.mode = mode
 
-    def get_params(self) -> dict:
-        return {"mode": self.mode}
-
     def recommend(self, pr: PullRequest) -> Recommendation:
-        history = self._history()
         counts: dict[str, float] = {}
-        for prior in history.prior_prs(pr):
+        for prior in self._history().asof.prs_before(pr.opened_at):
             if self.mode == "prs":
                 for reviewer in prior.reviewers:
                     counts[reviewer] = counts.get(reviewer, 0.0) + 1.0
@@ -194,10 +177,9 @@ class ErRecommender(BaseRecommender):
     kind = "er"
 
     def recommend(self, pr: PullRequest) -> Recommendation:
-        history = self._history()
         changed = set(pr.changed_files)
         last: dict[str, float] = {}
-        for commit in history.prior_commits(pr):
+        for commit in self._history().asof.commits_before(pr.opened_at):
             if not changed.intersection(commit.changed_java_files):
                 continue
             stamp = commit.authored_at.replace(tzinfo=timezone.utc).timestamp()
@@ -213,20 +195,20 @@ class ChrevRecommender(BaseRecommender):
     kind = "chrev"
 
     def recommend(self, pr: PullRequest) -> Recommendation:
-        history = self._history()
+        prior = self._history().asof.prs_before(pr.opened_at)
         scores: dict[str, float] = {}
         for path in pr.changed_files:
-            stats = self._file_stats(history, pr, path)
+            stats = self._file_stats(prior, path)
             for reviewer, x in stats.items():
                 scores[reviewer] = scores.get(reviewer, 0.0) + x
         scores.pop(pr.author, None)
         return rank(scores, pr.id, self.kind)
 
     @staticmethod
-    def _file_stats(history: History, pr: PullRequest, path: str) -> dict[str, float]:
+    def _file_stats(prior_prs: list[PullRequest], path: str) -> dict[str, float]:
         comments: dict[str, int] = {}
         workdays: dict[str, set] = {}
-        for prior in history.prior_prs(pr):
+        for prior in prior_prs:
             if path not in prior.changed_files:
                 continue
             for comment in prior.review_comments:

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
+
 from kurev.catalog import KU_COUNT
+from kurev.pipeline import evaluate_project
 from kurev.profiles import (
+    AsOf,
+    ExpertiseMatrix,
+    LastTouch,
     dev_exp_matrix,
     global_ku_profiles,
     load_last_touch,
@@ -13,6 +20,7 @@ from kurev.profiles import (
     save_matrix,
     save_last_touch,
 )
+from kurev.recommenders import History
 from tests.conftest import commit, dt, ku, make_dataset, make_pr, make_store
 
 
@@ -134,3 +142,139 @@ def test_matrix_and_last_touch_persistence(tmp_path):
     save_last_touch(touch, touch_path)
     again = load_last_touch(touch_path)
     assert again.dates == touch.dates
+
+
+# --- the as-of index against a naive scan per cutoff ---------------------------
+#
+# The functions below rebuild each answer from scratch by scanning the whole
+# store, exactly as the profiles were computed before the index existed.
+
+
+def naive_resolve(store, pr, path):
+    if pr.head_commit is not None:
+        vector = store.vector(pr.head_commit, path)
+        if vector is not None:
+            return vector
+    best, best_at = None, None
+    for c in store.commits:
+        if c.authored_at >= pr.opened_at or path not in c.changed_java_files:
+            continue
+        vector = store.vector(c.hash, path)
+        if vector is not None and (best_at is None or c.authored_at >= best_at):
+            best, best_at = vector, c.authored_at
+    return best
+
+
+def naive_pr_vector(store, pr):
+    total = [0] * KU_COUNT
+    for path in pr.changed_java_files():
+        vector = naive_resolve(store, pr, path)
+        for k, count in enumerate(vector or ()):
+            total[k] += count
+    return total
+
+
+def naive_normalize(raw, kind, cutoff):
+    developers = tuple(sorted(raw))
+    totals = [0.0] * KU_COUNT
+    for dev in developers:
+        for k in range(KU_COUNT):
+            totals[k] += raw[dev][k]
+    values = tuple(
+        tuple(
+            raw[dev][k] / totals[k] if totals[k] > 0 else 0.0 for k in range(KU_COUNT)
+        )
+        for dev in developers
+    )
+    return ExpertiseMatrix(kind, cutoff, developers, values)
+
+
+def naive_dev(store, cutoff):
+    raw, touch = {}, LastTouch()
+    for c in store.commits:
+        if cutoff is not None and c.authored_at >= cutoff:
+            continue
+        row = raw.setdefault(c.author, [0.0] * KU_COUNT)
+        for path in c.changed_java_files:
+            for k, count in enumerate(store.vector(c.hash, path) or ()):
+                if count:
+                    row[k] += count
+                    touch.note(c.author, k + 1, c.authored_at)
+    return naive_normalize(raw, "development", cutoff), touch
+
+
+def naive_rev(prs, store, cutoff):
+    raw, touch = {}, LastTouch()
+    for pr in prs:
+        if (cutoff is not None and pr.opened_at >= cutoff) or not pr.reviewers:
+            continue
+        vector = naive_pr_vector(store, pr)
+        for reviewer in pr.reviewers:
+            row = raw.setdefault(reviewer, [0.0] * KU_COUNT)
+            for k, count in enumerate(vector):
+                if count:
+                    row[k] += count
+                    touch.note(reviewer, k + 1, pr.opened_at)
+    return naive_normalize(raw, "review", cutoff), touch
+
+
+def assert_index_matches_naive(store, prs, cutoffs):
+    asof = AsOf(store, prs)
+    for pr in prs:
+        assert asof.pr_vector(pr) == naive_pr_vector(store, pr), pr.id
+    for cutoff in cutoffs:
+        assert asof.development(cutoff).pair() == naive_dev(store, cutoff), cutoff
+        assert asof.review(cutoff).pair() == naive_rev(prs, store, cutoff), cutoff
+
+
+def test_index_equals_naive_scan_at_every_pr_of_synthetic_project(synthetic_project):
+    prs = synthetic_project["dataset"].prs
+    assert_index_matches_naive(
+        synthetic_project["store"], prs, [None] + [pr.opened_at for pr in prs]
+    )
+
+
+def test_index_equals_naive_scan_when_store_order_is_not_chronological():
+    store = make_store(
+        commit("c1", "alice", "2023-01-05T00:00:00Z", {"a.java": ku(k1=4)}),
+        commit("c2", "bob", "2023-01-02T00:00:00Z", {"a.java": ku(k2=1),
+                                                      "b.java": None}),
+        commit("c3", "carol", "2023-01-05T00:00:00Z", {"a.java": ku(k1=1, k3=2)}),
+        commit("c4", "dan", "2023-01-01T00:00:00Z", {"b.java": ku()}),
+        commit("c5", "alice", "2023-01-03T00:00:00Z", {"b.java": ku(k3=5)}),
+    )
+    prs = make_dataset(
+        make_pr(1, "2023-01-02T00:00:00Z", "bob", ["a.java", "b.java"],
+                reviewers=["rita"]),
+        make_pr(2, "2023-01-04T00:00:00Z", "dan", ["a.java"],
+                reviewers=["ron", "rita"]),
+        make_pr(3, "2023-01-06T00:00:00Z", "carol", ["a.java", "b.java"],
+                reviewers=["ron"]),
+        make_pr(4, "2023-01-06T00:00:00Z", "carol", ["b.java"], head_commit="c2"),
+    ).prs
+    cutoffs = [None] + [dt(f"2023-01-0{d}T00:00:00Z") for d in range(1, 8)]
+    assert_index_matches_naive(store, prs, cutoffs)
+    # latest date wins over store order; on equal dates the later commit wins
+    late = make_pr(5, "2023-01-07T00:00:00Z", "x", ["a.java"])
+    assert AsOf(store).file_vector(late, "a.java") == ku(k1=1, k3=2)
+    # dan committed only zero vectors but is still a development candidate
+    assert "dan" in AsOf(store).development(None).rows
+
+
+def test_unresolvable_file_is_logged_once_per_pr_and_path(synthetic_project, caplog):
+    store, dataset = synthetic_project["store"], synthetic_project["dataset"]
+    unresolved = {
+        (pr.id, path)
+        for pr in dataset.prs
+        for path in pr.changed_java_files()
+        if naive_resolve(store, pr, path) is None
+    }
+    assert unresolved, "the synthetic project should have unresolvable PR files"
+    with caplog.at_level(logging.WARNING, logger="kurev.profiles"):
+        evaluate_project(History(store=store, prs=dataset), synthetic_project["test"])
+    logged = Counter(
+        record.args
+        for record in caplog.records
+        if record.msg.startswith("PR %s: no content resolvable")
+    )
+    assert logged == Counter(unresolved)

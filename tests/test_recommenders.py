@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import timezone
 
 import pytest
 
+from kurev.adaptive import safe_recommend
 from kurev.errors import NoKuError
+from kurev.mining import KuStore
+from kurev.pipeline import evaluate_project
+from kurev.profiles import AsOf
+from kurev.prstore import PrDataset
 from kurev.recommenders import (
     History,
     KurecRecommender,
@@ -324,6 +330,46 @@ def test_brute_force_equivalence_on_synthetic_project(synthetic_project, kind):
         assert set(actual) == set(expected)
         for dev in expected:
             assert actual[dev] == pytest.approx(expected[dev], abs=1e-9)
+
+
+def cut_at(hist, when):
+    """The history as it stood just before ``when``: nothing dated later."""
+    commits = [c for c in hist.store.commits if c.authored_at < when]
+    kept = {c.hash for c in commits}
+    vectors = {key: v for key, v in hist.store.vectors.items() if key[0] in kept}
+    prs = tuple(p for p in hist.prs.prs if p.opened_at < when)
+    return History(
+        store=KuStore(commits, vectors), prs=PrDataset(hist.prs.project, prs)
+    )
+
+
+# Metamorphic as-of check. Reviewers are credited at a PR's opening date
+# (the README's "PRs opened before" convention), so cutting commits and PRs
+# at the opening date removes nothing a recommendation may use. CHREV is
+# left out: it still counts review comments on earlier PRs that are dated
+# after the PR opened (the "time travel" item in ROADMAP.md).
+@pytest.mark.parametrize("kind", ["kurec", "cf", "rf", "er"])
+def test_cutting_history_at_opening_date_keeps_ranking(synthetic_project, kind):
+    hist = synthetic_project["history"]
+    model = make_recommender(kind).fit(hist)
+    for pr in hist.prs.prs:
+        cut = make_recommender(kind).fit(cut_at(hist, pr.opened_at))
+        assert safe_recommend(cut, pr) == safe_recommend(model, pr), pr.id
+
+
+def test_evaluation_computes_each_pr_vector_once(synthetic_project, monkeypatch):
+    resolved = Counter()
+    file_vector = AsOf.file_vector
+
+    def counting(self, pr, path):
+        resolved[pr.id, path] += 1
+        return file_vector(self, pr, path)
+
+    monkeypatch.setattr(AsOf, "file_vector", counting)
+    hist = History(store=synthetic_project["store"], prs=synthetic_project["dataset"])
+    evaluate_project(hist, synthetic_project["test"])
+    assert resolved, "evaluation should resolve PR files"
+    assert set(resolved.values()) == {1}
 
 
 def test_ranking_stable_under_positive_scaling():

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 from .errors import NoKuError
 from .evaluation import average_precision, is_correct_top_k
 from .prstore import PullRequest
-from .recommenders import (
-    KIND_ORDER,
-    BaseRecommender,
-    History,
-    Recommendation,
-    make_recommender,
-)
+from .recommenders import KIND_ORDER, BaseRecommender, History, Recommendation
 
 log = logging.getLogger(__name__)
 
@@ -148,14 +142,16 @@ class AdaptiveRecommender:
     ) -> list[ReplayStep]:
         """Run the online protocol over the ordered test PRs.
 
-        ``base_recommendations`` (kind → pr_id → Recommendation) may be
-        supplied to share base-recommender output across variants.
+        ``base_recommendations`` (kind → pr_id → Recommendation) shares
+        base-recommender output across variants and carries the RF mode;
+        without it every base recommender runs with its defaults.
         """
         if self.history_ is None:
             raise RuntimeError("AdaptiveRecommender is not fitted")
-        bases = {
-            kind: make_recommender(kind).fit(self.history_) for kind in KIND_ORDER
-        }
+        if base_recommendations is None:
+            from .pipeline import run_base_recommenders  # pipeline imports this module
+
+            base_recommendations = run_base_recommenders(self.history_, test_prs)
         rng = random.Random(self.seed)
         brst = Brst(self.variant)
         tallies = {kind: _KindTally() for kind in KIND_ORDER}
@@ -165,26 +161,16 @@ class AdaptiveRecommender:
             if chosen is None:
                 chosen = rng.choice(KIND_ORDER)
             delegate = chosen
-            recs: dict[str, Recommendation] = {}
-
-            def base_rec(kind: str) -> Recommendation:
-                if kind not in recs:
-                    if base_recommendations is not None:
-                        recs[kind] = base_recommendations[kind][pr.id]
-                    else:
-                        recs[kind] = safe_recommend(bases[kind], pr)
-                return recs[kind]
-
-            if delegate == "kurec" and not base_rec("kurec").ranked:
+            recs = {kind: base_recommendations[kind][pr.id] for kind in KIND_ORDER}
+            if delegate == "kurec" and not recs["kurec"].ranked:
                 log.info("PR %s has no KUs; AD_%s falls back to RF", pr.id, self.variant)
                 delegate = "rf"
-            delegated = base_rec(delegate)
             recommendation = Recommendation(
-                pr_id=pr.id, kind=self.kind, ranked=delegated.ranked
+                pr_id=pr.id, kind=self.kind, ranked=recs[delegate].ranked
             )
             # ground truth revealed: update tallies with every base, then BRST
             for kind in KIND_ORDER:
-                tallies[kind].add(base_rec(kind), set(pr.reviewers))
+                tallies[kind].add(recs[kind], set(pr.reviewers))
             winner = best_performer(tallies)
             brst.update(winner)
             steps.append(

@@ -68,10 +68,6 @@ class KuId:
     def label(self) -> str:
         return f"K{self.index}"
 
-    @property
-    def display_name(self) -> str:
-        return KU_NAMES[self.index - 1]
-
 
 ALL_KUS = tuple(KuId(i) for i in range(1, KU_COUNT + 1))
 
@@ -145,9 +141,6 @@ class CapabilityCatalog:
 
     def enabled_rules(self) -> tuple[CapabilityRule, ...]:
         return tuple(r for r in self.rules if r.enabled)
-
-    def rules_for(self, ku: KuId) -> tuple[CapabilityRule, ...]:
-        return tuple(r for r in self.rules if r.id.ku == ku)
 
     def validate(self) -> None:
         seen: set[CapabilityId] = set()

@@ -17,7 +17,13 @@ from .catalog import load_catalog
 from .detector import detect_capabilities, ku_vector_from_hits
 from .errors import KurevError
 from .mining import KuStore, build_ku_store
-from .pipeline import ALL_KINDS, ProjectConfig, run_clustering, run_pipeline
+from .pipeline import (
+    ALL_KINDS,
+    ProjectConfig,
+    run_base_recommenders,
+    run_clustering,
+    run_pipeline,
+)
 from .prstore import chronological_split, filter_prs, load_prs, save_prs
 from .profiles import (
     dev_exp_matrix,
@@ -187,7 +193,9 @@ def recommend(
         if pr_id not in {pr.id for pr in prefix}:
             raise KurevError(f"PR {pr_id} is not in the test partition")
         variant = which.removeprefix("ad_")
-        steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(prefix)
+        steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(
+            prefix, run_base_recommenders(history, prefix, rf_mode=rf_mode)
+        )
         rec = next(s.recommendation for s in steps if s.pr_id == pr_id)
 
     if not rec.ranked:

@@ -18,6 +18,7 @@ from .catalog import (
     CapabilityId,
     load_catalog,
 )
+from .errors import ParseError
 from .javaparse.nodes import Node
 from .javaparse.parser import parse_java
 
@@ -28,15 +29,15 @@ __all__ = [
     "ku_vector_from_hits",
 ]
 
-_TYPE_DECLS = frozenset(
-    [
-        "class_declaration",
-        "interface_declaration",
-        "enum_declaration",
-        "record_declaration",
-        "annotation_declaration",
-    ]
-)
+# Type-declaration kind -> keywords of its declaration event.
+_TYPE_KEYWORDS = {
+    "class_declaration": ("class",),
+    "interface_declaration": ("interface",),
+    "enum_declaration": ("enum",),
+    "record_declaration": ("class", "record"),
+    "annotation_declaration": ("annotation_type",),
+}
+_TYPE_DECLS = frozenset(_TYPE_KEYWORDS)
 
 _MEMBER_KINDS = _TYPE_DECLS | frozenset(
     [
@@ -48,19 +49,28 @@ _MEMBER_KINDS = _TYPE_DECLS | frozenset(
     ]
 )
 
-_STATEMENT_KEYWORDS = {
-    "if_statement": ("if",),
-    "switch_statement": ("switch",),
-    "while_statement": ("while",),
-    "do_statement": ("do_while",),
-    "for_statement": ("for",),
-    "enhanced_for_statement": ("enhanced_for",),
-    "break_statement": ("break",),
-    "continue_statement": ("continue",),
-    "throw_statement": ("throw",),
-    "assert_statement": ("assert",),
-    "synchronized_statement": ("synchronized",),
-    "finally_clause": ("finally",),
+# Node kinds that always emit one event: kind -> (category, keywords).
+_SIMPLE_EVENTS = {
+    "if_statement": ("statement", ("if",)),
+    "switch_statement": ("statement", ("switch",)),
+    "while_statement": ("statement", ("while",)),
+    "do_statement": ("statement", ("do_while",)),
+    "for_statement": ("statement", ("for",)),
+    "enhanced_for_statement": ("statement", ("enhanced_for",)),
+    "break_statement": ("statement", ("break",)),
+    "continue_statement": ("statement", ("continue",)),
+    "throw_statement": ("statement", ("throw",)),
+    "assert_statement": ("statement", ("assert",)),
+    "synchronized_statement": ("statement", ("synchronized",)),
+    "finally_clause": ("statement", ("finally",)),
+    "assignment_expression": ("expression", ("assignment",)),
+    "unary_expression": ("expression", ("unary",)),
+    "ternary_expression": ("expression", ("ternary",)),
+    "instanceof_expression": ("expression", ("instanceof",)),
+    "lambda_expression": ("expression", ("lambda",)),
+    "array_access": ("expression", ("array_access",)),
+    "array_initializer": ("expression", ("array_initializer",)),
+    "super_expression": ("expression", ("super",)),
 }
 
 _EXCEPTION_SUFFIXES = ("Exception", "Error", "Throwable")
@@ -77,8 +87,7 @@ class _Event:
 
 @dataclass
 class _Imports:
-    explicit: dict[str, str] = field(default_factory=dict)
-    wildcards: list[str] = field(default_factory=list)
+    explicit: dict[str, str] = field(default_factory=dict)  # simple -> qualified
 
     def consistent(self, name: str | None, qualified: str | None, prefix: str) -> bool:
         """Whether a use of ``name`` could resolve under ``prefix``.
@@ -156,38 +165,19 @@ class _Collector:
         for child in unit.children:
             if child.kind == "import_declaration":
                 self._register_import(child)
-            elif child.kind in _TYPE_DECLS:
-                self._visit_type(child, nested=False)
             else:
                 self._visit(child, in_block=False)
 
     def _register_import(self, node: Node) -> None:
         name = node.get("name", "")
-        if node.get("static"):
-            return
-        if node.get("wildcard"):
-            self.imports.wildcards.append(name)
-        elif name:
-            self.imports.explicit[name] = name
-
-    # Explicit imports are keyed by simple name for lookup.
-    # (Fix-up applied after parsing the dotted form above.)
+        if name and not node.get("static") and not node.get("wildcard"):
+            self.imports.explicit[name.rsplit(".", 1)[-1]] = name
 
     def _visit_type(self, decl: Node, nested: bool, local: bool = False) -> None:
         kind = decl.kind
         name = decl.get("name", "")
         mods = set(decl.get("modifiers", ()))
-        keywords = set(mods)
-        if kind == "class_declaration":
-            keywords.add("class")
-        elif kind == "interface_declaration":
-            keywords.add("interface")
-        elif kind == "enum_declaration":
-            keywords.add("enum")
-        elif kind == "record_declaration":
-            keywords.update(("class", "record"))
-        else:
-            keywords.add("annotation_type")
+        keywords = mods | set(_TYPE_KEYWORDS[kind])
         if nested:
             keywords.add("member")
             if kind == "class_declaration":
@@ -212,9 +202,11 @@ class _Collector:
             if self._looks_singleton(name, members):
                 keywords.add("singleton_class")
         self.emit("declaration", decl, keywords, name=name)
-        self._visit_body(decl, name, members)
+        self._visit_body(decl)
 
-    def _visit_body(self, decl: Node, type_name: str, members: list[Node]) -> None:
+    def _visit_body(self, decl: Node) -> None:
+        """Every child of a type, enum-constant or anonymous-class body."""
+        members = [c for c in decl.children if c.kind in _MEMBER_KINDS]
         overloaded = self._overload_names(members)
         n_ctors = sum(1 for m in members if m.kind == "constructor_declaration")
         for child in decl.children:
@@ -223,9 +215,14 @@ class _Collector:
             elif child.kind == "method_declaration":
                 self._visit_method(child, overloaded)
             elif child.kind == "constructor_declaration":
-                self._visit_constructor(child, n_ctors)
+                keywords = {"constructor"}
+                if n_ctors > 1:
+                    keywords.add("overloaded_constructor")
+                if _is_this_chain(child):
+                    keywords.add("chained_constructor")
+                self._visit_member(child, keywords)
             elif child.kind == "field_declaration":
-                self._visit_field(child)
+                self._visit_member(child, {"field"})
             elif child.kind == "initializer_block":
                 kw = {"initializer"} | ({"static"} if child.get("static") else set())
                 self.emit("declaration", child, kw)
@@ -233,12 +230,7 @@ class _Collector:
                     self._visit(sub, in_block=True)
             elif child.kind == "enum_constant":
                 self.emit("declaration", child, {"enum_constant"}, name=child.get("name"))
-                body = [c for c in child.children if c.kind in _MEMBER_KINDS]
-                if body:
-                    self._visit_body(child, type_name, body)
-                for sub in child.children:
-                    if sub.kind not in _MEMBER_KINDS:
-                        self._visit(sub, in_block=True)
+                self._visit_body(child)
             else:
                 self._visit(child, in_block=False)
 
@@ -279,46 +271,28 @@ class _Collector:
 
     def _visit_method(self, decl: Node, overloaded: set[str]) -> None:
         name = decl.get("name", "")
-        keywords = set(decl.get("modifiers", ())) | {"method", "member"}
-        params = decl.get("params", 0)
+        keywords = {"method"}
         returning = decl.get("return_type_name") != "void"
-        if params >= 1:
-            keywords.add("parameterized")
         if returning:
             keywords.add("returning")
-        if decl.get("varargs"):
-            keywords.add("varargs")
         if decl.get("generic"):
             keywords.add("generic")
-        if decl.get("throws"):
-            keywords.add("throwing")
         if name in overloaded:
             keywords.add("overloaded_method")
-        if _accessor_like(name, params, returning):
+        if _accessor_like(name, decl.get("params", 0), returning):
             keywords.add("accessor_method")
-        self.emit("declaration", decl, keywords, name=name)
-        for child in decl.children:
-            self._visit(child, in_block=False)
+        self._visit_member(decl, keywords)
 
-    def _visit_constructor(self, decl: Node, n_ctors: int) -> None:
-        keywords = set(decl.get("modifiers", ())) | {"constructor", "member"}
+    def _visit_member(self, decl: Node, keywords: set[str]) -> None:
+        """Emit a method, constructor or field declaration, then descend."""
+        keywords |= set(decl.get("modifiers", ())) | {"member"}
         if decl.get("params", 0) >= 1:
             keywords.add("parameterized")
         if decl.get("varargs"):
             keywords.add("varargs")
         if decl.get("throws"):
             keywords.add("throwing")
-        if n_ctors > 1:
-            keywords.add("overloaded_constructor")
-        if _is_this_chain(decl):
-            keywords.add("chained_constructor")
         self.emit("declaration", decl, keywords, name=decl.get("name"))
-        for child in decl.children:
-            self._visit(child, in_block=False)
-
-    def _visit_field(self, decl: Node) -> None:
-        keywords = set(decl.get("modifiers", ())) | {"field", "member"}
-        self.emit("declaration", decl, keywords)
         for child in decl.children:
             self._visit(child, in_block=False)
 
@@ -330,8 +304,9 @@ class _Collector:
             self._visit_type(node, nested=False, local=in_block)
             return
 
-        if kind in _STATEMENT_KEYWORDS:
-            self.emit("statement", node, _STATEMENT_KEYWORDS[kind])
+        if kind in _SIMPLE_EVENTS:
+            category, keywords = _SIMPLE_EVENTS[kind]
+            self.emit(category, node, keywords)
         elif kind == "try_statement":
             kw = ["try"]
             if node.get("resources", 0) > 0:
@@ -347,19 +322,11 @@ class _Collector:
                 "declaration", node,
                 set(node.get("modifiers", ())) | {"variable"},
             )
-        elif kind == "assignment_expression":
-            self.emit("expression", node, ("assignment",))
         elif kind == "binary_expression":
             kw = ["binary"]
             if node.get("op") in ("==", "!="):
                 kw.append("equality")
             self.emit("expression", node, kw)
-        elif kind == "unary_expression":
-            self.emit("expression", node, ("unary",))
-        elif kind == "ternary_expression":
-            self.emit("expression", node, ("ternary",))
-        elif kind == "instanceof_expression":
-            self.emit("expression", node, ("instanceof",))
         elif kind == "cast_expression":
             target = node.children[0] if node.children else None
             primitive = target is not None and target.kind == "primitive_type"
@@ -367,20 +334,12 @@ class _Collector:
                 "expression", node,
                 ("primitive_cast",) if primitive else ("reference_cast",),
             )
-        elif kind == "lambda_expression":
-            self.emit("expression", node, ("lambda",))
-        elif kind == "array_access":
-            self.emit("expression", node, ("array_access",))
-        elif kind == "array_initializer":
-            self.emit("expression", node, ("array_initializer",))
         elif kind == "array_creation":
             dims = node.get("dims", 1)
             self.emit(
                 "expression", node,
                 ("multidim_array_creation",) if dims >= 2 else ("array_creation",),
             )
-        elif kind == "super_expression":
-            self.emit("expression", node, ("super",))
         elif kind == "explicit_constructor_invocation":
             if node.get("target") == "super":
                 self.emit("expression", node, ("super",))
@@ -415,12 +374,7 @@ class _Collector:
             if node.get("anonymous"):
                 self.emit("declaration", node, ("anonymous_class",),
                           name=node.get("type_name"))
-                members = [c for c in node.children if c.kind in _MEMBER_KINDS]
-                if members:
-                    self._visit_body(node, node.get("type_name", ""), members)
-                for child in node.children:
-                    if child.kind not in _MEMBER_KINDS:
-                        self._visit(child, in_block=False)
+                self._visit_body(node)
                 return
         elif kind == "annotation":
             self.emit("annotation", node, name=node.get("name"),
@@ -460,13 +414,6 @@ class _Collector:
             self.emit("type", node, name=use[0], qualified=use[1])
 
 
-def _fix_import_keys(imports: _Imports) -> _Imports:
-    fixed = _Imports(wildcards=list(imports.wildcards))
-    for qualified in imports.explicit.values():
-        fixed.explicit[qualified.rsplit(".", 1)[-1]] = qualified
-    return fixed
-
-
 def _pattern_matches(pattern: AstPattern, event: _Event, imports: _Imports) -> bool:
     if pattern.node_kind != event.category:
         return False
@@ -487,14 +434,18 @@ def detect_capabilities(
     """Count capability evidence in one Java source file.
 
     Returns a mapping from every enabled capability to the number of
-    distinct syntax nodes exhibiting it (zero entries included).
+    distinct syntax nodes exhibiting it (zero entries included). Raises
+    :class:`ParseError` for binary content and for nesting too deep to
+    parse or traverse.
     """
     if catalog is None:
         catalog = load_catalog()
-    unit = parse_java(source)
     collector = _Collector()
-    collector.run(unit)
-    imports = _fix_import_keys(collector.imports)
+    try:
+        collector.run(parse_java(source))
+    except RecursionError:
+        raise ParseError("nesting too deep") from None
+    imports = collector.imports
 
     out: dict[CapabilityId, int] = {}
     for rule in catalog.enabled_rules():

@@ -166,12 +166,7 @@ class _Parser:
     def _parse_annotation(self) -> Node:
         off = self.tok().offset
         self.eat()  # @
-        qualified = self._qualified_name()
-        node = Node(
-            "annotation",
-            off,
-            {"name": qualified.rsplit(".", 1)[-1], "qualified": qualified},
-        )
+        node = _named("annotation", off, self._qualified_name())
         if self.at("("):
             depth = 0
             while not self.eof():
@@ -205,6 +200,17 @@ class _Parser:
             else:
                 return mods, annotations
 
+    def _variable_prefix(self) -> list[Node]:
+        """Consume the ``final``/annotation prefix of a variable; returns
+        the annotations."""
+        annotations = []
+        while self.at_kw("final") or self.at("@"):
+            if self.at("@"):
+                annotations.append(self._parse_annotation())
+            else:
+                self.eat()
+        return annotations
+
     def _qualified_name(self) -> str:
         parts = []
         while self.tok().kind == "identifier":
@@ -216,14 +222,27 @@ class _Parser:
 
     # --- type declarations ---------------------------------------------------
 
+    def _type_decl_keyword(self) -> str | None:
+        """The word that starts a type declaration here, or None."""
+        t = self.tok()
+        if t.kind == "keyword" and t.text in ("class", "interface", "enum"):
+            return t.text
+        if t.text == "@" and self.tok(1).is_kw("interface"):
+            return "@interface"
+        if (t.kind == "identifier" and t.text == "record"
+                and self.tok(1).kind == "identifier" and self.tok(2).text == "("):
+            return "record"
+        return None
+
     def _parse_type_declaration(
         self, annotations: list[Node], premods: tuple[str, ...] | list[str] = ()
     ) -> Node | None:
         mods, annotations = self._parse_modifiers(annotations)
         mods = list(premods) + mods
         off = self.tok().offset
+        kw = self._type_decl_keyword()
 
-        if self.at("@") and self.tok(1).is_kw("interface"):
+        if kw == "@interface":
             self.eat()
             self.eat()
             name = self.eat().text if self.tok().kind == "identifier" else ""
@@ -232,15 +251,6 @@ class _Parser:
             node.children.extend(annotations)
             self._parse_class_body(node, name)
             return node
-
-        kw = None
-        for word in ("class", "interface", "enum"):
-            if self.at_kw(word):
-                kw = word
-                break
-        if kw is None and (self.tok().kind == "identifier" and self.tok().text == "record"
-                           and self.tok(1).kind == "identifier" and self.tok(2).text == "("):
-            kw = "record"
 
         if kw is None:
             if mods or annotations:
@@ -268,29 +278,12 @@ class _Parser:
             node.children.extend(params)
         if self.at_kw("extends"):
             self.eat()
-            first = True
-            while True:
-                t = self._parse_type()
-                if t is None:
-                    break
-                if first and kw == "class":
-                    node.fields["superclass_name"] = _type_simple_name(t)
-                node.children.append(t)
-                first = False
-                if not self.accept(","):
-                    break
+            names = self._parse_type_list(node, ",")
+            if names and kw == "class":
+                node.fields["superclass_name"] = names[0]
         if self.at_kw("implements"):
             self.eat()
-            names = []
-            while True:
-                t = self._parse_type()
-                if t is None:
-                    break
-                names.append(_type_simple_name(t))
-                node.children.append(t)
-                if not self.accept(","):
-                    break
-            node.fields["interface_names"] = tuple(names)
+            node.fields["interface_names"] = tuple(self._parse_type_list(node, ","))
 
         if self.accept(";"):
             return node
@@ -300,10 +293,28 @@ class _Parser:
             self._parse_class_body(node, name)
         return node
 
+    def _parse_type_list(self, owner: Node, sep: str) -> list[str]:
+        """Parse ``sep``-separated types into ``owner``; returns their
+        simple names."""
+        names = []
+        while True:
+            t = self._parse_type()
+            if t is None:
+                break
+            names.append(_type_simple_name(t))
+            owner.children.append(t)
+            if not self.accept(sep):
+                break
+        return names
+
     def _parse_class_body(self, owner: Node, type_name: str) -> None:
         if not self.accept("{"):
             owner.children.append(self._recover())
             return
+        self._parse_members(owner, type_name)
+
+    def _parse_members(self, owner: Node, type_name: str) -> None:
+        """Members up to and including the closing ``}``."""
         while not self.eof() and not self.at("}"):
             start = self.pos
             member = self._parse_member(type_name)
@@ -336,22 +347,14 @@ class _Parser:
             if not self.accept(","):
                 break
         if self.accept(";"):
-            while not self.eof() and not self.at("}"):
-                start = self.pos
-                member = self._parse_member(type_name)
-                if member is not None:
-                    owner.children.append(member)
-                if self.pos == start:
-                    owner.children.append(self._recover())
-                    if self.pos == start:
-                        self.eat()
-        self.accept("}")
+            self._parse_members(owner, type_name)
+        else:
+            self.accept("}")
 
     def _parse_member(self, type_name: str) -> Node | None:
         if self.accept(";"):
             return None
-        annotations: list[Node] = []
-        mods, annotations = self._parse_modifiers(annotations)
+        mods, annotations = self._parse_modifiers([])
         off = self.tok().offset
 
         # initializer block
@@ -360,11 +363,7 @@ class _Parser:
             node.children.append(self._parse_block())
             return node
 
-        # nested type
-        if (self.at_kw("class") or self.at_kw("interface") or self.at_kw("enum")
-                or (self.at("@") and self.tok(1).is_kw("interface"))
-                or (self.tok().kind == "identifier" and self.tok().text == "record"
-                    and self.tok(1).kind == "identifier" and self.tok(2).text == "(")):
+        if self._type_decl_keyword() is not None:  # nested type
             return self._parse_type_declaration(annotations, mods)
 
         # generic method type parameters
@@ -409,9 +408,7 @@ class _Parser:
         name = self.eat().text
         if self.at("("):
             params, varargs = self._parse_params()
-            while self.at("[") and self.tok(1).text == "]":
-                self.eat()
-                self.eat()
+            self._skip_dims()
             throws = self._parse_throws()
             node = Node(
                 "method_declaration", off,
@@ -425,7 +422,7 @@ class _Parser:
             node.children.extend(self._throws_types(throws))
             if self.at_kw("default"):  # annotation-type member default value
                 self.eat()
-                node.children.append(self._parse_element_value())
+                node.children.append(self._parse_initializer())
             if self.at("{"):
                 node.children.append(self._parse_block())
             else:
@@ -444,9 +441,7 @@ class _Parser:
         while True:
             decl = Node("variable_declarator", self.tok().offset,
                         {"name": name, "has_init": False})
-            while self.at("[") and self.tok(1).text == "]":
-                self.eat()
-                self.eat()
+            self._skip_dims()
             if self.accept("="):
                 decl.fields["has_init"] = True
                 decl.children.append(self._parse_initializer())
@@ -466,19 +461,8 @@ class _Parser:
         off = self.tok().offset
         node = Node("array_initializer", off)
         self.eat()  # {
-        while not self.eof() and not self.at("}"):
-            start = self.pos
-            node.children.append(self._parse_initializer())
-            self.accept(",")
-            if self.pos == start:
-                self.eat()
-        self.accept("}")
+        node.children.extend(self._parse_list(self._parse_initializer, ",", "}"))
         return node
-
-    def _parse_element_value(self) -> Node:
-        if self.at("{"):
-            return self._parse_array_initializer()
-        return self.parse_expression()
 
     def _parse_params(self) -> tuple[list[Node], bool]:
         params: list[Node] = []
@@ -487,10 +471,7 @@ class _Parser:
             return params, varargs
         while not self.eof() and not self.at(")"):
             start = self.pos
-            annos = self._parse_annotations()
-            while self.at_kw("final"):
-                self.eat()
-                annos.extend(self._parse_annotations())
+            annos = self._variable_prefix()
             ptype = self._parse_type()
             if ptype is None:
                 while not self.eof() and not self.at(",") and not self.at(")"):
@@ -503,9 +484,7 @@ class _Parser:
             if self.accept("..."):
                 varargs = True
             pname = self.eat().text if self.tok().kind == "identifier" else ""
-            while self.at("[") and self.tok(1).text == "]":
-                self.eat()
-                self.eat()
+            self._skip_dims()
             p = Node("formal_parameter", ptype.offset, {"name": pname})
             p.children.extend(annos)
             p.children.append(ptype)
@@ -528,11 +507,7 @@ class _Parser:
         return tuple(names)
 
     def _throws_types(self, throws: tuple[str, ...]) -> list[Node]:
-        return [
-            Node("named_type", self.tok().offset,
-                 {"name": q.rsplit(".", 1)[-1], "qualified": q})
-            for q in throws
-        ]
+        return [_named("named_type", self.tok().offset, q) for q in throws]
 
     # --- types -------------------------------------------------------------
 
@@ -545,25 +520,18 @@ class _Parser:
             node = Node("primitive_type", t.offset, {"name": t.text})
         elif t.kind == "identifier":
             qualified = self._qualified_name()
-            simple = qualified.rsplit(".", 1)[-1]
             if self.at("<"):
                 args = self._parse_type_args()
                 if args is None:
                     self.pos = mark
                     return None
-                node = Node("generic_type", t.offset,
-                            {"name": simple, "qualified": qualified})
+                node = _named("generic_type", t.offset, qualified)
                 node.children.extend(args)
             else:
-                node = Node("named_type", t.offset,
-                            {"name": simple, "qualified": qualified})
+                node = _named("named_type", t.offset, qualified)
         else:
             return None
-        dims = 0
-        while self.at("[") and self.tok(1).text == "]":
-            self.eat()
-            self.eat()
-            dims += 1
+        dims = self._skip_dims()
         if dims:
             arr = Node("array_type", t.offset, {"dims": dims})
             arr.children.append(node)
@@ -591,11 +559,7 @@ class _Parser:
                 self.pos = mark
                 return None
             elif t.kind == "identifier":
-                off = t.offset
-                qualified = self._qualified_name()
-                names.append(Node("named_type", off,
-                                  {"name": qualified.rsplit(".", 1)[-1],
-                                   "qualified": qualified}))
+                names.append(_named("named_type", t.offset, self._qualified_name()))
                 continue
             elif t.text in (";", "{", "}", "(", ")", "=") or t.kind in ("string", "char"):
                 self.pos = mark
@@ -603,6 +567,15 @@ class _Parser:
             self.eat()
         self.pos = mark
         return None
+
+    def _skip_dims(self) -> int:
+        """Consume ``[]`` pairs; returns how many."""
+        dims = 0
+        while self.at("[") and self.tok(1).text == "]":
+            self.eat()
+            self.eat()
+            dims += 1
+        return dims
 
     def _skip_angles(self) -> None:
         if self._parse_type_args() is None:
@@ -645,13 +618,13 @@ class _Parser:
         if self.accept(";"):
             return Node("empty_statement", off)
         if t.kind == "keyword":
+            if t.text in ("this", "super", "new"):
+                return self._expression_statement("expression_statement", off)
             handler = getattr(self, f"_stmt_{t.text}", None)
             if handler is not None:
                 return handler()
-            if t.text in MODIFIER_WORDS or t.text in ("class", "interface", "enum"):
-                return self._stmt_modified()
-        if t.text == "@":
-            return self._stmt_modified()
+        if t.text in MODIFIER_WORDS or t.text == "@" or self._type_decl_keyword() is not None:
+            return self._modified_statement()
         if (t.kind == "identifier" and self.tok(1).text == ":"
                 and self.tok(1).kind == "op" and self.tok(2).text != ":"):
             self.eat()
@@ -659,16 +632,9 @@ class _Parser:
             node = Node("labeled_statement", off, {"label": t.text})
             node.children.append(self.parse_statement())
             return node
-        if (t.kind == "identifier" and t.text == "record"
-                and self.tok(1).kind == "identifier" and self.tok(2).text == "("):
-            decl = self._parse_type_declaration([])
-            return decl if decl is not None else self._recover()
         if t.kind == "identifier" and t.text == "yield" and self.tok(1).text not in ("=", ".", "(", ";", "["):
             self.eat()
-            node = Node("yield_statement", off)
-            node.children.append(self.parse_expression())
-            self.accept(";")
-            return node
+            return self._expression_statement("yield_statement", off)
         local = self._try_local_var_decl([], [])
         if local is not None:
             return local
@@ -679,13 +645,10 @@ class _Parser:
                 node.children.append(self._recover())
         return node
 
-    def _stmt_modified(self) -> Node:
-        annotations: list[Node] = []
-        mods, annotations = self._parse_modifiers(annotations)
-        if (self.at_kw("class") or self.at_kw("interface") or self.at_kw("enum")
-                or (self.at("@") and self.tok(1).is_kw("interface"))):
-            decl = self._parse_type_declaration(annotations, mods)
-            return decl if decl is not None else self._recover()
+    def _modified_statement(self) -> Node:
+        mods, annotations = self._parse_modifiers([])
+        if self._type_decl_keyword() is not None:
+            return self._parse_type_declaration(annotations, mods)
         local = self._try_local_var_decl(mods, annotations)
         if local is not None:
             return local
@@ -693,27 +656,12 @@ class _Parser:
         node.children.extend(annotations)
         return node
 
-    def _stmt_synchronized_after_mods(self, annotations: list[Node]) -> Node:
-        node = Node("synchronized_statement", self.tok().offset)
-        node.children.extend(annotations)
-        if self.at("("):
-            self.eat()
-            node.children.append(self.parse_expression())
-            self.accept(")")
-        node.children.append(self._parse_block())
-        return node
-
     def _try_local_var_decl(self, mods: list[str], annotations: list[Node]) -> Node | None:
         mark = self.pos
         vtype = self._parse_type()
-        if vtype is None or self.tok().kind != "identifier":
-            self.pos = mark
-            return None
-        name = self.tok(1).text
-        if name not in ("=", ",", ";") and not (name == "[" and self.tok(2).text == "]"):
-            if not (self.tok(1).text == ":" and self.tok(2).text != ":"):
-                self.pos = mark
-                return None
+        nxt = self.tok(1).text
+        if (vtype is None or self.tok().kind != "identifier"
+                or not (nxt in ("=", ",", ";") or (nxt == "[" and self.tok(2).text == "]"))):
             self.pos = mark
             return None
         first = self.eat().text
@@ -727,9 +675,7 @@ class _Parser:
     def _stmt_if(self) -> Node:
         off = self.eat().offset
         node = Node("if_statement", off, {"has_else": False})
-        if self.accept("("):
-            node.children.append(self.parse_expression())
-            self.accept(")")
+        self._parse_condition(node)
         node.children.append(self.parse_statement())
         if self.at_kw("else"):
             self.eat()
@@ -740,9 +686,7 @@ class _Parser:
     def _stmt_while(self) -> Node:
         off = self.eat().offset
         node = Node("while_statement", off)
-        if self.accept("("):
-            node.children.append(self.parse_expression())
-            self.accept(")")
+        self._parse_condition(node)
         node.children.append(self.parse_statement())
         return node
 
@@ -752,9 +696,7 @@ class _Parser:
         node.children.append(self.parse_statement())
         if self.at_kw("while"):
             self.eat()
-            if self.accept("("):
-                node.children.append(self.parse_expression())
-                self.accept(")")
+            self._parse_condition(node)
         self.accept(";")
         return node
 
@@ -766,11 +708,7 @@ class _Parser:
             return node
         # enhanced for: [final] Type name : expr
         mark = self.pos
-        while self.at_kw("final") or self.at("@"):
-            if self.at("@"):
-                self._parse_annotation()
-            else:
-                self.eat()
+        self._variable_prefix()
         ftype = self._parse_type()
         if (ftype is not None and self.tok().kind == "identifier"
                 and self.tok(1).text == ":" and self.tok(2).text != ":"):
@@ -796,22 +734,14 @@ class _Parser:
         if not self.at(";"):
             node.children.append(self.parse_expression())
         self.accept(";")
-        while not self.eof() and not self.at(")"):
-            start = self.pos
-            node.children.append(self.parse_expression())
-            self.accept(",")
-            if self.pos == start:
-                self.eat()
-        self.accept(")")
+        node.children.extend(self._parse_list(self.parse_expression, ",", ")"))
         node.children.append(self.parse_statement())
         return node
 
     def _stmt_switch(self) -> Node:
         off = self.eat().offset
         node = Node("switch_statement", off)
-        if self.accept("("):
-            node.children.append(self.parse_expression())
-            self.accept(")")
+        self._parse_condition(node)
         if not self.accept("{"):
             node.children.append(self._recover())
             return node
@@ -845,40 +775,17 @@ class _Parser:
     def _stmt_try(self) -> Node:
         off = self.eat().offset
         node = Node("try_statement", off, {"resources": 0})
-        if self.at("("):
-            self.eat()
-            count = 0
-            while not self.eof() and not self.at(")"):
-                start = self.pos
-                res = self._parse_resource()
-                if res is not None:
-                    node.children.append(res)
-                    count += 1
-                self.accept(";")
-                if self.pos == start:
-                    self.eat()
-            self.accept(")")
-            node.fields["resources"] = count
+        if self.accept("("):
+            resources = self._parse_list(self._parse_resource, ";", ")")
+            node.children.extend(resources)
+            node.fields["resources"] = len(resources)
         node.children.append(self._parse_block())
         while self.at_kw("catch"):
             coff = self.eat().offset
             clause = Node("catch_clause", coff, {"types": 0})
             if self.accept("("):
-                while self.at_kw("final") or self.at("@"):
-                    if self.at("@"):
-                        clause.children.append(self._parse_annotation())
-                    else:
-                        self.eat()
-                ntypes = 0
-                while True:
-                    ctype = self._parse_type()
-                    if ctype is None:
-                        break
-                    clause.children.append(ctype)
-                    ntypes += 1
-                    if not self.accept("|"):
-                        break
-                clause.fields["types"] = ntypes
+                clause.children.extend(self._variable_prefix())
+                clause.fields["types"] = len(self._parse_type_list(clause, "|"))
                 if self.tok().kind == "identifier":
                     clause.fields["name"] = self.eat().text
                 self.accept(")")
@@ -891,13 +798,9 @@ class _Parser:
             node.children.append(fin)
         return node
 
-    def _parse_resource(self) -> Node | None:
+    def _parse_resource(self) -> Node:
         mark = self.pos
-        while self.at_kw("final") or self.at("@"):
-            if self.at("@"):
-                self._parse_annotation()
-            else:
-                self.eat()
+        self._variable_prefix()
         rtype = self._parse_type()
         if rtype is not None and self.tok().kind == "identifier" and self.tok(1).text == "=":
             node = Node("resource", rtype.offset, {"name": self.eat().text})
@@ -920,27 +823,17 @@ class _Parser:
         return node
 
     def _stmt_throw(self) -> Node:
-        off = self.eat().offset
-        node = Node("throw_statement", off)
-        node.children.append(self.parse_expression())
-        self.accept(";")
-        return node
+        return self._expression_statement("throw_statement", self.eat().offset)
 
     def _stmt_break(self) -> Node:
-        off = self.eat().offset
-        node = Node("break_statement", off)
+        t = self.eat()  # 'break' or 'continue'
+        node = Node(f"{t.text}_statement", t.offset)
         if self.tok().kind == "identifier":
             node.fields["label"] = self.eat().text
         self.accept(";")
         return node
 
-    def _stmt_continue(self) -> Node:
-        off = self.eat().offset
-        node = Node("continue_statement", off)
-        if self.tok().kind == "identifier":
-            node.fields["label"] = self.eat().text
-        self.accept(";")
-        return node
+    _stmt_continue = _stmt_break
 
     def _stmt_assert(self) -> Node:
         off = self.eat().offset
@@ -953,22 +846,20 @@ class _Parser:
 
     def _stmt_synchronized(self) -> Node:
         self.eat()
-        return self._stmt_synchronized_after_mods([])
+        node = Node("synchronized_statement", self.tok().offset)
+        self._parse_condition(node)
+        node.children.append(self._parse_block())
+        return node
 
-    def _stmt_this(self) -> Node:
-        return self._expression_statement()
+    def _parse_condition(self, owner: Node) -> None:
+        """Append a parenthesized expression to ``owner``, if one follows."""
+        if self.accept("("):
+            owner.children.append(self.parse_expression())
+            self.accept(")")
 
-    def _stmt_super(self) -> Node:
-        return self._expression_statement()
-
-    def _stmt_new(self) -> Node:
-        return self._expression_statement()
-
-    def _stmt_switch_kw(self) -> Node:  # pragma: no cover - alias safety
-        return self._stmt_switch()
-
-    def _expression_statement(self) -> Node:
-        node = Node("expression_statement", self.tok().offset)
+    def _expression_statement(self, kind: str, off: int) -> Node:
+        """A ``kind`` node holding one expression, then an optional ``;``."""
+        node = Node(kind, off)
         node.children.append(self.parse_expression())
         self.accept(";")
         return node
@@ -1085,7 +976,7 @@ class _Parser:
                     self.eat()
                     continue
                 if nxt.kind != "identifier":
-                    break
+                    return expr
                 self.eat()
                 seg = self.eat().text
                 if self.at("("):
@@ -1147,7 +1038,6 @@ class _Parser:
                 expr = node
                 continue
             return expr
-        return expr
 
     def _parse_primary(self) -> Node:
         t = self.tok()
@@ -1169,9 +1059,7 @@ class _Parser:
                 return self._stmt_switch()
             if t.text in PRIMITIVES:
                 self.eat()
-                while self.at("[") and self.tok(1).text == "]":
-                    self.eat()
-                    self.eat()
+                self._skip_dims()
                 return Node("name", off, {"name": t.text})
             # keyword in expression position: give up gracefully
             self.eat()
@@ -1275,17 +1163,26 @@ class _Parser:
         return node
 
     def _parse_args(self) -> list[Node]:
-        args: list[Node] = []
         if not self.accept("("):
-            return args
-        while not self.eof() and not self.at(")"):
+            return []
+        return self._parse_list(self.parse_expression, ",", ")")
+
+    def _parse_list(self, item, sep: str, close: str) -> list[Node]:
+        """``sep``-separated ``item()`` results up to and including ``close``."""
+        items: list[Node] = []
+        while not self.eof() and not self.at(close):
             start = self.pos
-            args.append(self.parse_expression())
-            self.accept(",")
+            items.append(item())
+            self.accept(sep)
             if self.pos == start:
                 self.eat()
-        self.accept(")")
-        return args
+        self.accept(close)
+        return items
+
+
+def _named(kind: str, offset: int, qualified: str) -> Node:
+    """A node naming ``qualified`` by its simple and its qualified name."""
+    return Node(kind, offset, {"name": qualified.rsplit(".", 1)[-1], "qualified": qualified})
 
 
 def _type_simple_name(t: Node) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable
@@ -44,11 +45,21 @@ def dump_json_line(obj: Any) -> str:
 
 
 def write_jsonl(path: Path, records: Iterable[Any]) -> None:
+    """Write one JSON object per line, atomically.
+
+    The lines go to a sibling temp file that replaces ``path`` only once
+    every record is written, so a crash leaves the old file as it was.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(dump_json_line(rec))
-            fh.write("\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for rec in records:
+                fh.write(dump_json_line(rec))
+                fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_jsonl(path: Path) -> list[Any]:

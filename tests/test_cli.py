@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from kurev.cli import main
+from kurev.recommenders import KIND_ORDER
 
 FIXTURES = "tests/fixtures/ku_corpus"
 
@@ -76,6 +78,27 @@ def test_recommend_base_and_adaptive(mined, capsys):
          "--pr", "11", "--which", "ad_hybrid", "--seed", "11"]
     )
     assert code == 0
+
+
+def test_adaptive_recommend_honours_rf_mode(mined, capsys):
+    # PR 10 opens the synthetic test split; RF counts 3 reviewed PRs for
+    # both bob and carol but 5 and 4 review comments, so the two modes
+    # rank differently. With a seed whose first pick is RF, an adaptive
+    # recommender must return the RF ranking of the requested mode.
+    seed = next(s for s in range(100) if random.Random(s).choice(KIND_ORDER) == "rf")
+
+    def ranking(*args):
+        assert main(["recommend", "--store", str(mined["store"]), "--prs",
+                     str(mined["prs"]), "--pr", "10", *args]) == 0
+        return capsys.readouterr().out
+
+    by_prs = ranking("--which", "rf", "--rf-mode", "prs")
+    by_comments = ranking("--which", "rf", "--rf-mode", "comments")
+    assert by_prs != by_comments
+    for variant in ("ad_freq", "ad_rec", "ad_hybrid"):
+        args = ("--which", variant, "--seed", str(seed))
+        assert ranking(*args, "--rf-mode", "comments") == by_comments
+        assert ranking(*args, "--rf-mode", "prs") == by_prs
 
 
 def test_evaluate_and_cluster_commands(mined, tmp_path, capsys):

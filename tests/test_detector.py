@@ -1,5 +1,6 @@
 """Detector semantics: counting rules, aggregation, determinism."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,15 @@ from hypothesis import strategies as st
 
 from kurev.catalog import CapabilityId, KuId, load_catalog
 from kurev.detector import detect_capabilities, detect_kus, ku_vector_from_hits
+from kurev.errors import ParseError
 
 CORPUS = Path(__file__).parent / "fixtures" / "ku_corpus"
+# Nonzero per-capability counts of every corpus file, keyed by file stem
+# and capability label; recorded from the detector and kept as a golden
+# file so that refactors of the parser or detector cannot move a count.
+GOLDEN = json.loads(
+    (CORPUS.parent / "ku_corpus_capabilities.json").read_text(encoding="utf-8")
+)
 CATALOG = load_catalog()
 
 
@@ -126,6 +134,16 @@ def test_spot_check_hand_counts(name):
     assert nonzero(hits) == SPOT_CHECKS[name]
 
 
+def test_golden_file_covers_whole_corpus():
+    assert sorted(GOLDEN) == sorted(p.stem for p in CORPUS.glob("*.java"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_corpus_matches_golden_capabilities(name):
+    hits = detect_capabilities((CORPUS / f"{name}.java").read_text(), CATALOG)
+    assert {c.label: n for c, n in sorted(hits.items()) if n} == GOLDEN[name]
+
+
 def test_aggregation_consistency_over_corpus():
     for path in sorted(CORPUS.glob("*.java")):
         src = path.read_text()
@@ -146,3 +164,36 @@ def test_concatenation_monotonicity():
 def test_determinism(name, _repeat):
     src = (CORPUS / name).read_text()
     assert detect_kus(src, CATALOG) == detect_kus(src, CATALOG)
+
+
+# Inputs nested deeper than the recursive parser or traversal can follow.
+DEEP_INPUTS = {
+    "parens": "class C { int x = " + "(" * 500 + "1" + ")" * 500 + "; }",
+    "ifs": "class C { void f() { " + "if (x) { " * 300 + "g();" + " }" * 300 + " } }",
+    "lambdas": "class C { Object f = " + "x -> " * 400 + "x; }",
+    "concat": "class C { String s = " + " + ".join(['"a"'] * 3000) + "; }",
+}
+
+
+def _assert_vector_or_parse_error(src):
+    try:
+        vec = detect_kus(src, CATALOG)
+    except ParseError:
+        return
+    assert len(vec) == 28 and all(isinstance(n, int) and n >= 0 for n in vec)
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_deep_nesting_gives_vector_or_parse_error(name):
+    _assert_vector_or_parse_error(DEEP_INPUTS[name])
+
+
+def test_deep_nesting_is_reported_as_parse_error():
+    with pytest.raises(ParseError, match="nesting too deep"):
+        detect_capabilities(DEEP_INPUTS["parens"], CATALOG)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text())
+def test_any_text_gives_vector_or_parse_error(src):
+    _assert_vector_or_parse_error(src)

@@ -4,7 +4,8 @@ import pytest
 
 from kurev.errors import ParseError
 from kurev.javaparse import parse_java
-from kurev.javaparse.lexer import tokenize
+from kurev.javaparse.lexer import KEYWORDS, tokenize
+from kurev.javaparse.parser import _Parser
 
 
 def kinds(tree):
@@ -224,3 +225,22 @@ def test_interface_and_record():
     assert tree.find_all("interface_declaration")[0].get("generic")
     rec = tree.find_all("record_declaration")[0]
     assert rec.get("params") == 2
+
+
+def test_local_records_with_and_without_modifiers():
+    tree = parse_java(
+        "class A { void m() { final record R(int x) {} record S(int y) {} } }"
+    )
+    records = tree.find_all("record_declaration")
+    assert [(r.get("name"), r.get("modifiers")) for r in records] == [
+        ("R", ("final",)), ("S", ()),
+    ]
+    assert not tree.find_all("error")
+
+
+def test_statement_handlers_name_keywords():
+    # parse_statement looks a handler up by the keyword's text, so a
+    # handler named after anything else could never run
+    words = [n.removeprefix("_stmt_") for n in dir(_Parser) if n.startswith("_stmt_")]
+    assert words
+    assert [w for w in words if w not in KEYWORDS] == []

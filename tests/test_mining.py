@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
+from kurev.detector import detect_kus
 from kurev.errors import AbsentFileError, RepositoryError
 from kurev.mining import (
     KuStore,
@@ -104,6 +107,18 @@ def test_binary_java_file_gets_null_vector(scratch_repo):
     repo.commit("binary blob")
     store = build_ku_store(repo.root)
     assert store.vectors[(store.commits[0].hash, "bad.java")] is None
+
+
+def test_over_deep_file_is_an_unparseable_skip(scratch_repo, caplog):
+    repo = scratch_repo
+    repo.write("deep.java", "class D { int x = " + "(" * 500 + "1" + ")" * 500 + "; }\n")
+    repo.write("a.java", JAVA_A)
+    repo.commit("deep and plain")
+    with caplog.at_level(logging.WARNING, logger="kurev.mining"):
+        store = build_ku_store(repo.root)
+    sha = store.commits[0].hash
+    assert store.vectors == {(sha, "a.java"): detect_kus(JAVA_A), (sha, "deep.java"): None}
+    assert [r.getMessage() for r in caplog.records] == [f"unparseable deep.java at {sha[:12]}"]
 
 
 def test_snapshot_and_read_file_at(scratch_repo):

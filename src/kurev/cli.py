@@ -139,7 +139,6 @@ def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
     store = KuStore.load(store_dir)
     dataset = load_prs(prs_path)
     when = parse_rfc3339(cutoff)
-    out.mkdir(parents=True, exist_ok=True)
     dev_matrix, dev_touch = dev_exp_matrix(store, when)
     rev_matrix, rev_touch = rev_exp_matrix(dataset, store, when)
     save_matrix(dev_matrix, out / "dev.tsv")

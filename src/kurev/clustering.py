@@ -54,6 +54,11 @@ def pca_reduce(matrix, variance_threshold: float = 0.95) -> np.ndarray:
     return PcaReducer(variance_threshold).fit_transform(matrix)
 
 
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every row of A to every row of B."""
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
+
+
 class KMeans:
     """Lloyd's algorithm with seeded k-means++ initialization."""
 
@@ -65,11 +70,9 @@ class KMeans:
     def _init_centers(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = X.shape[0]
         centers = [X[rng.integers(n)]]
+        d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
         for _ in range(1, self.n_clusters):
-            d2 = np.min(
-                ((X[:, None, :] - np.asarray(centers)[None, :, :]) ** 2).sum(-1),
-                axis=1,
-            )
+            d2 = np.minimum(d2, _sq_dists(X, centers[-1][None, :])[:, 0])
             total = d2.sum()
             if total <= 0:
                 centers.append(X[rng.integers(n)])
@@ -88,7 +91,7 @@ class KMeans:
         labels = np.zeros(n, dtype=int)
         self.inertia_history_: list[float] = []
         for _ in range(self.max_iter):
-            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+            d2 = _sq_dists(X, centers)
             new_labels = d2.argmin(axis=1)
             # repair empties with the point farthest from its own centroid
             for c in range(self.n_clusters):
@@ -117,24 +120,25 @@ class KMeans:
 def median_silhouette(data, labels) -> float:
     """Median over points of (b−a)/max(a,b); singleton points score 0."""
     X = np.asarray(data, dtype=float)
-    labels = np.asarray(labels)
-    uniq = np.unique(labels)
+    uniq, own = np.unique(np.asarray(labels), return_inverse=True)
     if len(uniq) < 2:
         raise DegenerateDataError("silhouette undefined for a single cluster")
-    dists = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+    dists = np.sqrt(_sq_dists(X, X))
+    # sums[i, c] adds point i's distances to cluster c; np.compress keeps rows
+    # contiguous, so each sum matches the 1-D sum over the same values
+    sums = np.column_stack(
+        [np.compress(own == c, dists, axis=1).sum(axis=1) for c in range(len(uniq))]
+    )
+    sizes = np.bincount(own)
+    rows = np.arange(len(X))
+    own_size = sizes[own]
+    a = sums[rows, own] / np.maximum(own_size - 1, 1)
+    means = sums / sizes
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
     scores = np.zeros(len(X))
-    for i in range(len(X)):
-        own = labels == labels[i]
-        own_size = own.sum()
-        if own_size == 1:
-            scores[i] = 0.0
-            continue
-        a = dists[i][own].sum() / (own_size - 1)
-        b = min(
-            dists[i][labels == other].mean() for other in uniq if other != labels[i]
-        )
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    np.divide(b - a, denom, out=scores, where=(own_size > 1) & (denom != 0))
     return float(np.median(scores))
 
 
@@ -142,7 +146,6 @@ def median_silhouette(data, labels) -> float:
 class Clustering:
     k: int
     labels: np.ndarray
-    centroids: np.ndarray
     median_silhouette: float
     qualified: bool  # median silhouette met the threshold
     curve: list[tuple[int, float]]  # (k, median silhouette) examined
@@ -182,7 +185,6 @@ def select_k(
     return Clustering(
         k=best_k,
         labels=model.labels_,
-        centroids=model.cluster_centers_,
         median_silhouette=sil,
         qualified=qualified,
         curve=curve,
@@ -219,19 +221,17 @@ def diff_values(p_ku, labels) -> list[DiffValueRecord]:
     """
     X = np.asarray(p_ku, dtype=float)
     labels = np.asarray(labels)
-    records: list[DiffValueRecord] = []
-    for ku in range(X.shape[1]):
-        column = X[:, ku]
-        q1, q3 = np.percentile(column, [25, 75])
-        overall = float(np.median(column))
-        for cluster in sorted(set(labels.tolist())):
-            med = float(np.median(column[labels == cluster]))
-            records.append(
-                DiffValueRecord(
-                    cluster=int(cluster),
-                    ku=ku + 1,
-                    diff_value=med - overall,
-                    flagged=not (q1 <= med <= q3),
-                )
-            )
-    return records
+    q1, q3 = np.percentile(X, [25, 75], axis=0)
+    overall = np.median(X, axis=0)
+    clusters = sorted(set(labels.tolist()))
+    medians = [np.median(X[labels == c], axis=0) for c in clusters]
+    return [
+        DiffValueRecord(
+            cluster=int(cluster),
+            ku=ku + 1,
+            diff_value=float(med[ku]) - float(overall[ku]),
+            flagged=not (q1[ku] <= med[ku] <= q3[ku]),
+        )
+        for ku in range(X.shape[1])
+        for cluster, med in zip(clusters, medians)
+    ]

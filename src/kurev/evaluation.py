@@ -10,6 +10,7 @@ from typing import Iterable, Mapping, Sequence
 from .mining import CommitRecord
 from .prstore import PullRequest
 from .recommenders import Recommendation
+from .util import write_text
 
 SIX_MONTHS = timedelta(days=183)
 
@@ -128,6 +129,4 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path) -> None:
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(self.to_table(), encoding="utf-8")
+        write_text(Path(path), self.to_table())

@@ -618,8 +618,6 @@ class _Parser:
         if self.accept(";"):
             return Node("empty_statement", off)
         if t.kind == "keyword":
-            if t.text in ("this", "super", "new"):
-                return self._expression_statement("expression_statement", off)
             handler = getattr(self, f"_stmt_{t.text}", None)
             if handler is not None:
                 return handler()
@@ -638,12 +636,7 @@ class _Parser:
         local = self._try_local_var_decl([], [])
         if local is not None:
             return local
-        node = Node("expression_statement", off)
-        node.children.append(self.parse_expression())
-        if not self.accept(";"):
-            if not (self.at("}") or self.eof()):
-                node.children.append(self._recover())
-        return node
+        return self._expression_statement("expression_statement", off)
 
     def _modified_statement(self) -> Node:
         mods, annotations = self._parse_modifiers([])
@@ -858,10 +851,15 @@ class _Parser:
             self.accept(")")
 
     def _expression_statement(self, kind: str, off: int) -> Node:
-        """A ``kind`` node holding one expression, then an optional ``;``."""
+        """A ``kind`` node holding one expression, then its ``;``.
+
+        When the ``;`` is missing, the tokens up to the next statement
+        boundary become an ``error`` child, unless the block ends here.
+        """
         node = Node(kind, off)
         node.children.append(self.parse_expression())
-        self.accept(";")
+        if not self.accept(";") and not (self.at("}") or self.eof()):
+            node.children.append(self._recover())
         return node
 
     # --- expressions -----------------------------------------------------------

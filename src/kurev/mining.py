@@ -25,6 +25,7 @@ from .util import (
     sha256_bytes,
     sha256_text,
     write_jsonl,
+    write_text,
 )
 
 log = logging.getLogger(__name__)
@@ -186,7 +187,6 @@ class KuStore:
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_jsonl(out / "commits.jsonl", (c.to_dict() for c in self.commits))
         write_jsonl(
             out / "file_kus.jsonl",
@@ -200,7 +200,7 @@ class KuStore:
             "file_records": len(self.vectors),
             "format": 1,
         }
-        (out / "index.json").write_text(dump_json_line(index) + "\n", encoding="utf-8")
+        write_text(out / "index.json", dump_json_line(index) + "\n")
 
     @classmethod
     def load(cls, in_dir: str | Path) -> "KuStore":

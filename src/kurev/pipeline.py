@@ -8,7 +8,7 @@ the stage, so reruns are cheap and byte-identical.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -28,11 +28,13 @@ from .prstore import (
 )
 from .profiles import global_ku_profiles, save_matrix
 from .recommenders import KIND_ORDER, History, Recommendation, make_recommender
-from .util import dump_json_line, sha256_text
+from .util import dump_json_line, sha256_text, write_text
 
 log = logging.getLogger(__name__)
 
 ALL_KINDS = KIND_ORDER + tuple(f"ad_{v}" for v in VARIANTS)
+# config keys holding paths, relative to the config file's directory
+_PATH_FIELDS = ("repo", "prs", "out_dir", "catalog", "cache_dir")
 
 
 @dataclass(frozen=True)
@@ -53,21 +55,18 @@ class ProjectConfig:
         doc = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
         if not isinstance(doc, dict) or "repo" not in doc or "prs" not in doc:
             raise KurevError(f"config {path} must define 'repo' and 'prs'")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(str(key) for key in doc if key not in defaults)
+        if unknown:
+            raise KurevError(f"config {path} has unknown keys: {', '.join(unknown)}")
         base = Path(path).parent
-        def p(key, default=None):
-            return (base / doc[key]).resolve() if key in doc else default
-        return cls(
-            repo=p("repo"),
-            prs=p("prs"),
-            out_dir=p("out_dir", base / "out"),
-            catalog=p("catalog"),
-            cache_dir=p("cache_dir"),
-            seed=int(doc.get("seed", 0)),
-            rf_mode=str(doc.get("rf_mode", "prs")),
-            all_commits=bool(doc.get("all_commits", False)),
-            train_fraction=float(doc.get("train_fraction", 0.8)),
-            k_max=int(doc.get("k_max", 100)),
-        )
+        values = {"out_dir": base / "out"}
+        for key, raw in doc.items():
+            if key in _PATH_FIELDS:
+                values[key] = (base / raw).resolve()
+            else:  # each other field's default gives its type
+                values[key] = type(defaults[key])(raw)
+        return cls(**values)
 
     def validate(self) -> None:
         if not self.repo.exists():
@@ -152,23 +151,8 @@ def run_clustering(store: KuStore, out_dir: Path, k_max: int, seed: int) -> None
     import numpy as np
 
     p_ku = np.asarray(matrix.values, dtype=float)
-    reduced = pca_reduce(p_ku, 0.95)
-    result = select_k(reduced, k_max=k_max, seed=seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    lines = ["developer\tcluster"]
-    for dev, label in zip(matrix.developers, result.labels):
-        lines.append(f"{dev}\t{int(label)}")
-    (out_dir / "labels.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["k\tmedian_silhouette"]
-    for k, sil in result.curve:
-        lines.append(f"{k}\t{sil:.6f}")
-    (out_dir / "silhouette_curve.tsv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
-
-    sizes = [int((result.labels == c).sum()) for c in range(result.k)]
+    result = select_k(pca_reduce(p_ku, 0.95), k_max=k_max, seed=seed)
+    sizes = np.bincount(result.labels, minlength=result.k).tolist()
     summary = {
         "k": result.k,
         "median_silhouette": round(result.median_silhouette, 6),
@@ -176,16 +160,20 @@ def run_clustering(store: KuStore, out_dir: Path, k_max: int, seed: int) -> None
         "gini": round(gini(sizes), 6),
         "sizes": sizes,
     }
-    (out_dir / "summary.json").write_text(
-        dump_json_line(summary) + "\n", encoding="utf-8"
-    )
+    labels = [f"{dev}\t{int(c)}" for dev, c in zip(matrix.developers, result.labels)]
+    _write_lines(out_dir / "labels.tsv", ["developer\tcluster", *labels])
+    curve = [f"{k}\t{sil:.6f}" for k, sil in result.curve]
+    _write_lines(out_dir / "silhouette_curve.tsv", ["k\tmedian_silhouette", *curve])
+    write_text(out_dir / "summary.json", dump_json_line(summary) + "\n")
+    diffs = [
+        f"{r.cluster}\tK{r.ku}\t{r.diff_value:.6f}\t{str(r.flagged).lower()}"
+        for r in diff_values(p_ku, result.labels)
+    ]
+    _write_lines(out_dir / "diff_values.tsv", ["cluster\tku\tdiff_value\tflagged", *diffs])
 
-    lines = ["cluster\tku\tdiff_value\tflagged"]
-    for rec in diff_values(p_ku, result.labels):
-        lines.append(
-            f"{rec.cluster}\tK{rec.ku}\t{rec.diff_value:.6f}\t{str(rec.flagged).lower()}"
-        )
-    (out_dir / "diff_values.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    write_text(path, "".join(line + "\n" for line in lines))
 
 
 # --- stage runner -------------------------------------------------------------
@@ -205,15 +193,13 @@ class _Stage:
         )
 
     def mark(self) -> None:
-        self.stamp.parent.mkdir(parents=True, exist_ok=True)
-        self.stamp.write_text(self.signature + "\n", encoding="utf-8")
+        write_text(self.stamp, self.signature + "\n")
 
 
 def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     """Run all stages; returns the evaluation report path."""
     config.validate()
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     catalog = load_catalog(config.catalog)
     catalog_hash = sha256_text(serialize_catalog(catalog))
 
@@ -254,14 +240,9 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
         save_prs(filtered, prs_dir / "filtered.jsonl")
         save_prs(train, prs_dir / "train.jsonl")
         save_prs(test, prs_dir / "test.jsonl")
-        (prs_dir / "meta.json").write_text(
-            dump_json_line(
-                {"eligible": eligible, "kept": len(filtered.prs),
-                 "train": len(train.prs), "test": len(test.prs)}
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        meta = {"eligible": eligible, "kept": len(filtered.prs),
+                "train": len(train.prs), "test": len(test.prs)}
+        write_text(prs_dir / "meta.json", dump_json_line(meta) + "\n")
         prs_stage.mark()
         echo(f"prs: kept {len(filtered.prs)} (eligible={eligible})")
 

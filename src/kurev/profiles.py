@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .catalog import KU_COUNT, KU_NAMES
 from .mining import CommitRecord, KuStore
 from .prstore import PrDataset, PullRequest
-from .util import format_rfc3339, parse_rfc3339, read_jsonl, write_jsonl
+from .util import atomic_open, format_rfc3339, parse_rfc3339, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -296,9 +296,7 @@ def global_ku_profiles(store: KuStore) -> ExpertiseMatrix:
 
 
 def save_matrix(matrix: ExpertiseMatrix, path: str | Path) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", encoding="utf-8") as fh:
+    with atomic_open(Path(path)) as fh:
         fh.write("developer\t" + "\t".join(KU_NAMES) + "\n")
         for dev, row in zip(matrix.developers, matrix.values):
             fh.write(dev + "\t" + "\t".join(f"{v:.12g}" for v in row) + "\n")

@@ -198,21 +198,28 @@ class ChrevRecommender(BaseRecommender):
         prior = self._history().asof.prs_before(pr.opened_at)
         scores: dict[str, float] = {}
         for path in pr.changed_files:
-            stats = self._file_stats(prior, path)
+            stats = self._file_stats(prior, path, pr.opened_at)
             for reviewer, x in stats.items():
                 scores[reviewer] = scores.get(reviewer, 0.0) + x
         scores.pop(pr.author, None)
         return rank(scores, pr.id, self.kind)
 
     @staticmethod
-    def _file_stats(prior_prs: list[PullRequest], path: str) -> dict[str, float]:
+    def _file_stats(
+        prior_prs: list[PullRequest], path: str, before: datetime
+    ) -> dict[str, float]:
+        """Comment share, workday share and recency per reviewer of ``path``.
+
+        Only comments dated strictly before ``before`` count: a comment on
+        an earlier PR may still be written after the target PR opened.
+        """
         comments: dict[str, int] = {}
         workdays: dict[str, set] = {}
         for prior in prior_prs:
             if path not in prior.changed_files:
                 continue
             for comment in prior.review_comments:
-                if comment.path != path:
+                if comment.path != path or comment.commented_at >= before:
                     continue
                 r = comment.reviewer
                 comments[r] = comments.get(r, 0) + 1

@@ -1,13 +1,14 @@
-"""Small shared helpers: timestamps, identities, hashing, JSONL."""
+"""Small shared helpers: timestamps, identities, hashing, atomic writes."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, TextIO
 
 
 def parse_rfc3339(text: str) -> datetime:
@@ -44,22 +45,35 @@ def dump_json_line(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_jsonl(path: Path, records: Iterable[Any]) -> None:
-    """Write one JSON object per line, atomically.
+@contextmanager
+def atomic_open(path: Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing text, atomically.
 
-    The lines go to a sibling temp file that replaces ``path`` only once
-    every record is written, so a crash leaves the old file as it was.
+    Creates the parent directory. The text goes to a sibling temp file
+    that replaces ``path`` only once the block completes, so a crash
+    leaves the old file as it was; an exception also removes the temp file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(dump_json_line(rec))
-                fh.write("\n")
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_text(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
+def write_jsonl(path: Path, records: Iterable[Any]) -> None:
+    """Write one JSON object per line, atomically, streaming the records."""
+    with atomic_open(path) as fh:
+        for rec in records:
+            fh.write(dump_json_line(rec))
+            fh.write("\n")
 
 
 def read_jsonl(path: Path) -> list[Any]:

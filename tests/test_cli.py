@@ -126,3 +126,12 @@ def test_exit_codes(mined, capsys):
          "--pr", "424242", "--which", "cf"]
     ) == 2  # data error
     assert main(["--help"]) == 0
+
+
+def test_pipeline_rejects_unknown_config_keys(mined, tmp_path, capsys):
+    config = tmp_path / "typo.yaml"
+    config.write_text(
+        f"repo: {mined['repo']}\nprs: {mined['prs']}\nkmax: 10\n", encoding="utf-8"
+    )
+    assert main(["pipeline", str(config)]) == 2
+    assert "kmax" in capsys.readouterr().err

@@ -206,3 +206,102 @@ def test_pca_reduce_wrapper_matches_class():
     rng = np.random.default_rng(31)
     data = rng.standard_normal((20, 6))
     assert np.allclose(pca_reduce(data, 0.9), PcaReducer(0.9).fit_transform(data))
+
+
+# --- naive oracles: the per-point and per-column forms the stage replaced ---
+
+
+def naive_median_silhouette(data, labels):
+    X = np.asarray(data, dtype=float)
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    dists = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+    scores = np.zeros(len(X))
+    for i in range(len(X)):
+        own = labels == labels[i]
+        own_size = own.sum()
+        if own_size == 1:
+            continue
+        a = dists[i][own].sum() / (own_size - 1)
+        b = min(
+            dists[i][labels == other].mean() for other in uniq if other != labels[i]
+        )
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(np.median(scores))
+
+
+def naive_init_centers(X, n_clusters, rng):
+    n = X.shape[0]
+    centers = [X[rng.integers(n)]]
+    for _ in range(1, n_clusters):
+        d2 = np.min(
+            ((X[:, None, :] - np.asarray(centers)[None, :, :]) ** 2).sum(-1), axis=1
+        )
+        total = d2.sum()
+        if total <= 0:
+            centers.append(X[rng.integers(n)])
+            continue
+        centers.append(X[rng.choice(n, p=d2 / total)])
+    return np.asarray(centers, dtype=float)
+
+
+def naive_diff_values(p_ku, labels):
+    X = np.asarray(p_ku, dtype=float)
+    labels = np.asarray(labels)
+    records = []
+    for ku in range(X.shape[1]):
+        column = X[:, ku]
+        q1, q3 = np.percentile(column, [25, 75])
+        overall = float(np.median(column))
+        for cluster in sorted(set(labels.tolist())):
+            med = float(np.median(column[labels == cluster]))
+            records.append((int(cluster), ku + 1, med - overall, not (q1 <= med <= q3)))
+    return records
+
+
+def random_cases(count, seed):
+    """Seeded (X, labels) pairs with d up to 29, singletons and duplicates."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(2, 41))
+        d = int(rng.integers(1, 30))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+        if case % 3 == 0:  # duplicate points: some distance sums are 0
+            X[rng.integers(n, size=n // 2)] = X[0]
+        if case % 4 == 0:  # integer profiles, as the KU counts are
+            X = np.round(X * 3)
+        k = int(rng.integers(2, n + 1))  # large k leaves singleton clusters
+        labels = rng.integers(0, k, size=n)
+        labels[:2] = [0, 1]  # at least two clusters
+        yield X, labels
+
+
+def test_median_silhouette_equals_per_point_oracle():
+    for X, labels in random_cases(300, seed=41):
+        assert median_silhouette(X, labels) == naive_median_silhouette(X, labels)
+
+
+def test_silhouette_oracle_covers_singletons_and_duplicates():
+    # clusters 0 and 1 coincide, so a == b == 0 for their points (denominator
+    # 0); cluster 2 is a singleton
+    data = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 1.0]])
+    labels = np.array([0, 0, 1, 1, 2])
+    assert median_silhouette(data, labels) == naive_median_silhouette(data, labels)
+    assert median_silhouette(data, labels) == 0.0
+
+
+def test_kmeans_seeding_equals_all_centres_oracle():
+    for case, (X, _) in enumerate(random_cases(300, seed=43)):
+        k = 1 + case % len(X)
+        got = KMeans(k)._init_centers(X, np.random.default_rng(case))
+        want = naive_init_centers(X, k, np.random.default_rng(case))
+        assert np.array_equal(got, want)
+
+
+def test_diff_values_equal_per_column_oracle():
+    for X, labels in random_cases(200, seed=47):
+        got = [
+            (r.cluster, r.ku, r.diff_value, r.flagged) for r in diff_values(X, labels)
+        ]
+        assert got == naive_diff_values(X, labels)

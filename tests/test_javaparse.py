@@ -244,3 +244,12 @@ def test_statement_handlers_name_keywords():
     words = [n.removeprefix("_stmt_") for n in dir(_Parser) if n.startswith("_stmt_")]
     assert words
     assert [w for w in words if w not in KEYWORDS] == []
+
+
+@pytest.mark.parametrize("start", ["this.x", "x", "super.x", "new A().x"])
+def test_expression_statement_missing_semicolon_recovers(start):
+    # every expression statement recovers the same way: the tokens after
+    # the missing ';' become an error node, not a local variable declaration
+    tree = parse_java(f"class A {{ void m() {{ {start} = 1 String y; }} }}")
+    assert not tree.find_all("local_variable_declaration")
+    assert tree.find_all("error")

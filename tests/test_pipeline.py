@@ -102,6 +102,24 @@ def test_stage_reruns_when_inputs_change(synthetic_project, tmp_path, capsys):
     assert "cluster: outputs written" in echoed
 
 
+def test_config_file_with_only_paths_takes_the_dataclass_defaults(tmp_path):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("repo: r\nprs: p.jsonl\n", encoding="utf-8")
+    config = ProjectConfig.from_file(cfg)
+    assert config == ProjectConfig(
+        repo=(tmp_path / "r").resolve(),
+        prs=(tmp_path / "p.jsonl").resolve(),
+        out_dir=tmp_path / "out",
+    )
+
+
+def test_config_file_rejects_unknown_keys(tmp_path):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("repo: r\nprs: p.jsonl\nkmax: 10\n", encoding="utf-8")
+    with pytest.raises(KurevError, match="kmax"):
+        ProjectConfig.from_file(cfg)
+
+
 def test_config_from_file_and_validation(tmp_path, synthetic_project):
     cfg = tmp_path / "config.yaml"
     cfg.write_text(

@@ -176,6 +176,17 @@ def test_chrev_share_and_recency_example():
     assert abs(scores["ron"] - 2.0) < 1e-12
 
 
+def test_chrev_ignores_comments_written_after_the_pr_opened():
+    # PR 1 is older than PR 2, but its only comment on x.java is dated after
+    # PR 2 opened, so nothing about x.java was known when PR 2 opened
+    store = make_store()
+    earlier = make_pr(1, "2023-01-01T00:00:00Z", "a", ["x.java"], reviewers=["rita"],
+                      comments=[("rita", "x.java", "2023-01-09T00:00:00Z")])
+    pr = make_pr(2, "2023-01-05T00:00:00Z", "carol", ["x.java"], reviewers=["rita"])
+    rec = make_recommender("chrev").fit(history(store, earlier, pr)).recommend(pr)
+    assert rec.developers() == []
+
+
 def test_chrev_only_counts_comments_on_the_changed_path():
     store = make_store()
     earlier = make_pr(
@@ -232,7 +243,7 @@ def naive_chrev(history_obj, pr):
             if path not in p.changed_files:
                 continue
             for c in p.review_comments:
-                if c.path == path:
+                if c.path == path and c.commented_at < pr.opened_at:
                     comments[c.reviewer] = comments.get(c.reviewer, 0) + 1
                     days.setdefault(c.reviewer, set()).add(c.commented_at.date())
         if not comments:
@@ -345,10 +356,8 @@ def cut_at(hist, when):
 
 # Metamorphic as-of check. Reviewers are credited at a PR's opening date
 # (the README's "PRs opened before" convention), so cutting commits and PRs
-# at the opening date removes nothing a recommendation may use. CHREV is
-# left out: it still counts review comments on earlier PRs that are dated
-# after the PR opened (the "time travel" item in ROADMAP.md).
-@pytest.mark.parametrize("kind", ["kurec", "cf", "rf", "er"])
+# at the opening date removes nothing a recommendation may use.
+@pytest.mark.parametrize("kind", ["kurec", "cf", "rf", "er", "chrev"])
 def test_cutting_history_at_opening_date_keeps_ranking(synthetic_project, kind):
     hist = synthetic_project["history"]
     model = make_recommender(kind).fit(hist)

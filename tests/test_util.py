@@ -1,10 +1,11 @@
-"""Shared helpers: atomic JSONL writes."""
+"""Shared helpers: atomic writes."""
 
 from __future__ import annotations
 
 import pytest
 
-from kurev.util import read_jsonl, write_jsonl
+from kurev.profiles import ExpertiseMatrix, save_matrix
+from kurev.util import read_jsonl, write_jsonl, write_text
 
 
 def test_write_jsonl_round_trip_and_replace(tmp_path):
@@ -30,3 +31,24 @@ def test_failed_write_leaves_old_file_untouched(tmp_path):
         write_jsonl(path, records())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+
+def test_write_text_creates_directory_and_replaces(tmp_path):
+    path = tmp_path / "a" / "b" / "report.tsv"
+    write_text(path, "one\n")
+    write_text(path, "two\n")
+    assert path.read_text(encoding="utf-8") == "two\n"
+    assert [p.name for p in path.parent.iterdir()] == ["report.tsv"]
+
+
+def test_failed_matrix_write_leaves_old_file_untouched(tmp_path):
+    path = tmp_path / "p_ku.tsv"
+    row = (0.5,) * 28
+    save_matrix(ExpertiseMatrix("development", None, ("a", "b"), (row, row)), path)
+    before = path.read_bytes()
+    # the lone surrogate cannot be encoded, so the write fails on the second row
+    bad = ExpertiseMatrix("development", None, ("a", "bad\ud800"), (row, row))
+    with pytest.raises(UnicodeEncodeError):
+        save_matrix(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["p_ku.tsv"]

@@ -8,6 +8,7 @@ can be reviewed and overridden without code changes.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import yaml
 
 from .errors import CatalogError
+from .util import sha256_text
 
 KU_COUNT = 28
 
@@ -142,6 +144,15 @@ class CapabilityCatalog:
     def enabled_rules(self) -> tuple[CapabilityRule, ...]:
         return tuple(r for r in self.rules if r.enabled)
 
+    @functools.cached_property
+    def digest(self) -> str:
+        """sha256 of :func:`serialize_catalog`, computed once per catalog.
+
+        Stage signatures and the KU cache key on it, so a changed rule
+        invalidates both.
+        """
+        return sha256_text(serialize_catalog(self))
+
     def validate(self) -> None:
         seen: set[CapabilityId] = set()
         for rule in self.rules:
@@ -207,16 +218,23 @@ def load_catalog_text(text: str) -> CapabilityCatalog:
 
 
 def load_catalog(path: str | Path | None = None) -> CapabilityCatalog:
-    """Load a catalog file, or the built-in default when ``path`` is None."""
+    """Load a catalog file, or the built-in default when ``path`` is None.
+
+    The built-in default is parsed once per process and shared (catalogs
+    are immutable); a file is read again on every call.
+    """
     if path is None:
-        text = (
-            importlib.resources.files("kurev.data")
-            .joinpath("ku_catalog.yaml")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    return load_catalog_text(text)
+        return _builtin_catalog()
+    return load_catalog_text(Path(path).read_text(encoding="utf-8"))
+
+
+@functools.cache
+def _builtin_catalog() -> CapabilityCatalog:
+    return load_catalog_text(
+        importlib.resources.files("kurev.data")
+        .joinpath("ku_catalog.yaml")
+        .read_text(encoding="utf-8")
+    )
 
 
 def serialize_catalog(catalog: CapabilityCatalog) -> str:

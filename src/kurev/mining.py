@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import logging
 import subprocess
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import Iterator
 
-from .catalog import CapabilityCatalog, load_catalog, serialize_catalog
+from .catalog import CapabilityCatalog, load_catalog
 from .detector import detect_kus
 from .errors import AbsentFileError, ParseError, RepositoryError
 from .util import (
@@ -22,8 +24,6 @@ from .util import (
     normalize_identity,
     parse_rfc3339,
     read_jsonl,
-    sha256_bytes,
-    sha256_text,
     write_jsonl,
     write_text,
 )
@@ -40,6 +40,9 @@ class CommitRecord:
     author: str  # normalized "name <email>"
     authored_at: datetime  # UTC
     changed_java_files: tuple[str, ...]
+    # post-image blob id of each changed file, all zeros for a deletion;
+    # set by mine_commits, not saved, and not part of a record's identity
+    blob_ids: tuple[str, ...] = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -84,8 +87,9 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
     """One record per commit on HEAD's history, oldest first.
 
     Changed files come from each commit's diff against its first parent
-    (root commits list all their files). ``all_commits`` walks the full
-    DAG instead of the first-parent chain.
+    (root commits list all their files), with the blob id of each file's
+    new content. ``all_commits`` walks the full DAG instead of the
+    first-parent chain.
     """
     if not _is_repo(repo_path):
         raise RepositoryError(f"not a git repository: {repo_path}")
@@ -95,41 +99,52 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
         return []  # empty repository
 
     fmt = _REC_SEP + _FIELD_SEP.join(["%H", "%an", "%ae", "%aI"])
+    # -z: paths unquoted and NUL-terminated. Each commit is its header,
+    # NUL, then per changed file (first-parent diff, renames off):
+    # ":<old mode> <new mode> <old blob> <new blob> <status>" NUL <path> NUL
     args = [
-        "log", "HEAD", "--reverse", f"--format={fmt}",
-        "--name-status", "--diff-merges=first-parent", "--no-renames",
+        "log", "HEAD", "--reverse", f"--format={fmt}", "-z",
+        "--raw", "--no-abbrev", "--diff-merges=first-parent", "--no-renames",
     ]
     if not all_commits:
         args.insert(2, "--first-parent")
-    out = _git(repo_path, *args).decode("utf-8", "replace")
+    out = _git(repo_path, *args)
 
     records: list[CommitRecord] = []
     skipped = 0
-    for chunk in out.split(_REC_SEP):
+    for chunk in out.split(_REC_SEP.encode()):
         if not chunk.strip():
             continue
-        lines = chunk.splitlines()
-        head = lines[0].split(_FIELD_SEP)
+        raw_header, _, diff = chunk.partition(b"\0")
+        header = raw_header.decode("utf-8", "replace")
+        head = header.split(_FIELD_SEP)
         if len(head) != 4:
             skipped += 1
-            log.warning("skipping unreadable commit header: %r", lines[0][:80])
+            log.warning("skipping unreadable commit header: %r", header[:80])
             continue
         sha, name, email, when = head
-        files = []
-        for line in lines[1:]:
-            if not line.strip():
+        files, blobs = [], []
+        entries = iter(diff.lstrip(b"\n").split(b"\0"))
+        for entry in entries:
+            if not entry.startswith(b":"):
+                continue  # the empty string after the last NUL
+            raw_path = next(entries)
+            if not raw_path.endswith(b".java"):
                 continue
-            parts = line.split("\t")
-            status = parts[0]
-            path = parts[-1]
-            if path.endswith(".java") and status[:1] in "AMDTRC":
-                files.append(path)
+            try:
+                path = raw_path.decode("utf-8")
+            except UnicodeDecodeError:  # no PR path can name it
+                log.warning("skipping non-UTF-8 path %r at %s", raw_path, sha[:12])
+                continue
+            files.append(path)
+            blobs.append(entry.split(b" ")[3].decode("ascii"))
         records.append(
             CommitRecord(
                 hash=sha,
                 author=normalize_identity(name, email),
                 authored_at=parse_rfc3339(when),
                 changed_java_files=tuple(files),
+                blob_ids=tuple(blobs),
             )
         )
     if skipped:
@@ -138,7 +153,11 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
 
 
 def read_file_at(repo_path: str | Path, commit: str, path: str) -> bytes:
-    """Raw bytes of ``path`` in the tree at ``commit``."""
+    """Raw bytes of ``path`` in the tree at ``commit``, one ``git show`` each.
+
+    :func:`build_ku_store` reads blobs through one ``git cat-file --batch``
+    process instead; this is the per-file reference reader.
+    """
     try:
         return _git(repo_path, "show", f"{commit}:{path}")
     except RepositoryError as exc:
@@ -214,7 +233,12 @@ class KuStore:
 
 
 class _VectorCache:
-    """Content-addressed KU-vector cache keyed by (catalog hash, blob hash)."""
+    """Content-addressed KU-vector cache keyed by (catalog hash, blob id).
+
+    A git blob id is a hash of the file's content, so a hit needs no read.
+    Records without a ``blob`` key (the earlier format, keyed by a sha256
+    of the content) are ignored: their contents are detected again.
+    """
 
     def __init__(self, path: Path | None, catalog_hash: str):
         self.path = path
@@ -224,17 +248,17 @@ class _VectorCache:
         if path is not None and path.exists():
             try:
                 for rec in read_jsonl(path):
-                    if rec["catalog"] == catalog_hash:
-                        self.entries[rec["content"]] = rec["vector"]
+                    if rec["catalog"] == catalog_hash and "blob" in rec:
+                        self.entries[rec["blob"]] = rec["vector"]
             except (ValueError, KeyError, TypeError):
                 log.warning("corrupt KU cache at %s; rebuilding", path)
                 self.entries = {}
 
-    def get(self, content_hash: str):
-        return self.entries.get(content_hash, _MISS)
+    def get(self, blob: str):
+        return self.entries.get(blob, _MISS)
 
-    def put(self, content_hash: str, vector: list[int] | None) -> None:
-        self.entries[content_hash] = vector
+    def put(self, blob: str, vector: list[int] | None) -> None:
+        self.entries[blob] = vector
         self.dirty = True
 
     def flush(self) -> None:
@@ -243,13 +267,58 @@ class _VectorCache:
         write_jsonl(
             self.path,
             (
-                {"catalog": self.catalog_hash, "content": h, "vector": v}
-                for h, v in sorted(self.entries.items())
+                {"blob": b, "catalog": self.catalog_hash, "vector": v}
+                for b, v in sorted(self.entries.items())
             ),
         )
 
 
 _MISS = object()
+
+
+@contextmanager
+def _cat_file(repo_path: str | Path) -> Iterator[subprocess.Popen]:
+    """One ``git cat-file --batch`` process to pass to :func:`_read_blob`.
+
+    Leaving the block closes its pipes and waits for it; an exception
+    kills it first, so no git process outlives a failed run.
+    """
+    with subprocess.Popen(
+        ["git", "-C", str(repo_path), "cat-file", "--batch"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    ) as proc:
+        try:
+            yield proc
+        except BaseException:
+            proc.kill()
+            with suppress(OSError):  # a request left in the buffer of a dead pipe
+                proc.stdin.close()
+            raise
+
+
+def _read_blob(proc: subprocess.Popen, blob: str) -> bytes | None:
+    """Content of ``blob``, or None when git has no blob by that id.
+
+    Sends one request and reads its whole answer before returning, so
+    neither pipe can fill up and one blob at a time is held in memory.
+    """
+    try:
+        proc.stdin.write(blob.encode("ascii") + b"\n")
+        proc.stdin.flush()
+    except OSError as exc:  # git has exited
+        raise RepositoryError(f"git cat-file --batch exited before {blob}") from exc
+    header = proc.stdout.readline().split()
+    if header[1:] == [b"missing"]:
+        return None
+    if len(header) != 3:
+        raise RepositoryError(f"git cat-file --batch gave no answer for {blob}")
+    size = int(header[2])
+    data = proc.stdout.read(size + 1)  # the content, then a newline
+    if len(data) != size + 1:
+        raise RepositoryError(f"git cat-file --batch exited while sending {blob}")
+    return data[:-1] if header[1] == b"blob" else None
 
 
 def build_ku_store(
@@ -258,35 +327,37 @@ def build_ku_store(
     cache_path: str | Path | None = None,
     all_commits: bool = False,
 ) -> KuStore:
-    """Mine the repository and compute a KU vector per changed Java file."""
+    """Mine the repository and compute a KU vector per changed Java file.
+
+    Records whose blob is in the cache are not read; the others are read
+    through one ``git cat-file --batch`` process. A deleted file, or a
+    blob git cannot produce, gets a None vector.
+    """
     if catalog is None:
         catalog = load_catalog()
     commits = mine_commits(repo_path, all_commits=all_commits)
     cache = _VectorCache(
-        Path(cache_path) if cache_path is not None else None,
-        sha256_text(serialize_catalog(catalog)),
+        Path(cache_path) if cache_path is not None else None, catalog.digest
     )
 
     vectors: dict[tuple[str, str], list[int] | None] = {}
-    for commit in commits:
-        for path in commit.changed_java_files:
-            try:
-                data = read_file_at(repo_path, commit.hash, path)
-            except AbsentFileError:
-                vectors[(commit.hash, path)] = None  # deletion: no KU credit
-                continue
-            key = sha256_bytes(data)
-            hit = cache.get(key)
-            if hit is not _MISS:
-                vectors[(commit.hash, path)] = hit
-                continue
-            try:
-                vector = detect_kus(data.decode("utf-8", "replace"), catalog)
-            except ParseError:
-                log.warning("unparseable %s at %s", path, commit.hash[:12])
-                vector = None
-            cache.put(key, vector)
-            vectors[(commit.hash, path)] = vector
+    with _cat_file(repo_path) as reader:
+        for commit in commits:
+            for path, blob in zip(commit.changed_java_files, commit.blob_ids):
+                vector = cache.get(blob)
+                if vector is _MISS:
+                    deleted = not blob.strip("0")  # the all-zero id
+                    data = None if deleted else _read_blob(reader, blob)
+                    if data is None:  # no KU credit, and nothing to cache
+                        vectors[(commit.hash, path)] = None
+                        continue
+                    try:
+                        vector = detect_kus(data.decode("utf-8", "replace"), catalog)
+                    except ParseError:
+                        log.warning("unparseable %s at %s", path, commit.hash[:12])
+                        vector = None
+                    cache.put(blob, vector)
+                vectors[(commit.hash, path)] = vector
     cache.flush()
     store = KuStore(commits, vectors)
     store.validate()

@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .adaptive import VARIANTS, AdaptiveRecommender, safe_recommend
-from .catalog import load_catalog, serialize_catalog
+from .catalog import load_catalog
 from .clustering import DegenerateDataError, diff_values, gini, pca_reduce, select_k
 from .errors import KurevError
 from .evaluation import EvalReport, map_at_k, reasonableness, top_k_accuracy
@@ -62,10 +62,15 @@ class ProjectConfig:
         base = Path(path).parent
         values = {"out_dir": base / "out"}
         for key, raw in doc.items():
-            if key in _PATH_FIELDS:
-                values[key] = (base / raw).resolve()
-            else:  # each other field's default gives its type
-                values[key] = type(defaults[key])(raw)
+            if raw is None:
+                raise KurevError(f"config {path}: '{key}' has no value")
+            try:
+                if key in _PATH_FIELDS:
+                    values[key] = (base / raw).resolve()
+                else:  # each other field's default gives its type
+                    values[key] = type(defaults[key])(raw)
+            except (TypeError, ValueError) as exc:
+                raise KurevError(f"config {path}: bad value for '{key}': {raw!r}") from exc
         return cls(**values)
 
     def validate(self) -> None:
@@ -201,11 +206,10 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     config.validate()
     out = config.out_dir
     catalog = load_catalog(config.catalog)
-    catalog_hash = sha256_text(serialize_catalog(catalog))
 
     head = _git(config.repo, "rev-parse", "HEAD").decode().strip()
     store_dir = out / "store"
-    mine_sig = sha256_text(f"mine:{head}:{catalog_hash}:{config.all_commits}")
+    mine_sig = sha256_text(f"mine:{head}:{catalog.digest}:{config.all_commits}")
     mine_stage = _Stage(out, "mine", mine_sig, [store_dir / "commits.jsonl"])
     if mine_stage.cached():
         echo("mine: cached")

@@ -1,6 +1,7 @@
 """Catalog loading, validation, and round-trip behaviour."""
 
 import pytest
+import yaml
 
 from kurev.catalog import (
     ALL_KUS,
@@ -12,6 +13,7 @@ from kurev.catalog import (
     serialize_catalog,
 )
 from kurev.errors import CatalogError
+from kurev.util import sha256_text
 
 
 def test_builtin_catalog_covers_all_kus():
@@ -41,6 +43,22 @@ def test_load_is_deterministic(tmp_path):
     f = tmp_path / "cat.yaml"
     f.write_text(text)
     assert load_catalog(f) == load_catalog(f)
+
+
+def test_builtin_catalog_is_loaded_once_and_a_file_on_every_call(tmp_path):
+    builtin = load_catalog()
+    assert load_catalog() is builtin
+    assert builtin.digest == sha256_text(serialize_catalog(builtin))
+    f = tmp_path / "cat.yaml"
+    f.write_text(serialize_catalog(builtin))
+    first = load_catalog(f)
+    assert first == builtin and first is not load_catalog(f)
+    doc = yaml.safe_load(f.read_text())
+    doc["rules"][0]["description"] = "edited"
+    f.write_text(yaml.safe_dump(doc, sort_keys=False))
+    edited = load_catalog(f)
+    assert edited.rules[0].description == "edited"
+    assert edited.digest == sha256_text(serialize_catalog(edited)) != builtin.digest
 
 
 def test_serialize_round_trip():

@@ -128,6 +128,15 @@ def test_exit_codes(mined, capsys):
     assert main(["--help"]) == 0
 
 
+def test_pipeline_config_key_without_value_exits_2(mined, tmp_path, capsys):
+    config = tmp_path / "empty.yaml"
+    config.write_text(
+        f"repo: {mined['repo']}\nprs: {mined['prs']}\ncatalog:\n", encoding="utf-8"
+    )
+    assert main(["pipeline", str(config)]) == 2
+    assert "'catalog' has no value" in capsys.readouterr().err
+
+
 def test_pipeline_rejects_unknown_config_keys(mined, tmp_path, capsys):
     config = tmp_path / "typo.yaml"
     config.write_text(

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import logging
+import os
+import subprocess
+import threading
 
 import pytest
 
+from kurev import mining
 from kurev.detector import detect_kus
-from kurev.errors import AbsentFileError, RepositoryError
+from kurev.errors import AbsentFileError, ParseError, RepositoryError
 from kurev.mining import (
     KuStore,
     build_ku_store,
@@ -15,9 +19,16 @@ from kurev.mining import (
     read_file_at,
     snapshot_file_kus,
 )
+from kurev.util import read_jsonl, sha256_bytes, write_jsonl
 
 JAVA_A = "class A { void run() { for (int i = 0; i < 3; i = i + 1) { } } }\n"
 JAVA_C = "class C { void go() { try { } catch (Exception e) { } } }\n"
+MERGE_ENV = {
+    "GIT_AUTHOR_NAME": "Alice A", "GIT_AUTHOR_EMAIL": "alice@x.com",
+    "GIT_AUTHOR_DATE": "2022-06-10T12:00:00+00:00",
+    "GIT_COMMITTER_NAME": "CI Bot", "GIT_COMMITTER_EMAIL": "ci@x.com",
+    "GIT_COMMITTER_DATE": "2022-06-10T12:00:00+00:00",
+}
 
 
 def three_commit_repo(scratch):
@@ -68,15 +79,7 @@ def test_merge_commit_uses_first_parent_diff(scratch_repo):
     repo._run("checkout", "-q", "main")
     repo.write("main.java", "class Main { }\n")
     repo.commit("mainline work")
-    repo._run(
-        "merge", "-q", "--no-ff", "--no-edit", "feature",
-        env={
-            "GIT_AUTHOR_NAME": "Alice A", "GIT_AUTHOR_EMAIL": "alice@x.com",
-            "GIT_AUTHOR_DATE": "2022-06-10T12:00:00+00:00",
-            "GIT_COMMITTER_NAME": "CI Bot", "GIT_COMMITTER_EMAIL": "ci@x.com",
-            "GIT_COMMITTER_DATE": "2022-06-10T12:00:00+00:00",
-        },
-    )
+    repo._run("merge", "-q", "--no-ff", "--no-edit", "feature", env=MERGE_ENV)
     first_parent = mine_commits(repo.root)
     # first-parent chain: base, mainline, merge — the merge's diff against
     # its first parent brings in the feature file exactly once
@@ -170,3 +173,207 @@ def test_store_validate_rejects_stray_records(scratch_repo):
     store.vectors[("deadbeef", "ghost.java")] = [0] * 28
     with pytest.raises(ValueError):
         store.validate()
+
+
+# --- the batch read path against the per-file reference reader ---------------
+
+
+def naive_vectors(repo, all_commits=False):
+    """Store vectors the slow way: one ``git show`` and one detection per record."""
+    out = {}
+    for commit in mine_commits(repo, all_commits=all_commits):
+        for path in commit.changed_java_files:
+            try:
+                out[(commit.hash, path)] = snapshot_file_kus(repo, commit.hash, path)
+            except (AbsentFileError, ParseError):  # deleted, or unparseable
+                out[(commit.hash, path)] = None
+    return out
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``kurev.mining.<name>`` to record its calls; returns the record."""
+    calls = []
+    original = getattr(mining, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mining, name, spy)
+    return calls
+
+
+def finishes(fn, *args, timeout=60, **kwargs):
+    """``fn(*args, **kwargs)``, failing the test if it has not returned in time."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args, **kwargs)
+        except BaseException as exc:  # handed to the test thread below
+            box["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"{fn.__name__} still running after {timeout} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def history_repo(scratch):
+    """A merge, a deletion, a re-added file and one blob under two paths."""
+    scratch.write("a.java", JAVA_A)
+    scratch.write("shared.java", JAVA_C)
+    scratch.commit("base")
+    scratch._run("checkout", "-q", "-b", "feature")
+    scratch.write("feat.java", "class Feat { int[] xs = new int[3]; }\n")
+    scratch.commit("feature work", name="Bob B", email="bob@x.com")
+    scratch._run("checkout", "-q", "main")
+    scratch.write("a.java", JAVA_A.replace("< 3", "< 5"))
+    scratch.commit("touch a")
+    scratch.delete("a.java")
+    scratch.commit("remove a")
+    scratch._run("merge", "-q", "--no-ff", "--no-edit", "feature", env=MERGE_ENV)
+    scratch.write("a.java", JAVA_A)  # the blob of the first commit again
+    scratch.write("copy.java", JAVA_C)  # the blob of shared.java
+    scratch.commit("re-add a, copy shared")
+    return scratch
+
+
+def test_paths_git_would_quote_are_mined(scratch_repo):
+    # [DERIVED] git quotes non-ASCII and tab characters in paths unless -z
+    # is given; each file must be listed under its real name
+    names = ["\u00e9.java", "a b.java", "a\tb.java"]
+    for i, name in enumerate(names):
+        scratch_repo.write(name, JAVA_A.replace("A", f"A{i}", 1))
+    scratch_repo.commit("awkward names")
+    store = build_ku_store(scratch_repo.root)
+    (record,) = store.commits
+    assert sorted(record.changed_java_files) == sorted(names)
+    for name in names:
+        assert store.vectors[(record.hash, name)] == detect_kus(JAVA_A)
+
+
+def test_non_utf8_paths_are_skipped(scratch_repo, tmp_path, caplog):
+    # [DERIVED] a Latin-1 name has no str that a PR file path could carry;
+    # two of them in one commit must not collapse into one record
+    for i, raw in enumerate([b"\xe9.java", b"\xe8.java"]):
+        scratch_repo.write(os.fsdecode(raw), JAVA_A.replace("A", f"A{i}", 1))
+    scratch_repo.write("ok.java", JAVA_C)
+    scratch_repo.commit("latin-1 names")
+    with caplog.at_level(logging.WARNING, logger="kurev.mining"):
+        store = build_ku_store(scratch_repo.root)
+    (record,) = store.commits
+    assert record.changed_java_files == ("ok.java",)
+    assert store.vectors == {(record.hash, "ok.java"): detect_kus(JAVA_C)}
+    assert sum("non-UTF-8 path" in r.getMessage() for r in caplog.records) == 2
+    store.save(tmp_path / "store")
+    assert KuStore.load(tmp_path / "store").vectors == store.vectors
+
+
+def test_store_equals_naive_reader_on_synthetic_project(synthetic_project):
+    assert synthetic_project["store"].vectors == naive_vectors(synthetic_project["repo"])
+
+
+@pytest.mark.parametrize("all_commits", [False, True])
+def test_store_equals_naive_reader_across_merge_delete_readd(
+    scratch_repo, monkeypatch, all_commits
+):
+    repo = history_repo(scratch_repo)
+    detections = count_calls(monkeypatch, "detect_kus")
+    store = build_ku_store(repo.root, all_commits=all_commits)
+    monkeypatch.undo()
+    assert store.vectors == naive_vectors(repo.root, all_commits)
+    files = [c.changed_java_files for c in store.commits]
+    if not all_commits:
+        assert files == [
+            ("a.java", "shared.java"), ("a.java",), ("a.java",), ("feat.java",),
+            ("a.java", "copy.java"),
+        ]
+        deletion = (store.commits[2].hash, "a.java")
+        assert store.vectors[deletion] is None
+    # one detection per distinct content: both versions of a.java, C, feat
+    assert len(detections) == 4
+
+
+def test_warm_rebuild_reads_no_blob(scratch_repo, tmp_path, monkeypatch):
+    repo = history_repo(scratch_repo)
+    cache = tmp_path / "cache.jsonl"
+    reads = count_calls(monkeypatch, "_read_blob")
+    cold = build_ku_store(repo.root, cache_path=cache)
+    assert len(reads) == 4  # the deletion is not read; repeated blobs once
+    reads.clear()
+    warm = build_ku_store(repo.root, cache_path=cache)
+    assert reads == []
+    assert warm.vectors == cold.vectors
+
+
+def test_content_hash_cache_entries_are_misses(scratch_repo, tmp_path, monkeypatch):
+    # [DERIVED] a cache written before entries were keyed by blob id holds
+    # sha256(content) keys; they must neither crash the run nor be served
+    repo = history_repo(scratch_repo)
+    catalog_hash = mining.load_catalog().digest
+    contents = {JAVA_A, JAVA_A.replace("< 3", "< 5"), JAVA_C}
+    cache = tmp_path / "cache.jsonl"
+    write_jsonl(cache, (
+        {"catalog": catalog_hash, "content": sha256_bytes(c.encode()), "vector": [9] * 28}
+        for c in sorted(contents)
+    ))
+    detections = count_calls(monkeypatch, "detect_kus")
+    store = build_ku_store(repo.root, cache_path=cache)
+    monkeypatch.undo()
+    assert store.vectors == naive_vectors(repo.root)
+    assert len(detections) == 4
+    assert all("blob" in rec for rec in read_jsonl(cache))
+
+
+def test_missing_blob_gets_null_vector(scratch_repo):
+    repo = scratch_repo
+    repo.write("a.java", JAVA_A)
+    repo.write("c.java", JAVA_C)
+    repo.commit("add")
+    blob = subprocess.run(
+        ["git", "-C", str(repo.root), "rev-parse", "HEAD:a.java"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    (repo.root / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
+    store = finishes(build_ku_store, repo.root)
+    sha = store.commits[0].hash
+    assert store.vectors == {(sha, "a.java"): None, (sha, "c.java"): detect_kus(JAVA_C)}
+
+
+def test_reader_exit_raises_repository_error(scratch_repo, monkeypatch):
+    repo = three_commit_repo(scratch_repo)
+    original = mining._read_blob
+
+    def exited_reader(proc, blob):
+        proc.kill()
+        proc.wait()
+        return original(proc, blob)
+
+    monkeypatch.setattr(mining, "_read_blob", exited_reader)
+    with pytest.raises(RepositoryError, match="cat-file"):
+        finishes(build_ku_store, repo.root)
+
+
+def test_failed_build_leaves_no_git_process(scratch_repo, monkeypatch):
+    repo = three_commit_repo(scratch_repo)
+    started = []
+
+    class RecordedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    def failing_detection(source, catalog=None):
+        raise RuntimeError("detector failed")
+
+    monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+    monkeypatch.setattr(mining, "detect_kus", failing_detection)
+    with pytest.raises(RuntimeError, match="detector failed"):
+        build_ku_store(repo.root)
+    monkeypatch.undo()
+    assert any("cat-file" in p.args for p in started)
+    assert all(p.poll() is not None for p in started)

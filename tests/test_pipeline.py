@@ -120,6 +120,22 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         ProjectConfig.from_file(cfg)
 
 
+@pytest.mark.parametrize("key", ["catalog", "cache_dir", "seed", "rf_mode", "all_commits"])
+def test_config_key_without_value_is_a_data_error(tmp_path, key):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(f"repo: r\nprs: p.jsonl\n{key}:\n", encoding="utf-8")
+    with pytest.raises(KurevError, match=f"'{key}' has no value"):
+        ProjectConfig.from_file(cfg)
+
+
+@pytest.mark.parametrize("line", ["seed: abc", "k_max: [1]", "repo: [r]"])
+def test_config_value_of_the_wrong_type_is_a_data_error(tmp_path, line):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(f"repo: r\nprs: p.jsonl\n{line}\n", encoding="utf-8")
+    with pytest.raises(KurevError, match=f"bad value for '{line.split(':')[0]}'"):
+        ProjectConfig.from_file(cfg)
+
+
 def test_config_from_file_and_validation(tmp_path, synthetic_project):
     cfg = tmp_path / "config.yaml"
     cfg.write_text(

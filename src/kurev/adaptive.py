@@ -1,8 +1,8 @@
 """Adaptive combined recommenders driven by a Best Recommender System Table.
 
-The three variants delegate each test PR to one base recommender:
-AD_FREQ picks the most frequent past winner, AD_REC the latest winner,
-AD_HYBRID the most common winner among the last ten PRs. "Winner" for a
+The three variants delegate each test PR to the base recommender that
+won most often within a window of past winners: every winner for AD_FREQ,
+the latest one for AD_REC, the last ten for AD_HYBRID. "Winner" for a
 completed PR is the base recommender with the best combined score —
 (mean accuracy@1..5 + mean AP@1..5) / 2 — over the cumulative prefix of
 the test sequence. The very first PR delegates to a seeded random pick.
@@ -12,60 +12,49 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass
 
 from .errors import NoKuError
-from .evaluation import average_precision, is_correct_top_k
+from .evaluation import average_precision
 from .prstore import PullRequest
 from .recommenders import KIND_ORDER, BaseRecommender, History, Recommendation
 
 log = logging.getLogger(__name__)
 
-VARIANTS = ("freq", "rec", "hybrid")
 WINDOW_SIZE = 10
+# Past winners each variant's BRST weighs: all of them, the last one, the last ten.
+WINDOWS = {"freq": None, "rec": 1, "hybrid": WINDOW_SIZE}
+VARIANTS = tuple(WINDOWS)
 
 
-@dataclass
 class Brst:
-    """Best Recommender System Table state for one variant."""
+    """Best Recommender System Table state for one variant.
 
-    variant: str
-    freq_counts: dict[str, int] = field(default_factory=dict)
-    last_best: str | None = None
-    window: list[str] = field(default_factory=list)
+    Every variant picks the most frequent winner in its window, ties
+    broken by ``KIND_ORDER``; only the window length differs.
+    """
+
+    def __init__(self, variant: str) -> None:
+        if variant not in WINDOWS:
+            raise ValueError(f"unknown BRST variant {variant!r}")
+        self.window: deque[str] = deque(maxlen=WINDOWS[variant])
+        self.counts: Counter[str] = Counter()
 
     def update(self, winner: str) -> None:
-        self.freq_counts[winner] = self.freq_counts.get(winner, 0) + 1
-        self.last_best = winner
+        if len(self.window) == self.window.maxlen:
+            self.counts[self.window[0]] -= 1
         self.window.append(winner)
-        if len(self.window) > WINDOW_SIZE:
-            del self.window[0]
+        self.counts[winner] += 1
 
     def choose(self) -> str | None:
-        """Delegate kind per the variant's policy; None when empty."""
-        if self.variant == "freq":
-            if not self.freq_counts:
-                return None
-            return max(
-                KIND_ORDER,
-                key=lambda kind: (
-                    self.freq_counts.get(kind, 0),
-                    -KIND_ORDER.index(kind),
-                ),
-            )
-        if self.variant == "rec":
-            return self.last_best
-        if self.variant == "hybrid":
-            if not self.window:
-                return None
-            return max(
-                KIND_ORDER,
-                key=lambda kind: (
-                    self.window.count(kind),
-                    -KIND_ORDER.index(kind),
-                ),
-            )
-        raise ValueError(f"unknown BRST variant {self.variant!r}")
+        """Delegate kind per the variant's window; None when empty."""
+        if not self.window:
+            return None
+        return max(
+            KIND_ORDER,
+            key=lambda kind: (self.counts[kind], -KIND_ORDER.index(kind)),
+        )
 
 
 @dataclass
@@ -77,14 +66,10 @@ class _KindTally:
     prs: int = 0
 
     def add(self, rec: Recommendation | None, truth: set[str]) -> None:
-        accs = []
-        aps = []
-        for k in range(1, 6):
-            accs.append(1.0 if is_correct_top_k(rec, truth, k) else 0.0)
-            ranked = rec.developers() if rec is not None else []
-            aps.append(average_precision(ranked, truth, k))
-        self.acc_sum += sum(accs) / 5
-        self.ap_sum += sum(aps) / 5
+        ranked = rec.top(5) if rec is not None else []
+        ks = range(1, 6)
+        self.acc_sum += sum(any(dev in truth for dev in ranked[:k]) for k in ks) / 5
+        self.ap_sum += sum(average_precision(ranked, truth, k) for k in ks) / 5
         self.prs += 1
 
     def combined(self) -> float:
@@ -169,8 +154,9 @@ class AdaptiveRecommender:
                 pr_id=pr.id, kind=self.kind, ranked=recs[delegate].ranked
             )
             # ground truth revealed: update tallies with every base, then BRST
+            truth = set(pr.reviewers)
             for kind in KIND_ORDER:
-                tallies[kind].add(recs[kind], set(pr.reviewers))
+                tallies[kind].add(recs[kind], truth)
             winner = best_performer(tallies)
             brst.update(winner)
             steps.append(

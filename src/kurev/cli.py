@@ -20,6 +20,7 @@ from .mining import KuStore, build_ku_store
 from .pipeline import (
     ALL_KINDS,
     ProjectConfig,
+    evaluate_project,
     run_base_recommenders,
     run_clustering,
     run_pipeline,
@@ -32,7 +33,7 @@ from .profiles import (
     save_last_touch,
     save_matrix,
 )
-from .recommenders import KIND_ORDER, History, make_recommender
+from .recommenders import KIND_ORDER, RF_MODES, History, make_recommender
 from .util import parse_rfc3339
 
 log = logging.getLogger(__name__)
@@ -139,12 +140,12 @@ def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
     store = KuStore.load(store_dir)
     dataset = load_prs(prs_path)
     when = parse_rfc3339(cutoff)
-    dev_matrix, dev_touch = dev_exp_matrix(store, when)
-    rev_matrix, rev_touch = rev_exp_matrix(dataset, store, when)
-    save_matrix(dev_matrix, out / "dev.tsv")
-    save_matrix(rev_matrix, out / "rev.tsv")
-    save_last_touch(dev_touch, out / "dev_last_touch.jsonl")
-    save_last_touch(rev_touch, out / "rev_last_touch.jsonl")
+    dev = dev_exp_matrix(store, when)
+    rev = rev_exp_matrix(dataset, store, when)
+    save_matrix(dev, out / "dev.tsv")
+    save_matrix(rev, out / "rev.tsv")
+    save_last_touch(dev, out / "dev_last_touch.jsonl")
+    save_last_touch(rev, out / "rev_last_touch.jsonl")
     save_matrix(global_ku_profiles(store), out / "p_ku.tsv")
     click.echo(f"profiles written → {out}")
 
@@ -161,8 +162,7 @@ def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
 @click.option("--seed", default=0, show_default=True)
 @click.option("--train-fraction", default=0.8, show_default=True,
               help="Split used to replay adaptive recommenders.")
-@click.option("--rf-mode", default="prs", type=click.Choice(("prs", "comments")),
-              show_default=True)
+@click.option("--rf-mode", default="prs", type=click.Choice(RF_MODES), show_default=True)
 def recommend(
     store_dir: Path,
     prs_path: Path,
@@ -212,8 +212,7 @@ def recommend(
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--train-fraction", default=0.8, show_default=True)
-@click.option("--rf-mode", default="prs", type=click.Choice(("prs", "comments")),
-              show_default=True)
+@click.option("--rf-mode", default="prs", type=click.Choice(RF_MODES), show_default=True)
 def evaluate(
     store_dir: Path,
     prs_path: Path,
@@ -223,8 +222,6 @@ def evaluate(
     rf_mode: str,
 ) -> None:
     """Evaluate all eight recommenders on the chronological test split."""
-    from .pipeline import evaluate_project
-
     store = KuStore.load(store_dir)
     filtered, _ = filter_prs(load_prs(prs_path))
     _, test = chronological_split(filtered, train_fraction)

@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .adaptive import VARIANTS, AdaptiveRecommender, safe_recommend
-from .catalog import load_catalog
+from .catalog import KU_COUNT, load_catalog
 from .clustering import DegenerateDataError, diff_values, gini, pca_reduce, select_k
 from .errors import KurevError
 from .evaluation import EvalReport, map_at_k, reasonableness, top_k_accuracy
@@ -27,7 +27,7 @@ from .prstore import (
     save_prs,
 )
 from .profiles import global_ku_profiles, save_matrix
-from .recommenders import KIND_ORDER, History, Recommendation, make_recommender
+from .recommenders import KIND_ORDER, RF_MODES, History, Recommendation, make_recommender
 from .util import dump_json_line, sha256_text, write_text
 
 log = logging.getLogger(__name__)
@@ -35,6 +35,9 @@ log = logging.getLogger(__name__)
 ALL_KINDS = KIND_ORDER + tuple(f"ad_{v}" for v in VARIANTS)
 # config keys holding paths, relative to the config file's directory
 _PATH_FIELDS = ("repo", "prs", "out_dir", "catalog", "cache_dir")
+# YAML types each other field accepts, by the type of its default; a YAML
+# bool is accepted by bool fields only
+_ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 @dataclass(frozen=True)
@@ -64,16 +67,23 @@ class ProjectConfig:
         for key, raw in doc.items():
             if raw is None:
                 raise KurevError(f"config {path}: '{key}' has no value")
-            try:
-                if key in _PATH_FIELDS:
+            bad = KurevError(f"config {path}: bad value for '{key}': {raw!r}")
+            if key in _PATH_FIELDS:
+                try:
                     values[key] = (base / raw).resolve()
-                else:  # each other field's default gives its type
-                    values[key] = type(defaults[key])(raw)
-            except (TypeError, ValueError) as exc:
-                raise KurevError(f"config {path}: bad value for '{key}': {raw!r}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise bad from exc
+                continue
+            kind = type(defaults[key])
+            if isinstance(raw, bool) != (kind is bool) or not isinstance(raw, _ACCEPTS[kind]):
+                raise bad
+            values[key] = kind(raw)
         return cls(**values)
 
     def validate(self) -> None:
+        if self.rf_mode not in RF_MODES:
+            modes = ", ".join(RF_MODES)
+            raise KurevError(f"rf_mode must be one of {modes}, not {self.rf_mode!r}")
         if not self.repo.exists():
             raise KurevError(f"repository path missing: {self.repo}")
         if not self.prs.exists():
@@ -117,29 +127,28 @@ def evaluate_project(
         recs_by_kind[f"ad_{variant}"] = [s.recommendation for s in steps]
 
     report = EvalReport(project=test.project, pr_count=len(test_prs))
+    asof = history.asof
+    verdicts: dict[tuple[int, str], bool | None] = {}
     for kind, recs in recs_by_kind.items():
         for k in range(1, 6):
             report.accuracy[(kind, k)] = top_k_accuracy(recs, truth, k)
             report.mean_ap[(kind, k)] = map_at_k(recs, truth, k)
-
-    asof = history.asof
-    for kind, recs in recs_by_kind.items():
-        applicable = 0
-        reasonable = 0
+        applicable = reasonable = 0
         for pr, rec in zip(test_prs, recs):
             top = rec.top(1)
             if not top:
                 continue
-            verdict = reasonableness(
-                pr,
-                top[0],
-                asof.commits_before(pr.opened_at),
-                asof.prs_before(pr.opened_at),
-            )
-            if verdict is None:
-                continue
-            applicable += 1
-            reasonable += 1 if verdict else 0
+            key = (pr.id, top[0])
+            if key not in verdicts:  # kinds often share a top-1 developer
+                verdicts[key] = reasonableness(
+                    pr,
+                    top[0],
+                    asof.commits_before(pr.opened_at),
+                    asof.prs_before(pr.opened_at),
+                )
+            if verdicts[key] is not None:
+                applicable += 1
+                reasonable += verdicts[key]
         report.reasonable_pct[kind] = (
             100.0 * reasonable / applicable if applicable else 0.0
         )
@@ -150,12 +159,15 @@ def evaluate_project(
 
 
 def run_clustering(store: KuStore, out_dir: Path, k_max: int, seed: int) -> None:
-    matrix = global_ku_profiles(store)
-    if len(matrix.developers) < 2:
+    profiles = global_ku_profiles(store)
+    developers = sorted(profiles.rows)
+    if len(developers) < 2:
         raise DegenerateDataError("need at least 2 developers to cluster")
     import numpy as np
 
-    p_ku = np.asarray(matrix.values, dtype=float)
+    p_ku = np.array(
+        [[profiles.ratio(dev, k) for k in range(KU_COUNT)] for dev in developers]
+    )
     result = select_k(pca_reduce(p_ku, 0.95), k_max=k_max, seed=seed)
     sizes = np.bincount(result.labels, minlength=result.k).tolist()
     summary = {
@@ -165,7 +177,7 @@ def run_clustering(store: KuStore, out_dir: Path, k_max: int, seed: int) -> None
         "gini": round(gini(sizes), 6),
         "sizes": sizes,
     }
-    labels = [f"{dev}\t{int(c)}" for dev, c in zip(matrix.developers, result.labels)]
+    labels = [f"{dev}\t{int(c)}" for dev, c in zip(developers, result.labels)]
     _write_lines(out_dir / "labels.tsv", ["developer\tcluster", *labels])
     curve = [f"{k}\t{sil:.6f}" for k, sil in result.curve]
     _write_lines(out_dir / "silhouette_curve.tsv", ["k\tmedian_silhouette", *curve])

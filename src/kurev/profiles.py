@@ -1,10 +1,10 @@
-"""Development and review expertise matrices over the 28 KUs.
+"""Development and review expertise over the 28 KUs.
 
-Raw occurrence sums per developer are column-normalized so each active KU
-column holds each developer's share of all observed occurrences of that
-KU, as of a strict cutoff. LastTouch records the most recent contact a
-developer had with each KU on the same side (commit date / reviewed-PR
-opening date).
+One :class:`Expertise` value per side and cutoff holds each developer's
+raw occurrence sums and last-touch dates (commit date / reviewed-PR
+opening date) per KU, plus the column totals. :meth:`Expertise.ratio`
+normalizes a sum into the developer's share of all occurrences of that
+KU observed strictly before the cutoff.
 
 Every "strictly before" question is answered by one :class:`AsOf` index
 per store and PR set: sorted commits and PRs, per-file snapshots, memoised
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
@@ -24,42 +24,9 @@ from typing import Iterable, Sequence
 from .catalog import KU_COUNT, KU_NAMES
 from .mining import CommitRecord, KuStore
 from .prstore import PrDataset, PullRequest
-from .util import atomic_open, format_rfc3339, parse_rfc3339, read_jsonl, write_jsonl
+from .util import atomic_open, format_rfc3339, write_jsonl
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ExpertiseMatrix:
-    kind: str  # development | review
-    cutoff: datetime | None  # None = +infinity
-    developers: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]  # developers x 28, in [0,1]
-
-    @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {dev: i for i, dev in enumerate(self.developers)}
-
-    def value(self, developer: str, ku_index: int) -> float:
-        """Ratio for a 1-based KU index; unknown developers score 0."""
-        row = self._rows.get(developer)
-        if row is None:
-            return 0.0
-        return self.values[row][ku_index - 1]
-
-
-@dataclass
-class LastTouch:
-    dates: dict[tuple[str, int], datetime] = field(default_factory=dict)
-
-    def get(self, developer: str, ku_index: int) -> datetime | None:
-        return self.dates.get((developer, ku_index))
-
-    def note(self, developer: str, ku_index: int, when: datetime) -> None:
-        key = (developer, ku_index)
-        prev = self.dates.get(key)
-        if prev is None or when > prev:
-            self.dates[key] = when
 
 
 # Raw sums and last-touch dates (None = never) of one developer, per KU.
@@ -68,7 +35,7 @@ Row = tuple[tuple[int, ...], tuple[datetime | None, ...]]
 
 @dataclass(frozen=True)
 class Expertise:
-    """One side's raw sums as of a cutoff, before normalization.
+    """One side's raw sums and last touches as of a cutoff.
 
     ``rows`` holds every developer with at least one event before the
     cutoff, even when all their counts are zero; ``totals`` are the column
@@ -80,32 +47,13 @@ class Expertise:
     rows: dict[str, Row]
     totals: tuple[int, ...]
 
-    def matrix(self) -> ExpertiseMatrix:
-        developers = tuple(sorted(self.rows))
-        values = tuple(
-            tuple(
-                self.rows[dev][0][k] / self.totals[k] if self.totals[k] > 0 else 0.0
-                for k in range(KU_COUNT)
-            )
-            for dev in developers
-        )
-        return ExpertiseMatrix(
-            kind=self.kind, cutoff=self.cutoff, developers=developers, values=values
-        )
-
-    def last_touch(self) -> LastTouch:
-        return LastTouch(
-            {
-                (dev, k + 1): when
-                for dev, (_, touched) in self.rows.items()
-                for k, when in enumerate(touched)
-                if when is not None
-            }
-        )
-
-    def pair(self) -> tuple[ExpertiseMatrix, LastTouch]:
-        """(matrix, last touches), as ``dev_exp_matrix``/``rev_exp_matrix`` return."""
-        return self.matrix(), self.last_touch()
+    def ratio(self, developer: str, ku_index: int) -> float:
+        """Share of a 0-based KU column's occurrences; unknown developers score 0."""
+        row = self.rows.get(developer)
+        total = self.totals[ku_index]
+        if row is None or total <= 0:
+            return 0.0
+        return row[0][ku_index] / total
 
 
 _NO_ROW: Row = ((0,) * KU_COUNT, (None,) * KU_COUNT)
@@ -254,11 +202,9 @@ class AsOf:
         return self._review.before(cutoff)
 
 
-def dev_exp_matrix(
-    store: KuStore, cutoff: datetime | None
-) -> tuple[ExpertiseMatrix, LastTouch]:
+def dev_exp_matrix(store: KuStore, cutoff: datetime | None) -> Expertise:
     """Occurrences per author over commits strictly before the cutoff."""
-    return AsOf(store).development(cutoff).pair()
+    return AsOf(store).development(cutoff)
 
 
 def resolve_pr_file_vector(
@@ -275,7 +221,7 @@ def pr_ku_vector(store: KuStore, pr: PullRequest) -> list[int]:
 
 def rev_exp_matrix(
     prs: PrDataset, store: KuStore, cutoff: datetime | None
-) -> tuple[ExpertiseMatrix, LastTouch]:
+) -> Expertise:
     """Occurrences per reviewer over PRs opened strictly before the cutoff.
 
     Every reviewer of a PR is credited the full occurrences of its files.
@@ -283,37 +229,34 @@ def rev_exp_matrix(
     # Later PRs could not count; indexing them would only resolve (and warn
     # about) their files.
     prior = [p for p in prs.prs if cutoff is None or p.opened_at < cutoff]
-    return AsOf(store, prior).review(cutoff).pair()
+    return AsOf(store, prior).review(cutoff)
 
 
-def global_ku_profiles(store: KuStore) -> ExpertiseMatrix:
-    """P_ku: the whole-store development matrix (cutoff = +infinity)."""
-    matrix, _ = dev_exp_matrix(store, cutoff=None)
-    return matrix
+def global_ku_profiles(store: KuStore) -> Expertise:
+    """P_ku: the whole-store development expertise (cutoff = +infinity)."""
+    return dev_exp_matrix(store, cutoff=None)
 
 
 # --- persistence -----------------------------------------------------------
 
 
-def save_matrix(matrix: ExpertiseMatrix, path: str | Path) -> None:
+def save_matrix(expertise: Expertise, path: str | Path) -> None:
+    """One row of normalized ratios per developer, sorted by name."""
     with atomic_open(Path(path)) as fh:
         fh.write("developer\t" + "\t".join(KU_NAMES) + "\n")
-        for dev, row in zip(matrix.developers, matrix.values):
-            fh.write(dev + "\t" + "\t".join(f"{v:.12g}" for v in row) + "\n")
+        for dev in sorted(expertise.rows):
+            ratios = (f"{expertise.ratio(dev, k):.12g}" for k in range(KU_COUNT))
+            fh.write(dev + "\t" + "\t".join(ratios) + "\n")
 
 
-def save_last_touch(touch: LastTouch, path: str | Path) -> None:
+def save_last_touch(expertise: Expertise, path: str | Path) -> None:
+    """One record per touched (developer, 1-based KU), sorted."""
     write_jsonl(
         Path(path),
         (
-            {"developer": dev, "ku": ku, "last": format_rfc3339(when)}
-            for (dev, ku), when in sorted(touch.dates.items())
+            {"developer": dev, "ku": k + 1, "last": format_rfc3339(when)}
+            for dev, (_, touched) in sorted(expertise.rows.items())
+            for k, when in enumerate(touched)
+            if when is not None
         ),
     )
-
-
-def load_last_touch(path: str | Path) -> LastTouch:
-    touch = LastTouch()
-    for rec in read_jsonl(Path(path)):
-        touch.note(rec["developer"], rec["ku"], parse_rfc3339(rec["last"]))
-    return touch

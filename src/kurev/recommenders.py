@@ -21,6 +21,8 @@ from .profiles import AsOf, Expertise
 from .profiles import dev_exp_matrix, pr_ku_vector, rev_exp_matrix  # noqa: F401
 
 KIND_ORDER = ("kurec", "rf", "chrev", "er", "cf")
+# What RF counts per prior PR: its reviewers, or its review comments.
+RF_MODES = ("prs", "comments")
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,10 @@ def _side_score(
     row = side.rows.get(developer)
     if row is None:
         return 0.0
-    counts, touched = row
     score = 0.0
     for k in present:
-        total = side.totals[k]
-        score += counts[k] / total if total > 0 else 0.0
-        score += recency_bonus(touched[k], pr_open)
+        score += side.ratio(developer, k)
+        score += recency_bonus(row[1][k], pr_open)
     return score
 
 
@@ -154,7 +154,7 @@ class RfRecommender(BaseRecommender):
 
     def __init__(self, mode: str = "prs"):
         super().__init__()
-        if mode not in ("prs", "comments"):
+        if mode not in RF_MODES:
             raise ValueError(f"unknown RF mode {mode!r}")
         self.mode = mode
 

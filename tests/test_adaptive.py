@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kurev.adaptive import (
     KIND_ORDER,
+    VARIANTS,
     WINDOW_SIZE,
     AdaptiveRecommender,
     Brst,
@@ -55,6 +58,28 @@ def test_brst_hybrid_worked_sequence():
     for winner in ("rf", "rf", "kurec"):
         brst.update(winner)
     assert brst.choose() == "rf"
+
+
+def naive_policy(variant, winners):
+    """The paper's three BRST policies, read literally."""
+    if not winners:
+        return None
+    if variant == "rec":
+        return winners[-1]
+    pool = winners if variant == "freq" else winners[-WINDOW_SIZE:]
+    most = max(pool.count(kind) for kind in KIND_ORDER)
+    return next(kind for kind in KIND_ORDER if pool.count(kind) == most)
+
+
+@settings(max_examples=200, deadline=None)
+@given(winners=st.lists(st.sampled_from(KIND_ORDER), max_size=40))
+def test_brst_matches_the_naive_policies(winners):
+    for variant in VARIANTS:
+        brst = Brst(variant)
+        assert brst.choose() is None
+        for i, winner in enumerate(winners, start=1):
+            brst.update(winner)
+            assert brst.choose() == naive_policy(variant, winners[:i]), (variant, i)
 
 
 def tally_for(ranked, truth):
@@ -162,3 +187,5 @@ def test_replay_on_synthetic_project_is_reproducible(synthetic_project):
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         AdaptiveRecommender("bogus")
+    with pytest.raises(ValueError):
+        Brst("bogus")

@@ -8,7 +8,11 @@ import random
 import pytest
 
 from kurev.cli import main
+from kurev.mining import KuStore
+from kurev.prstore import load_prs
 from kurev.recommenders import KIND_ORDER
+from kurev.util import parse_rfc3339
+from tests.test_profiles import naive_dev, naive_rev, read_last_touch, read_matrix, rounded
 
 FIXTURES = "tests/fixtures/ku_corpus"
 
@@ -54,14 +58,24 @@ def test_prs_validate_filter_split(mined, tmp_path, capsys):
 
 
 def test_profiles_command(mined, tmp_path, capsys):
-    out = tmp_path / "profiles"
-    assert main(
-        ["profiles", "--store", str(mined["store"]), "--prs", str(mined["prs"]),
-         "--cutoff", "2023-01-20T00:00:00Z", "--out", str(out)]
-    ) == 0
-    assert (out / "dev.tsv").exists()
-    assert (out / "rev.tsv").exists()
-    assert (out / "p_ku.tsv").exists()
+    store = KuStore.load(mined["store"])
+    prs = load_prs(mined["prs"]).prs
+    # one cutoff inside the synthetic history, one after all of it
+    for cutoff in ("2023-01-20T00:00:00Z", "2030-01-01T00:00:00Z"):
+        out = tmp_path / cutoff
+        assert main(
+            ["profiles", "--store", str(mined["store"]), "--prs", str(mined["prs"]),
+             "--cutoff", cutoff, "--out", str(out)]
+        ) == 0
+        when = parse_rfc3339(cutoff)
+        dev_ratios, dev_touch = naive_dev(store, when)
+        rev_ratios, rev_touch = naive_rev(prs, store, when)
+        assert dev_touch and rev_touch
+        assert read_matrix(out / "dev.tsv") == rounded(dev_ratios)
+        assert read_matrix(out / "rev.tsv") == rounded(rev_ratios)
+        assert read_last_touch(out / "dev_last_touch.jsonl") == dev_touch
+        assert read_last_touch(out / "rev_last_touch.jsonl") == rev_touch
+        assert read_matrix(out / "p_ku.tsv") == rounded(naive_dev(store, None)[0])
 
 
 def test_recommend_base_and_adaptive(mined, capsys):
@@ -144,3 +158,16 @@ def test_pipeline_rejects_unknown_config_keys(mined, tmp_path, capsys):
     )
     assert main(["pipeline", str(config)]) == 2
     assert "kmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["rf_mode: bogus", 'all_commits: "false"'])
+def test_pipeline_bad_config_value_exits_2_before_any_stage(mined, tmp_path, capsys, line):
+    config = tmp_path / "bad.yaml"
+    out = tmp_path / "out"
+    config.write_text(
+        f"repo: {mined['repo']}\nprs: {mined['prs']}\nout_dir: {out}\n{line}\n",
+        encoding="utf-8",
+    )
+    assert main(["pipeline", str(config)]) == 2
+    assert line.split(":")[0] in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.stamp"))

@@ -128,12 +128,28 @@ def test_config_key_without_value_is_a_data_error(tmp_path, key):
         ProjectConfig.from_file(cfg)
 
 
-@pytest.mark.parametrize("line", ["seed: abc", "k_max: [1]", "repo: [r]"])
+@pytest.mark.parametrize(
+    "line",
+    ["seed: abc", "k_max: [1]", "repo: [r]",
+     'all_commits: "false"', "k_max: true", "seed: 1.7"],
+)
 def test_config_value_of_the_wrong_type_is_a_data_error(tmp_path, line):
     cfg = tmp_path / "config.yaml"
     cfg.write_text(f"repo: r\nprs: p.jsonl\n{line}\n", encoding="utf-8")
     with pytest.raises(KurevError, match=f"bad value for '{line.split(':')[0]}'"):
         ProjectConfig.from_file(cfg)
+
+
+def test_config_values_keep_their_yaml_types(tmp_path):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(
+        "repo: r\nprs: p.jsonl\nall_commits: false\nk_max: 7\ntrain_fraction: 1\n",
+        encoding="utf-8",
+    )
+    config = ProjectConfig.from_file(cfg)
+    assert config.all_commits is False
+    assert config.k_max == 7
+    assert config.train_fraction == 1.0 and isinstance(config.train_fraction, float)
 
 
 def test_config_from_file_and_validation(tmp_path, synthetic_project):

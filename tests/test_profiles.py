@@ -1,26 +1,24 @@
-"""Expertise matrices, PR vector resolution, and last-touch tracking."""
+"""Expertise values, PR vector resolution, and last-touch tracking."""
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
 
-from kurev.catalog import KU_COUNT
+from kurev.catalog import KU_COUNT, KU_NAMES
 from kurev.pipeline import evaluate_project
 from kurev.profiles import (
     AsOf,
-    ExpertiseMatrix,
-    LastTouch,
     dev_exp_matrix,
     global_ku_profiles,
-    load_last_touch,
     pr_ku_vector,
     resolve_pr_file_vector,
     rev_exp_matrix,
-    save_matrix,
     save_last_touch,
+    save_matrix,
 )
 from kurev.recommenders import History
+from kurev.util import read_jsonl
 from tests.conftest import commit, dt, ku, make_dataset, make_pr, make_store
 
 
@@ -33,38 +31,57 @@ def two_dev_store():
     )
 
 
+def ratios(expertise):
+    """Normalized values per developer, read through ``Expertise.ratio``."""
+    return {
+        dev: tuple(expertise.ratio(dev, k) for k in range(KU_COUNT))
+        for dev in expertise.rows
+    }
+
+
+def last_touches(expertise):
+    """Last-touch dates keyed by (developer, 1-based KU)."""
+    return {
+        (dev, k + 1): when
+        for dev, (_, touched) in expertise.rows.items()
+        for k, when in enumerate(touched)
+        if when is not None
+    }
+
+
 def test_dev_matrix_ratios_oracle():
     # [DERIVED] K1 column: alice 3/4, bob 1/4; K11 column: bob 1.0
-    matrix, touch = dev_exp_matrix(two_dev_store(), dt("2023-02-01T00:00:00Z"))
-    assert matrix.value("alice", 1) == 0.75
-    assert matrix.value("bob", 1) == 0.25
-    assert matrix.value("alice", 11) == 0.0
-    assert matrix.value("bob", 11) == 1.0
-    assert matrix.value("stranger", 1) == 0.0
-    assert touch.get("alice", 1) == dt("2023-01-03T00:00:00Z")
-    assert touch.get("bob", 11) == dt("2023-01-02T00:00:00Z")
-    assert touch.get("alice", 11) is None
+    dev = dev_exp_matrix(two_dev_store(), dt("2023-02-01T00:00:00Z"))
+    assert dev.ratio("alice", 0) == 0.75
+    assert dev.ratio("bob", 0) == 0.25
+    assert dev.ratio("alice", 10) == 0.0
+    assert dev.ratio("bob", 10) == 1.0
+    assert dev.ratio("stranger", 0) == 0.0
+    touch = last_touches(dev)
+    assert touch["alice", 1] == dt("2023-01-03T00:00:00Z")
+    assert touch["bob", 11] == dt("2023-01-02T00:00:00Z")
+    assert ("alice", 11) not in touch
 
 
 def test_active_columns_are_stochastic():
-    matrix, _ = dev_exp_matrix(two_dev_store(), None)
+    values = ratios(dev_exp_matrix(two_dev_store(), None))
     for k in range(KU_COUNT):
-        total = sum(row[k] for row in matrix.values)
+        total = sum(row[k] for row in values.values())
         assert total == 1.0 or total == 0.0
 
 
 def test_cutoff_is_strict():
-    matrix, _ = dev_exp_matrix(two_dev_store(), dt("2023-01-03T00:00:00Z"))
+    dev = dev_exp_matrix(two_dev_store(), dt("2023-01-03T00:00:00Z"))
     # c3 falls exactly on the cutoff and must be excluded: alice 2/3
-    assert abs(matrix.value("alice", 1) - 2 / 3) < 1e-12
-    assert abs(matrix.value("bob", 1) - 1 / 3) < 1e-12
+    assert abs(dev.ratio("alice", 0) - 2 / 3) < 1e-12
+    assert abs(dev.ratio("bob", 0) - 1 / 3) < 1e-12
 
 
 def test_cutoff_monotonicity_of_raw_sums():
     store = two_dev_store()
-    early, _ = dev_exp_matrix(store, dt("2023-01-02T12:00:00Z"))
-    late, _ = dev_exp_matrix(store, dt("2023-02-01T00:00:00Z"))
-    assert set(early.developers) <= set(late.developers)
+    early = dev_exp_matrix(store, dt("2023-01-02T12:00:00Z"))
+    late = dev_exp_matrix(store, dt("2023-02-01T00:00:00Z"))
+    assert early.rows.keys() <= late.rows.keys()
 
 
 def test_resolve_prefers_head_commit():
@@ -108,16 +125,16 @@ def test_rev_matrix_full_credit_per_reviewer():
         make_pr(1, "2023-01-04T00:00:00Z", "alice", ["b.java"],
                 reviewers=["rita", "ron"]),
     )
-    matrix, touch = rev_exp_matrix(prs, store, dt("2023-02-01T00:00:00Z"))
+    rev = rev_exp_matrix(prs, store, dt("2023-02-01T00:00:00Z"))
     # both reviewers get the full b.java occurrences; K11 column splits 1/2
-    assert matrix.value("rita", 11) == 0.5
-    assert matrix.value("ron", 11) == 0.5
-    assert touch.get("rita", 1) == dt("2023-01-04T00:00:00Z")
+    assert rev.ratio("rita", 10) == 0.5
+    assert rev.ratio("ron", 10) == 0.5
+    assert last_touches(rev)["rita", 1] == dt("2023-01-04T00:00:00Z")
 
 
 def test_global_profiles_match_brute_force():
     store = two_dev_store()
-    matrix = global_ku_profiles(store)
+    profiles = global_ku_profiles(store)
     raw = {"alice": [0.0] * KU_COUNT, "bob": [0.0] * KU_COUNT}
     for record in store.commits:
         for path in record.changed_java_files:
@@ -128,20 +145,39 @@ def test_global_profiles_match_brute_force():
         total = sum(raw[d][k] for d in raw)
         for dev in raw:
             expected = raw[dev][k] / total if total else 0.0
-            assert abs(matrix.value(dev, k + 1) - expected) < 1e-12
+            assert abs(profiles.ratio(dev, k) - expected) < 1e-12
 
 
 def test_matrix_and_last_touch_persistence(tmp_path):
-    matrix, touch = dev_exp_matrix(two_dev_store(), None)
+    dev = dev_exp_matrix(two_dev_store(), None)
     out = tmp_path / "dev.tsv"
-    save_matrix(matrix, out)
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith("developer\t")
-    assert len(lines) == 1 + len(matrix.developers)
+    save_matrix(dev, out)
+    assert read_matrix(out) == rounded(ratios(dev))
     touch_path = tmp_path / "touch.jsonl"
-    save_last_touch(touch, touch_path)
-    again = load_last_touch(touch_path)
-    assert again.dates == touch.dates
+    save_last_touch(dev, touch_path)
+    assert read_last_touch(touch_path) == last_touches(dev)
+
+
+def read_matrix(path):
+    """``save_matrix`` output as {developer: ratios}, checking header and order."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert header == "developer\t" + "\t".join(KU_NAMES)
+    rows = [line.split("\t") for line in lines]
+    assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+    return {row[0]: tuple(float(cell) for cell in row[1:]) for row in rows}
+
+
+def rounded(values):
+    """Ratios as the 12 significant digits ``save_matrix`` writes."""
+    return {dev: tuple(float(f"{v:.12g}") for v in row) for dev, row in values.items()}
+
+
+def read_last_touch(path):
+    """``save_last_touch`` output as {(developer, KU): date}, checking order."""
+    records = read_jsonl(path)
+    keys = [(rec["developer"], rec["ku"]) for rec in records]
+    assert keys == sorted(keys)
+    return {(rec["developer"], rec["ku"]): dt(rec["last"]) for rec in records}
 
 
 # --- the as-of index against a naive scan per cutoff ---------------------------
@@ -174,23 +210,28 @@ def naive_pr_vector(store, pr):
     return total
 
 
-def naive_normalize(raw, kind, cutoff):
-    developers = tuple(sorted(raw))
+def naive_normalize(raw):
     totals = [0.0] * KU_COUNT
-    for dev in developers:
+    for row in raw.values():
         for k in range(KU_COUNT):
-            totals[k] += raw[dev][k]
-    values = tuple(
-        tuple(
-            raw[dev][k] / totals[k] if totals[k] > 0 else 0.0 for k in range(KU_COUNT)
+            totals[k] += row[k]
+    return {
+        dev: tuple(
+            row[k] / totals[k] if totals[k] > 0 else 0.0 for k in range(KU_COUNT)
         )
-        for dev in developers
-    )
-    return ExpertiseMatrix(kind, cutoff, developers, values)
+        for dev, row in raw.items()
+    }
+
+
+def note(touch, developer, ku_index, when):
+    key = (developer, ku_index)
+    if key not in touch or when > touch[key]:
+        touch[key] = when
 
 
 def naive_dev(store, cutoff):
-    raw, touch = {}, LastTouch()
+    """(ratios, last touches) of the development side, from a full scan."""
+    raw, touch = {}, {}
     for c in store.commits:
         if cutoff is not None and c.authored_at >= cutoff:
             continue
@@ -199,12 +240,13 @@ def naive_dev(store, cutoff):
             for k, count in enumerate(store.vector(c.hash, path) or ()):
                 if count:
                     row[k] += count
-                    touch.note(c.author, k + 1, c.authored_at)
-    return naive_normalize(raw, "development", cutoff), touch
+                    note(touch, c.author, k + 1, c.authored_at)
+    return naive_normalize(raw), touch
 
 
 def naive_rev(prs, store, cutoff):
-    raw, touch = {}, LastTouch()
+    """(ratios, last touches) of the review side, from a full scan."""
+    raw, touch = {}, {}
     for pr in prs:
         if (cutoff is not None and pr.opened_at >= cutoff) or not pr.reviewers:
             continue
@@ -214,8 +256,12 @@ def naive_rev(prs, store, cutoff):
             for k, count in enumerate(vector):
                 if count:
                     row[k] += count
-                    touch.note(reviewer, k + 1, pr.opened_at)
-    return naive_normalize(raw, "review", cutoff), touch
+                    note(touch, reviewer, k + 1, pr.opened_at)
+    return naive_normalize(raw), touch
+
+
+def view(expertise):
+    return ratios(expertise), last_touches(expertise)
 
 
 def assert_index_matches_naive(store, prs, cutoffs):
@@ -223,8 +269,11 @@ def assert_index_matches_naive(store, prs, cutoffs):
     for pr in prs:
         assert asof.pr_vector(pr) == naive_pr_vector(store, pr), pr.id
     for cutoff in cutoffs:
-        assert asof.development(cutoff).pair() == naive_dev(store, cutoff), cutoff
-        assert asof.review(cutoff).pair() == naive_rev(prs, store, cutoff), cutoff
+        dev, rev = asof.development(cutoff), asof.review(cutoff)
+        assert (dev.kind, dev.cutoff) == ("development", cutoff)
+        assert (rev.kind, rev.cutoff) == ("review", cutoff)
+        assert view(dev) == naive_dev(store, cutoff), cutoff
+        assert view(rev) == naive_rev(prs, store, cutoff), cutoff
 
 
 def test_index_equals_naive_scan_at_every_pr_of_synthetic_project(synthetic_project):

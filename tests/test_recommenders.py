@@ -9,6 +9,7 @@ import pytest
 
 from kurev.adaptive import safe_recommend
 from kurev.errors import NoKuError
+from kurev.evaluation import reasonableness
 from kurev.mining import KuStore
 from kurev.pipeline import evaluate_project
 from kurev.profiles import AsOf
@@ -379,6 +380,22 @@ def test_evaluation_computes_each_pr_vector_once(synthetic_project, monkeypatch)
     evaluate_project(hist, synthetic_project["test"])
     assert resolved, "evaluation should resolve PR files"
     assert set(resolved.values()) == {1}
+
+
+def test_evaluation_judges_each_top1_pick_once(synthetic_project, monkeypatch):
+    judged = Counter()
+
+    def counting(pr, top1, commits, prior_prs):
+        judged[pr.id, top1] += 1
+        return reasonableness(pr, top1, commits, prior_prs)
+
+    hist = History(store=synthetic_project["store"], prs=synthetic_project["dataset"])
+    expected = evaluate_project(hist, synthetic_project["test"])
+    monkeypatch.setattr("kurev.pipeline.reasonableness", counting)
+    report = evaluate_project(hist, synthetic_project["test"])
+    assert judged, "evaluation should judge top-1 picks"
+    assert set(judged.values()) == {1}
+    assert report == expected
 
 
 def test_ranking_stable_under_positive_scaling():

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from kurev.profiles import ExpertiseMatrix, save_matrix
+from kurev.catalog import KU_COUNT
+from kurev.profiles import Expertise, save_matrix
 from kurev.util import read_jsonl, write_jsonl, write_text
 
 
@@ -43,11 +44,12 @@ def test_write_text_creates_directory_and_replaces(tmp_path):
 
 def test_failed_matrix_write_leaves_old_file_untouched(tmp_path):
     path = tmp_path / "p_ku.tsv"
-    row = (0.5,) * 28
-    save_matrix(ExpertiseMatrix("development", None, ("a", "b"), (row, row)), path)
+    row = ((1,) * KU_COUNT, (None,) * KU_COUNT)
+    totals = (2,) * KU_COUNT
+    save_matrix(Expertise("development", None, {"a": row, "b": row}, totals), path)
     before = path.read_bytes()
     # the lone surrogate cannot be encoded, so the write fails on the second row
-    bad = ExpertiseMatrix("development", None, ("a", "bad\ud800"), (row, row))
+    bad = Expertise("development", None, {"a": row, "bad\ud800": row}, totals)
     with pytest.raises(UnicodeEncodeError):
         save_matrix(bad, path)
     assert path.read_bytes() == before

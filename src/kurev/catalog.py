@@ -135,6 +135,10 @@ class CapabilityRule:
         }
 
 
+# (rule id, keywords, import prefix): one enabled pattern, ready to match.
+PatternEntry = tuple[CapabilityId, frozenset[str], str | None]
+
+
 @dataclass(frozen=True)
 class CapabilityCatalog:
     """Immutable, validated rule set ordered by (ku, capability)."""
@@ -152,6 +156,23 @@ class CapabilityCatalog:
         invalidates both.
         """
         return sha256_text(serialize_catalog(self))
+
+    @functools.cached_property
+    def patterns_by_key(self) -> dict[tuple[str, str | None], tuple[PatternEntry, ...]]:
+        """Enabled patterns by (node kind, name), in catalog order.
+
+        Each entry is (rule id, keywords, import prefix). A pattern with no
+        name is filed under ``None`` and applies to every event of its kind;
+        ``keyword`` is split into a set of words here and nowhere else.
+        """
+        table: dict[tuple[str, str | None], list[PatternEntry]] = {}
+        for rule in self.enabled_rules():
+            for p in rule.patterns:
+                keywords = frozenset((p.keyword or "").split())
+                table.setdefault((p.node_kind, p.name), []).append(
+                    (rule.id, keywords, p.import_prefix)
+                )
+        return {key: tuple(entries) for key, entries in table.items()}
 
     def validate(self) -> None:
         seen: set[CapabilityId] = set()

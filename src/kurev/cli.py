@@ -136,9 +136,12 @@ def split(path: Path, out_train: Path, out_test: Path, train_fraction: float) ->
 @click.option("--cutoff", required=True, help="RFC-3339 UTC timestamp.")
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
-    """Write development/review expertise matrices and global KU profiles."""
+    """Write development/review expertise matrices and global KU profiles.
+
+    The review side counts the PRs that ``filter_prs`` keeps, as KUREC does.
+    """
     store = KuStore.load(store_dir)
-    dataset = load_prs(prs_path)
+    dataset, _ = filter_prs(load_prs(prs_path))
     when = parse_rfc3339(cutoff)
     dev = dev_exp_matrix(store, when)
     rev = rev_exp_matrix(dataset, store, when)

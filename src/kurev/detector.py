@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .catalog import (
     KU_COUNT,
-    AstPattern,
     CapabilityCatalog,
     CapabilityId,
     load_catalog,
@@ -414,20 +413,6 @@ class _Collector:
             self.emit("type", node, name=use[0], qualified=use[1])
 
 
-def _pattern_matches(pattern: AstPattern, event: _Event, imports: _Imports) -> bool:
-    if pattern.node_kind != event.category:
-        return False
-    if pattern.keyword is not None:
-        if not set(pattern.keyword.split()) <= event.keywords:
-            return False
-    if pattern.name is not None and event.name != pattern.name:
-        return False
-    if pattern.import_prefix is not None:
-        if not imports.consistent(event.name, event.qualified, pattern.import_prefix):
-            return False
-    return True
-
-
 def detect_capabilities(
     source: str, catalog: CapabilityCatalog | None = None
 ) -> dict[CapabilityId, int]:
@@ -446,19 +431,17 @@ def detect_capabilities(
     except RecursionError:
         raise ParseError("nesting too deep") from None
     imports = collector.imports
-
-    out: dict[CapabilityId, int] = {}
-    for rule in catalog.enabled_rules():
-        matched: set[int] = set()
-        for event in collector.events:
-            if event.node_id in matched:
-                continue
-            for pattern in rule.patterns:
-                if _pattern_matches(pattern, event, imports):
-                    matched.add(event.node_id)
-                    break
-        out[rule.id] = len(matched)
-    return out
+    table = catalog.patterns_by_key
+    matched: dict[CapabilityId, set[int]] = {r.id: set() for r in catalog.enabled_rules()}
+    for event in collector.events:
+        names = (None,) if event.name is None else (None, event.name)
+        for name in names:
+            for rule_id, keywords, prefix in table.get((event.category, name), ()):
+                if keywords <= event.keywords and (
+                    prefix is None or imports.consistent(event.name, event.qualified, prefix)
+                ):
+                    matched[rule_id].add(event.node_id)
+    return {rule_id: len(nodes) for rule_id, nodes in matched.items()}
 
 
 def ku_vector_from_hits(hits: dict[CapabilityId, int]) -> list[int]:

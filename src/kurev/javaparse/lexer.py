@@ -5,6 +5,7 @@ tokenizer never fails on valid UTF-8 input: unknown characters become
 ``error`` tokens so the parser can recover around them.
 """
 
+import re
 from dataclasses import dataclass
 
 KEYWORDS = frozenset(
@@ -29,7 +30,26 @@ OPERATORS = sorted(
     reverse=True,
 )
 
-PUNCT = "(){}[];,."
+# One alternative per token kind, tried in order. Unclosed comments and
+# text blocks run to the end of input, unterminated string and char
+# literals to the end of the line; in a literal a backslash takes the next
+# character with it. `\w` is str.isalnum() plus "_" and `\d` a decimal
+# digit (category Nd), so a word starts with any `\w` but a decimal digit.
+_TOKEN = re.compile(
+    r"""
+      (?P<skip>    \s+ | //[^\n]* | /\*.*?(?:\*/|\Z) )
+    | (?P<string>  \"\"\".*?(?:\"\"\"|\Z) | "(?:[^"\\\n]|\\.?)*"? )
+    | (?P<char>    '(?:[^'\\\n]|\\.?)*'? )
+    | (?P<number>  \.?\d (?:[\w.]|(?<=[eEpP])[+-])* )
+    | (?P<word>    (?:[^\W\d]|\$)[\w$]* )
+    | (?P<op>      """
+    + "|".join(map(re.escape, OPERATORS))
+    + r""" )
+    | (?P<punct>   [(){}\[\];,.] )
+    | (?P<error>   . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -44,83 +64,16 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
+    for match in _TOKEN.finditer(source):
+        kind, text, offset = match.lastgroup, match.group(), match.start()
+        if kind == "skip":
             continue
-        if c == "/" and i + 1 < n:
-            nxt = source[i + 1]
-            if nxt == "/":
-                end = source.find("\n", i)
-                i = n if end < 0 else end + 1
-                continue
-            if nxt == "*":
-                end = source.find("*/", i + 2)
-                i = n if end < 0 else end + 2
-                continue
-        if c == '"':
-            if source.startswith('"""', i):
-                end = source.find('"""', i + 3)
-                stop = n if end < 0 else end + 3
-                tokens.append(Token("string", source[i:stop], i))
-                i = stop
-                continue
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            stop = min(j + 1, n) if j < n and source[j] == '"' else j
-            tokens.append(Token("string", source[i:stop], i))
-            i = max(stop, i + 1)
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and source[j] not in "'\n":
-                if source[j] == "\\":
-                    j += 1
-                j += 1
-            stop = min(j + 1, n) if j < n and source[j] == "'" else j
-            tokens.append(Token("char", source[i:stop], i))
-            i = max(stop, i + 1)
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "._" or
-                             (source[j] in "+-" and source[j - 1] in "eEpP")):
-                j += 1
-            if source[j - 1] == "." and j - 1 > i:
-                j -= 1  # trailing '.' starts member access, not part of the literal
-            tokens.append(Token("number", source[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c in "_$":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            word = source[i:j]
-            kind = "keyword" if word in KEYWORDS else "identifier"
-            tokens.append(Token(kind, word, i))
-            i = j
-            continue
-        if c in PUNCT:
-            if source.startswith("...", i):
-                tokens.append(Token("op", "...", i))
-                i += 3
-                continue
-            tokens.append(Token("punct", c, i))
-            i += 1
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, i))
-                i += len(op)
-                break
-        else:
-            tokens.append(Token("error", c, i))
-            i += 1
-    tokens.append(Token("eof", "", n))
+        if kind == "word":
+            kind = "keyword" if text in KEYWORDS else "identifier"
+        elif kind == "number" and text.endswith("."):
+            # A trailing '.' starts member access, not part of the literal.
+            tokens.append(Token(kind, text[:-1], offset))
+            kind, text, offset = "punct", ".", match.end() - 1
+        tokens.append(Token(kind, text, offset))
+    tokens.append(Token("eof", "", len(source)))
     return tokens

@@ -147,7 +147,8 @@ class RfRecommender(BaseRecommender):
     """Review frequency: prior reviewed-PR count per developer.
 
     ``mode="comments"`` counts review comments instead (the paper's
-    wording is ambiguous; reviewed PRs is the default reading).
+    wording is ambiguous; reviewed PRs is the default reading), only
+    those written before the PR opened.
     """
 
     kind = "rf"
@@ -166,6 +167,8 @@ class RfRecommender(BaseRecommender):
                     counts[reviewer] = counts.get(reviewer, 0.0) + 1.0
             else:
                 for comment in prior.review_comments:
+                    if comment.commented_at >= pr.opened_at:
+                        continue
                     counts[comment.reviewer] = counts.get(comment.reviewer, 0.0) + 1.0
         counts.pop(pr.author, None)
         return rank(counts, pr.id, self.kind)

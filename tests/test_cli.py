@@ -9,7 +9,7 @@ import pytest
 
 from kurev.cli import main
 from kurev.mining import KuStore
-from kurev.prstore import load_prs
+from kurev.prstore import filter_prs, load_prs
 from kurev.recommenders import KIND_ORDER
 from kurev.util import parse_rfc3339
 from tests.test_profiles import naive_dev, naive_rev, read_last_touch, read_matrix, rounded
@@ -59,7 +59,7 @@ def test_prs_validate_filter_split(mined, tmp_path, capsys):
 
 def test_profiles_command(mined, tmp_path, capsys):
     store = KuStore.load(mined["store"])
-    prs = load_prs(mined["prs"]).prs
+    prs = filter_prs(load_prs(mined["prs"]))[0].prs
     # one cutoff inside the synthetic history, one after all of it
     for cutoff in ("2023-01-20T00:00:00Z", "2030-01-01T00:00:00Z"):
         out = tmp_path / cutoff
@@ -76,6 +76,30 @@ def test_profiles_command(mined, tmp_path, capsys):
         assert read_last_touch(out / "dev_last_touch.jsonl") == dev_touch
         assert read_last_touch(out / "rev_last_touch.jsonl") == rev_touch
         assert read_matrix(out / "p_ku.tsv") == rounded(naive_dev(store, None)[0])
+
+
+@pytest.mark.parametrize("state", ["open", "closed"])
+def test_profiles_credits_only_reviewers_of_filtered_prs(mined, tmp_path, state):
+    # An extra PR reviewed by zed: the review side, like KUREC, counts only
+    # the PRs that filter_prs keeps, so zed appears only if it is closed.
+    zed = "zed zimmer <zed@example.com>"
+    extra = {
+        "id": 999, "opened_at": "2023-01-16T22:00:00Z", "state": state,
+        "author": "carol clark <carol@example.com>",
+        "changed_files": ["core/Scheduler.java"], "reviewers": [zed],
+        "review_comments": [], "head_commit": None,
+    }
+    prs_path = tmp_path / "prs.jsonl"
+    prs_path.write_text(
+        mined["prs"].read_text(encoding="utf-8") + json.dumps(extra) + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["profiles", "--store", str(mined["store"]), "--prs", str(prs_path),
+                 "--cutoff", "2030-01-01T00:00:00Z", "--out", str(out)]) == 0
+    credited = {dev for dev, _ in read_last_touch(out / "rev_last_touch.jsonl")}
+    assert (zed in read_matrix(out / "rev.tsv")) == (state == "closed")
+    assert (zed in credited) == (state == "closed")
 
 
 def test_recommend_base_and_adaptive(mined, capsys):

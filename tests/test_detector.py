@@ -7,8 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kurev.catalog import CapabilityId, KuId, load_catalog
-from kurev.detector import detect_capabilities, detect_kus, ku_vector_from_hits
+from kurev.catalog import (
+    CapabilityId,
+    KuId,
+    load_catalog,
+    load_catalog_text,
+    serialize_catalog,
+)
+from kurev.detector import (
+    _Collector,
+    detect_capabilities,
+    detect_kus,
+    ku_vector_from_hits,
+    parse_java,
+)
 from kurev.errors import ParseError
 
 CORPUS = Path(__file__).parent / "fixtures" / "ku_corpus"
@@ -197,3 +209,93 @@ def test_deep_nesting_is_reported_as_parse_error():
 @given(st.text())
 def test_any_text_gives_vector_or_parse_error(src):
     _assert_vector_or_parse_error(src)
+
+
+# --- the rules x events x patterns matcher, kept as the reference ---------
+
+
+def _naive_pattern_matches(pattern, event, imports):
+    if pattern.node_kind != event.category:
+        return False
+    if pattern.keyword is not None:
+        if not set(pattern.keyword.split()) <= event.keywords:
+            return False
+    if pattern.name is not None and event.name != pattern.name:
+        return False
+    if pattern.import_prefix is not None:
+        if not imports.consistent(event.name, event.qualified, pattern.import_prefix):
+            return False
+    return True
+
+
+def naive_capabilities(source, catalog):
+    collector = _Collector()
+    collector.run(parse_java(source))
+    out = {}
+    for rule in catalog.enabled_rules():
+        matched = set()
+        for event in collector.events:
+            if any(_naive_pattern_matches(p, event, collector.imports) for p in rule.patterns):
+                matched.add(event.node_id)
+        out[rule.id] = len(matched)
+    return out
+
+
+# Built-in rules plus rules that exercise every branch of the matcher:
+# two rules sharing (type, List), one with an import prefix; a multi-word
+# keyword; patterns with no name; a disabled rule; and one rule whose two
+# patterns hit the same node (an invocation and its qualifier type).
+EXTRA_RULES = """
+- ku: 1
+  capability: 90
+  patterns:
+    - {node_kind: type, name: List, import_prefix: java.util}
+- ku: 1
+  capability: 91
+  patterns:
+    - {node_kind: type, name: List}
+    - {node_kind: type, name: List, keyword: generic}
+- ku: 2
+  capability: 90
+  patterns:
+    - {node_kind: declaration, keyword: static method}
+    - {node_kind: statement}
+- ku: 3
+  capability: 90
+  enabled: false
+  patterns:
+    - {node_kind: statement}
+- ku: 4
+  capability: 90
+  patterns:
+    - {node_kind: invocation, name: println}
+    - {node_kind: type, name: System}
+"""
+CUSTOM = load_catalog_text(serialize_catalog(CATALOG) + EXTRA_RULES)
+HAND = """
+import java.awt.List;
+class C {
+  static void f(List x) {
+    System.out.println(x);
+    java.util.List<String> y = null;
+    synchronized (this) { if (x == null) return; }
+  }
+  void g() {}
+}
+"""
+
+
+@pytest.mark.parametrize("catalog", [CATALOG, CUSTOM], ids=["builtin", "custom"])
+def test_matcher_equals_naive_matcher_over_corpus(catalog):
+    sources = [HAND] + [p.read_text() for p in sorted(CORPUS.glob("*.java"))]
+    for src in sources:
+        assert detect_capabilities(src, catalog) == naive_capabilities(src, catalog)
+
+
+def test_custom_rules_fire_as_written():
+    hits = detect_capabilities(HAND, CUSTOM)
+    assert cap(3, 90) not in hits
+    assert hits[cap(1, 90)] == 1  # java.util.List; the java.awt.List use is filtered
+    assert hits[cap(1, 91)] == 2
+    assert hits[cap(2, 90)] == 3  # static f, the synchronized and the if statement
+    assert hits[cap(4, 90)] == 1  # println and its qualifier System are one node

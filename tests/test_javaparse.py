@@ -217,6 +217,40 @@ def test_lexer_numbers():
     assert [t.text for t in toks] == ["1_000", "0x1F", "1.5e-3", "2f", "3"]
 
 
+# (source, expected tokens before eof as (kind, text, offset)), written by
+# hand from the lexing rules: unterminated literals stop at the newline or
+# at the end of input, a backslash takes the next character with it,
+# unclosed comments and text blocks run to the end of input.
+LEXER_CASES = [
+    ('"ab\nc', [("string", '"ab', 0), ("identifier", "c", 4)]),
+    ('"ab', [("string", '"ab', 0)]),
+    ("'a\nb", [("char", "'a", 0), ("identifier", "b", 3)]),
+    ("'a", [("char", "'a", 0)]),
+    ('"a\\\nb" x', [("string", '"a\\\nb"', 0), ("identifier", "x", 7)]),
+    ('"\\', [("string", '"\\', 0)]),
+    ("a /* b", [("identifier", "a", 0)]),
+    ('x """ab\n"', [("identifier", "x", 0), ("string", '"""ab\n"', 2)]),
+    ("1.", [("number", "1", 0), ("punct", ".", 1)]),
+    ("x.y", [("identifier", "x", 0), ("punct", ".", 1), ("identifier", "y", 2)]),
+    (".5", [("number", ".5", 0)]),
+    ("1e+5", [("number", "1e+5", 0)]),
+    ("0x1P-3", [("number", "0x1P-3", 0)]),
+    ("a>>>=b", [("identifier", "a", 0), ("op", ">>>=", 1), ("identifier", "b", 5)]),
+    ("a...b", [("identifier", "a", 0), ("op", "...", 1), ("identifier", "b", 4)]),
+    ("A::b", [("identifier", "A", 0), ("op", "::", 1), ("identifier", "b", 3)]),
+    ("$x", [("identifier", "$x", 0)]),
+    ("café", [("identifier", "café", 0)]),
+    # A letter number (category Nl) starts an identifier, as in Java.
+    ("Ⅻx", [("identifier", "Ⅻx", 0)]),
+]
+
+
+@pytest.mark.parametrize("source,expected", LEXER_CASES, ids=[c[0] for c in LEXER_CASES])
+def test_lexer_edge_cases(source, expected):
+    tokens = [(t.kind, t.text, t.offset) for t in tokenize(source)]
+    assert tokens == expected + [("eof", "", len(source))]
+
+
 def test_interface_and_record():
     tree = parse_java(
         "interface I<T> { T get(); default int n() { return 0; } }\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from datetime import timezone
 
 import pytest
@@ -188,6 +189,20 @@ def test_chrev_ignores_comments_written_after_the_pr_opened():
     assert rec.developers() == []
 
 
+def test_rf_ignores_comments_written_after_the_pr_opened():
+    # PR 1 is older than PR 2, but rita's only comment on it is dated after
+    # PR 2 opened, so in comments mode nothing was known when PR 2 opened
+    store = make_store()
+    earlier = make_pr(1, "2023-01-01T00:00:00Z", "a", ["x.java"], reviewers=["rita"],
+                      comments=[("rita", "x.java", "2023-01-09T00:00:00Z")])
+    pr = make_pr(2, "2023-01-05T00:00:00Z", "carol", ["x.java"], reviewers=["rita"])
+    hist = history(store, earlier, pr)
+    rec = make_recommender("rf", mode="comments").fit(hist).recommend(pr)
+    assert rec.developers() == []
+    by_prs = make_recommender("rf").fit(hist).recommend(pr)
+    assert dict(by_prs.ranked) == {"rita": 1.0}
+
+
 def test_chrev_only_counts_comments_on_the_changed_path():
     store = make_store()
     earlier = make_pr(
@@ -349,7 +364,12 @@ def cut_at(hist, when):
     commits = [c for c in hist.store.commits if c.authored_at < when]
     kept = {c.hash for c in commits}
     vectors = {key: v for key, v in hist.store.vectors.items() if key[0] in kept}
-    prs = tuple(p for p in hist.prs.prs if p.opened_at < when)
+    prs = tuple(
+        replace(p, review_comments=tuple(
+            c for c in p.review_comments if c.commented_at < when))
+        for p in hist.prs.prs
+        if p.opened_at < when
+    )
     return History(
         store=KuStore(commits, vectors), prs=PrDataset(hist.prs.project, prs)
     )
@@ -358,12 +378,17 @@ def cut_at(hist, when):
 # Metamorphic as-of check. Reviewers are credited at a PR's opening date
 # (the README's "PRs opened before" convention), so cutting commits and PRs
 # at the opening date removes nothing a recommendation may use.
-@pytest.mark.parametrize("kind", ["kurec", "cf", "rf", "er", "chrev"])
-def test_cutting_history_at_opening_date_keeps_ranking(synthetic_project, kind):
+@pytest.mark.parametrize(
+    "kind,params",
+    [("kurec", {}), ("cf", {}), ("rf", {}), ("rf", {"mode": "comments"}),
+     ("er", {}), ("chrev", {})],
+    ids=["kurec", "cf", "rf", "rf-comments", "er", "chrev"],
+)
+def test_cutting_history_at_opening_date_keeps_ranking(synthetic_project, kind, params):
     hist = synthetic_project["history"]
-    model = make_recommender(kind).fit(hist)
+    model = make_recommender(kind, **params).fit(hist)
     for pr in hist.prs.prs:
-        cut = make_recommender(kind).fit(cut_at(hist, pr.opened_at))
+        cut = make_recommender(kind, **params).fit(cut_at(hist, pr.opened_at))
         assert safe_recommend(cut, pr) == safe_recommend(model, pr), pr.id
 
 

@@ -205,6 +205,9 @@ def _parse_rule(entry: dict, position: int) -> CapabilityRule:
         extra = set(raw) - {"node_kind", "name", "keyword", "import_prefix"}
         if extra:
             raise CatalogError(f"{where}: unknown pattern keys {sorted(extra)}")
+        for key in ("name", "keyword", "import_prefix"):
+            if raw.get(key) is not None and not isinstance(raw[key], str):
+                raise CatalogError(f"{where}: pattern {key} must be a string")
         patterns.append(
             AstPattern(
                 node_kind=str(raw["node_kind"]),
@@ -213,11 +216,14 @@ def _parse_rule(entry: dict, position: int) -> CapabilityRule:
                 import_prefix=raw.get("import_prefix"),
             )
         )
+    enabled = entry.get("enabled", True)
+    if not isinstance(enabled, bool):
+        raise CatalogError(f"{where}: enabled must be true or false")
     return CapabilityRule(
         id=cap,
         description=str(entry.get("description", "")),
         patterns=tuple(patterns),
-        enabled=bool(entry.get("enabled", True)),
+        enabled=enabled,
     )
 
 

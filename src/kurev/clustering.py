@@ -59,6 +59,20 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return ((A[:, None, :] - B[None, :, :]) ** 2).sum(-1)
 
 
+# Rows of X per block of the distance matrix: a block's difference tensor
+# holds CHUNK_ROWS·n·d floats, so the build needs O(n²) memory, not O(n²·d).
+CHUNK_ROWS = 64
+
+
+def _distance_matrix(X: np.ndarray) -> np.ndarray:
+    """n×n Euclidean distances, bit-identical to ``sqrt(_sq_dists(X, X))``."""
+    n = X.shape[0]
+    dists = np.empty((n, n))
+    for start in range(0, n, CHUNK_ROWS):
+        dists[start : start + CHUNK_ROWS] = _sq_dists(X[start : start + CHUNK_ROWS], X)
+    return np.sqrt(dists, out=dists)
+
+
 class KMeans:
     """Lloyd's algorithm with seeded k-means++ initialization."""
 
@@ -93,20 +107,28 @@ class KMeans:
         for _ in range(self.max_iter):
             d2 = _sq_dists(X, centers)
             new_labels = d2.argmin(axis=1)
-            # repair empties with the point farthest from its own centroid
-            for c in range(self.n_clusters):
-                if not np.any(new_labels == c):
-                    far = int(d2[np.arange(n), new_labels].argmax())
-                    new_labels[far] = c
-                    centers[c] = X[far]
+            counts = np.bincount(new_labels, minlength=self.n_clusters)
+            if not counts.all():
+                # repair empties in ascending order with the point farthest
+                # from its own centroid; a move that empties a later cluster
+                # gets that cluster repaired too, an earlier one stays empty
+                for c in range(self.n_clusters):
+                    if counts[c] == 0:
+                        far = int(d2[np.arange(n), new_labels].argmax())
+                        counts[new_labels[far]] -= 1
+                        counts[c] = 1
+                        new_labels[far] = c
+                        centers[c] = X[far]
             inertia = float(((X - centers[new_labels]) ** 2).sum())
             self.inertia_history_.append(inertia)
             converged = np.array_equal(new_labels, labels) and len(
                 self.inertia_history_
             ) > 1
             labels = new_labels
-            for c in range(self.n_clusters):
-                members = X[labels == c]
+            # each block of X sorted stably by label is the contiguous array
+            # X[labels == c], so its mean has the same bits
+            grouped = X[np.argsort(labels, kind="stable")]
+            for c, members in enumerate(np.split(grouped, np.cumsum(counts)[:-1])):
                 if len(members):
                     centers[c] = members.mean(axis=0)
             if converged:
@@ -117,19 +139,26 @@ class KMeans:
         return self
 
 
-def median_silhouette(data, labels) -> float:
-    """Median over points of (b−a)/max(a,b); singleton points score 0."""
+def median_silhouette(data, labels, dists=None) -> float:
+    """Median over points of (b−a)/max(a,b); singleton points score 0.
+
+    ``dists`` is the points' n×n distance matrix, as ``select_k`` builds it
+    once for every K; without it the matrix is built here.
+    """
     X = np.asarray(data, dtype=float)
     uniq, own = np.unique(np.asarray(labels), return_inverse=True)
     if len(uniq) < 2:
         raise DegenerateDataError("silhouette undefined for a single cluster")
-    dists = np.sqrt(_sq_dists(X, X))
-    # sums[i, c] adds point i's distances to cluster c; np.compress keeps rows
-    # contiguous, so each sum matches the 1-D sum over the same values
-    sums = np.column_stack(
-        [np.compress(own == c, dists, axis=1).sum(axis=1) for c in range(len(uniq))]
-    )
+    if dists is None:
+        dists = _distance_matrix(X)
     sizes = np.bincount(own)
+    # sums[i, c] adds point i's distances to cluster c over one column block
+    # of the matrix grouped by cluster (index order within a block). Each
+    # block is copied to a contiguous array first: summing a strided view
+    # adds in another order, so the last bit would differ from the 1-D sum.
+    grouped = dists[:, np.argsort(own, kind="stable")]
+    blocks = np.split(grouped, np.cumsum(sizes)[:-1], axis=1)
+    sums = np.column_stack([np.ascontiguousarray(b).sum(axis=1) for b in blocks])
     rows = np.arange(len(X))
     own_size = sizes[own]
     a = sums[rows, own] / np.maximum(own_size - 1, 1)
@@ -168,9 +197,10 @@ def select_k(
         raise DegenerateDataError("need at least 2 points to cluster")
     results: dict[int, KMeans] = {}
     curve: list[tuple[int, float]] = []
+    dists = _distance_matrix(X)
     for k in range(2, upper + 1):
         model = KMeans(k, seed=(seed * 1000003 + k) % 2**32).fit(X)
-        sil = median_silhouette(X, model.labels_)
+        sil = median_silhouette(X, model.labels_, dists)
         results[k] = model
         curve.append((k, sil))
     qualifying = [k for k, sil in curve if sil >= threshold]

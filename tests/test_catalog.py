@@ -118,6 +118,34 @@ rules:
         load_catalog_text(text)
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "{node_kind: statement, name: 1}",
+        "{node_kind: statement, keyword: 5}",
+        "{node_kind: statement, import_prefix: [java.io]}",
+    ],
+)
+def test_non_string_pattern_field_rejected(pattern):
+    text = f"rules:\n  - {{ku: 1, capability: 1, patterns: [{pattern}]}}\n"
+    with pytest.raises(CatalogError, match=r"\[K1,C1\].*must be a string"):
+        load_catalog_text(text)
+
+
+def test_enabled_must_be_a_yaml_bool():
+    catalog = load_catalog()
+    doc_rules = [r.to_dict() for r in catalog.rules]
+    # a rule whose KU keeps another enabled rule, so False alone loads
+    kus = [d["ku"] for d in doc_rules]
+    i = next(i for i in range(1, len(kus)) if kus[i - 1] == kus[i])
+    doc_rules[i]["enabled"] = "false"
+    with pytest.raises(CatalogError, match="enabled must be true or false"):
+        load_catalog_text(yaml.safe_dump({"rules": doc_rules}))
+    doc_rules[i]["enabled"] = False
+    loaded = load_catalog_text(yaml.safe_dump({"rules": doc_rules}))
+    assert loaded.rules[i].enabled is False
+
+
 def test_not_yaml_rejected():
     with pytest.raises(CatalogError):
         load_catalog_text("{rules: [")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kurev.clustering import (
+    CHUNK_ROWS,
     Clustering,
     DegenerateDataError,
     KMeans,
@@ -16,6 +17,7 @@ from kurev.clustering import (
     pca_reduce,
     select_k,
 )
+from kurev.clustering import _distance_matrix
 
 
 def blobs(centers, per=10, spread=0.05, seed=99, dims=None):
@@ -246,6 +248,53 @@ def naive_init_centers(X, n_clusters, rng):
     return np.asarray(centers, dtype=float)
 
 
+def naive_fit(X, n_clusters, seed, max_iter=300):
+    """Lloyd's algorithm with a boolean mask per cluster for both steps.
+
+    Returns (labels, centres, inertia history, inertia, empty-cluster repairs).
+    """
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = KMeans(n_clusters)._init_centers(X, rng)
+    labels = np.zeros(n, dtype=int)
+    history = []
+    repairs = 0
+    for _ in range(max_iter):
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        new_labels = d2.argmin(axis=1)
+        for c in range(n_clusters):
+            if not np.any(new_labels == c):
+                repairs += 1
+                far = int(d2[np.arange(n), new_labels].argmax())
+                new_labels[far] = c
+                centers[c] = X[far]
+        history.append(float(((X - centers[new_labels]) ** 2).sum()))
+        converged = np.array_equal(new_labels, labels) and len(history) > 1
+        labels = new_labels
+        for c in range(n_clusters):
+            members = X[labels == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+        if converged:
+            break
+    inertia = float(((X - centers[labels]) ** 2).sum())
+    return labels, centers, history, inertia, repairs
+
+
+def naive_select_k(X, k_max, threshold, seed):
+    """Per-K naive Lloyd and per-point silhouette; (k, labels, curve)."""
+    fits, curve = {}, []
+    for k in range(2, min(k_max, len(X)) + 1):
+        fits[k] = naive_fit(X, k, (seed * 1000003 + k) % 2**32)[0]
+        curve.append((k, naive_median_silhouette(X, fits[k])))
+    qualifying = [k for k, sil in curve if sil >= threshold]
+    if qualifying:
+        best = max(qualifying)
+    else:
+        best = max(curve, key=lambda pair: (pair[1], -pair[0]))[0]
+    return best, fits[best], curve
+
+
 def naive_diff_values(p_ku, labels):
     X = np.asarray(p_ku, dtype=float)
     labels = np.asarray(labels)
@@ -305,3 +354,84 @@ def test_diff_values_equal_per_column_oracle():
             (r.cluster, r.ku, r.diff_value, r.flagged) for r in diff_values(X, labels)
         ]
         assert got == naive_diff_values(X, labels)
+
+
+def lloyd_cases(count, seed):
+    """Seeded (X, k, max_iter) with d == 1, duplicates, k == n and capped runs."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n = int(rng.integers(2, 41))
+        d = 1 if case % 5 == 0 else int(rng.integers(2, 30))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+        if case % 3 == 0:  # duplicates: k-means++ repeats a point, empties follow
+            X[rng.integers(n, size=n - 1)] = X[0]
+        if case % 4 == 0:
+            X = np.round(X * 3)
+        k = n if case % 7 == 0 else int(rng.integers(1, n + 1))
+        max_iter = 1 + case % 3 if case % 6 == 0 else 300
+        yield X, k, max_iter
+
+
+def test_kmeans_fit_equals_mask_loop_oracle():
+    repairs = capped = full_k = flat = 0
+    for case, (X, k, max_iter) in enumerate(lloyd_cases(300, seed=53)):
+        model = KMeans(k, seed=case, max_iter=max_iter).fit(X)
+        labels, centers, history, inertia, repaired = naive_fit(X, k, case, max_iter)
+        assert np.array_equal(model.labels_, labels)
+        assert np.array_equal(model.cluster_centers_, centers)
+        assert model.inertia_history_ == history
+        assert model.inertia_ == inertia
+        repairs += repaired
+        capped += len(history) == max_iter < 300
+        full_k += k == len(X)
+        flat += X.shape[1] == 1
+    assert repairs and capped and full_k and flat
+
+
+def test_kmeans_repair_that_empties_a_later_cluster_equals_oracle(monkeypatch):
+    # seeds 7, 7, -2, -1 over points 0, 5, -3, -3: in the second iteration
+    # cluster 0 is empty, its repair takes point 0 out of cluster 3, and that
+    # cluster is then repaired with the same point (cluster 0 stays empty)
+    start = np.array([[7.0], [7.0], [-2.0], [-1.0]])
+    monkeypatch.setattr(KMeans, "_init_centers", lambda self, X, rng: start.copy())
+    X = np.array([[0.0], [5.0], [-3.0], [-3.0]])
+    model = KMeans(4).fit(X)
+    labels, centers, history, inertia, repairs = naive_fit(X, 4, 0)
+    assert repairs == 3
+    assert np.array_equal(model.labels_, labels)
+    assert np.array_equal(model.cluster_centers_, centers)
+    assert model.inertia_history_ == history and model.inertia_ == inertia
+
+
+def test_select_k_equals_per_k_oracle():
+    rng = np.random.default_rng(59)
+    cases = [
+        blobs([(0, 0), (10, 0), (0, 10)], per=8, spread=0.1, seed=13),
+        blobs([(0,), (5,), (9,)], per=6, spread=0.3, seed=3),
+        np.round(rng.uniform(size=(30, 4)) * 3),
+        rng.standard_normal((CHUNK_ROWS + 3, 5)),
+    ]
+    for X in cases:
+        for seed, k_max, threshold in [(0, 8, 0.90), (2, 12, 0.5)]:
+            result = select_k(X, k_max=k_max, threshold=threshold, seed=seed)
+            k, labels, curve = naive_select_k(X, k_max, threshold, seed)
+            assert result.curve == curve
+            assert result.k == k
+            assert np.array_equal(result.labels, labels)
+            assert result.median_silhouette == dict(curve)[k]
+
+
+def test_median_silhouette_with_precomputed_matrix_equals_without():
+    for X, labels in random_cases(100, seed=61):
+        assert median_silhouette(X, labels, _distance_matrix(X)) == median_silhouette(
+            X, labels
+        )
+
+
+def test_chunked_distance_matrix_equals_full_broadcast():
+    rng = np.random.default_rng(67)
+    for n in (1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1):
+        for d in (1, 7, 29):
+            X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+            full = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+            assert np.array_equal(_distance_matrix(X), full)

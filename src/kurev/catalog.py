@@ -135,8 +135,9 @@ class CapabilityRule:
         }
 
 
-# (rule id, keywords, import prefix): one enabled pattern, ready to match.
-PatternEntry = tuple[CapabilityId, frozenset[str], str | None]
+# (rule position, keywords, import prefix): one enabled pattern, ready to
+# match. The position indexes ``enabled_rules()``.
+PatternEntry = tuple[int, frozenset[str], str | None]
 
 
 @dataclass(frozen=True)
@@ -161,18 +162,24 @@ class CapabilityCatalog:
     def patterns_by_key(self) -> dict[tuple[str, str | None], tuple[PatternEntry, ...]]:
         """Enabled patterns by (node kind, name), in catalog order.
 
-        Each entry is (rule id, keywords, import prefix). A pattern with no
-        name is filed under ``None`` and applies to every event of its kind;
-        ``keyword`` is split into a set of words here and nowhere else.
+        Each entry is (rule position in :meth:`enabled_rules`, keywords,
+        import prefix). A pattern with no name is filed under ``None`` and
+        applies to every event of its kind; ``keyword`` is split into a set
+        of words here and nowhere else.
         """
         table: dict[tuple[str, str | None], list[PatternEntry]] = {}
-        for rule in self.enabled_rules():
+        for position, rule in enumerate(self.enabled_rules()):
             for p in rule.patterns:
                 keywords = frozenset((p.keyword or "").split())
                 table.setdefault((p.node_kind, p.name), []).append(
-                    (rule.id, keywords, p.import_prefix)
+                    (position, keywords, p.import_prefix)
                 )
         return {key: tuple(entries) for key, entries in table.items()}
+
+    @functools.cached_property
+    def ku_slots(self) -> tuple[int, ...]:
+        """0-based KU index of each enabled rule, by rule position."""
+        return tuple(rule.id.ku.index - 1 for rule in self.enabled_rules())
 
     def validate(self) -> None:
         seen: set[CapabilityId] = set()

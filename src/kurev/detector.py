@@ -9,7 +9,9 @@ once, and a KU count is the sum of its capability counts.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import (
     KU_COUNT,
@@ -50,33 +52,32 @@ _MEMBER_KINDS = _TYPE_DECLS | frozenset(
 
 # Node kinds that always emit one event: kind -> (category, keywords).
 _SIMPLE_EVENTS = {
-    "if_statement": ("statement", ("if",)),
-    "switch_statement": ("statement", ("switch",)),
-    "while_statement": ("statement", ("while",)),
-    "do_statement": ("statement", ("do_while",)),
-    "for_statement": ("statement", ("for",)),
-    "enhanced_for_statement": ("statement", ("enhanced_for",)),
-    "break_statement": ("statement", ("break",)),
-    "continue_statement": ("statement", ("continue",)),
-    "throw_statement": ("statement", ("throw",)),
-    "assert_statement": ("statement", ("assert",)),
-    "synchronized_statement": ("statement", ("synchronized",)),
-    "finally_clause": ("statement", ("finally",)),
-    "assignment_expression": ("expression", ("assignment",)),
-    "unary_expression": ("expression", ("unary",)),
-    "ternary_expression": ("expression", ("ternary",)),
-    "instanceof_expression": ("expression", ("instanceof",)),
-    "lambda_expression": ("expression", ("lambda",)),
-    "array_access": ("expression", ("array_access",)),
-    "array_initializer": ("expression", ("array_initializer",)),
-    "super_expression": ("expression", ("super",)),
+    "if_statement": ("statement", frozenset(["if"])),
+    "switch_statement": ("statement", frozenset(["switch"])),
+    "while_statement": ("statement", frozenset(["while"])),
+    "do_statement": ("statement", frozenset(["do_while"])),
+    "for_statement": ("statement", frozenset(["for"])),
+    "enhanced_for_statement": ("statement", frozenset(["enhanced_for"])),
+    "break_statement": ("statement", frozenset(["break"])),
+    "continue_statement": ("statement", frozenset(["continue"])),
+    "throw_statement": ("statement", frozenset(["throw"])),
+    "assert_statement": ("statement", frozenset(["assert"])),
+    "synchronized_statement": ("statement", frozenset(["synchronized"])),
+    "finally_clause": ("statement", frozenset(["finally"])),
+    "assignment_expression": ("expression", frozenset(["assignment"])),
+    "unary_expression": ("expression", frozenset(["unary"])),
+    "ternary_expression": ("expression", frozenset(["ternary"])),
+    "instanceof_expression": ("expression", frozenset(["instanceof"])),
+    "lambda_expression": ("expression", frozenset(["lambda"])),
+    "array_access": ("expression", frozenset(["array_access"])),
+    "array_initializer": ("expression", frozenset(["array_initializer"])),
+    "super_expression": ("expression", frozenset(["super"])),
 }
 
 _EXCEPTION_SUFFIXES = ("Exception", "Error", "Throwable")
 
 
-@dataclass(frozen=True)
-class _Event:
+class _Event(NamedTuple):
     category: str  # one of catalog.NODE_KINDS
     node_id: int
     keywords: frozenset[str] = frozenset()
@@ -413,6 +414,33 @@ class _Collector:
             self.emit("type", node, name=use[0], qualified=use[1])
 
 
+def _matched_nodes(source: str, catalog: CapabilityCatalog) -> dict[int, set[int]]:
+    """Ids of the nodes each enabled rule matched, keyed by the rule's
+    position in ``catalog.enabled_rules()``; rules that matched no node
+    are absent.
+
+    Raises :class:`ParseError` for binary content and for nesting too deep
+    to parse or traverse.
+    """
+    collector = _Collector()
+    try:
+        collector.run(parse_java(source))
+    except RecursionError:
+        raise ParseError("nesting too deep") from None
+    consistent = collector.imports.consistent
+    table = catalog.patterns_by_key
+    matched: defaultdict[int, set[int]] = defaultdict(set)
+    for event in collector.events:
+        names = (None,) if event.name is None else (None, event.name)
+        for name in names:
+            for position, keywords, prefix in table.get((event.category, name), ()):
+                if keywords <= event.keywords and (
+                    prefix is None or consistent(event.name, event.qualified, prefix)
+                ):
+                    matched[position].add(event.node_id)
+    return matched
+
+
 def detect_capabilities(
     source: str, catalog: CapabilityCatalog | None = None
 ) -> dict[CapabilityId, int]:
@@ -425,23 +453,11 @@ def detect_capabilities(
     """
     if catalog is None:
         catalog = load_catalog()
-    collector = _Collector()
-    try:
-        collector.run(parse_java(source))
-    except RecursionError:
-        raise ParseError("nesting too deep") from None
-    imports = collector.imports
-    table = catalog.patterns_by_key
-    matched: dict[CapabilityId, set[int]] = {r.id: set() for r in catalog.enabled_rules()}
-    for event in collector.events:
-        names = (None,) if event.name is None else (None, event.name)
-        for name in names:
-            for rule_id, keywords, prefix in table.get((event.category, name), ()):
-                if keywords <= event.keywords and (
-                    prefix is None or imports.consistent(event.name, event.qualified, prefix)
-                ):
-                    matched[rule_id].add(event.node_id)
-    return {rule_id: len(nodes) for rule_id, nodes in matched.items()}
+    matched = _matched_nodes(source, catalog)
+    return {
+        rule.id: len(matched.get(position, ()))
+        for position, rule in enumerate(catalog.enabled_rules())
+    }
 
 
 def ku_vector_from_hits(hits: dict[CapabilityId, int]) -> list[int]:
@@ -453,5 +469,14 @@ def ku_vector_from_hits(hits: dict[CapabilityId, int]) -> list[int]:
 
 
 def detect_kus(source: str, catalog: CapabilityCatalog | None = None) -> list[int]:
-    """KU vector (28 non-negative counts) for one Java source file."""
-    return ku_vector_from_hits(detect_capabilities(source, catalog))
+    """KU vector (28 non-negative counts) for one Java source file.
+
+    Equals ``ku_vector_from_hits(detect_capabilities(source, catalog))``.
+    """
+    if catalog is None:
+        catalog = load_catalog()
+    vector = [0] * KU_COUNT
+    slots = catalog.ku_slots
+    for position, nodes in _matched_nodes(source, catalog).items():
+        vector[slots[position]] += len(nodes)
+    return vector

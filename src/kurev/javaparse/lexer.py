@@ -6,7 +6,7 @@ tokenizer never fails on valid UTF-8 input: unknown characters become
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 KEYWORDS = frozenset(
     """
@@ -35,12 +35,14 @@ OPERATORS = sorted(
 # literals to the end of the line; in a literal a backslash takes the next
 # character with it. `\w` is str.isalnum() plus "_" and `\d` a decimal
 # digit (category Nd), so a word starts with any `\w` but a decimal digit.
+# A sign belongs to a number only after its exponent letter: `p`/`P` in a
+# hex literal (where `e`/`E` is a digit), `e`/`E` in any other.
 _TOKEN = re.compile(
     r"""
       (?P<skip>    \s+ | //[^\n]* | /\*.*?(?:\*/|\Z) )
     | (?P<string>  \"\"\".*?(?:\"\"\"|\Z) | "(?:[^"\\\n]|\\.?)*"? )
     | (?P<char>    '(?:[^'\\\n]|\\.?)*'? )
-    | (?P<number>  \.?\d (?:[\w.]|(?<=[eEpP])[+-])* )
+    | (?P<number>  0[xX] (?:[\w.]|(?<=[pP])[+-])* | \.?\d (?:[\w.]|(?<=[eE])[+-])* )
     | (?P<word>    (?:[^\W\d]|\$)[\w$]* )
     | (?P<op>      """
     + "|".join(map(re.escape, OPERATORS))
@@ -52,8 +54,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # identifier | keyword | number | string | char | op | punct | error | eof
     text: str
     offset: int
@@ -62,18 +63,26 @@ class Token:
         return self.kind == "keyword" and self.text == word
 
 
+# Builds a Token from a (kind, text, offset) tuple without the Python-level
+# frame of Token.__new__; the lexer makes one per token.
+_new_token = tuple.__new__
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
     for match in _TOKEN.finditer(source):
-        kind, text, offset = match.lastgroup, match.group(), match.start()
+        kind = match.lastgroup
         if kind == "skip":
             continue
+        text = match.group()
         if kind == "word":
             kind = "keyword" if text in KEYWORDS else "identifier"
-        elif kind == "number" and text.endswith("."):
+        elif kind == "number" and text[-1] == ".":
             # A trailing '.' starts member access, not part of the literal.
-            tokens.append(Token(kind, text[:-1], offset))
-            kind, text, offset = "punct", ".", match.end() - 1
-        tokens.append(Token(kind, text, offset))
-    tokens.append(Token("eof", "", len(source)))
+            append(_new_token(Token, (kind, text[:-1], match.start())))
+            append(_new_token(Token, ("punct", ".", match.end() - 1)))
+            continue
+        append(_new_token(Token, (kind, text, match.start())))
+    append(Token("eof", "", len(source)))
     return tokens

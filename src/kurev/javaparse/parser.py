@@ -35,6 +35,10 @@ BINARY_LEVELS = [
     ("<", ">", "<=", ">=", "instanceof"), ("<<", ">>", ">>>"),
     ("+", "-"), ("*", "/", "%"),
 ]
+# Operator text -> its index in BINARY_LEVELS. The lexer gives these texts
+# only to `op` tokens and `instanceof` only to a keyword, so the text alone
+# identifies a binary operator.
+_BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 
 
 def parse_java(source: str) -> Node:
@@ -52,35 +56,40 @@ def parse_java(source: str) -> Node:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+        # Two more copies of the final eof token: no lookahead goes past
+        # tok(2), and the position never moves past the first eof, so every
+        # index below is in range without a bounds test.
+        self.toks = tokens + tokens[-1:] * 2
         self.pos = 0
 
     # --- token helpers -------------------------------------------------
 
     def tok(self, ahead: int = 0) -> Token:
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else self.toks[-1]
+        return self.toks[self.pos + ahead]
 
     def at(self, text: str) -> bool:
-        return self.tok().text == text and self.tok().kind != "eof"
+        t = self.toks[self.pos]
+        return t.text == text and t.kind != "eof"
 
     def at_kw(self, word: str) -> bool:
-        return self.tok().is_kw(word)
+        t = self.toks[self.pos]
+        return t.text == word and t.kind == "keyword"
 
     def eat(self) -> Token:
-        t = self.tok()
+        t = self.toks[self.pos]
         if t.kind != "eof":
             self.pos += 1
         return t
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        t = self.toks[self.pos]
+        if t.text == text and t.kind != "eof":
             self.pos += 1
             return True
         return False
 
     def eof(self) -> bool:
-        return self.tok().kind == "eof"
+        return self.toks[self.pos].kind == "eof"
 
     # --- error recovery -------------------------------------------------
 
@@ -865,21 +874,19 @@ class _Parser:
     # --- expressions -----------------------------------------------------------
 
     def parse_expression(self) -> Node:
-        return self._parse_assignment()
-
-    def _parse_assignment(self) -> Node:
+        """An expression, assignments included (right-associative)."""
         lhs = self._parse_ternary()
-        t = self.tok()
+        t = self.toks[self.pos]
         if t.kind == "op" and t.text in ASSIGN_OPS:
-            self.eat()
+            self.pos += 1
             node = Node("assignment_expression", t.offset, {"op": t.text})
             node.children.append(lhs)
-            node.children.append(self._parse_assignment())
+            node.children.append(self.parse_expression())
             return node
         return lhs
 
     def _parse_ternary(self) -> Node:
-        cond = self._parse_binary(0)
+        cond = self._parse_binary()
         if self.at("?") and self.tok().kind == "op":
             off = self.eat().offset
             node = Node("ternary_expression", off)
@@ -890,32 +897,36 @@ class _Parser:
             return node
         return cond
 
-    def _parse_binary(self, level: int) -> Node:
-        if level >= len(BINARY_LEVELS):
-            return self._parse_unary()
-        ops = BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
+    def _parse_binary(self, min_level: int = 0) -> Node:
+        """Binary and instanceof expressions with operators of level
+        ``min_level`` or tighter, by precedence climbing.
+
+        Every operator's right operand holds only tighter operators, so
+        each level associates to the left. After an ``instanceof``, which
+        has a type and no right operand, no tighter operator may follow.
+        """
+        left = self._parse_unary()
+        max_level = len(BINARY_LEVELS) - 1
         while True:
-            t = self.tok()
-            if t.is_kw("instanceof") and "instanceof" in ops:
-                self.eat()
+            t = self.toks[self.pos]
+            level = _BINARY_LEVEL.get(t.text)
+            if level is None or level < min_level or level > max_level:
+                return left
+            self.pos += 1
+            if t.text == "instanceof":
                 node = Node("instanceof_expression", t.offset)
                 node.children.append(left)
                 itype = self._parse_type()
                 if itype is not None:
                     node.children.append(itype)
-                    if self.tok().kind == "identifier":  # pattern binding
-                        self.eat()
-                left = node
-                continue
-            if t.kind == "op" and t.text in ops and t.text != "instanceof":
-                self.eat()
+                    if self.toks[self.pos].kind == "identifier":  # pattern binding
+                        self.pos += 1
+            else:
                 node = Node("binary_expression", t.offset, {"op": t.text})
                 node.children.append(left)
                 node.children.append(self._parse_binary(level + 1))
-                left = node
-                continue
-            return left
+            left = node
+            max_level = level
 
     def _parse_unary(self) -> Node:
         t = self.tok()
@@ -1087,11 +1098,10 @@ class _Parser:
         return Node("error", off)
 
     def _try_lambda(self) -> Node | None:
-        mark = self.pos
         depth = 0
         i = self.pos
         budget = 512
-        while i < len(self.toks) and budget:
+        while budget:
             budget -= 1
             text = self.toks[i].text
             if text == "(":
@@ -1103,7 +1113,7 @@ class _Parser:
             elif text in (";", "{", "}") or self.toks[i].kind == "eof":
                 return None
             i += 1
-        if depth != 0 or i + 1 >= len(self.toks) or self.toks[i + 1].text != "->":
+        if depth != 0 or self.toks[i + 1].text != "->":
             return None
         off = self.tok().offset
         nparams = 0

@@ -7,7 +7,11 @@ metrics into absent ones, so every hook must resolve at every commit.
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
+
+from kurev import detector, mining
+from kurev.javaparse import parser
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +39,43 @@ def test_every_benchmark_hook_resolves():
     tracer.install(tracing.HOOKS)
     tracer.uninstall()
     assert tracer.missing == []
+
+
+def test_hooked_names_see_one_call_per_missed_blob(scratch_repo, monkeypatch, tmp_path):
+    # The hooks replace module attributes; a caller that bound one of these
+    # names elsewhere (a default argument, a local alias) would bypass the
+    # wrapper and the javaparse.* and detector.* metrics would read zero.
+    calls: Counter = Counter()
+
+    def count_calls(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count_calls(parser, "tokenize")
+    count_calls(detector, "parse_java")
+    count_calls(mining, "detect_kus")
+
+    repo = scratch_repo
+    repo.write("a.java", "class A { void f() { for (;;) {} } }\n")
+    repo.write("b.java", "class B { int[] xs = new int[2]; }\n")
+    repo.commit("add a and b")
+    repo.write("a.java", "class A { void f() { while (true) {} } }\n")
+    repo.delete("b.java")
+    repo.commit("change a, delete b")
+    repo.write("b.java", "class B { int[] xs = new int[2]; }\n")
+    repo.commit("restore b")  # the same blob as before: a cache hit
+
+    cache = tmp_path / "cache.jsonl"
+    store = mining.build_ku_store(repo.root, cache_path=cache)
+    blobs = {b for c in store.commits for b in c.blob_ids if b.strip("0")}
+    assert len(blobs) == 3 and len(store.vectors) == 5
+    assert calls == {"tokenize": 3, "parse_java": 3, "detect_kus": 3}
+
+    calls.clear()
+    mining.build_ku_store(repo.root, cache_path=cache)  # every blob now hits
+    assert calls == Counter()

@@ -201,8 +201,18 @@ def test_deep_nesting_gives_vector_or_parse_error(name):
 
 
 def test_deep_nesting_is_reported_as_parse_error():
-    with pytest.raises(ParseError, match="nesting too deep"):
-        detect_capabilities(DEEP_INPUTS["parens"], CATALOG)
+    for name in sorted(DEEP_INPUTS):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            detect_capabilities(DEEP_INPUTS[name], CATALOG)
+
+
+def test_hundred_nested_calls_give_a_vector():
+    # A binary expression costs one frame per operator, not one per
+    # precedence level, so this nesting stays within the recursion limit.
+    src = "class C { int x = " + "f(" * 100 + "1" + ")" * 100 + "; }"
+    vec = detect_kus(src, CATALOG)
+    assert len(vec) == 28 and all(isinstance(n, int) and n >= 0 for n in vec)
+    assert vec == detect_kus("class C { int x = f(1); }", CATALOG)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,11 +1,14 @@
 """Parser behaviour: shape of trees, error recovery, hard syntax."""
 
+import random
+
 import pytest
 
 from kurev.errors import ParseError
 from kurev.javaparse import parse_java
 from kurev.javaparse.lexer import KEYWORDS, tokenize
-from kurev.javaparse.parser import _Parser
+from kurev.javaparse.nodes import Node
+from kurev.javaparse.parser import BINARY_LEVELS, _Parser
 
 
 def kinds(tree):
@@ -235,6 +238,11 @@ LEXER_CASES = [
     (".5", [("number", ".5", 0)]),
     ("1e+5", [("number", "1e+5", 0)]),
     ("0x1P-3", [("number", "0x1P-3", 0)]),
+    ("0x1p-3", [("number", "0x1p-3", 0)]),
+    ("1E-3f", [("number", "1E-3f", 0)]),
+    # In a hex literal e/E is a digit, not an exponent: it takes no sign.
+    ("0xE+1", [("number", "0xE", 0), ("op", "+", 3), ("number", "1", 4)]),
+    ("0XFE-x", [("number", "0XFE", 0), ("op", "-", 4), ("identifier", "x", 5)]),
     ("a>>>=b", [("identifier", "a", 0), ("op", ">>>=", 1), ("identifier", "b", 5)]),
     ("a...b", [("identifier", "a", 0), ("op", "...", 1), ("identifier", "b", 4)]),
     ("A::b", [("identifier", "A", 0), ("op", "::", 1), ("identifier", "b", 3)]),
@@ -287,3 +295,92 @@ def test_expression_statement_missing_semicolon_recovers(start):
     tree = parse_java(f"class A {{ void m() {{ {start} = 1 String y; }} }}")
     assert not tree.find_all("local_variable_declaration")
     assert tree.find_all("error")
+
+
+# --- binary expressions: the level-by-level descent, kept as the reference --
+
+
+class _LevelParser(_Parser):
+    """The parser with binary expressions parsed one precedence level per
+    call, operators of one level in a left-associative loop."""
+
+    def _parse_binary(self, level: int = 0) -> Node:
+        if level >= len(BINARY_LEVELS):
+            return self._parse_unary()
+        ops = BINARY_LEVELS[level]
+        left = self._parse_binary(level + 1)
+        while True:
+            t = self.tok()
+            if t.is_kw("instanceof") and "instanceof" in ops:
+                self.eat()
+                node = Node("instanceof_expression", t.offset)
+                node.children.append(left)
+                itype = self._parse_type()
+                if itype is not None:
+                    node.children.append(itype)
+                    if self.tok().kind == "identifier":  # pattern binding
+                        self.eat()
+                left = node
+                continue
+            if t.kind == "op" and t.text in ops and t.text != "instanceof":
+                self.eat()
+                node = Node("binary_expression", t.offset, {"op": t.text})
+                node.children.append(left)
+                node.children.append(self._parse_binary(level + 1))
+                left = node
+                continue
+            return left
+
+
+BINARY_OPS = [op for ops in BINARY_LEVELS for op in ops if op != "instanceof"]
+INSTANCEOF = ["instanceof T", "instanceof T t", "instanceof List<String> l",
+              "instanceof int[]", "instanceof Map<K, List<V>>"]
+ATOMS = ["a", "b1", "2", "0x1F", '"s"', "'c'", "f(a < b, c > d)", "x.y", "arr[i]",
+         "this", "List.<T>of()", "new A()", "(int) x", "(String) y", "(List<T>) z",
+         "(a)", "-a", "!b", "~c", "++d", "e--", "(T & U) v"]
+
+
+def _chain(rng: random.Random, depth: int = 0) -> str:
+    """A random expression mixing every binary level, instanceof with and
+    without a binding, ternaries, casts, prefix unary and generic angles."""
+    parts = [_operand(rng, depth)]
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.15:
+            parts.append(rng.choice(INSTANCEOF))
+        else:
+            parts.append(rng.choice(BINARY_OPS))
+            parts.append(_operand(rng, depth))
+    expr = " ".join(parts)
+    if depth < 2 and rng.random() < 0.2:
+        expr = f"{expr} ? {_chain(rng, depth + 1)} : {_chain(rng, depth + 1)}"
+    return expr
+
+
+def _operand(rng: random.Random, depth: int) -> str:
+    roll = rng.random()
+    if depth < 2 and roll < 0.1:
+        return f"({_chain(rng, depth + 1)})"
+    if depth < 2 and roll < 0.15:
+        return f"({rng.choice(['int', 'String', 'List<T>'])}) {_operand(rng, depth + 1)}"
+    if roll < 0.25:
+        return rng.choice(["-", "!", "~", "+", "--"]) + _operand(rng, depth)
+    return rng.choice(ATOMS)
+
+
+# Cases the random chains may miss: one level repeated, every level in
+# both orders, tighter operators after an instanceof.
+HAND_CHAINS = [
+    "a - b - c", "a * b + c * d - e", "a || b && c | d ^ e & f == g < h << i + j * k",
+    "k * j + i << h < g == f & e ^ d | c && b || a",
+    "x instanceof T + y", "x instanceof T t * y", "x instanceof T < y instanceof U",
+    "a < b > c", "(a) + b", "-a * -b", "a ? b : c ? d : e",
+]
+
+
+def test_binary_chains_equal_level_by_level_descent():
+    rng = random.Random(9)
+    for expr in HAND_CHAINS + [_chain(rng) for _ in range(1500)]:
+        src = f"class C {{ void m() {{ Object r = {expr}; g({expr}, {expr}); {expr}; }} }}"
+        climbing = _Parser(tokenize(src)).parse_compilation_unit()
+        levels = _LevelParser(tokenize(src)).parse_compilation_unit()
+        assert climbing == levels, expr

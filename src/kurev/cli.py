@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from .adaptive import VARIANTS, AdaptiveRecommender, safe_recommend
+from .adaptive import AdaptiveRecommender, safe_recommend
 from .catalog import load_catalog
 from .detector import detect_capabilities, ku_vector_from_hits
 from .errors import KurevError
@@ -37,6 +37,21 @@ from .recommenders import KIND_ORDER, RF_MODES, History, make_recommender
 from .util import parse_rfc3339
 
 log = logging.getLogger(__name__)
+
+# options shared by the commands that read a mined store and a PR export
+store_option = click.option(
+    "--store", "store_dir", required=True,
+    type=click.Path(exists=True, file_okay=False, path_type=Path))
+prs_option = click.option(
+    "--prs", "prs_path", required=True,
+    type=click.Path(exists=True, dir_okay=False, path_type=Path))
+rf_mode_option = click.option(
+    "--rf-mode", default="prs", type=click.Choice(RF_MODES), show_default=True)
+
+
+def _load(store_dir: Path, prs_path: Path) -> History:
+    """The history of a mined store and of the PRs that ``filter_prs`` keeps."""
+    return History(store=KuStore.load(store_dir), prs=filter_prs(load_prs(prs_path))[0])
 
 
 @click.group()
@@ -129,10 +144,8 @@ def split(path: Path, out_train: Path, out_test: Path, train_fraction: float) ->
 
 
 @cli.command()
-@click.option("--store", "store_dir", required=True,
-              type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--prs", "prs_path", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@store_option
+@prs_option
 @click.option("--cutoff", required=True, help="RFC-3339 UTC timestamp.")
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
@@ -140,11 +153,10 @@ def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
 
     The review side counts the PRs that ``filter_prs`` keeps, as KUREC does.
     """
-    store = KuStore.load(store_dir)
-    dataset, _ = filter_prs(load_prs(prs_path))
-    when = parse_rfc3339(cutoff)
+    history = _load(store_dir, prs_path)
+    store, when = history.store, parse_rfc3339(cutoff)
     dev = dev_exp_matrix(store, when)
-    rev = rev_exp_matrix(dataset, store, when)
+    rev = rev_exp_matrix(history.prs, store, when)
     save_matrix(dev, out / "dev.tsv")
     save_matrix(rev, out / "rev.tsv")
     save_last_touch(dev, out / "dev_last_touch.jsonl")
@@ -154,10 +166,8 @@ def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
 
 
 @cli.command()
-@click.option("--store", "store_dir", required=True,
-              type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--prs", "prs_path", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@store_option
+@prs_option
 @click.option("--pr", "pr_id", required=True, type=int)
 @click.option("--which", default="kurec", show_default=True,
               type=click.Choice(ALL_KINDS))
@@ -165,31 +175,23 @@ def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
 @click.option("--seed", default=0, show_default=True)
 @click.option("--train-fraction", default=0.8, show_default=True,
               help="Split used to replay adaptive recommenders.")
-@click.option("--rf-mode", default="prs", type=click.Choice(RF_MODES), show_default=True)
+@rf_mode_option
 def recommend(
-    store_dir: Path,
-    prs_path: Path,
-    pr_id: int,
-    which: str,
-    top: int,
-    seed: int,
-    train_fraction: float,
-    rf_mode: str,
+    store_dir: Path, prs_path: Path, pr_id: int, which: str, top: int, seed: int,
+    train_fraction: float, rf_mode: str,
 ) -> None:
     """Rank reviewer candidates for one PR."""
-    store = KuStore.load(store_dir)
-    filtered, _ = filter_prs(load_prs(prs_path))
-    by_id = {pr.id: pr for pr in filtered.prs}
+    history = _load(store_dir, prs_path)
+    by_id = {pr.id: pr for pr in history.prs.prs}
     if pr_id not in by_id:
         raise KurevError(f"PR {pr_id} not in the filtered dataset")
-    history = History(store=store, prs=filtered)
 
     if which in KIND_ORDER:
         params = {"mode": rf_mode} if which == "rf" else {}
         model = make_recommender(which, **params).fit(history)
         rec = safe_recommend(model, by_id[pr_id])
     else:
-        _, test = chronological_split(filtered, train_fraction)
+        _, test = chronological_split(history.prs, train_fraction)
         prefix = [pr for pr in test.prs if pr.id == pr_id or pr.opened_at
                   <= by_id[pr_id].opened_at]
         if pr_id not in {pr.id for pr in prefix}:
@@ -208,35 +210,25 @@ def recommend(
 
 
 @cli.command()
-@click.option("--store", "store_dir", required=True,
-              type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--prs", "prs_path", required=True,
-              type=click.Path(exists=True, dir_okay=False, path_type=Path))
+@store_option
+@prs_option
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--train-fraction", default=0.8, show_default=True)
-@click.option("--rf-mode", default="prs", type=click.Choice(RF_MODES), show_default=True)
+@rf_mode_option
 def evaluate(
-    store_dir: Path,
-    prs_path: Path,
-    out: Path,
-    seed: int,
-    train_fraction: float,
-    rf_mode: str,
+    store_dir: Path, prs_path: Path, out: Path, seed: int, train_fraction: float, rf_mode: str
 ) -> None:
     """Evaluate all eight recommenders on the chronological test split."""
-    store = KuStore.load(store_dir)
-    filtered, _ = filter_prs(load_prs(prs_path))
-    _, test = chronological_split(filtered, train_fraction)
-    history = History(store=store, prs=filtered)
+    history = _load(store_dir, prs_path)
+    _, test = chronological_split(history.prs, train_fraction)
     report = evaluate_project(history, test, seed=seed, rf_mode=rf_mode)
     report.save(out)
     click.echo(f"report for {len(test.prs)} test PRs → {out}")
 
 
 @cli.command()
-@click.option("--store", "store_dir", required=True,
-              type=click.Path(exists=True, file_okay=False, path_type=Path))
+@store_option
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--k-max", default=100, show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -259,16 +251,10 @@ def main(argv: list[str] | None = None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:  # --help and friends
         return int(exc.exit_code)
-    except click.UsageError as exc:
+    except click.ClickException as exc:  # usage errors included
         exc.show(file=sys.stderr)
         return 1
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        return 1
-    except KurevError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (KurevError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - safety net

@@ -75,14 +75,6 @@ def _git(repo_path: str | Path, *args: str) -> bytes:
     return proc.stdout
 
 
-def _is_repo(repo_path: str | Path) -> bool:
-    try:
-        _git(repo_path, "rev-parse", "--git-dir")
-        return True
-    except (RepositoryError, OSError):
-        return False
-
-
 def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[CommitRecord]:
     """One record per commit on HEAD's history, oldest first.
 
@@ -91,13 +83,6 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
     new content. ``all_commits`` walks the full DAG instead of the
     first-parent chain.
     """
-    if not _is_repo(repo_path):
-        raise RepositoryError(f"not a git repository: {repo_path}")
-    try:
-        _git(repo_path, "rev-parse", "HEAD")
-    except RepositoryError:
-        return []  # empty repository
-
     fmt = _REC_SEP + _FIELD_SEP.join(["%H", "%an", "%ae", "%aI"])
     # -z: paths unquoted and NUL-terminated. Each commit is its header,
     # NUL, then per changed file (first-parent diff, renames off):
@@ -108,7 +93,18 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
     ]
     if not all_commits:
         args.insert(2, "--first-parent")
-    out = _git(repo_path, *args)
+    try:
+        out = _git(repo_path, *args)
+    except (RepositoryError, OSError):  # probe for the cause only on failure
+        try:
+            _git(repo_path, "rev-parse", "--git-dir")
+        except (RepositoryError, OSError):
+            raise RepositoryError(f"not a git repository: {repo_path}") from None
+        try:
+            _git(repo_path, "rev-parse", "HEAD")
+        except RepositoryError:
+            return []  # empty repository
+        raise
 
     records: list[CommitRecord] = []
     skipped = 0
@@ -182,6 +178,8 @@ class KuStore:
     was unparseable or absent (deleted file).
     """
 
+    FILES = COMMITS, FILE_KUS, INDEX = ("commits.jsonl", "file_kus.jsonl", "index.json")
+
     def __init__(
         self,
         commits: list[CommitRecord],
@@ -193,9 +191,6 @@ class KuStore:
     def vector(self, commit: str, path: str) -> list[int] | None:
         return self.vectors.get((commit, path))
 
-    def developers(self) -> list[str]:
-        return sorted({c.author for c in self.commits})
-
     def validate(self) -> None:
         allowed = {
             (c.hash, p) for c in self.commits for p in c.changed_java_files
@@ -206,9 +201,9 @@ class KuStore:
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
-        write_jsonl(out / "commits.jsonl", (c.to_dict() for c in self.commits))
+        write_jsonl(out / self.COMMITS, (c.to_dict() for c in self.commits))
         write_jsonl(
-            out / "file_kus.jsonl",
+            out / self.FILE_KUS,
             (
                 {"commit": h, "path": p, "vector": v}
                 for (h, p), v in sorted(self.vectors.items())
@@ -219,15 +214,15 @@ class KuStore:
             "file_records": len(self.vectors),
             "format": 1,
         }
-        write_text(out / "index.json", dump_json_line(index) + "\n")
+        write_text(out / self.INDEX, dump_json_line(index) + "\n")
 
     @classmethod
     def load(cls, in_dir: str | Path) -> "KuStore":
         src = Path(in_dir)
-        commits = [CommitRecord.from_dict(d) for d in read_jsonl(src / "commits.jsonl")]
+        commits = [CommitRecord.from_dict(d) for d in read_jsonl(src / cls.COMMITS)]
         vectors = {
             (d["commit"], d["path"]): d["vector"]
-            for d in read_jsonl(src / "file_kus.jsonl")
+            for d in read_jsonl(src / cls.FILE_KUS)
         }
         return cls(commits, vectors)
 
@@ -238,6 +233,8 @@ class _VectorCache:
     A git blob id is a hash of the file's content, so a hit needs no read.
     Records without a ``blob`` key (the earlier format, keyed by a sha256
     of the content) are ignored: their contents are detected again.
+    An unparseable (None) verdict is never written and reads as a miss: it
+    can depend on the caller's stack depth, so each run detects it again.
     """
 
     def __init__(self, path: Path | None, catalog_hash: str):
@@ -249,7 +246,8 @@ class _VectorCache:
             try:
                 for rec in read_jsonl(path):
                     if rec["catalog"] == catalog_hash and "blob" in rec:
-                        self.entries[rec["blob"]] = rec["vector"]
+                        if rec["vector"] is not None:
+                            self.entries[rec["blob"]] = rec["vector"]
             except (ValueError, KeyError, TypeError):
                 log.warning("corrupt KU cache at %s; rebuilding", path)
                 self.entries = {}
@@ -259,7 +257,7 @@ class _VectorCache:
 
     def put(self, blob: str, vector: list[int] | None) -> None:
         self.entries[blob] = vector
-        self.dirty = True
+        self.dirty = self.dirty or vector is not None
 
     def flush(self) -> None:
         if self.path is None or not self.dirty:
@@ -269,6 +267,7 @@ class _VectorCache:
             (
                 {"blob": b, "catalog": self.catalog_hash, "vector": v}
                 for b, v in sorted(self.entries.items())
+                if v is not None
             ),
         )
 

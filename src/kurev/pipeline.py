@@ -1,8 +1,8 @@
 """End-to-end pipeline: mine → prs → profiles → evaluate → cluster.
 
-Stages are pure functions of (inputs, config, seed). Each stage writes a
-stamp file with a content hash of its inputs; an unchanged stamp skips
-the stage, so reruns are cheap and byte-identical.
+Stages are pure functions of (inputs, config, seed). A stage is skipped
+while its stamp file holds a content hash of its inputs and every file it
+writes exists, so reruns are cheap and byte-identical.
 """
 
 from __future__ import annotations
@@ -157,6 +157,8 @@ def evaluate_project(
 
 # --- clustering outputs ------------------------------------------------------
 
+CLUSTER_FILES = ("labels.tsv", "silhouette_curve.tsv", "summary.json", "diff_values.tsv")
+
 
 def run_clustering(store: KuStore, out_dir: Path, k_max: int, seed: int) -> None:
     profiles = global_ku_profiles(store)
@@ -177,16 +179,17 @@ def run_clustering(store: KuStore, out_dir: Path, k_max: int, seed: int) -> None
         "gini": round(gini(sizes), 6),
         "sizes": sizes,
     }
+    labels_path, curve_path, summary_path, diffs_path = (out_dir / n for n in CLUSTER_FILES)
     labels = [f"{dev}\t{int(c)}" for dev, c in zip(developers, result.labels)]
-    _write_lines(out_dir / "labels.tsv", ["developer\tcluster", *labels])
+    _write_lines(labels_path, ["developer\tcluster", *labels])
     curve = [f"{k}\t{sil:.6f}" for k, sil in result.curve]
-    _write_lines(out_dir / "silhouette_curve.tsv", ["k\tmedian_silhouette", *curve])
-    write_text(out_dir / "summary.json", dump_json_line(summary) + "\n")
+    _write_lines(curve_path, ["k\tmedian_silhouette", *curve])
+    write_text(summary_path, dump_json_line(summary) + "\n")
     diffs = [
         f"{r.cluster}\tK{r.ku}\t{r.diff_value:.6f}\t{str(r.flagged).lower()}"
         for r in diff_values(p_ku, result.labels)
     ]
-    _write_lines(out_dir / "diff_values.tsv", ["cluster\tku\tdiff_value\tflagged", *diffs])
+    _write_lines(diffs_path, ["cluster\tku\tdiff_value\tflagged", *diffs])
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -197,20 +200,31 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 class _Stage:
-    def __init__(self, out_dir: Path, name: str, signature: str, outputs: list[Path]):
+    """A stage is done when its stamp holds its signature and every file it
+    writes exists; each stage's outcome is echoed as ``<name>: <message>``."""
+
+    def __init__(self, out_dir: Path, name: str, signature: str, outputs: list[Path], echo):
+        self.name = name
         self.stamp = out_dir / f"{name}.stamp"
         self.signature = signature
         self.outputs = outputs
+        self.echo = echo
 
     def cached(self) -> bool:
-        return (
+        """Whether the stage is done; echoes ``<name>: cached`` if so."""
+        hit = (
             self.stamp.exists()
             and self.stamp.read_text(encoding="utf-8").strip() == self.signature
             and all(p.exists() for p in self.outputs)
         )
+        if hit:
+            self.echo(f"{self.name}: cached")
+        return hit
 
-    def mark(self) -> None:
+    def done(self, message: str) -> None:
+        """Stamp the stage once its outputs are written, and echo ``message``."""
         write_text(self.stamp, self.signature + "\n")
+        self.echo(f"{self.name}: {message}")
 
 
 def run_pipeline(config: ProjectConfig, echo=print) -> Path:
@@ -222,9 +236,8 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     head = _git(config.repo, "rev-parse", "HEAD").decode().strip()
     store_dir = out / "store"
     mine_sig = sha256_text(f"mine:{head}:{catalog.digest}:{config.all_commits}")
-    mine_stage = _Stage(out, "mine", mine_sig, [store_dir / "commits.jsonl"])
-    if mine_stage.cached():
-        echo("mine: cached")
+    mine = _Stage(out, "mine", mine_sig, [store_dir / n for n in KuStore.FILES], echo)
+    if mine.cached():
         store = KuStore.load(store_dir)
     else:
         cache = (
@@ -234,8 +247,7 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
             config.repo, catalog, cache_path=cache, all_commits=config.all_commits
         )
         store.save(store_dir)
-        mine_stage.mark()
-        echo(f"mine: {len(store.commits)} commits, {len(store.vectors)} file records")
+        mine.done(f"{len(store.commits)} commits, {len(store.vectors)} file records")
 
     prs_dir = out / "prs"
     prs_sig = sha256_text(
@@ -243,59 +255,47 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
         + sha256_text(config.prs.read_text(encoding="utf-8"))
         + f":{config.train_fraction}"
     )
-    prs_stage = _Stage(
-        out, "prs", prs_sig,
-        [prs_dir / "filtered.jsonl", prs_dir / "train.jsonl", prs_dir / "test.jsonl"],
-    )
     dataset = load_prs(config.prs, project=config.prs.stem)
     filtered, eligible = filter_prs(dataset)
     train, test = chronological_split(filtered, config.train_fraction)
-    if prs_stage.cached():
-        echo("prs: cached")
-    else:
-        save_prs(filtered, prs_dir / "filtered.jsonl")
-        save_prs(train, prs_dir / "train.jsonl")
-        save_prs(test, prs_dir / "test.jsonl")
+    parts = {prs_dir / "filtered.jsonl": filtered, prs_dir / "train.jsonl": train,
+             prs_dir / "test.jsonl": test}
+    meta_path = prs_dir / "meta.json"
+    prs = _Stage(out, "prs", prs_sig, [*parts, meta_path], echo)
+    if not prs.cached():
+        for path, part in parts.items():
+            save_prs(part, path)
         meta = {"eligible": eligible, "kept": len(filtered.prs),
                 "train": len(train.prs), "test": len(test.prs)}
-        write_text(prs_dir / "meta.json", dump_json_line(meta) + "\n")
-        prs_stage.mark()
-        echo(f"prs: kept {len(filtered.prs)} (eligible={eligible})")
+        write_text(meta_path, dump_json_line(meta) + "\n")
+        prs.done(f"kept {len(filtered.prs)} (eligible={eligible})")
 
-    profiles_dir = out / "profiles"
+    p_ku_path = out / "profiles" / "p_ku.tsv"
     prof_sig = sha256_text(f"profiles:{mine_sig}")
-    prof_stage = _Stage(out, "profiles", prof_sig, [profiles_dir / "p_ku.tsv"])
-    if prof_stage.cached():
-        echo("profiles: cached")
-    else:
-        save_matrix(global_ku_profiles(store), profiles_dir / "p_ku.tsv")
-        prof_stage.mark()
-        echo("profiles: P_ku written")
+    profiles = _Stage(out, "profiles", prof_sig, [p_ku_path], echo)
+    if not profiles.cached():
+        save_matrix(global_ku_profiles(store), p_ku_path)
+        profiles.done("P_ku written")
 
     report_path = out / "report.tsv"
     eval_sig = sha256_text(
         f"evaluate:{mine_sig}:{prs_sig}:{config.seed}:{config.rf_mode}"
     )
-    eval_stage = _Stage(out, "evaluate", eval_sig, [report_path])
-    if eval_stage.cached():
-        echo("evaluate: cached")
-    else:
+    evaluate = _Stage(out, "evaluate", eval_sig, [report_path], echo)
+    if not evaluate.cached():
         history = History(store=store, prs=filtered)
         report = evaluate_project(
             history, test, seed=config.seed, rf_mode=config.rf_mode
         )
         report.save(report_path)
-        eval_stage.mark()
-        echo(f"evaluate: report for {len(test.prs)} test PRs")
+        evaluate.done(f"report for {len(test.prs)} test PRs")
 
     cluster_dir = out / "cluster"
     cluster_sig = sha256_text(f"cluster:{mine_sig}:{config.seed}:{config.k_max}")
-    cluster_stage = _Stage(out, "cluster", cluster_sig, [cluster_dir / "labels.tsv"])
-    if cluster_stage.cached():
-        echo("cluster: cached")
-    else:
+    cluster = _Stage(out, "cluster", cluster_sig,
+                     [cluster_dir / n for n in CLUSTER_FILES], echo)
+    if not cluster.cached():
         run_clustering(store, cluster_dir, k_max=config.k_max, seed=config.seed)
-        cluster_stage.mark()
-        echo("cluster: outputs written")
+        cluster.done("outputs written")
 
     return report_path

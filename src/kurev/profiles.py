@@ -7,8 +7,9 @@ normalizes a sum into the developer's share of all occurrences of that
 KU observed strictly before the cutoff.
 
 Every "strictly before" question is answered by one :class:`AsOf` index
-per store and PR set: sorted commits and PRs, per-file snapshots, memoised
-PR vectors and per-developer running sums, each queried with ``bisect``.
+per store and PR set: sorted commits, PRs and comments, per-file snapshots,
+memoised PR vectors and per-developer running sums, each queried with
+``bisect``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .catalog import KU_COUNT, KU_NAMES
 from .mining import CommitRecord, KuStore
-from .prstore import PrDataset, PullRequest
+from .prstore import PrDataset, PullRequest, ReviewComment
 from .util import atomic_open, format_rfc3339, write_jsonl
 
 log = logging.getLogger(__name__)
@@ -107,9 +108,9 @@ class AsOf:
     """Everything known strictly before a date, over one store and PR set.
 
     Built once and queried per PR: commits sorted by (date, store order),
-    PRs by (opening date, id), each file's snapshots by (date, store
-    order), each PR's KU vector computed once, and per-developer running
-    sums for both sides. The parts are built on first use.
+    PRs by (opening date, id), review comments by date, each file's
+    snapshots by (date, store order), each PR's KU vector computed once,
+    and per-developer running sums for both sides, each built on first use.
     """
 
     def __init__(self, store: KuStore, prs: Sequence[PullRequest] = ()):
@@ -125,6 +126,21 @@ class AsOf:
 
     def prs_before(self, when: datetime) -> list[PullRequest]:
         return self.prs[: bisect_left(self._pr_dates, when)]
+
+    @cached_property
+    def _comments(self) -> tuple[list[datetime], list[tuple[ReviewComment, PullRequest]]]:
+        pairs = sorted(((c, pr) for pr in self.prs for c in pr.review_comments),
+                       key=lambda pair: pair[0].commented_at)
+        return [c.commented_at for c, _ in pairs], pairs
+
+    def comments_before(self, when: datetime) -> list[tuple[ReviewComment, PullRequest]]:
+        """Review comments written strictly before ``when``, each with its PR.
+
+        ``load_prs`` rejects a comment dated before its own PR opened, so
+        each of these PRs is also one of :meth:`prs_before`.
+        """
+        dates, pairs = self._comments
+        return pairs[: bisect_left(dates, when)]
 
     @cached_property
     def _snapshots(self) -> dict[str, tuple[list[datetime], list[list[int]]]]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date, datetime
 from pathlib import Path
 
 from .errors import SchemaError, SplitError
@@ -16,6 +16,11 @@ class ReviewComment:
     reviewer: str
     path: str | None
     commented_at: datetime
+
+    @property
+    def workday(self) -> date:
+        """The UTC calendar day the comment was written on."""
+        return self.commented_at.date()
 
     def to_dict(self) -> dict:
         return {

@@ -15,7 +15,7 @@ from functools import cached_property
 from .catalog import KU_COUNT
 from .errors import NoKuError
 from .mining import KuStore
-from .prstore import PrDataset, PullRequest
+from .prstore import PrDataset, PullRequest, ReviewComment
 from .profiles import AsOf, Expertise
 # The profile builders stay importable from here for existing callers.
 from .profiles import dev_exp_matrix, pr_ku_vector, rev_exp_matrix  # noqa: F401
@@ -148,7 +148,7 @@ class RfRecommender(BaseRecommender):
 
     ``mode="comments"`` counts review comments instead (the paper's
     wording is ambiguous; reviewed PRs is the default reading), only
-    those written before the PR opened.
+    those written before the PR opened (:meth:`AsOf.comments_before`).
     """
 
     kind = "rf"
@@ -160,16 +160,14 @@ class RfRecommender(BaseRecommender):
         self.mode = mode
 
     def recommend(self, pr: PullRequest) -> Recommendation:
+        asof = self._history().asof
+        if self.mode == "prs":
+            names = (r for prior in asof.prs_before(pr.opened_at) for r in prior.reviewers)
+        else:
+            names = (c.reviewer for c, _ in asof.comments_before(pr.opened_at))
         counts: dict[str, float] = {}
-        for prior in self._history().asof.prs_before(pr.opened_at):
-            if self.mode == "prs":
-                for reviewer in prior.reviewers:
-                    counts[reviewer] = counts.get(reviewer, 0.0) + 1.0
-            else:
-                for comment in prior.review_comments:
-                    if comment.commented_at >= pr.opened_at:
-                        continue
-                    counts[comment.reviewer] = counts.get(comment.reviewer, 0.0) + 1.0
+        for name in names:
+            counts[name] = counts.get(name, 0.0) + 1.0
         counts.pop(pr.author, None)
         return rank(counts, pr.id, self.kind)
 
@@ -185,48 +183,43 @@ class ErRecommender(BaseRecommender):
         for commit in self._history().asof.commits_before(pr.opened_at):
             if not changed.intersection(commit.changed_java_files):
                 continue
-            stamp = commit.authored_at.replace(tzinfo=timezone.utc).timestamp()
-            if stamp > last.get(commit.author, float("-inf")):
-                last[commit.author] = stamp
+            # commits come in date order, so the last write is the latest
+            last[commit.author] = commit.authored_at.replace(tzinfo=timezone.utc).timestamp()
         last.pop(pr.author, None)
         return rank(last, pr.id, self.kind)
 
 
 class ChrevRecommender(BaseRecommender):
-    """CHREV: per-file comment share, workday share, and recency."""
+    """CHREV: per-file comment share, workday share, and recency.
+
+    A file's history is the comments on it written before the PR opened,
+    on earlier PRs that changed it (:meth:`AsOf.comments_before`).
+    """
 
     kind = "chrev"
 
     def recommend(self, pr: PullRequest) -> Recommendation:
-        prior = self._history().asof.prs_before(pr.opened_at)
+        changed = set(pr.changed_files)
+        by_path: dict[str, list[ReviewComment]] = {}
+        for comment, prior in self._history().asof.comments_before(pr.opened_at):
+            if comment.path in changed and comment.path in prior.changed_files:
+                by_path.setdefault(comment.path, []).append(comment)
         scores: dict[str, float] = {}
         for path in pr.changed_files:
-            stats = self._file_stats(prior, path, pr.opened_at)
-            for reviewer, x in stats.items():
+            for reviewer, x in self._file_stats(by_path.get(path, [])).items():
                 scores[reviewer] = scores.get(reviewer, 0.0) + x
         scores.pop(pr.author, None)
         return rank(scores, pr.id, self.kind)
 
     @staticmethod
-    def _file_stats(
-        prior_prs: list[PullRequest], path: str, before: datetime
-    ) -> dict[str, float]:
-        """Comment share, workday share and recency per reviewer of ``path``.
-
-        Only comments dated strictly before ``before`` count: a comment on
-        an earlier PR may still be written after the target PR opened.
-        """
+    def _file_stats(file_comments: list[ReviewComment]) -> dict[str, float]:
+        """Comment share, workday share and recency per reviewer of one file."""
         comments: dict[str, int] = {}
         workdays: dict[str, set] = {}
-        for prior in prior_prs:
-            if path not in prior.changed_files:
-                continue
-            for comment in prior.review_comments:
-                if comment.path != path or comment.commented_at >= before:
-                    continue
-                r = comment.reviewer
-                comments[r] = comments.get(r, 0) + 1
-                workdays.setdefault(r, set()).add(comment.commented_at.date())
+        for comment in file_comments:
+            r = comment.reviewer
+            comments[r] = comments.get(r, 0) + 1
+            workdays.setdefault(r, set()).add(comment.workday)
         if not comments:
             return {}
         total_comments = sum(comments.values())

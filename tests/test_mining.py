@@ -62,6 +62,20 @@ def test_empty_repository_yields_no_commits(scratch_repo):
     assert mine_commits(scratch_repo.root) == []
 
 
+def test_mining_a_repository_starts_one_git_process(scratch_repo, monkeypatch):
+    repo = three_commit_repo(scratch_repo)
+    started = []
+    run = subprocess.run
+
+    def recorded(args, **kwargs):
+        started.append(args)
+        return run(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", recorded)
+    assert len(mine_commits(repo.root)) == 3
+    assert [args[3] for args in started] == ["log"]
+
+
 def test_not_a_repository_raises(tmp_path):
     plain = tmp_path / "plain"
     plain.mkdir()
@@ -327,6 +341,42 @@ def test_content_hash_cache_entries_are_misses(scratch_repo, tmp_path, monkeypat
     assert store.vectors == naive_vectors(repo.root)
     assert len(detections) == 4
     assert all("blob" in rec for rec in read_jsonl(cache))
+
+
+def test_unparseable_verdict_is_never_cached(scratch_repo, tmp_path, monkeypatch):
+    # [DERIVED] whether a parse fails may depend on the caller's stack depth,
+    # so a None verdict holds for one run only: one detection per run
+    repo = scratch_repo
+    repo.write("bad.java", b"\x00\x01 class?")
+    repo.commit("binary blob")
+    repo.write("copy.java", b"\x00\x01 class?")  # the same blob again
+    repo.write("a.java", JAVA_A)
+    repo.commit("copy it, add a")
+    cache = tmp_path / "cache.jsonl"
+    detections = count_calls(monkeypatch, "detect_kus")
+    for run in range(2):
+        detections.clear()
+        store = build_ku_store(repo.root, cache_path=cache)
+        binary = [args for args in detections if "\x00" in args[0]]
+        assert len(binary) == 1 and len(detections) == 2 - run
+        assert sum(v is None for v in store.vectors.values()) == 2
+        assert [rec["vector"] for rec in read_jsonl(cache)] == [detect_kus(JAVA_A)]
+
+
+def test_null_cache_record_is_a_miss(scratch_repo, tmp_path):
+    repo = scratch_repo
+    repo.write("a.java", JAVA_A)
+    repo.commit("add a")
+    blob = subprocess.run(
+        ["git", "-C", str(repo.root), "rev-parse", "HEAD:a.java"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    cache = tmp_path / "cache.jsonl"
+    write_jsonl(cache, [{"blob": blob, "catalog": mining.load_catalog().digest,
+                         "vector": None}])
+    store = build_ku_store(repo.root, cache_path=cache)
+    assert list(store.vectors.values()) == [detect_kus(JAVA_A)]
+    assert [rec["vector"] for rec in read_jsonl(cache)] == [detect_kus(JAVA_A)]
 
 
 def test_missing_blob_gets_null_vector(scratch_repo):

@@ -76,6 +76,27 @@ def test_run_pipeline_outputs_and_caching(synthetic_project, tmp_path, capsys):
     assert echoed.count("cached") == 5
 
 
+# The stage that writes each top-level entry of out/.
+STAGE_OF = {"store": "mine", "prs": "prs", "profiles": "profiles",
+            "report.tsv": "evaluate", "cluster": "cluster"}
+
+
+def test_each_deleted_output_comes_back_from_its_own_stage(synthetic_project, tmp_path):
+    config = config_for(synthetic_project, tmp_path)
+    run_pipeline(config, echo=lambda message: None)
+    out = config.out_dir
+    full = tree_bytes(out)
+    outputs = [name for name in full if not name.endswith(".stamp")]
+    assert len(outputs) == 13
+    for name in outputs:
+        (out / name).unlink()
+        echoed = []
+        run_pipeline(config, echo=echoed.append)
+        assert tree_bytes(out) == full, name
+        missed = [line.split(":")[0] for line in echoed if not line.endswith(": cached")]
+        assert missed == [STAGE_OF[name.split("/")[0]]], name
+
+
 def test_rerun_into_fresh_directory_is_byte_identical(synthetic_project, tmp_path):
     a = run_pipeline(config_for(synthetic_project, tmp_path / "a"))
     b = run_pipeline(config_for(synthetic_project, tmp_path / "b"))

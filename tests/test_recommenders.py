@@ -236,6 +236,16 @@ def naive_rf(history_obj, pr):
     return counts
 
 
+def naive_rf_comments(history_obj, pr):
+    counts = {}
+    for p in history_obj.prs.prs:
+        for c in p.review_comments:
+            if c.commented_at < pr.opened_at:
+                counts[c.reviewer] = counts.get(c.reviewer, 0) + 1
+    counts.pop(pr.author, None)
+    return counts
+
+
 def naive_er(history_obj, pr):
     last = {}
     changed = set(pr.changed_files)
@@ -337,16 +347,20 @@ def naive_kurec(history_obj, pr):
 NAIVE = {
     "cf": naive_cf,
     "rf": naive_rf,
+    "rf-comments": naive_rf_comments,
     "er": naive_er,
     "chrev": naive_chrev,
     "kurec": naive_kurec,
 }
+# oracle name -> (recommender kind, parameters), where they differ
+PARAMS = {"rf-comments": ("rf", {"mode": "comments"})}
 
 
 @pytest.mark.parametrize("kind", sorted(NAIVE))
 def test_brute_force_equivalence_on_synthetic_project(synthetic_project, kind):
     hist = synthetic_project["history"]
-    model = make_recommender(kind).fit(hist)
+    name, params = PARAMS.get(kind, (kind, {}))
+    model = make_recommender(name, **params).fit(hist)
     for pr in synthetic_project["test"].prs:
         expected = NAIVE[kind](hist, pr)
         if expected is None:

@@ -64,55 +64,78 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 CHUNK_ROWS = 64
 
 
+def _sq_distance_matrix(X: np.ndarray) -> np.ndarray:
+    """n×n squared Euclidean distances, bit-identical to ``_sq_dists(X, X)``."""
+    n = X.shape[0]
+    sq = np.empty((n, n))
+    for start in range(0, n, CHUNK_ROWS):
+        sq[start : start + CHUNK_ROWS] = _sq_dists(X[start : start + CHUNK_ROWS], X)
+    return sq
+
+
 def _distance_matrix(X: np.ndarray) -> np.ndarray:
     """n×n Euclidean distances, bit-identical to ``sqrt(_sq_dists(X, X))``."""
-    n = X.shape[0]
-    dists = np.empty((n, n))
-    for start in range(0, n, CHUNK_ROWS):
-        dists[start : start + CHUNK_ROWS] = _sq_dists(X[start : start + CHUNK_ROWS], X)
-    return np.sqrt(dists, out=dists)
+    sq = _sq_distance_matrix(X)
+    return np.sqrt(sq, out=sq)
 
 
 class KMeans:
-    """Lloyd's algorithm with seeded k-means++ initialization."""
+    """Lloyd's algorithm with seeded k-means++ initialization.
+
+    ``sq_matrix`` is the points' n×n squared distance matrix, as
+    ``select_k`` builds it once for every K; without it seeding builds it.
+    """
 
     def __init__(self, n_clusters: int, seed: int = 0, max_iter: int = 300):
         self.n_clusters = n_clusters
         self.seed = seed
         self.max_iter = max_iter
 
-    def _init_centers(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def _init_centers(
+        self, X: np.ndarray, rng: np.random.Generator, sq_matrix=None
+    ) -> np.ndarray:
         n = X.shape[0]
-        centers = [X[rng.integers(n)]]
+        if sq_matrix is None:
+            sq_matrix = _sq_distance_matrix(X)
+        # k-means++ centres are rows of X, so their distances are columns
+        chosen = [rng.integers(n)]
         d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
         for _ in range(1, self.n_clusters):
-            d2 = np.minimum(d2, _sq_dists(X, centers[-1][None, :])[:, 0])
+            d2 = np.minimum(d2, sq_matrix[:, chosen[-1]])
             total = d2.sum()
             if total <= 0:
-                centers.append(X[rng.integers(n)])
+                chosen.append(rng.integers(n))
                 continue
             probs = d2 / total
-            centers.append(X[rng.choice(n, p=probs)])
-        return np.asarray(centers, dtype=float)
+            chosen.append(rng.choice(n, p=probs))
+        return X[chosen]
 
-    def fit(self, data) -> "KMeans":
+    def fit(self, data, sq_matrix=None) -> "KMeans":
         X = np.asarray(data, dtype=float)
         n = X.shape[0]
-        if not 1 <= self.n_clusters <= n:
-            raise ValueError(f"n_clusters={self.n_clusters} outside 1..{n}")
+        k = self.n_clusters
+        if not 1 <= k <= n:
+            raise ValueError(f"n_clusters={k} outside 1..{n}")
         rng = np.random.default_rng(self.seed)
-        centers = self._init_centers(X, rng)
+        centers = self._init_centers(X, rng, sq_matrix)
+        # d2 holds the distances to `assigned`, the centres before this step's
+        # repairs and mean updates; each step recomputes only the columns of
+        # the centres that either of those moved
+        d2 = _sq_dists(X, centers)
+        assigned = centers.copy()
         labels = np.zeros(n, dtype=int)
         self.inertia_history_: list[float] = []
         for _ in range(self.max_iter):
-            d2 = _sq_dists(X, centers)
+            moved = np.flatnonzero((centers != assigned).any(axis=1))
+            d2[:, moved] = _sq_dists(X, centers[moved])
+            assigned[moved] = centers[moved]
             new_labels = d2.argmin(axis=1)
-            counts = np.bincount(new_labels, minlength=self.n_clusters)
+            counts = np.bincount(new_labels, minlength=k)
             if not counts.all():
                 # repair empties in ascending order with the point farthest
                 # from its own centroid; a move that empties a later cluster
                 # gets that cluster repaired too, an earlier one stays empty
-                for c in range(self.n_clusters):
+                for c in range(k):
                     if counts[c] == 0:
                         far = int(d2[np.arange(n), new_labels].argmax())
                         counts[new_labels[far]] -= 1
@@ -121,16 +144,18 @@ class KMeans:
                         centers[c] = X[far]
             inertia = float(((X - centers[new_labels]) ** 2).sum())
             self.inertia_history_.append(inertia)
-            converged = np.array_equal(new_labels, labels) and len(
-                self.inertia_history_
-            ) > 1
+            switched = new_labels != labels
+            first = len(self.inertia_history_) == 1
+            converged = not first and not switched.any()
+            # a cluster whose members are unchanged keeps its mean's bits, so
+            # after the first step only clusters that gained or lost a point
+            # get a new mean
+            stale = np.full(k, first)
+            stale[labels[switched]] = True
+            stale[new_labels[switched]] = True
             labels = new_labels
-            # each block of X sorted stably by label is the contiguous array
-            # X[labels == c], so its mean has the same bits
-            grouped = X[np.argsort(labels, kind="stable")]
-            for c, members in enumerate(np.split(grouped, np.cumsum(counts)[:-1])):
-                if len(members):
-                    centers[c] = members.mean(axis=0)
+            for c in np.flatnonzero(stale & (counts > 0)):
+                centers[c] = X[labels == c].mean(axis=0)
             if converged:
                 break
         self.labels_ = labels
@@ -196,13 +221,15 @@ def select_k(
     if upper < 2:
         raise DegenerateDataError("need at least 2 points to cluster")
     results: dict[int, KMeans] = {}
-    curve: list[tuple[int, float]] = []
-    dists = _distance_matrix(X)
+    # one n×n matrix serves the whole sweep: squared for the fits, then
+    # square-rooted in place for the silhouettes
+    sq = _sq_distance_matrix(X)
     for k in range(2, upper + 1):
-        model = KMeans(k, seed=(seed * 1000003 + k) % 2**32).fit(X)
-        sil = median_silhouette(X, model.labels_, dists)
-        results[k] = model
-        curve.append((k, sil))
+        results[k] = KMeans(k, seed=(seed * 1000003 + k) % 2**32).fit(X, sq)
+    dists = np.sqrt(sq, out=sq)
+    curve = [
+        (k, median_silhouette(X, model.labels_, dists)) for k, model in results.items()
+    ]
     qualifying = [k for k, sil in curve if sil >= threshold]
     if qualifying:
         best_k = max(qualifying)

@@ -219,6 +219,10 @@ class _Stage:
         )
         if hit:
             self.echo(f"{self.name}: cached")
+        else:
+            # the stage is about to overwrite its outputs: a crash before
+            # done() must not leave an older stamp vouching for a mix of files
+            self.stamp.unlink(missing_ok=True)
         return hit
 
     def done(self, message: str) -> None:

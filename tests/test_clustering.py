@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from kurev.clustering import (
     pca_reduce,
     select_k,
 )
-from kurev.clustering import _distance_matrix
+from kurev.clustering import _distance_matrix, _sq_distance_matrix
 
 
 def blobs(centers, per=10, spread=0.05, seed=99, dims=None):
@@ -388,12 +390,31 @@ def test_kmeans_fit_equals_mask_loop_oracle():
     assert repairs and capped and full_k and flat
 
 
+def test_kmeans_fit_given_the_squared_matrix_equals_fit_without_it():
+    for case, (X, k, max_iter) in enumerate(lloyd_cases(300, seed=71)):
+        given = KMeans(k, seed=case, max_iter=max_iter).fit(X, _sq_distance_matrix(X))
+        built = KMeans(k, seed=case, max_iter=max_iter).fit(X)
+        assert np.array_equal(given.labels_, built.labels_)
+        assert np.array_equal(given.cluster_centers_, built.cluster_centers_)
+        assert given.inertia_history_ == built.inertia_history_
+        assert given.inertia_ == built.inertia_
+
+
+def test_kmeans_seeding_from_the_squared_matrix_equals_all_centres_oracle():
+    for case, (X, _) in enumerate(random_cases(300, seed=73)):
+        k = 1 + case % len(X)
+        sq = _sq_distance_matrix(X)
+        got = KMeans(k)._init_centers(X, np.random.default_rng(case), sq)
+        want = naive_init_centers(X, k, np.random.default_rng(case))
+        assert np.array_equal(got, want)
+
+
 def test_kmeans_repair_that_empties_a_later_cluster_equals_oracle(monkeypatch):
     # seeds 7, 7, -2, -1 over points 0, 5, -3, -3: in the second iteration
     # cluster 0 is empty, its repair takes point 0 out of cluster 3, and that
     # cluster is then repaired with the same point (cluster 0 stays empty)
     start = np.array([[7.0], [7.0], [-2.0], [-1.0]])
-    monkeypatch.setattr(KMeans, "_init_centers", lambda self, X, rng: start.copy())
+    monkeypatch.setattr(KMeans, "_init_centers", lambda self, X, rng, sq_matrix=None: start.copy())
     X = np.array([[0.0], [5.0], [-3.0], [-3.0]])
     model = KMeans(4).fit(X)
     labels, centers, history, inertia, repairs = naive_fit(X, 4, 0)
@@ -435,3 +456,17 @@ def test_chunked_distance_matrix_equals_full_broadcast():
             X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
             full = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
             assert np.array_equal(_distance_matrix(X), full)
+
+
+def test_select_k_holds_one_distance_matrix():
+    # the sweep's squared matrix becomes its Euclidean one in place; the
+    # silhouette's column-grouped copy is the only other n×n array
+    n = 600
+    X = np.random.default_rng(79).standard_normal((n, 3))
+    tracemalloc.start()
+    try:
+        select_k(X, k_max=6, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * n * 8

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from kurev import pipeline
 from kurev.errors import KurevError
 from kurev.pipeline import (
     ALL_KINDS,
@@ -121,6 +124,34 @@ def test_stage_reruns_when_inputs_change(synthetic_project, tmp_path, capsys):
     assert "mine: cached" in echoed
     assert "evaluate: report" in echoed  # seed change invalidates evaluation
     assert "cluster: outputs written" in echoed
+
+
+def test_stage_that_crashes_midway_is_not_cached_under_its_old_signature(
+    synthetic_project, tmp_path, monkeypatch
+):
+    # a prs stage run at a new train fraction writes two of its files and
+    # crashes; a rerun at the old fraction must not take the old stamp as done
+    clean = config_for(synthetic_project, tmp_path / "clean")
+    run_pipeline(clean, echo=lambda message: None)
+    config = config_for(synthetic_project, tmp_path / "crashed")
+    run_pipeline(config, echo=lambda message: None)
+
+    real_save_prs = pipeline.save_prs
+    writes = []
+
+    def crash_after_second_write(ds, path):
+        real_save_prs(ds, path)
+        writes.append(path)
+        if len(writes) == 2:
+            raise RuntimeError("crash mid-stage")
+
+    monkeypatch.setattr(pipeline, "save_prs", crash_after_second_write)
+    with pytest.raises(RuntimeError, match="crash mid-stage"):
+        run_pipeline(replace(config, train_fraction=0.7), echo=lambda message: None)
+    monkeypatch.undo()
+
+    run_pipeline(config, echo=lambda message: None)
+    assert tree_bytes(config.out_dir) == tree_bytes(clean.out_dir)
 
 
 def test_config_file_with_only_paths_takes_the_dataclass_defaults(tmp_path):

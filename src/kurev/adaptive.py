@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import NoKuError
-from .evaluation import average_precision
+from .evaluation import average_precision, is_correct_top_k
 from .prstore import PullRequest
 from .recommenders import KIND_ORDER, BaseRecommender, History, Recommendation
 
@@ -57,35 +57,31 @@ class Brst:
         )
 
 
-@dataclass
-class _KindTally:
-    """Running combined-score accumulators for one base recommender."""
+def best_performers(
+    test_prs: list[PullRequest], base: dict[str, dict[int, Recommendation]]
+) -> list[str]:
+    """The cumulative best performer after each test PR completed.
 
-    acc_sum: float = 0.0
-    ap_sum: float = 0.0
-    prs: int = 0
-
-    def add(self, rec: Recommendation | None, truth: set[str]) -> None:
-        ranked = rec.top(5) if rec is not None else []
-        ks = range(1, 6)
-        self.acc_sum += sum(any(dev in truth for dev in ranked[:k]) for k in ks) / 5
-        self.ap_sum += sum(average_precision(ranked, truth, k) for k in ks) / 5
-        self.prs += 1
-
-    def combined(self) -> float:
-        if not self.prs:
-            return 0.0
-        return (self.acc_sum / self.prs + self.ap_sum / self.prs) / 2
-
-
-def best_performer(tallies: dict[str, _KindTally]) -> str:
-    """Kind with maximal combined score; ties break by the fixed order."""
-    if not any(t.prs for t in tallies.values()):
-        raise ValueError("best_performer requires at least one completed PR")
-    return max(
-        KIND_ORDER,
-        key=lambda kind: (tallies[kind].combined(), -KIND_ORDER.index(kind)),
-    )
+    A kind's combined score over the completed prefix is (mean
+    accuracy@1..5 + mean AP@1..5) / 2; ties go to the earlier kind in
+    ``KIND_ORDER``. The sequence does not depend on the BRST variant.
+    """
+    ks = range(1, 6)
+    acc = dict.fromkeys(KIND_ORDER, 0.0)
+    ap = dict.fromkeys(KIND_ORDER, 0.0)
+    winners: list[str] = []
+    for n, pr in enumerate(test_prs, start=1):
+        truth = set(pr.reviewers)
+        for kind in KIND_ORDER:
+            rec = base[kind][pr.id]
+            top = rec.top(5)
+            acc[kind] += sum(is_correct_top_k(rec, truth, k) for k in ks) / 5
+            ap[kind] += sum(average_precision(top, truth, k) for k in ks) / 5
+        # max keeps the first maximal kind, so ties follow KIND_ORDER
+        winners.append(
+            max(KIND_ORDER, key=lambda kind: (acc[kind] / n + ap[kind] / n) / 2)
+        )
+    return winners
 
 
 def safe_recommend(rec: BaseRecommender, pr: PullRequest) -> Recommendation:
@@ -124,48 +120,37 @@ class AdaptiveRecommender:
         self,
         test_prs: list[PullRequest],
         base_recommendations: dict[str, dict[int, Recommendation]] | None = None,
+        winners: list[str] | None = None,
     ) -> list[ReplayStep]:
         """Run the online protocol over the ordered test PRs.
 
         ``base_recommendations`` (kind → pr_id → Recommendation) shares
         base-recommender output across variants and carries the RF mode;
         without it every base recommender runs with its defaults.
+        ``winners`` is ``best_performers(test_prs, base_recommendations)``,
+        computed here when absent.
         """
         if self.history_ is None:
             raise RuntimeError("AdaptiveRecommender is not fitted")
-        if base_recommendations is None:
+        base = base_recommendations
+        if base is None:
             from .pipeline import run_base_recommenders  # pipeline imports this module
 
-            base_recommendations = run_base_recommenders(self.history_, test_prs)
+            base = run_base_recommenders(self.history_, test_prs)
+        if winners is None:
+            winners = best_performers(test_prs, base)
         rng = random.Random(self.seed)
         brst = Brst(self.variant)
-        tallies = {kind: _KindTally() for kind in KIND_ORDER}
         steps: list[ReplayStep] = []
-        for pr in test_prs:
-            chosen = brst.choose()
-            if chosen is None:
-                chosen = rng.choice(KIND_ORDER)
+        for pr, winner in zip(test_prs, winners, strict=True):
+            chosen = brst.choose() or rng.choice(KIND_ORDER)
             delegate = chosen
-            recs = {kind: base_recommendations[kind][pr.id] for kind in KIND_ORDER}
-            if delegate == "kurec" and not recs["kurec"].ranked:
+            if delegate == "kurec" and not base["kurec"][pr.id].ranked:
                 log.info("PR %s has no KUs; AD_%s falls back to RF", pr.id, self.variant)
                 delegate = "rf"
-            recommendation = Recommendation(
-                pr_id=pr.id, kind=self.kind, ranked=recs[delegate].ranked
-            )
-            # ground truth revealed: update tallies with every base, then BRST
-            truth = set(pr.reviewers)
-            for kind in KIND_ORDER:
-                tallies[kind].add(recs[kind], truth)
-            winner = best_performer(tallies)
-            brst.update(winner)
-            steps.append(
-                ReplayStep(
-                    pr_id=pr.id,
-                    delegate=delegate,
-                    chosen=chosen,
-                    winner=winner,
-                    recommendation=recommendation,
-                )
-            )
+            ranked = base[delegate][pr.id].ranked
+            recommendation = Recommendation(pr_id=pr.id, kind=self.kind, ranked=ranked)
+            steps.append(ReplayStep(pr_id=pr.id, delegate=delegate, chosen=chosen,
+                                    winner=winner, recommendation=recommendation))
+            brst.update(winner)  # ground truth revealed
         return steps

@@ -192,15 +192,16 @@ def recommend(
         rec = safe_recommend(model, by_id[pr_id])
     else:
         _, test = chronological_split(history.prs, train_fraction)
-        prefix = [pr for pr in test.prs if pr.id == pr_id or pr.opened_at
-                  <= by_id[pr_id].opened_at]
-        if pr_id not in {pr.id for pr in prefix}:
+        test_ids = [pr.id for pr in test.prs]
+        if pr_id not in test_ids:
             raise KurevError(f"PR {pr_id} is not in the test partition")
+        # the replay is online, so the target's step needs only the PRs up to it
+        prefix = list(test.prs[: test_ids.index(pr_id) + 1])
         variant = which.removeprefix("ad_")
         steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(
             prefix, run_base_recommenders(history, prefix, rf_mode=rf_mode)
         )
-        rec = next(s.recommendation for s in steps if s.pr_id == pr_id)
+        rec = steps[-1].recommendation
 
     if not rec.ranked:
         click.echo(f"PR {pr_id}: no candidates ({which})")

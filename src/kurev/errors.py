@@ -27,7 +27,7 @@ class SchemaError(KurevError):
 
 
 class SplitError(KurevError):
-    """Dataset too small to split into train/test."""
+    """Dataset too small to split into train/test, or a fraction outside [0, 1]."""
 
 
 class RepositoryError(KurevError):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .adaptive import VARIANTS, AdaptiveRecommender, safe_recommend
+from .adaptive import VARIANTS, AdaptiveRecommender, best_performers, safe_recommend
 from .catalog import KU_COUNT, load_catalog
 from .clustering import DegenerateDataError, diff_values, gini, pca_reduce, select_k
 from .errors import KurevError
@@ -84,6 +84,12 @@ class ProjectConfig:
         if self.rf_mode not in RF_MODES:
             modes = ", ".join(RF_MODES)
             raise KurevError(f"rf_mode must be one of {modes}, not {self.rf_mode!r}")
+        if not 0 <= self.train_fraction < 1:
+            raise KurevError(
+                f"train_fraction must be in [0, 1), not {self.train_fraction!r}"
+            )
+        if self.k_max < 2:
+            raise KurevError(f"k_max must be at least 2, not {self.k_max!r}")
         if not self.repo.exists():
             raise KurevError(f"repository path missing: {self.repo}")
         if not self.prs.exists():
@@ -120,9 +126,10 @@ def evaluate_project(
     recs_by_kind: dict[str, list[Recommendation]] = {
         kind: [base[kind][pr.id] for pr in test_prs] for kind in KIND_ORDER
     }
+    winners = best_performers(test_prs, base)  # shared by the three variants
     for variant in VARIANTS:
         steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(
-            test_prs, base_recommendations=base
+            test_prs, base, winners
         )
         recs_by_kind[f"ad_{variant}"] = [s.recommendation for s in steps]
 

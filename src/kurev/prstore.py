@@ -163,7 +163,9 @@ def filter_prs(ds: PrDataset, min_prs: int = 100) -> tuple[PrDataset, bool]:
 def chronological_split(
     ds: PrDataset, train_fraction: float = 0.8
 ) -> tuple[PrDataset, PrDataset]:
-    """First ⌊fraction·n⌋ PRs train, remainder test; rejects n < 5."""
+    """First ⌊fraction·n⌋ PRs train, the rest test; needs 0 ≤ fraction ≤ 1, n ≥ 5."""
+    if not 0 <= train_fraction <= 1:
+        raise SplitError(f"train fraction must be in [0, 1], not {train_fraction!r}")
     n = len(ds.prs)
     if n < 5:
         raise SplitError(f"dataset has {n} PRs; need at least 5 to split")

@@ -14,9 +14,10 @@ from kurev.adaptive import (
     WINDOW_SIZE,
     AdaptiveRecommender,
     Brst,
-    _KindTally,
-    best_performer,
+    ReplayStep,
+    best_performers,
 )
+from kurev.evaluation import average_precision
 from kurev.mining import KuStore
 from kurev.recommenders import History, Recommendation
 from tests.conftest import make_dataset, make_pr
@@ -82,31 +83,132 @@ def test_brst_matches_the_naive_policies(winners):
             assert brst.choose() == naive_policy(variant, winners[:i]), (variant, i)
 
 
-def tally_for(ranked, truth):
-    tally = _KindTally()
-    tally.add(
-        Recommendation(pr_id=1, kind="cf",
-                       ranked=tuple((d, 1.0) for d in ranked)),
-        truth,
-    )
-    return tally
+def one_pr_base(rankings):
+    """One PR (id 1, true reviewer ``hit``) with a ranking per kind."""
+    pr = make_pr(1, "2023-02-01T00:00:00Z", "author", ["x.java"], reviewers=["hit"])
+    base = {
+        kind: {1: Recommendation(pr_id=1, kind=kind,
+                                 ranked=tuple((d, 1.0) for d in rankings[kind]))}
+        for kind in KIND_ORDER
+    }
+    return [pr], base
 
 
-def test_best_performer_prefers_better_combined_score():
-    tallies = {kind: _KindTally() for kind in KIND_ORDER}
-    tallies["cf"] = tally_for(["hit", "x"], {"hit"})
-    tallies["er"] = tally_for(["x", "hit"], {"hit"})
-    for kind in KIND_ORDER:
-        if kind not in ("cf", "er"):
-            tallies[kind] = tally_for(["x", "y"], {"hit"})
-    assert best_performer(tallies) == "cf"
+def test_best_performers_prefers_better_combined_score():
+    rankings = {kind: ["x", "y"] for kind in KIND_ORDER}
+    rankings["cf"] = ["hit", "x"]
+    rankings["er"] = ["x", "hit"]
+    assert best_performers(*one_pr_base(rankings)) == ["cf"]
 
 
-def test_best_performer_ties_break_by_kind_order():
-    tallies = {kind: tally_for(["x"], {"hit"}) for kind in KIND_ORDER}
-    assert best_performer(tallies) == "kurec"
-    with pytest.raises(ValueError):
-        best_performer({kind: _KindTally() for kind in KIND_ORDER})
+def test_best_performers_ties_break_by_kind_order():
+    assert best_performers(*one_pr_base({kind: ["x"] for kind in KIND_ORDER})) == [
+        "kurec"
+    ]
+    rankings = {kind: ["x"] for kind in KIND_ORDER}
+    rankings["er"] = rankings["chrev"] = ["hit"]
+    assert best_performers(*one_pr_base(rankings)) == ["chrev"]
+
+
+# --- naive oracle: one cumulative tally per variant, as the paper reads -------
+
+
+class NaiveTally:
+    """Running combined-score accumulators for one base recommender."""
+
+    def __init__(self):
+        self.acc_sum = 0.0
+        self.ap_sum = 0.0
+        self.prs = 0
+
+    def add(self, rec, truth):
+        ranked = rec.top(5) if rec is not None else []
+        ks = range(1, 6)
+        self.acc_sum += sum(any(dev in truth for dev in ranked[:k]) for k in ks) / 5
+        self.ap_sum += sum(average_precision(ranked, truth, k) for k in ks) / 5
+        self.prs += 1
+
+    def combined(self):
+        return (self.acc_sum / self.prs + self.ap_sum / self.prs) / 2
+
+
+def naive_replay(variant, seed, test_prs, base):
+    """Each variant re-tallies every base recommender after every PR.
+
+    Returns the steps and how many winners were picked from a score tie.
+    """
+    rng = random.Random(seed)
+    brst = Brst(variant)
+    tallies = {kind: NaiveTally() for kind in KIND_ORDER}
+    steps = []
+    ties = 0
+    for pr in test_prs:
+        chosen = brst.choose()
+        if chosen is None:
+            chosen = rng.choice(KIND_ORDER)
+        recs = {kind: base[kind][pr.id] for kind in KIND_ORDER}
+        delegate = chosen
+        if delegate == "kurec" and not recs["kurec"].ranked:
+            delegate = "rf"
+        truth = set(pr.reviewers)
+        for kind in KIND_ORDER:
+            tallies[kind].add(recs[kind], truth)
+        winner = max(
+            KIND_ORDER,
+            key=lambda kind: (tallies[kind].combined(), -KIND_ORDER.index(kind)),
+        )
+        scores = [tallies[kind].combined() for kind in KIND_ORDER]
+        ties += scores.count(max(scores)) > 1
+        brst.update(winner)
+        steps.append(ReplayStep(
+            pr_id=pr.id, delegate=delegate, chosen=chosen, winner=winner,
+            recommendation=Recommendation(
+                pr_id=pr.id, kind=f"ad_{variant}", ranked=recs[delegate].ranked),
+        ))
+    return steps, ties
+
+
+def random_replay_case(rng):
+    """Test PRs and base rankings drawn so that ties and empty rankings are common."""
+    people = ["a", "b", "c", "d", "e", "f"]
+    prs = [
+        make_pr(i, f"2023-03-{i:02d}T00:00:00Z", "author", ["x.java"],
+                reviewers=rng.sample(people, rng.randint(1, 2)))
+        for i in range(1, rng.randint(1, 25) + 1)
+    ]
+    base = {kind: {} for kind in KIND_ORDER}
+    for pr in prs:
+        for i, kind in enumerate(KIND_ORDER):
+            if kind == "kurec" and rng.random() < 0.3:
+                devs = []  # no KUs: an empty KUREC ranking
+            elif i and rng.random() < 0.4:  # share an earlier kind's ranking
+                devs = base[KIND_ORDER[rng.randrange(i)]][pr.id].developers()
+            else:
+                devs = rng.sample(people, rng.randint(0, len(people)))
+            base[kind][pr.id] = Recommendation(
+                pr_id=pr.id, kind=kind,
+                ranked=tuple((d, float(len(devs) - j)) for j, d in enumerate(devs)))
+    return prs, base
+
+
+def test_replay_equals_the_per_variant_tally_oracle():
+    history = History(store=KuStore([], {}), prs=make_dataset())
+    rng = random.Random(20231)
+    singles = ties = fallbacks = 0
+    for case in range(300):
+        prs, base = random_replay_case(rng)
+        winners = best_performers(prs, base)
+        for variant in VARIANTS:
+            model = AdaptiveRecommender(variant, seed=case).fit(history)
+            expected, tied = naive_replay(variant, case, prs, base)
+            assert model.replay(prs, base) == expected, (case, variant)
+            assert model.replay(prs, base, winners) == expected, (case, variant)
+            fallbacks += sum(s.chosen != s.delegate for s in expected)
+        assert winners == [step.winner for step in expected]
+        singles += len(prs) == 1
+        ties += tied
+    # the cases exercise single-PR sequences, score ties and the KUREC fallback
+    assert singles and ties and fallbacks
 
 
 def fabricated_setup(n_prs=6):

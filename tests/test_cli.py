@@ -7,8 +7,10 @@ import random
 
 import pytest
 
+from kurev import cli
 from kurev.cli import main
 from kurev.mining import KuStore
+from kurev.pipeline import run_base_recommenders
 from kurev.prstore import filter_prs, load_prs
 from kurev.recommenders import KIND_ORDER
 from kurev.util import parse_rfc3339
@@ -139,6 +141,34 @@ def test_adaptive_recommend_honours_rf_mode(mined, capsys):
         assert ranking(*args, "--rf-mode", "prs") == by_prs
 
 
+def test_adaptive_recommend_replays_only_up_to_the_target(mined, tmp_path, capsys,
+                                                          monkeypatch):
+    # PR 12 opens at the same instant as PR 11, the target; being later in
+    # (opened_at, id) order it is neither replayed nor base-recommended
+    records = [json.loads(line) for line in mined["prs"].read_text().splitlines()]
+    by_id = {record["id"]: record for record in records}
+    by_id[12]["opened_at"] = by_id[11]["opened_at"]
+    same_instant = tmp_path / "prs.jsonl"
+    same_instant.write_text("".join(json.dumps(r) + "\n" for r in records))
+    replayed = []
+
+    def spy(history, prefix, rf_mode="prs"):
+        replayed.append([pr.id for pr in prefix])
+        return run_base_recommenders(history, prefix, rf_mode=rf_mode)
+
+    def ranking(prs_path, variant):
+        assert main(["recommend", "--store", str(mined["store"]), "--prs", str(prs_path),
+                     "--pr", "11", "--which", variant, "--seed", "3"]) == 0
+        return capsys.readouterr().out
+
+    for variant in ("ad_freq", "ad_rec", "ad_hybrid"):
+        expected = ranking(mined["prs"], variant)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_base_recommenders", spy)
+            assert ranking(same_instant, variant) == expected
+        assert replayed.pop() == [10, 11]
+
+
 def test_evaluate_and_cluster_commands(mined, tmp_path, capsys):
     report = tmp_path / "report.tsv"
     assert main(
@@ -184,7 +214,11 @@ def test_pipeline_rejects_unknown_config_keys(mined, tmp_path, capsys):
     assert "kmax" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["rf_mode: bogus", 'all_commits: "false"'])
+@pytest.mark.parametrize(
+    "line",
+    ["rf_mode: bogus", 'all_commits: "false"', "train_fraction: 1.0",
+     "train_fraction: -0.5", "k_max: 1"],
+)
 def test_pipeline_bad_config_value_exits_2_before_any_stage(mined, tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"
     out = tmp_path / "out"

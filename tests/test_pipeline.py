@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import shutil
+import sys
 from dataclasses import replace
 
 import pytest
 
-from kurev import pipeline
+from kurev import pipeline, util
 from kurev.errors import KurevError
 from kurev.pipeline import (
     ALL_KINDS,
@@ -152,6 +154,73 @@ def test_stage_that_crashes_midway_is_not_cached_under_its_old_signature(
 
     run_pipeline(config, echo=lambda message: None)
     assert tree_bytes(config.out_dir) == tree_bytes(clean.out_dir)
+
+
+def crash_at_write(monkeypatch, crash_at=None):
+    """Count ``util.atomic_open`` calls, raising at call ``crash_at``.
+
+    Patches the name in every ``kurev`` module that looks it up, since
+    some import it directly; returns the list of paths opened so far.
+    """
+    real = util.atomic_open
+    opened = []
+
+    def counted(path):
+        opened.append(path)
+        if len(opened) == crash_at:
+            raise RuntimeError(f"crash before writing {path.name}")
+        return real(path)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kurev") and getattr(module, "atomic_open", None) is real:
+            monkeypatch.setattr(module, "atomic_open", counted)
+    return opened
+
+
+def test_a_crash_at_any_write_leaves_the_rerun_byte_identical(
+    synthetic_project, tmp_path, monkeypatch
+):
+    def config_in(root):
+        return replace(config_for(synthetic_project, root), cache_dir=root / "cache")
+
+    quiet = lambda message: None  # noqa: E731
+    clean = config_in(tmp_path / "clean")
+    with monkeypatch.context() as patch:
+        cold_writes = crash_at_write(patch)
+        run_pipeline(clean, echo=quiet)
+    expected = tree_bytes(clean.out_dir)
+    # every file of out/ goes through atomic_open, as does the KU cache
+    assert {p.relative_to(clean.out_dir).as_posix() for p in cold_writes
+            if clean.out_dir in p.parents} == set(expected)
+    assert len(cold_writes) == len(expected) + 1
+
+    def crash_then_rerun(root, crash_at, crashed_config):
+        with monkeypatch.context() as patch:
+            crash_at_write(patch, crash_at)
+            with pytest.raises(RuntimeError, match="crash before writing"):
+                run_pipeline(crashed_config, echo=quiet)
+        run_pipeline(config_in(root), echo=quiet)
+        assert tree_bytes(root / "out") == expected, (root.name, crash_at)
+
+    # a cold run crashes at the N-th write; the same config runs again
+    for n in range(1, len(cold_writes) + 1):
+        root = tmp_path / f"cold{n}"
+        crash_then_rerun(root, n, config_in(root))
+
+    # a finished run is rerun at another train fraction, crashes at its N-th
+    # write, and the first config runs again
+    def finished(root):
+        shutil.copytree(clean.out_dir, root / "out")
+        shutil.copytree(clean.cache_dir, root / "cache")
+        return replace(config_in(root), train_fraction=0.7)
+
+    with monkeypatch.context() as patch:
+        changed_writes = crash_at_write(patch)
+        run_pipeline(finished(tmp_path / "count"), echo=quiet)
+    assert changed_writes  # the prs and evaluate stages run again
+    for n in range(1, len(changed_writes) + 1):
+        root = tmp_path / f"changed{n}"
+        crash_then_rerun(root, n, finished(root))
 
 
 def test_config_file_with_only_paths_takes_the_dataclass_defaults(tmp_path):

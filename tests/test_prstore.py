@@ -141,6 +141,18 @@ def test_split_floor_sizes():
         chronological_split(dataset(4))
 
 
+@pytest.mark.parametrize("fraction", [-0.5, 1.5, float("nan")])
+def test_split_rejects_a_fraction_outside_the_unit_interval(fraction):
+    ds = make_dataset(
+        *(make_pr(i, f"2023-01-{i:02d}T00:00:00Z", "a", ["x.java"], reviewers=["r"])
+          for i in range(1, 11))
+    )
+    with pytest.raises(SplitError, match="fraction"):
+        chronological_split(ds, fraction)
+    assert [len(part.prs) for part in chronological_split(ds, 0.0)] == [0, 10]
+    assert [len(part.prs) for part in chronological_split(ds, 1.0)] == [10, 0]
+
+
 def test_split_is_a_chronological_partition():
     rng = random.Random(42)
     for _ in range(50):

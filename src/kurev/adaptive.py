@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import NoKuError
-from .evaluation import average_precision, is_correct_top_k
+from .evaluation import K_MAX, PrScore
 from .prstore import PullRequest
 from .recommenders import KIND_ORDER, BaseRecommender, History, Recommendation
 
@@ -58,25 +58,31 @@ class Brst:
 
 
 def best_performers(
-    test_prs: list[PullRequest], base: dict[str, dict[int, Recommendation]]
+    test_prs: list[PullRequest],
+    base: dict[str, dict[int, Recommendation]],
+    scores: dict[str, list[PrScore]] | None = None,
 ) -> list[str]:
     """The cumulative best performer after each test PR completed.
 
     A kind's combined score over the completed prefix is (mean
     accuracy@1..5 + mean AP@1..5) / 2; ties go to the earlier kind in
     ``KIND_ORDER``. The sequence does not depend on the BRST variant.
+    ``scores`` holds each kind's :class:`PrScore` per test PR, in order;
+    it is computed from ``base`` when absent.
     """
-    ks = range(1, 6)
+    if scores is None:
+        scores = {
+            kind: [PrScore.of(base[kind][pr.id], set(pr.reviewers)) for pr in test_prs]
+            for kind in KIND_ORDER
+        }
     acc = dict.fromkeys(KIND_ORDER, 0.0)
     ap = dict.fromkeys(KIND_ORDER, 0.0)
     winners: list[str] = []
-    for n, pr in enumerate(test_prs, start=1):
-        truth = set(pr.reviewers)
+    for n in range(1, len(test_prs) + 1):
         for kind in KIND_ORDER:
-            rec = base[kind][pr.id]
-            top = rec.top(5)
-            acc[kind] += sum(is_correct_top_k(rec, truth, k) for k in ks) / 5
-            ap[kind] += sum(average_precision(top, truth, k) for k in ks) / 5
+            score = scores[kind][n - 1]
+            acc[kind] += sum(score.hits) / K_MAX
+            ap[kind] += sum(score.aps) / K_MAX
         # max keeps the first maximal kind, so ties follow KIND_ORDER
         winners.append(
             max(KIND_ORDER, key=lambda kind: (acc[kind] / n + ap[kind] / n) / 2)

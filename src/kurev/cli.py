@@ -20,6 +20,8 @@ from .mining import KuStore, build_ku_store
 from .pipeline import (
     ALL_KINDS,
     ProjectConfig,
+    check_k_max,
+    check_train_fraction,
     evaluate_project,
     run_base_recommenders,
     run_clustering,
@@ -47,6 +49,16 @@ prs_option = click.option(
     type=click.Path(exists=True, dir_okay=False, path_type=Path))
 rf_mode_option = click.option(
     "--rf-mode", default="prs", type=click.Choice(RF_MODES), show_default=True)
+
+
+def _checked(rule):
+    """Option callback applying a config key's range rule, named by the option."""
+
+    def callback(ctx, param, value):
+        rule(value, param.opts[0])
+        return value
+
+    return callback
 
 
 def _load(store_dir: Path, prs_path: Path) -> History:
@@ -174,6 +186,7 @@ def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
 @click.option("--top", default=5, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--train-fraction", default=0.8, show_default=True,
+              callback=_checked(check_train_fraction),
               help="Split used to replay adaptive recommenders.")
 @rf_mode_option
 def recommend(
@@ -215,7 +228,8 @@ def recommend(
 @prs_option
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--train-fraction", default=0.8, show_default=True)
+@click.option("--train-fraction", default=0.8, show_default=True,
+              callback=_checked(check_train_fraction))
 @rf_mode_option
 def evaluate(
     store_dir: Path, prs_path: Path, out: Path, seed: int, train_fraction: float, rf_mode: str
@@ -231,7 +245,7 @@ def evaluate(
 @cli.command()
 @store_option
 @click.option("--out", required=True, type=click.Path(path_type=Path))
-@click.option("--k-max", default=100, show_default=True)
+@click.option("--k-max", default=100, show_default=True, callback=_checked(check_k_max))
 @click.option("--seed", default=0, show_default=True)
 def cluster(store_dir: Path, out: Path, k_max: int, seed: int) -> None:
     """Cluster global developer KU profiles."""

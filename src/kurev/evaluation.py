@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import timedelta
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -13,6 +14,8 @@ from .recommenders import Recommendation
 from .util import write_text
 
 SIX_MONTHS = timedelta(days=183)
+# The cutoffs k = 1..K_MAX of every reported accuracy@k and MAP@k.
+K_MAX = 5
 
 
 def is_correct_top_k(rec: Recommendation | None, truth: set[str], k: int) -> bool:
@@ -70,6 +73,48 @@ def map_at_k(
                 rec.developers(), truth.get(rec.pr_id, set()), k
             )
     return total / len(recs)
+
+
+@dataclass(frozen=True, slots=True)
+class PrScore:
+    """One recommendation's top-k hit and AP@k, for k = 1..K_MAX (index k-1).
+
+    Both depend only on which of the first K_MAX ranks hold a true
+    reviewer, so recommendations with the same hit pattern share one value.
+    """
+
+    hits: tuple[bool, ...]
+    aps: tuple[float, ...]
+
+    @staticmethod
+    def of(rec: Recommendation, truth: set[str]) -> "PrScore":
+        return _pattern_score(tuple(dev in truth for dev in rec.top(K_MAX)))
+
+
+@cache
+def _pattern_score(pattern: tuple[bool, ...]) -> PrScore:
+    """The score of a ranking whose i-th entry is a true reviewer iff pattern[i]."""
+    ranked = [str(i) for i in range(len(pattern))]
+    truth = {dev for dev, hit in zip(ranked, pattern) if hit}
+    ks = range(1, K_MAX + 1)
+    return PrScore(
+        hits=tuple(any(pattern[:k]) for k in ks),
+        aps=tuple(average_precision(ranked, truth, k) for k in ks),
+    )
+
+
+def mean_scores(scores: Sequence[PrScore]) -> tuple[list[float], list[float]]:
+    """Top-k accuracy and MAP@k for k = 1..K_MAX over one recommender's test PRs.
+
+    Equal to :func:`top_k_accuracy` and :func:`map_at_k` over the same
+    recommendations, summed in the same order.
+    """
+    if not scores:
+        raise ValueError("no recommendations to score")
+    n = len(scores)
+    accuracy = [sum(s.hits[k] for s in scores) / n for k in range(K_MAX)]
+    mean_ap = [sum(s.aps[k] for s in scores) / n for k in range(K_MAX)]
+    return accuracy, mean_ap
 
 
 def reasonableness(

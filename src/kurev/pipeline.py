@@ -17,7 +17,14 @@ from .adaptive import VARIANTS, AdaptiveRecommender, best_performers, safe_recom
 from .catalog import KU_COUNT, load_catalog
 from .clustering import DegenerateDataError, diff_values, gini, pca_reduce, select_k
 from .errors import KurevError
-from .evaluation import EvalReport, map_at_k, reasonableness, top_k_accuracy
+from .evaluation import (
+    K_MAX,
+    SIX_MONTHS,
+    EvalReport,
+    PrScore,
+    mean_scores,
+    reasonableness,
+)
 from .mining import KuStore, _git, build_ku_store
 from .prstore import (
     PrDataset,
@@ -38,6 +45,18 @@ _PATH_FIELDS = ("repo", "prs", "out_dir", "catalog", "cache_dir")
 # YAML types each other field accepts, by the type of its default; a YAML
 # bool is accepted by bool fields only
 _ACCEPTS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def check_train_fraction(value: float, name: str = "train_fraction") -> None:
+    """A train fraction must leave at least one PR to test (NaN fails too)."""
+    if not 0 <= value < 1:
+        raise KurevError(f"{name} must be in [0, 1), not {value!r}")
+
+
+def check_k_max(value: int, name: str = "k_max") -> None:
+    """K selection tries every K in 2..k_max, so it needs at least one."""
+    if value < 2:
+        raise KurevError(f"{name} must be at least 2, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,12 +103,8 @@ class ProjectConfig:
         if self.rf_mode not in RF_MODES:
             modes = ", ".join(RF_MODES)
             raise KurevError(f"rf_mode must be one of {modes}, not {self.rf_mode!r}")
-        if not 0 <= self.train_fraction < 1:
-            raise KurevError(
-                f"train_fraction must be in [0, 1), not {self.train_fraction!r}"
-            )
-        if self.k_max < 2:
-            raise KurevError(f"k_max must be at least 2, not {self.k_max!r}")
+        check_train_fraction(self.train_fraction)
+        check_k_max(self.k_max)
         if not self.repo.exists():
             raise KurevError(f"repository path missing: {self.repo}")
         if not self.prs.exists():
@@ -118,28 +133,38 @@ def evaluate_project(
     seed: int = 0,
     rf_mode: str = "prs",
 ) -> EvalReport:
-    """Score the five base and three adaptive recommenders on the test set."""
-    test_prs = list(test.prs)
-    truth = {pr.id: set(pr.reviewers) for pr in test_prs}
-    base = run_base_recommenders(history, test_prs, rf_mode=rf_mode)
+    """Score the five base and three adaptive recommenders on the test set.
 
+    Each base recommendation is scored once (:class:`PrScore`); the winner
+    sequence, the adaptive variants and the report all read those scores.
+    """
+    test_prs = list(test.prs)
+    base = run_base_recommenders(history, test_prs, rf_mode=rf_mode)
     recs_by_kind: dict[str, list[Recommendation]] = {
         kind: [base[kind][pr.id] for pr in test_prs] for kind in KIND_ORDER
     }
-    winners = best_performers(test_prs, base)  # shared by the three variants
+    scores = {
+        kind: [PrScore.of(rec, set(pr.reviewers)) for pr, rec in zip(test_prs, recs)]
+        for kind, recs in recs_by_kind.items()
+    }
+    winners = best_performers(test_prs, base, scores)  # shared by the three variants
     for variant in VARIANTS:
         steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(
             test_prs, base, winners
         )
-        recs_by_kind[f"ad_{variant}"] = [s.recommendation for s in steps]
+        kind = f"ad_{variant}"
+        recs_by_kind[kind] = [s.recommendation for s in steps]
+        # a step's ranking is its delegate's, so it scores the same
+        scores[kind] = [scores[s.delegate][i] for i, s in enumerate(steps)]
 
     report = EvalReport(project=test.project, pr_count=len(test_prs))
     asof = history.asof
     verdicts: dict[tuple[int, str], bool | None] = {}
     for kind, recs in recs_by_kind.items():
-        for k in range(1, 6):
-            report.accuracy[(kind, k)] = top_k_accuracy(recs, truth, k)
-            report.mean_ap[(kind, k)] = map_at_k(recs, truth, k)
+        accuracy, mean_ap = mean_scores(scores[kind])
+        for k in range(1, K_MAX + 1):
+            report.accuracy[(kind, k)] = accuracy[k - 1]
+            report.mean_ap[(kind, k)] = mean_ap[k - 1]
         applicable = reasonable = 0
         for pr, rec in zip(test_prs, recs):
             top = rec.top(1)
@@ -147,12 +172,12 @@ def evaluate_project(
                 continue
             key = (pr.id, top[0])
             if key not in verdicts:  # kinds often share a top-1 developer
-                verdicts[key] = reasonableness(
-                    pr,
-                    top[0],
-                    asof.commits_before(pr.opened_at),
-                    asof.prs_before(pr.opened_at),
+                # the developer's latest touch of each changed file, if in
+                # the window, decides the verdict as their whole window would
+                commits, own_prs = asof.recent_touches(
+                    top[0], pr.changed_files, pr.opened_at - SIX_MONTHS, pr.opened_at
                 )
+                verdicts[key] = reasonableness(pr, top[0], commits, own_prs)
             if verdicts[key] is not None:
                 applicable += 1
                 reasonable += verdicts[key]

@@ -7,8 +7,8 @@ normalizes a sum into the developer's share of all occurrences of that
 KU observed strictly before the cutoff.
 
 Every "strictly before" question is answered by one :class:`AsOf` index
-per store and PR set: sorted commits, PRs and comments, per-file snapshots,
-memoised PR vectors and per-developer running sums, each queried with
+per store and PR set: per-file snapshots, memoised PR vectors,
+per-developer running sums and per-key date lists, each queried with
 ``bisect``.
 """
 
@@ -17,8 +17,9 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date, datetime
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -104,43 +105,183 @@ class _Side:
         return Expertise(kind=self.kind, cutoff=cutoff, rows=rows, totals=totals)
 
 
+def _dates_by(pairs: Iterable[tuple[str, datetime]]) -> dict[str, list[datetime]]:
+    """Per key: its dates, sorted."""
+    out: dict[str, list[datetime]] = {}
+    for key, when in pairs:
+        out.setdefault(key, []).append(when)
+    for dates in out.values():
+        dates.sort()
+    return out
+
+
+def _counts_before(index: dict[str, list[datetime]], when: datetime) -> dict[str, int]:
+    """Per key: its dates strictly before ``when``; keys with none are absent."""
+    counts = {}
+    for key, dates in index.items():
+        n = bisect_left(dates, when)
+        if n:
+            counts[key] = n
+    return counts
+
+
+def _by_path(records: Iterable[tuple], date) -> dict[str, dict[str, tuple]]:
+    """Group (record, owner, paths) triples per path and then per owner,
+    each group sorted by ``date`` (stably, so ties keep their order)."""
+    out: dict[str, dict[str, list]] = {}
+    for record, owner, paths in records:
+        for path in paths:
+            out.setdefault(path, {}).setdefault(owner, []).append(record)
+    for by_owner in out.values():
+        for owner, group in by_owner.items():
+            by_owner[owner] = tuple(sorted(group, key=date))
+    return out
+
+
+def _distinct_workdays(comments: Sequence[ReviewComment]) -> tuple[int, ...]:
+    """Distinct workdays among the first i+1 of date-sorted comments, per i.
+
+    Comment dates are UTC (``load_prs``), so workdays never decrease along
+    the comments and a new one differs from its predecessor's.
+    """
+    counts, days = [], 0
+    for i, comment in enumerate(comments):
+        days += not i or comment.workday != comments[i - 1].workday
+        counts.append(days)
+    return tuple(counts)
+
+
+_AUTHORED = attrgetter("authored_at")
+_OPENED = attrgetter("opened_at")
+_COMMENTED = attrgetter("commented_at")
+
+
 class AsOf:
     """Everything known strictly before a date, over one store and PR set.
 
     Built once and queried per PR: commits sorted by (date, store order),
-    PRs by (opening date, id), review comments by date, each file's
-    snapshots by (date, store order), each PR's KU vector computed once,
-    and per-developer running sums for both sides, each built on first use.
+    PRs by (opening date, id), each file's snapshots by (date, store
+    order), each PR's KU vector computed once, per-developer running sums
+    for both sides, and per-key date lists (commits per author and per
+    (path, author), own PRs per (path, author), reviewed PRs and review
+    comments per reviewer, review comments per (path, reviewer)). Each
+    index is built on first use, and every query bisects it at the cutoff
+    instead of copying a prefix.
+
+    Review comments count only when written strictly before the cutoff.
+    ``load_prs`` rejects a comment dated before its own PR opened, so each
+    counted comment's PR also opened before the cutoff.
     """
 
     def __init__(self, store: KuStore, prs: Sequence[PullRequest] = ()):
         self.store = store
         self.commits = sorted(store.commits, key=lambda c: c.authored_at)
-        self._commit_dates = [c.authored_at for c in self.commits]
         self.prs = sorted(prs, key=lambda p: (p.opened_at, p.id))
-        self._pr_dates = [p.opened_at for p in self.prs]
         self._pr_vectors: dict[PullRequest, list[int]] = {}
 
-    def commits_before(self, when: datetime) -> list[CommitRecord]:
-        return self.commits[: bisect_left(self._commit_dates, when)]
-
-    def prs_before(self, when: datetime) -> list[PullRequest]:
-        return self.prs[: bisect_left(self._pr_dates, when)]
+    # --- per-key date lists ---------------------------------------------------
 
     @cached_property
-    def _comments(self) -> tuple[list[datetime], list[tuple[ReviewComment, PullRequest]]]:
-        pairs = sorted(((c, pr) for pr in self.prs for c in pr.review_comments),
-                       key=lambda pair: pair[0].commented_at)
-        return [c.commented_at for c, _ in pairs], pairs
+    def _authored(self) -> dict[str, list[datetime]]:
+        """Per author: dates of their commits."""
+        return _dates_by((c.author, c.authored_at) for c in self.commits)
 
-    def comments_before(self, when: datetime) -> list[tuple[ReviewComment, PullRequest]]:
-        """Review comments written strictly before ``when``, each with its PR.
+    @cached_property
+    def _path_commits(self) -> dict[str, dict[str, tuple[CommitRecord, ...]]]:
+        """Per changed Java path, per author: their commits that changed it."""
+        return _by_path(((c, c.author, c.changed_java_files) for c in self.commits),
+                        _AUTHORED)
 
-        ``load_prs`` rejects a comment dated before its own PR opened, so
-        each of these PRs is also one of :meth:`prs_before`.
+    @cached_property
+    def _path_prs(self) -> dict[str, dict[str, tuple[PullRequest, ...]]]:
+        """Per changed path, per author: their own PRs that changed it."""
+        return _by_path(((p, p.author, p.changed_files) for p in self.prs), _OPENED)
+
+    @cached_property
+    def _reviewed(self) -> dict[str, list[datetime]]:
+        """Per reviewer: opening dates of the PRs they reviewed."""
+        return _dates_by((r, p.opened_at) for p in self.prs for r in p.reviewers)
+
+    @cached_property
+    def _commented(self) -> dict[str, list[datetime]]:
+        """Per reviewer: dates of their review comments."""
+        return _dates_by(
+            (c.reviewer, c.commented_at) for p in self.prs for c in p.review_comments
+        )
+
+    @cached_property
+    def _path_comments(
+        self,
+    ) -> dict[str, dict[str, tuple[tuple[ReviewComment, ...], tuple[int, ...]]]]:
+        """Per path, per reviewer: their comments on it sorted by date, and
+        the number of distinct workdays among the first i+1 of them.
+
+        Only comments on a path their own PR changed count.
         """
-        dates, pairs = self._comments
-        return pairs[: bisect_left(dates, when)]
+        grouped = _by_path(
+            ((c, c.reviewer, (c.path,))
+             for pr in self.prs for c in pr.review_comments if c.path in pr.changed_files),
+            _COMMENTED,
+        )
+        return {
+            path: {r: (comments, _distinct_workdays(comments))
+                   for r, comments in by_reviewer.items()}
+            for path, by_reviewer in grouped.items()
+        }
+
+    # --- queries ---------------------------------------------------------------
+
+    def commit_counts(self, when: datetime) -> dict[str, int]:
+        """Per author: commits authored strictly before ``when`` (none: absent)."""
+        return _counts_before(self._authored, when)
+
+    def review_counts(self, when: datetime, mode: str = "prs") -> dict[str, int]:
+        """Per reviewer: reviewed PRs opened (``mode="prs"``) or review
+        comments written (``mode="comments"``) strictly before ``when``."""
+        return _counts_before(self._reviewed if mode == "prs" else self._commented, when)
+
+    def last_commits(self, paths: Iterable[str], when: datetime) -> dict[str, datetime]:
+        """Per author: the date of their latest commit strictly before
+        ``when`` that changed any of ``paths``."""
+        last: dict[str, datetime] = {}
+        for path in set(paths):
+            for author, commits in self._path_commits.get(path, {}).items():
+                n = bisect_left(commits, when, key=_AUTHORED)
+                if n and (author not in last or commits[n - 1].authored_at > last[author]):
+                    last[author] = commits[n - 1].authored_at
+        return last
+
+    def file_reviews(self, path: str, when: datetime) -> list[tuple[str, int, int, date]]:
+        """(reviewer, comments, distinct workdays, latest workday) per
+        reviewer of ``path``, over comments on it written strictly before
+        ``when`` on PRs that changed it."""
+        out = []
+        for reviewer, (comments, distinct) in self._path_comments.get(path, {}).items():
+            n = bisect_left(comments, when, key=_COMMENTED)
+            if n:
+                out.append((reviewer, n, distinct[n - 1], comments[n - 1].workday))
+        return out
+
+    def recent_touches(
+        self, developer: str, paths: Iterable[str], since: datetime, until: datetime
+    ) -> tuple[list[CommitRecord], list[PullRequest]]:
+        """Per path, the developer's latest own commit and latest own PR dated
+        before ``until`` that changed it, each kept if dated at or after
+        ``since``.
+
+        These are enough to tell which of ``paths`` the developer touched in
+        [since, until), at a cost that does not grow with their activity there.
+        """
+        paths = dict.fromkeys(paths)
+        found: tuple[list, list] = ([], [])
+        indexes = ((self._path_commits, _AUTHORED), (self._path_prs, _OPENED))
+        for (index, dated), out in zip(indexes, found):
+            for path in paths:
+                records = index.get(path, {}).get(developer, ())
+                n = bisect_left(records, until, key=dated)
+                if n and dated(records[n - 1]) >= since:
+                    out.append(records[n - 1])
+        return found
 
     @cached_property
     def _snapshots(self) -> dict[str, tuple[list[datetime], list[list[int]]]]:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
+from functools import cached_property
 from pathlib import Path
 
 from .errors import SchemaError, SplitError
-from .util import format_rfc3339, parse_rfc3339, read_jsonl, write_jsonl
+from .util import atomic_open, dump_json_line, format_rfc3339, parse_rfc3339, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,11 @@ class PullRequest:
             "review_comments": [c.to_dict() for c in self.review_comments],
             "head_commit": self.head_commit,
         }
+
+    @cached_property
+    def json_line(self) -> str:
+        """This PR's line in a saved export, built once per PR object."""
+        return dump_json_line(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,12 @@ def load_prs(path: str | Path, project: str | None = None) -> PrDataset:
 
 
 def save_prs(ds: PrDataset, path: str | Path) -> None:
-    write_jsonl(Path(path), (pr.to_dict() for pr in ds.prs))
+    """One JSON line per PR, atomically; PRs shared by several saved
+    datasets are serialised once."""
+    with atomic_open(Path(path)) as fh:
+        for pr in ds.prs:
+            fh.write(pr.json_line)
+            fh.write("\n")
 
 
 def filter_prs(ds: PrDataset, min_prs: int = 100) -> tuple[PrDataset, bool]:

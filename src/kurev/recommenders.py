@@ -9,14 +9,14 @@ the PR under recommendation) and never rank the PR's own author.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from functools import cached_property
 
 from .catalog import KU_COUNT
 from .errors import NoKuError
 from .mining import KuStore
-from .prstore import PrDataset, PullRequest, ReviewComment
-from .profiles import AsOf, Expertise
+from .prstore import PrDataset, PullRequest
+from .profiles import AsOf
 # perfbench/tracing.py hooks these profile builders by this module's name
 # (tests/test_bench_hooks.py guards it) until in-tree metrics replace the hooks.
 from .profiles import dev_exp_matrix, pr_ku_vector, rev_exp_matrix  # noqa: F401
@@ -86,22 +86,12 @@ class BaseRecommender:
         raise NotImplementedError
 
 
-def _side_score(
-    side: Expertise, developer: str, present: list[int], pr_open: datetime
-) -> float:
-    """Sum over present KUs (0-based) of ratio plus recency bonus."""
-    row = side.rows.get(developer)
-    if row is None:
-        return 0.0
-    score = 0.0
-    for k in present:
-        score += side.ratio(developer, k)
-        score += recency_bonus(row[1][k], pr_open)
-    return score
-
-
 class KurecRecommender(BaseRecommender):
-    """ExpertiseScore = DevScore + RevScore over the PR's present KUs."""
+    """ExpertiseScore = DevScore + RevScore over the PR's present KUs.
+
+    Each side's score sums, over the present KUs (0-based) in order, the
+    developer's ratio and then the recency bonus of their last touch.
+    """
 
     kind = "kurec"
 
@@ -119,16 +109,32 @@ class KurecRecommender(BaseRecommender):
         present = [k for k in range(KU_COUNT) if vector[k] > 0]
         if not present:
             raise NoKuError(f"PR {pr.id} contains no detectable KUs")
-        dev = asof.development(pr.opened_at)
-        rev = asof.review(pr.opened_at)
-        candidates = (dev.rows.keys() | rev.rows.keys()) - {pr.author}
-        return {
-            name: (
-                _side_score(dev, name, present, pr.opened_at),
-                _side_score(rev, name, present, pr.opened_at),
-            )
-            for name in sorted(candidates)
-        }
+        sides = (asof.development(pr.opened_at), asof.review(pr.opened_at))
+        bonuses: dict[datetime, float] = {}  # one per distinct last touch
+        scores: dict[str, tuple[float, float]] = {}
+        candidates = (sides[0].rows.keys() | sides[1].rows.keys()) - {pr.author}
+        for name in sorted(candidates):
+            pair = []
+            for side in sides:
+                score = 0.0
+                row = side.rows.get(name)
+                if row is not None:
+                    counts, touched = row
+                    for k in present:
+                        # an untouched KU would add 0.0 twice, so it is skipped
+                        if counts[k]:
+                            bonus = bonuses.get(touched[k])
+                            if bonus is None:
+                                bonus = bonuses[touched[k]] = recency_bonus(
+                                    touched[k], pr.opened_at
+                                )
+                            # Expertise.ratio, inlined: this division is KUREC's
+                            # hottest line, and the count is known to be positive
+                            score += counts[k] / side.totals[k]
+                            score += bonus
+                pair.append(score)
+            scores[name] = (pair[0], pair[1])
+        return scores
 
 
 class CfRecommender(BaseRecommender):
@@ -137,11 +143,9 @@ class CfRecommender(BaseRecommender):
     kind = "cf"
 
     def recommend(self, pr: PullRequest) -> Recommendation:
-        counts: dict[str, float] = {}
-        for commit in self._history().asof.commits_before(pr.opened_at):
-            counts[commit.author] = counts.get(commit.author, 0.0) + 1.0
+        counts = self._history().asof.commit_counts(pr.opened_at)
         counts.pop(pr.author, None)
-        return rank(counts, pr.id, self.kind)
+        return rank({dev: float(n) for dev, n in counts.items()}, pr.id, self.kind)
 
 
 class RfRecommender(BaseRecommender):
@@ -149,7 +153,7 @@ class RfRecommender(BaseRecommender):
 
     ``mode="comments"`` counts review comments instead (the paper's
     wording is ambiguous; reviewed PRs is the default reading), only
-    those written before the PR opened (:meth:`AsOf.comments_before`).
+    those written before the PR opened (:meth:`AsOf.review_counts`).
     """
 
     kind = "rf"
@@ -161,16 +165,9 @@ class RfRecommender(BaseRecommender):
         self.mode = mode
 
     def recommend(self, pr: PullRequest) -> Recommendation:
-        asof = self._history().asof
-        if self.mode == "prs":
-            names = (r for prior in asof.prs_before(pr.opened_at) for r in prior.reviewers)
-        else:
-            names = (c.reviewer for c, _ in asof.comments_before(pr.opened_at))
-        counts: dict[str, float] = {}
-        for name in names:
-            counts[name] = counts.get(name, 0.0) + 1.0
+        counts = self._history().asof.review_counts(pr.opened_at, self.mode)
         counts.pop(pr.author, None)
-        return rank(counts, pr.id, self.kind)
+        return rank({dev: float(n) for dev, n in counts.items()}, pr.id, self.kind)
 
 
 class ErRecommender(BaseRecommender):
@@ -179,60 +176,49 @@ class ErRecommender(BaseRecommender):
     kind = "er"
 
     def recommend(self, pr: PullRequest) -> Recommendation:
-        changed = set(pr.changed_files)
-        last: dict[str, float] = {}
-        for commit in self._history().asof.commits_before(pr.opened_at):
-            if not changed.intersection(commit.changed_java_files):
-                continue
-            # commits come in date order, so the last write is the latest
-            last[commit.author] = commit.authored_at.replace(tzinfo=timezone.utc).timestamp()
+        last = self._history().asof.last_commits(pr.changed_files, pr.opened_at)
         last.pop(pr.author, None)
-        return rank(last, pr.id, self.kind)
+        scores = {
+            dev: when.replace(tzinfo=timezone.utc).timestamp() for dev, when in last.items()
+        }
+        return rank(scores, pr.id, self.kind)
 
 
 class ChrevRecommender(BaseRecommender):
     """CHREV: per-file comment share, workday share, and recency.
 
     A file's history is the comments on it written before the PR opened,
-    on earlier PRs that changed it (:meth:`AsOf.comments_before`).
+    on earlier PRs that changed it (:meth:`AsOf.file_reviews`).
     """
 
     kind = "chrev"
 
     def recommend(self, pr: PullRequest) -> Recommendation:
-        changed = set(pr.changed_files)
-        by_path: dict[str, list[ReviewComment]] = {}
-        for comment, prior in self._history().asof.comments_before(pr.opened_at):
-            if comment.path in changed and comment.path in prior.changed_files:
-                by_path.setdefault(comment.path, []).append(comment)
+        asof = self._history().asof
         scores: dict[str, float] = {}
         for path in pr.changed_files:
-            for reviewer, x in self._file_stats(by_path.get(path, [])).items():
+            for reviewer, x in self._file_stats(asof.file_reviews(path, pr.opened_at)):
                 scores[reviewer] = scores.get(reviewer, 0.0) + x
         scores.pop(pr.author, None)
         return rank(scores, pr.id, self.kind)
 
     @staticmethod
-    def _file_stats(file_comments: list[ReviewComment]) -> dict[str, float]:
-        """Comment share, workday share and recency per reviewer of one file."""
-        comments: dict[str, int] = {}
-        workdays: dict[str, set] = {}
-        for comment in file_comments:
-            r = comment.reviewer
-            comments[r] = comments.get(r, 0) + 1
-            workdays.setdefault(r, set()).add(comment.workday)
-        if not comments:
-            return {}
-        total_comments = sum(comments.values())
-        total_workdays = sum(len(days) for days in workdays.values())
-        latest_overall = max(max(days) for days in workdays.values())
-        out: dict[str, float] = {}
-        for reviewer, c in comments.items():
-            share_c = c / total_comments if total_comments else 0.0
-            share_w = len(workdays[reviewer]) / total_workdays if total_workdays else 0.0
-            gap = abs((latest_overall - max(workdays[reviewer])).days)
+    def _file_stats(reviews: list[tuple[str, int, int, date]]) -> list[tuple[str, float]]:
+        """Comment share, workday share and recency per reviewer of one file.
+
+        ``reviews`` holds (reviewer, comments, distinct workdays, latest
+        workday) per reviewer with at least one comment on the file.
+        """
+        if not reviews:
+            return []
+        total_comments = sum(c for _, c, _, _ in reviews)
+        total_workdays = sum(w for _, _, w, _ in reviews)
+        latest_overall = max(latest for _, _, _, latest in reviews)
+        out = []
+        for reviewer, c, w, latest in reviews:
+            gap = abs((latest_overall - latest).days)
             recency = 1.0 / gap if gap > 0 else 1.0
-            out[reviewer] = share_c + share_w + recency
+            out.append((reviewer, c / total_comments + w / total_workdays + recency))
         return out
 
 

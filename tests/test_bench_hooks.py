@@ -10,8 +10,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from kurev import detector, mining
+from kurev import detector, mining, pipeline, recommenders
 from kurev.javaparse import parser
+from kurev.recommenders import KIND_ORDER, History
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -79,3 +80,53 @@ def test_hooked_names_see_one_call_per_missed_blob(scratch_repo, monkeypatch, tm
     calls.clear()
     mining.build_ku_store(repo.root, cache_path=cache)  # every blob now hits
     assert calls == Counter()
+
+
+RECOMMENDER_CLASSES = {
+    "kurec": "KurecRecommender", "cf": "CfRecommender", "rf": "RfRecommender",
+    "er": "ErRecommender", "chrev": "ChrevRecommender",
+}
+
+
+def test_hooked_names_see_every_evaluation_call(synthetic_project, monkeypatch):
+    # An evaluation that scored through an inlined fast path instead of these
+    # names would bypass the wrappers, and the recommenders.* and
+    # evaluation.reasonableness.* metrics would read zero.
+    targets = {f"{h.module}.{h.target}" for h in load_tracing().HOOKS}
+    hooked = [(recommenders, f"{cls}.recommend") for cls in RECOMMENDER_CLASSES.values()]
+    hooked += [(pipeline, "safe_recommend"), (pipeline, "reasonableness")]
+    assert {f"{owner.__name__}.{name}" for owner, name in hooked} <= targets
+
+    test_prs = synthetic_project["test"].prs
+    fresh = History(store=synthetic_project["store"], prs=synthetic_project["dataset"])
+    base = pipeline.run_base_recommenders(fresh, list(test_prs))
+    picks = {(pr_id, rec.ranked[0][0])
+             for recs in base.values() for pr_id, rec in recs.items() if rec.ranked}
+
+    calls: Counter = Counter()
+    judged: Counter = Counter()
+    for kind, cls in RECOMMENDER_CLASSES.items():
+        original = getattr(recommenders, cls).recommend
+
+        def counted(self, pr, kind=kind, original=original):
+            calls[kind] += 1
+            return original(self, pr)
+
+        monkeypatch.setattr(getattr(recommenders, cls), "recommend", counted)
+    safe_recommend, reasonableness = pipeline.safe_recommend, pipeline.reasonableness
+
+    def counted_safe(rec, pr):
+        calls["safe_recommend"] += 1
+        return safe_recommend(rec, pr)
+
+    def counted_judge(pr, top1, commits, prior_prs):
+        judged[pr.id, top1] += 1
+        return reasonableness(pr, top1, commits, prior_prs)
+
+    monkeypatch.setattr(pipeline, "safe_recommend", counted_safe)
+    monkeypatch.setattr(pipeline, "reasonableness", counted_judge)
+    history = History(store=synthetic_project["store"], prs=synthetic_project["dataset"])
+    pipeline.evaluate_project(history, synthetic_project["test"])
+    n = len(test_prs)
+    assert calls == {**dict.fromkeys(KIND_ORDER, n), "safe_recommend": 5 * n}
+    assert judged == Counter(dict.fromkeys(picks, 1))

@@ -229,3 +229,25 @@ def test_pipeline_bad_config_value_exits_2_before_any_stage(mined, tmp_path, cap
     assert main(["pipeline", str(config)]) == 2
     assert line.split(":")[0] in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.stamp"))
+
+
+@pytest.mark.parametrize(
+    "args,option",
+    [
+        (["cluster", "--k-max", "1"], "--k-max"),
+        (["evaluate", "--prs", "PRS", "--train-fraction", "1.0"], "--train-fraction"),
+        (["recommend", "--prs", "PRS", "--pr", "11", "--which", "ad_freq",
+          "--train-fraction", "1.0"], "--train-fraction"),
+    ],
+    ids=["cluster", "evaluate", "recommend"],
+)
+def test_command_checks_its_own_range_option(mined, tmp_path, capsys, args, option):
+    # the rule ProjectConfig.validate applies to the config key, named by
+    # the option, before the command reads anything
+    out = tmp_path / "out"
+    args = [str(mined["prs"]) if arg == "PRS" else arg for arg in args]
+    if args[0] != "recommend":
+        args += ["--out", str(out)]
+    assert main([*args, "--store", str(mined["store"])]) == 2
+    assert f"error: {option} must be" in capsys.readouterr().err
+    assert not out.exists()

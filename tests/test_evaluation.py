@@ -8,9 +8,11 @@ import pytest
 
 from kurev.evaluation import (
     EvalReport,
+    PrScore,
     average_precision,
     is_correct_top_k,
     map_at_k,
+    mean_scores,
     reasonableness,
     top_k_accuracy,
 )
@@ -94,6 +96,24 @@ def test_map_is_the_mean_of_aps():
     truth = {1: {"b"}, 2: {"x"}}
     expected = (average_precision(["a", "b"], {"b"}, 2) + 1.0) / 2
     assert map_at_k(recs, truth, 2) == pytest.approx(expected)
+
+
+def test_one_score_pass_equals_the_per_k_metrics():
+    # each recommendation is scored once; the means must be the very floats
+    # top_k_accuracy and map_at_k sum, in the same order
+    rng = random.Random(99)
+    devs = [f"d{i}" for i in range(7)]
+    for _ in range(300):
+        recs = [rec(i, *rng.sample(devs, rng.randrange(0, 8)))
+                for i in range(rng.randrange(1, 9))]
+        truth = {r.pr_id: set(rng.sample(devs, rng.randrange(0, 4))) for r in recs}
+        scores = [PrScore.of(r, truth[r.pr_id]) for r in recs]
+        assert mean_scores(scores) == (
+            [top_k_accuracy(recs, truth, k) for k in range(1, 6)],
+            [map_at_k(recs, truth, k) for k in range(1, 6)],
+        )
+    with pytest.raises(ValueError):
+        mean_scores([])
 
 
 def test_reasonableness_cases():

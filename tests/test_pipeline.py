@@ -9,11 +9,14 @@ from dataclasses import replace
 import pytest
 
 from kurev import pipeline, util
+from kurev.adaptive import VARIANTS, AdaptiveRecommender
 from kurev.errors import KurevError
+from kurev.evaluation import map_at_k, reasonableness, top_k_accuracy
 from kurev.pipeline import (
     ALL_KINDS,
     ProjectConfig,
     evaluate_project,
+    run_base_recommenders,
     run_pipeline,
 )
 
@@ -50,6 +53,43 @@ def test_evaluate_project_covers_all_recommenders(synthetic_project):
         # both metrics are monotone in k for a fixed ranking
         for k in range(1, 5):
             assert report.accuracy[(kind, k + 1)] >= report.accuracy[(kind, k)]
+
+
+def naive_report(history, test_prs, seed):
+    """Accuracy, MAP and reasonableness rescored per k from every ranking,
+    with each top-1 pick judged against the whole history before the PR."""
+    truth = {pr.id: set(pr.reviewers) for pr in test_prs}
+    base = run_base_recommenders(history, test_prs)
+    recs = {kind: [base[kind][pr.id] for pr in test_prs] for kind in base}
+    for variant in VARIANTS:
+        steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(test_prs)
+        recs[f"ad_{variant}"] = [step.recommendation for step in steps]
+    accuracy, mean_ap, reasonable = {}, {}, {}
+    for kind, kind_recs in recs.items():
+        for k in range(1, 6):
+            accuracy[(kind, k)] = top_k_accuracy(kind_recs, truth, k)
+            mean_ap[(kind, k)] = map_at_k(kind_recs, truth, k)
+        verdicts = [
+            reasonableness(
+                pr, rec.top(1)[0],
+                [c for c in history.store.commits if c.authored_at < pr.opened_at],
+                [p for p in history.prs.prs if p.opened_at < pr.opened_at],
+            )
+            for pr, rec in zip(test_prs, kind_recs)
+            if rec.ranked
+        ]
+        judged = [v for v in verdicts if v is not None]
+        reasonable[kind] = 100.0 * sum(judged) / len(judged) if judged else 0.0
+    return accuracy, mean_ap, reasonable
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_report_equals_the_per_k_rescoring(synthetic_project, seed):
+    history, test = synthetic_project["history"], synthetic_project["test"]
+    report = evaluate_project(history, test, seed=seed)
+    assert (report.accuracy, report.mean_ap, report.reasonable_pct) == naive_report(
+        history, list(test.prs), seed
+    )
 
 
 def test_run_pipeline_outputs_and_caching(synthetic_project, tmp_path, capsys):

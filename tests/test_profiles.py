@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import logging
+import random
 from collections import Counter
+from datetime import timedelta
 
 from kurev.catalog import KU_COUNT, KU_NAMES
+from kurev.evaluation import SIX_MONTHS
 from kurev.pipeline import evaluate_project
 from kurev.profiles import (
     AsOf,
@@ -327,3 +330,115 @@ def test_unresolvable_file_is_logged_once_per_pr_and_path(synthetic_project, cap
         if record.msg.startswith("PR %s: no content resolvable")
     )
     assert logged == Counter(unresolved)
+
+
+# --- per-key queries against naive scans --------------------------------------
+
+
+def random_history(rng):
+    """A small store and PR set on a coarse date grid, so that event dates
+    often coincide with each other and with the cutoffs."""
+    start = dt("2023-01-01T00:00:00Z")
+    devs = ["alice", "bob", "carol", "dan"]
+    paths = ["a.java", "b.java", "c.java", "notes.md"]
+
+    def when():
+        return start + timedelta(days=rng.randrange(0, 400, 3), hours=rng.choice((0, 12)))
+
+    commits = []
+    for i in range(rng.randrange(0, 12)):
+        files = {
+            path: None if rng.random() < 0.2 else ku(k1=rng.randrange(3))
+            for path in rng.sample(paths[:3], rng.randrange(1, 4))
+        }
+        commits.append(commit(f"c{i}", rng.choice(devs), when().isoformat(), files))
+    prs = []
+    for i in range(rng.randrange(0, 10)):
+        opened = when()
+        changed = rng.sample(paths, rng.randrange(1, 4))
+        comments = [
+            (rng.choice(devs + ["rita", "ron"]),
+             # on a changed path, on one the PR did not change, or on none
+             rng.choice(changed + ["z.java", None]),
+             (opened + timedelta(days=rng.choice((0, 0, 1, 3, 200)),
+                                 hours=rng.choice((0, 12)))).isoformat())
+            for _ in range(rng.randrange(0, 5))
+        ]
+        prs.append(make_pr(i, opened.isoformat(), rng.choice(devs), changed,
+                           reviewers=rng.sample(devs + ["rita", "ron"], rng.randrange(0, 3)),
+                           comments=comments))
+    return make_store(*commits), make_dataset(*prs).prs
+
+
+def cutoffs_of(store, prs):
+    """Every event date, each date 183 days on (an event then sits exactly at
+    the window start), and a date before and after everything."""
+    dates = {c.authored_at for c in store.commits} | {p.opened_at for p in prs}
+    dates |= {c.commented_at for p in prs for c in p.review_comments}
+    dates |= {d + SIX_MONTHS for d in dates}
+    return sorted(dates | {dt("2022-01-01T00:00:00Z"), dt("2025-01-01T00:00:00Z")})
+
+
+def naive_file_reviews(prs, path, when):
+    comments, days = Counter(), {}
+    for pr in prs:
+        for c in pr.review_comments:
+            if c.path == path and path in pr.changed_files and c.commented_at < when:
+                comments[c.reviewer] += 1
+                days.setdefault(c.reviewer, set()).add(c.commented_at.date())
+    return sorted((r, n, len(days[r]), max(days[r])) for r, n in comments.items())
+
+
+def naive_last_commits(store, paths, when):
+    last = {}
+    for c in store.commits:
+        if c.authored_at < when and set(paths) & set(c.changed_java_files):
+            last[c.author] = max(last.get(c.author, c.authored_at), c.authored_at)
+    return last
+
+
+def touched(commits, prs, paths):
+    """Which of ``paths`` the commits (Java files) and PRs (any file) changed."""
+    files = {f for c in commits for f in c.changed_java_files}
+    files |= {f for p in prs for f in p.changed_files}
+    return files & set(paths)
+
+
+def test_per_key_queries_equal_naive_scans():
+    rng = random.Random(2024)
+    cases = 0
+    for _ in range(60):
+        store, prs = random_history(rng)
+        asof = AsOf(store, prs)
+        people = ["alice", "bob", "carol", "dan", "rita", "ron", "nobody"]
+        for when in cutoffs_of(store, prs):
+            assert asof.commit_counts(when) == Counter(
+                c.author for c in store.commits if c.authored_at < when)
+            assert asof.review_counts(when, "prs") == Counter(
+                r for p in prs if p.opened_at < when for r in p.reviewers)
+            assert asof.review_counts(when, "comments") == Counter(
+                c.reviewer for p in prs for c in p.review_comments if c.commented_at < when)
+            for paths in (["a.java"], ["a.java", "b.java", "a.java"], ["notes.md"], []):
+                assert asof.last_commits(paths, when) == naive_last_commits(store, paths, when)
+            for path in ("a.java", "b.java", "c.java", "notes.md", "z.java"):
+                assert sorted(asof.file_reviews(path, when)) == naive_file_reviews(
+                    prs, path, when)
+            since = when - SIX_MONTHS
+            for dev in people:
+                for paths in (["a.java", "notes.md"], ["b.java", "c.java", "b.java"], []):
+                    commits, own = asof.recent_touches(dev, paths, since, when)
+                    assert all(c.author == dev and since <= c.authored_at < when
+                               for c in commits)
+                    assert all(p.author == dev and since <= p.opened_at < when
+                               for p in own)
+                    assert len(commits) <= len(set(paths)) >= len(own)
+                    # the same touched paths as the developer's whole window
+                    window_commits = [c for c in store.commits
+                                      if c.author == dev and since <= c.authored_at < when]
+                    window_prs = [p for p in prs
+                                  if p.author == dev and since <= p.opened_at < when]
+                    assert touched(commits, own, paths) == touched(
+                        window_commits, window_prs, paths)
+            cases += 1
+        assert_index_matches_naive(store, prs, [None, *cutoffs_of(store, prs)])
+    assert cases >= 300

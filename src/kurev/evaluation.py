@@ -160,10 +160,11 @@ class EvalReport:
         return sorted({kind for kind, _ in self.accuracy})
 
     def to_table(self) -> str:
-        lines = ["project\trecommender\tmetric\tk1\tk2\tk3\tk4\tk5"]
+        ks = range(1, K_MAX + 1)
+        lines = ["project\trecommender\tmetric\t" + "\t".join(f"k{k}" for k in ks)]
         for kind in self.recommenders():
             for metric, data in (("accuracy", self.accuracy), ("map", self.mean_ap)):
-                cells = "\t".join(f"{data[(kind, k)]:.6f}" for k in range(1, 6))
+                cells = "\t".join(f"{data[(kind, k)]:.6f}" for k in ks)
                 lines.append(f"{self.project}\t{kind}\t{metric}\t{cells}")
         lines.append("")
         lines.append("project\trecommender\treasonable_pct\tpr_count")

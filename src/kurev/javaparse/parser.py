@@ -292,7 +292,7 @@ class _Parser:
                 node.fields["superclass_name"] = names[0]
         if self.at_kw("implements"):
             self.eat()
-            node.fields["interface_names"] = tuple(self._parse_type_list(node, ","))
+            self._parse_type_list(node, ",")
 
         if self.accept(";"):
             return node
@@ -448,11 +448,9 @@ class _Parser:
     def _parse_declarators(self, owner: Node, first_name: str) -> None:
         name = first_name
         while True:
-            decl = Node("variable_declarator", self.tok().offset,
-                        {"name": name, "has_init": False})
+            decl = Node("variable_declarator", self.tok().offset, {"name": name})
             self._skip_dims()
             if self.accept("="):
-                decl.fields["has_init"] = True
                 decl.children.append(self._parse_initializer())
             owner.children.append(decl)
             if self.accept(",") and self.tok().kind == "identifier":
@@ -636,7 +634,7 @@ class _Parser:
                 and self.tok(1).kind == "op" and self.tok(2).text != ":"):
             self.eat()
             self.eat()
-            node = Node("labeled_statement", off, {"label": t.text})
+            node = Node("labeled_statement", off)
             node.children.append(self.parse_statement())
             return node
         if t.kind == "identifier" and t.text == "yield" and self.tok(1).text not in ("=", ".", "(", ";", "["):
@@ -676,12 +674,11 @@ class _Parser:
 
     def _stmt_if(self) -> Node:
         off = self.eat().offset
-        node = Node("if_statement", off, {"has_else": False})
+        node = Node("if_statement", off)
         self._parse_condition(node)
         node.children.append(self.parse_statement())
         if self.at_kw("else"):
             self.eat()
-            node.fields["has_else"] = True
             node.children.append(self.parse_statement())
         return node
 
@@ -750,8 +747,7 @@ class _Parser:
         while not self.eof() and not self.at("}"):
             start = self.pos
             if self.at_kw("case") or self.at_kw("default"):
-                label = Node("case_label", self.tok().offset,
-                             {"default": self.tok().text == "default"})
+                label = Node("case_label", self.tok().offset)
                 self.eat()
                 depth = 0
                 while not self.eof():
@@ -831,7 +827,7 @@ class _Parser:
         t = self.eat()  # 'break' or 'continue'
         node = Node(f"{t.text}_statement", t.offset)
         if self.tok().kind == "identifier":
-            node.fields["label"] = self.eat().text
+            self.eat()  # the label
         self.accept(";")
         return node
 
@@ -932,7 +928,7 @@ class _Parser:
         t = self.tok()
         if t.kind == "op" and t.text in ("!", "~", "+", "-", "++", "--"):
             self.eat()
-            node = Node("unary_expression", t.offset, {"op": t.text, "prefix": True})
+            node = Node("unary_expression", t.offset, {"op": t.text})
             node.children.append(self._parse_unary())
             return node
         if t.text == "(":
@@ -1042,7 +1038,7 @@ class _Parser:
                 continue
             if t.kind == "op" and t.text in ("++", "--"):
                 self.eat()
-                node = Node("unary_expression", t.offset, {"op": t.text, "prefix": False})
+                node = Node("unary_expression", t.offset, {"op": t.text})
                 node.children.append(expr)
                 expr = node
                 continue
@@ -1053,7 +1049,7 @@ class _Parser:
         off = t.offset
         if t.kind in ("number", "string", "char"):
             self.eat()
-            return Node("literal", off, {"type": t.kind, "text": t.text})
+            return Node("literal", off)
         if t.kind == "keyword":
             if t.text == "new":
                 self.eat()

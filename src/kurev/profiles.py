@@ -7,9 +7,10 @@ normalizes a sum into the developer's share of all occurrences of that
 KU observed strictly before the cutoff.
 
 Every "strictly before" question is answered by one :class:`AsOf` index
-per store and PR set: per-file snapshots, memoised PR vectors,
-per-developer running sums and per-key date lists, each queried with
-``bisect``.
+per store and PR set: a timeline per key (an author, a reviewer, a path,
+a (path, developer) pair) of date-sorted entries, and one query,
+:func:`_before`, that bisects timelines at a cutoff for their last entry
+before it. Where the question is a count, each entry is the count so far.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .catalog import KU_COUNT, KU_NAMES
 from .mining import CommitRecord, KuStore
-from .prstore import PrDataset, PullRequest, ReviewComment
+from .prstore import PrDataset, PullRequest
 from .util import atomic_open, format_rfc3339, write_jsonl
 
 log = logging.getLogger(__name__)
@@ -60,113 +60,111 @@ class Expertise:
 
 _NO_ROW: Row = ((0,) * KU_COUNT, (None,) * KU_COUNT)
 
-
-class _Side:
-    """Running sums of one side: one entry per event, per developer.
-
-    Events must arrive in date order, so a developer's last entry before a
-    cutoff holds their sums and latest touches as of that cutoff.
-    """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.dates: dict[str, list[datetime]] = {}
-        self.rows: dict[str, list[Row]] = {}
-        self.total_dates: list[datetime] = []
-        self.totals: list[tuple[int, ...]] = []
-
-    def add(
-        self, developer: str, when: datetime, vectors: Iterable[list[int] | None]
-    ) -> None:
-        """One event; None vectors (unresolvable files) add nothing."""
-        rows = self.rows.setdefault(developer, [])
-        counts, touched = map(list, rows[-1] if rows else _NO_ROW)
-        totals = list(self.totals[-1] if self.totals else _NO_ROW[0])
-        for vector in vectors:
-            for k, count in enumerate(vector or ()):
-                if count:
-                    counts[k] += count
-                    totals[k] += count
-                    touched[k] = when
-        self.dates.setdefault(developer, []).append(when)
-        rows.append((tuple(counts), tuple(touched)))
-        self.total_dates.append(when)
-        self.totals.append(tuple(totals))
-
-    def before(self, cutoff: datetime | None) -> Expertise:
-        rows = {}
-        for dev, dates in self.dates.items():
-            i = len(dates) if cutoff is None else bisect_left(dates, cutoff)
-            if i:
-                rows[dev] = self.rows[dev][i - 1]
-        dates = self.total_dates
-        n = len(dates) if cutoff is None else bisect_left(dates, cutoff)
-        totals = self.totals[n - 1] if n else _NO_ROW[0]
-        return Expertise(kind=self.kind, cutoff=cutoff, rows=rows, totals=totals)
+# A timeline is one tuple: the tuple of its dates, ascending, then the entry
+# of each date in the same order, so entry timeline[n] is dated dates[n - 1].
+# Two objects per key keep the many one- or two-entry (path, developer)
+# timelines small.
+Timeline = tuple
 
 
-def _dates_by(pairs: Iterable[tuple[str, datetime]]) -> dict[str, list[datetime]]:
-    """Per key: its dates, sorted."""
-    out: dict[str, list[datetime]] = {}
-    for key, when in pairs:
-        out.setdefault(key, []).append(when)
-    for dates in out.values():
-        dates.sort()
+def _timelines(events: Iterable[tuple[Hashable, datetime, object]]) -> dict:
+    """One timeline per key from (key, date, entry) events that arrive in
+    date order; a (path, developer) key is filed under out[path][developer]."""
+    out: dict = {}
+    for key, when, entry in events:
+        node = out
+        if isinstance(key, tuple):
+            path, key = key
+            node = out.setdefault(path, {})
+        timeline = node.get(key)
+        if timeline is None:
+            node[key] = [[when], entry]
+        else:
+            timeline[0].append(when)
+            timeline.append(entry)
+    # Each timeline was built as a list, [[date, ...], entry, ...]; freeze it.
+    nodes = [out]
+    for node in nodes:
+        for key, value in node.items():
+            if isinstance(value, dict):
+                nodes.append(value)
+            else:
+                value[0] = tuple(value[0])
+                node[key] = tuple(value)
     return out
 
 
-def _counts_before(index: dict[str, list[datetime]], when: datetime) -> dict[str, int]:
-    """Per key: its dates strictly before ``when``; keys with none are absent."""
-    counts = {}
-    for key, dates in index.items():
-        n = bisect_left(dates, when)
+def _before(timelines: dict[Hashable, Timeline], when: datetime | None) -> dict:
+    """Per key with entries dated strictly before ``when`` (None: with any
+    entry), the last of them."""
+    last = {}
+    for key, timeline in timelines.items():
+        dates = timeline[0]
+        n = len(dates) if when is None else bisect_left(dates, when)
         if n:
-            counts[key] = n
-    return counts
+            last[key] = timeline[n]
+    return last
 
 
-def _by_path(records: Iterable[tuple], date) -> dict[str, dict[str, tuple]]:
-    """Group (record, owner, paths) triples per path and then per owner,
-    each group sorted by ``date`` (stably, so ties keep their order)."""
-    out: dict[str, dict[str, list]] = {}
-    for record, owner, paths in records:
-        for path in paths:
-            out.setdefault(path, {}).setdefault(owner, []).append(record)
-    for by_owner in out.values():
-        for owner, group in by_owner.items():
-            by_owner[owner] = tuple(sorted(group, key=date))
-    return out
+def _tallied(
+    events: Iterable[tuple[Hashable, datetime]]
+) -> Iterator[tuple[Hashable, datetime, int]]:
+    """Each (key, date) event with how many events of its key there are so
+    far, so that a timeline's last entry before a date is a count."""
+    tally: dict[Hashable, int] = {}
+    for key, when in events:
+        tally[key] = n = tally.get(key, 0) + 1
+        yield key, when, n
 
 
-def _distinct_workdays(comments: Sequence[ReviewComment]) -> tuple[int, ...]:
-    """Distinct workdays among the first i+1 of date-sorted comments, per i.
+def _running(
+    events: Iterable[tuple[datetime, Iterable[str], Sequence[list[int] | None]]]
+) -> Iterator[tuple[str | None, datetime, object]]:
+    """Running sums of one side, from (date, developers, vectors) events in
+    date order: after each event, the row of each developer it credits and,
+    under the key None, the column totals.
 
-    Comment dates are UTC (``load_prs``), so workdays never decrease along
-    the comments and a new one differs from its predecessor's.
+    Every developer of an event is credited every vector of it; None
+    vectors (unresolvable files) add nothing.
     """
-    counts, days = [], 0
-    for i, comment in enumerate(comments):
-        days += not i or comment.workday != comments[i - 1].workday
-        counts.append(days)
-    return tuple(counts)
+    rows: dict[str, Row] = {}
+    totals = _NO_ROW[0]
+    for when, developers, vectors in events:
+        column = list(totals)
+        for developer in developers:
+            counts, touched = map(list, rows.get(developer, _NO_ROW))
+            for vector in vectors:
+                for k, count in enumerate(vector or ()):
+                    if count:
+                        counts[k] += count
+                        column[k] += count
+                        touched[k] = when
+            rows[developer] = row = (tuple(counts), tuple(touched))
+            yield developer, when, row
+        totals = tuple(column)
+        yield None, when, totals
 
 
-_AUTHORED = attrgetter("authored_at")
-_OPENED = attrgetter("opened_at")
-_COMMENTED = attrgetter("commented_at")
+def _expertise(kind: str, side: dict, cutoff: datetime | None) -> Expertise:
+    """One side's rows and totals as of a cutoff (see :func:`_running`)."""
+    rows = _before(side, cutoff)
+    totals = rows.pop(None, _NO_ROW[0])
+    return Expertise(kind=kind, cutoff=cutoff, rows=rows, totals=totals)
 
 
 class AsOf:
     """Everything known strictly before a date, over one store and PR set.
 
-    Built once and queried per PR: commits sorted by (date, store order),
-    PRs by (opening date, id), each file's snapshots by (date, store
-    order), each PR's KU vector computed once, per-developer running sums
-    for both sides, and per-key date lists (commits per author and per
-    (path, author), own PRs per (path, author), reviewed PRs and review
-    comments per reviewer, review comments per (path, reviewer)). Each
-    index is built on first use, and every query bisects it at the cutoff
-    instead of copying a prefix.
+    Built once and queried per PR. Commits are sorted by (date, store
+    order) and PRs by (opening date, id), so every stream of events but
+    the review comments arrives in date order; those are stably sorted
+    first. Each PR's KU vector is computed once. The timelines, each built
+    on first use: commits per author and per (path, author), own PRs per
+    (path, author), reviewed PRs and review comments per reviewer, review
+    comments per (path, reviewer) with a running count of distinct
+    workdays, resolvable snapshots per path, and both sides' running rows
+    per developer and column totals. Every query bisects them at the
+    cutoff instead of copying a prefix.
 
     Review comments count only when written strictly before the cutoff.
     ``load_prs`` rejects a comment dated before its own PR opened, so each
@@ -179,88 +177,117 @@ class AsOf:
         self.prs = sorted(prs, key=lambda p: (p.opened_at, p.id))
         self._pr_vectors: dict[PullRequest, list[int]] = {}
 
-    # --- per-key date lists ---------------------------------------------------
+    # --- timelines -------------------------------------------------------------
 
     @cached_property
-    def _authored(self) -> dict[str, list[datetime]]:
-        """Per author: dates of their commits."""
-        return _dates_by((c.author, c.authored_at) for c in self.commits)
+    def _authored(self) -> dict[str, Timeline]:
+        """Per author: their commits, each entry a count so far."""
+        return _timelines(_tallied((c.author, c.authored_at) for c in self.commits))
 
     @cached_property
-    def _path_commits(self) -> dict[str, dict[str, tuple[CommitRecord, ...]]]:
+    def _path_commits(self) -> dict[str, dict[str, Timeline]]:
         """Per changed Java path, per author: their commits that changed it."""
-        return _by_path(((c, c.author, c.changed_java_files) for c in self.commits),
-                        _AUTHORED)
+        return _timelines(((path, c.author), c.authored_at, c)
+                          for c in self.commits for path in c.changed_java_files)
 
     @cached_property
-    def _path_prs(self) -> dict[str, dict[str, tuple[PullRequest, ...]]]:
+    def _path_prs(self) -> dict[str, dict[str, Timeline]]:
         """Per changed path, per author: their own PRs that changed it."""
-        return _by_path(((p, p.author, p.changed_files) for p in self.prs), _OPENED)
+        return _timelines(((path, p.author), p.opened_at, p)
+                          for p in self.prs for path in p.changed_files)
 
     @cached_property
-    def _reviewed(self) -> dict[str, list[datetime]]:
-        """Per reviewer: opening dates of the PRs they reviewed."""
-        return _dates_by((r, p.opened_at) for p in self.prs for r in p.reviewers)
+    def _reviewed(self) -> dict[str, Timeline]:
+        """Per reviewer: the PRs they reviewed, by opening date, each entry a
+        count so far."""
+        return _timelines(_tallied((r, p.opened_at) for p in self.prs for r in p.reviewers))
 
     @cached_property
-    def _commented(self) -> dict[str, list[datetime]]:
-        """Per reviewer: dates of their review comments."""
-        return _dates_by(
-            (c.reviewer, c.commented_at) for p in self.prs for c in p.review_comments
-        )
+    def _commented(self) -> dict[str, Timeline]:
+        """Per reviewer: their review comments, each entry a count so far."""
+        comments = sorted((c for p in self.prs for c in p.review_comments),
+                          key=lambda c: c.commented_at)
+        return _timelines(_tallied((c.reviewer, c.commented_at) for c in comments))
 
     @cached_property
-    def _path_comments(
-        self,
-    ) -> dict[str, dict[str, tuple[tuple[ReviewComment, ...], tuple[int, ...]]]]:
-        """Per path, per reviewer: their comments on it sorted by date, and
-        the number of distinct workdays among the first i+1 of them.
+    def _path_comments(self) -> dict[str, dict[str, Timeline]]:
+        """Per path, per reviewer: their comments on it, each entry (count,
+        distinct workdays, date) of the comments up to it.
 
-        Only comments on a path their own PR changed count.
+        Only comments on a path their own PR changed count. Comment dates
+        are UTC (``load_prs``), so workdays never decrease along a timeline
+        and a new one differs from its predecessor's.
         """
-        grouped = _by_path(
-            ((c, c.reviewer, (c.path,))
-             for pr in self.prs for c in pr.review_comments if c.path in pr.changed_files),
-            _COMMENTED,
+        comments = sorted((c for p in self.prs for c in p.review_comments
+                           if c.path in p.changed_files), key=lambda c: c.commented_at)
+        last: dict[tuple[str, str], tuple[int, int, datetime]] = {}
+
+        def events():
+            for c in comments:
+                key = (c.path, c.reviewer)
+                n, days, latest = last.get(key, (0, 0, None))
+                days += latest is None or c.workday != latest.date()
+                last[key] = entry = (n + 1, days, c.commented_at)
+                yield key, c.commented_at, entry
+
+        return _timelines(events())
+
+    @cached_property
+    def _snapshots(self) -> dict[str, Timeline]:
+        """Per path: the vectors of its resolvable snapshots."""
+        return _timelines(
+            (path, c.authored_at, vector)
+            for c in self.commits for path in c.changed_java_files
+            if (vector := self.store.vector(c.hash, path)) is not None
         )
-        return {
-            path: {r: (comments, _distinct_workdays(comments))
-                   for r, comments in by_reviewer.items()}
-            for path, by_reviewer in grouped.items()
-        }
+
+    @cached_property
+    def _development(self) -> dict[str | None, Timeline]:
+        """Running sums per author over commits (see :func:`_running`)."""
+        return _timelines(_running(
+            (c.authored_at, (c.author,),
+             [self.store.vector(c.hash, path) for path in c.changed_java_files])
+            for c in self.commits
+        ))
+
+    @cached_property
+    def _review(self) -> dict[str | None, Timeline]:
+        """Running sums per reviewer over reviewed PRs (see :func:`_running`)."""
+        return _timelines(_running(
+            (pr.opened_at, pr.reviewers, (self.pr_vector(pr),))
+            for pr in self.prs if pr.reviewers
+        ))
 
     # --- queries ---------------------------------------------------------------
 
     def commit_counts(self, when: datetime) -> dict[str, int]:
         """Per author: commits authored strictly before ``when`` (none: absent)."""
-        return _counts_before(self._authored, when)
+        return _before(self._authored, when)
 
     def review_counts(self, when: datetime, mode: str = "prs") -> dict[str, int]:
         """Per reviewer: reviewed PRs opened (``mode="prs"``) or review
         comments written (``mode="comments"``) strictly before ``when``."""
-        return _counts_before(self._reviewed if mode == "prs" else self._commented, when)
+        return _before(self._reviewed if mode == "prs" else self._commented, when)
 
     def last_commits(self, paths: Iterable[str], when: datetime) -> dict[str, datetime]:
         """Per author: the date of their latest commit strictly before
         ``when`` that changed any of ``paths``."""
         last: dict[str, datetime] = {}
         for path in set(paths):
-            for author, commits in self._path_commits.get(path, {}).items():
-                n = bisect_left(commits, when, key=_AUTHORED)
-                if n and (author not in last or commits[n - 1].authored_at > last[author]):
-                    last[author] = commits[n - 1].authored_at
+            for author, commit in _before(self._path_commits.get(path, {}), when).items():
+                if author not in last or commit.authored_at > last[author]:
+                    last[author] = commit.authored_at
         return last
 
     def file_reviews(self, path: str, when: datetime) -> list[tuple[str, int, int, date]]:
         """(reviewer, comments, distinct workdays, latest workday) per
         reviewer of ``path``, over comments on it written strictly before
         ``when`` on PRs that changed it."""
-        out = []
-        for reviewer, (comments, distinct) in self._path_comments.get(path, {}).items():
-            n = bisect_left(comments, when, key=_COMMENTED)
-            if n:
-                out.append((reviewer, n, distinct[n - 1], comments[n - 1].workday))
-        return out
+        return [
+            (reviewer, n, days, latest.date())
+            for reviewer, (n, days, latest)
+            in _before(self._path_comments.get(path, {}), when).items()
+        ]
 
     def recent_touches(
         self, developer: str, paths: Iterable[str], since: datetime, until: datetime
@@ -273,28 +300,13 @@ class AsOf:
         [since, until), at a cost that does not grow with their activity there.
         """
         paths = dict.fromkeys(paths)
-        found: tuple[list, list] = ([], [])
-        indexes = ((self._path_commits, _AUTHORED), (self._path_prs, _OPENED))
-        for (index, dated), out in zip(indexes, found):
-            for path in paths:
-                records = index.get(path, {}).get(developer, ())
-                n = bisect_left(records, until, key=dated)
-                if n and dated(records[n - 1]) >= since:
-                    out.append(records[n - 1])
-        return found
 
-    @cached_property
-    def _snapshots(self) -> dict[str, tuple[list[datetime], list[list[int]]]]:
-        """Per path: dates and vectors of its resolvable snapshots."""
-        out: dict[str, tuple[list[datetime], list[list[int]]]] = {}
-        for commit in self.commits:
-            for path in commit.changed_java_files:
-                vector = self.store.vector(commit.hash, path)
-                if vector is not None:
-                    dates, vectors = out.setdefault(path, ([], []))
-                    dates.append(commit.authored_at)
-                    vectors.append(vector)
-        return out
+        def latest(index: dict[str, dict[str, Timeline]]) -> Iterable:
+            own = {p: index[p][developer] for p in paths if developer in index.get(p, ())}
+            return _before(own, until).values()
+
+        return ([c for c in latest(self._path_commits) if c.authored_at >= since],
+                [p for p in latest(self._path_prs) if p.opened_at >= since])
 
     def file_vector(self, pr: PullRequest, path: str) -> list[int] | None:
         """KU vector backing one changed file of a PR.
@@ -307,9 +319,8 @@ class AsOf:
             vector = self.store.vector(pr.head_commit, path)
             if vector is not None:
                 return vector
-        dates, vectors = self._snapshots.get(path, ((), ()))
-        i = bisect_left(dates, pr.opened_at)
-        return vectors[i - 1] if i else None
+        timeline = self._snapshots.get(path)
+        return _before({path: timeline}, pr.opened_at).get(path) if timeline else None
 
     def pr_vector(self, pr: PullRequest) -> list[int]:
         """Aggregate KU vector over a PR's changed Java files (memoised)."""
@@ -328,35 +339,16 @@ class AsOf:
             self._pr_vectors[pr] = total
         return total
 
-    @cached_property
-    def _development(self) -> _Side:
-        side = _Side("development")
-        for commit in self.commits:
-            vectors = [self.store.vector(commit.hash, path)
-                       for path in commit.changed_java_files]
-            side.add(commit.author, commit.authored_at, vectors)
-        return side
-
-    @cached_property
-    def _review(self) -> _Side:
-        side = _Side("review")
-        for pr in self.prs:
-            if pr.reviewers:
-                vector = self.pr_vector(pr)
-                for reviewer in pr.reviewers:
-                    side.add(reviewer, pr.opened_at, (vector,))
-        return side
-
     def development(self, cutoff: datetime | None) -> Expertise:
         """Occurrences per author over commits strictly before the cutoff."""
-        return self._development.before(cutoff)
+        return _expertise("development", self._development, cutoff)
 
     def review(self, cutoff: datetime | None) -> Expertise:
         """Occurrences per reviewer over PRs opened strictly before the cutoff.
 
         Every reviewer of a PR is credited the full occurrences of its files.
         """
-        return self._review.before(cutoff)
+        return _expertise("review", self._review, cutoff)
 
 
 def dev_exp_matrix(store: KuStore, cutoff: datetime | None) -> Expertise:

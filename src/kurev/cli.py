@@ -183,7 +183,7 @@ def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
 @click.option("--pr", "pr_id", required=True, type=int)
 @click.option("--which", default="kurec", show_default=True,
               type=click.Choice(ALL_KINDS))
-@click.option("--top", default=5, show_default=True)
+@click.option("--top", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--train-fraction", default=0.8, show_default=True,
               callback=_checked(check_train_fraction),

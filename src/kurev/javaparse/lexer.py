@@ -57,13 +57,12 @@ _TOKEN = re.compile(
 class Token(NamedTuple):
     kind: str  # identifier | keyword | number | string | char | op | punct | error | eof
     text: str
-    offset: int
 
     def is_kw(self, word: str) -> bool:
         return self.kind == "keyword" and self.text == word
 
 
-# Builds a Token from a (kind, text, offset) tuple without the Python-level
+# Builds a Token from a (kind, text) tuple without the Python-level
 # frame of Token.__new__; the lexer makes one per token.
 _new_token = tuple.__new__
 
@@ -80,9 +79,9 @@ def tokenize(source: str) -> list[Token]:
             kind = "keyword" if text in KEYWORDS else "identifier"
         elif kind == "number" and text[-1] == ".":
             # A trailing '.' starts member access, not part of the literal.
-            append(_new_token(Token, (kind, text[:-1], match.start())))
-            append(_new_token(Token, ("punct", ".", match.end() - 1)))
+            append(_new_token(Token, (kind, text[:-1])))
+            append(_new_token(Token, ("punct", ".")))
             continue
-        append(_new_token(Token, (kind, text, match.start())))
-    append(Token("eof", "", len(source)))
+        append(_new_token(Token, (kind, text)))
+    append(Token("eof", ""))
     return tokens

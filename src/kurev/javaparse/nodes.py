@@ -9,7 +9,6 @@ from typing import Any, Iterator
 @dataclass
 class Node:
     kind: str
-    offset: int = 0
     fields: dict[str, Any] = field(default_factory=dict)
     children: list["Node"] = field(default_factory=list)
 

@@ -95,7 +95,7 @@ class _Parser:
 
     def _recover(self, stop_at_brace: bool = True) -> Node:
         """Consume tokens into an error node until a sync point."""
-        err = Node("error", self.tok().offset)
+        err = Node("error")
         depth = 0
         while not self.eof():
             t = self.tok()
@@ -118,7 +118,7 @@ class _Parser:
     # --- compilation unit -------------------------------------------------
 
     def parse_compilation_unit(self) -> Node:
-        unit = Node("compilation_unit", 0)
+        unit = Node("compilation_unit")
         while not self.eof():
             start = self.pos
             if self.accept(";"):
@@ -126,9 +126,9 @@ class _Parser:
             annotations = self._parse_annotations()
             if self.at_kw("package"):
                 self.eat()
-                name = self._qualified_name()
+                self._qualified_name()
                 self.accept(";")
-                node = Node("package_declaration", self.tok().offset, {"name": name})
+                node = Node("package_declaration")
                 node.children.extend(annotations)
                 unit.children.append(node)
                 continue
@@ -145,7 +145,6 @@ class _Parser:
         return unit
 
     def _parse_import(self) -> Node:
-        off = self.tok().offset
         self.eat()  # import
         is_static = self.at_kw("static") and bool(self.eat())
         parts = []
@@ -160,7 +159,6 @@ class _Parser:
         self.accept(";")
         return Node(
             "import_declaration",
-            off,
             {"name": ".".join(parts), "static": is_static, "wildcard": wildcard},
         )
 
@@ -173,9 +171,8 @@ class _Parser:
         return out
 
     def _parse_annotation(self) -> Node:
-        off = self.tok().offset
         self.eat()  # @
-        node = _named("annotation", off, self._qualified_name())
+        node = _named("annotation", self._qualified_name())
         if self.at("("):
             depth = 0
             while not self.eof():
@@ -248,14 +245,13 @@ class _Parser:
     ) -> Node | None:
         mods, annotations = self._parse_modifiers(annotations)
         mods = list(premods) + mods
-        off = self.tok().offset
         kw = self._type_decl_keyword()
 
         if kw == "@interface":
             self.eat()
             self.eat()
             name = self.eat().text if self.tok().kind == "identifier" else ""
-            node = Node("annotation_declaration", off,
+            node = Node("annotation_declaration",
                         {"name": name, "modifiers": tuple(mods)})
             node.children.extend(annotations)
             self._parse_class_body(node, name)
@@ -273,7 +269,6 @@ class _Parser:
         node = Node(
             {"class": "class_declaration", "interface": "interface_declaration",
              "enum": "enum_declaration", "record": "record_declaration"}[kw],
-            off,
             {"name": name, "modifiers": tuple(mods), "generic": False},
         )
         node.children.extend(annotations)
@@ -345,8 +340,7 @@ class _Parser:
             if self.tok().kind != "identifier":
                 owner.children.append(self._recover())
                 break
-            off = self.tok().offset
-            const = Node("enum_constant", off, {"name": self.eat().text})
+            const = Node("enum_constant", {"name": self.eat().text})
             const.children.extend(annos)
             if self.at("("):
                 const.children.extend(self._parse_args())
@@ -364,11 +358,10 @@ class _Parser:
         if self.accept(";"):
             return None
         mods, annotations = self._parse_modifiers([])
-        off = self.tok().offset
 
         # initializer block
         if self.at("{"):
-            node = Node("initializer_block", off, {"static": "static" in mods})
+            node = Node("initializer_block", {"static": "static" in mods})
             node.children.append(self._parse_block())
             return node
 
@@ -388,7 +381,7 @@ class _Parser:
             params, varargs = self._parse_params()
             throws = self._parse_throws()
             node = Node(
-                "constructor_declaration", off,
+                "constructor_declaration",
                 {"name": name, "modifiers": tuple(mods), "params": len(params),
                  "varargs": varargs, "throws": throws},
             )
@@ -420,7 +413,7 @@ class _Parser:
             self._skip_dims()
             throws = self._parse_throws()
             node = Node(
-                "method_declaration", off,
+                "method_declaration",
                 {"name": name, "modifiers": tuple(mods), "params": len(params),
                  "varargs": varargs, "throws": throws, "generic": generic_method,
                  "return_type_name": _type_simple_name(rtype)},
@@ -439,22 +432,21 @@ class _Parser:
             return node
 
         # field declaration
-        node = Node("field_declaration", off, {"modifiers": tuple(mods)})
+        node = Node("field_declaration", {"modifiers": tuple(mods)})
         node.children.extend(annotations)
         node.children.append(rtype)
-        self._parse_declarators(node, name)
+        self._parse_declarators(node)
         return node
 
-    def _parse_declarators(self, owner: Node, first_name: str) -> None:
-        name = first_name
+    def _parse_declarators(self, owner: Node) -> None:
         while True:
-            decl = Node("variable_declarator", self.tok().offset, {"name": name})
+            decl = Node("variable_declarator")
             self._skip_dims()
             if self.accept("="):
                 decl.children.append(self._parse_initializer())
             owner.children.append(decl)
             if self.accept(",") and self.tok().kind == "identifier":
-                name = self.eat().text
+                self.eat()  # the next variable's name
                 continue
             break
         self.accept(";")
@@ -465,8 +457,7 @@ class _Parser:
         return self.parse_expression()
 
     def _parse_array_initializer(self) -> Node:
-        off = self.tok().offset
-        node = Node("array_initializer", off)
+        node = Node("array_initializer")
         self.eat()  # {
         node.children.extend(self._parse_list(self._parse_initializer, ",", "}"))
         return node
@@ -490,9 +481,10 @@ class _Parser:
                 continue
             if self.accept("..."):
                 varargs = True
-            pname = self.eat().text if self.tok().kind == "identifier" else ""
+            if self.tok().kind == "identifier":
+                self.eat()  # the parameter's name
             self._skip_dims()
-            p = Node("formal_parameter", ptype.offset, {"name": pname})
+            p = Node("formal_parameter")
             p.children.extend(annos)
             p.children.append(ptype)
             params.append(p)
@@ -514,7 +506,7 @@ class _Parser:
         return tuple(names)
 
     def _throws_types(self, throws: tuple[str, ...]) -> list[Node]:
-        return [_named("named_type", self.tok().offset, q) for q in throws]
+        return [_named("named_type", q) for q in throws]
 
     # --- types -------------------------------------------------------------
 
@@ -524,7 +516,7 @@ class _Parser:
         node: Node | None = None
         if t.kind == "keyword" and t.text in PRIMITIVES:
             self.eat()
-            node = Node("primitive_type", t.offset, {"name": t.text})
+            node = Node("primitive_type", {"name": t.text})
         elif t.kind == "identifier":
             qualified = self._qualified_name()
             if self.at("<"):
@@ -532,15 +524,15 @@ class _Parser:
                 if args is None:
                     self.pos = mark
                     return None
-                node = _named("generic_type", t.offset, qualified)
+                node = _named("generic_type", qualified)
                 node.children.extend(args)
             else:
-                node = _named("named_type", t.offset, qualified)
+                node = _named("named_type", qualified)
         else:
             return None
         dims = self._skip_dims()
         if dims:
-            arr = Node("array_type", t.offset, {"dims": dims})
+            arr = Node("array_type", {"dims": dims})
             arr.children.append(node)
             return arr
         return node
@@ -566,7 +558,7 @@ class _Parser:
                 self.pos = mark
                 return None
             elif t.kind == "identifier":
-                names.append(_named("named_type", t.offset, self._qualified_name()))
+                names.append(_named("named_type", self._qualified_name()))
                 continue
             elif t.text in (";", "{", "}", "(", ")", "=") or t.kind in ("string", "char"):
                 self.pos = mark
@@ -604,8 +596,7 @@ class _Parser:
     # --- statements ----------------------------------------------------------
 
     def _parse_block(self) -> Node:
-        off = self.tok().offset
-        node = Node("block", off)
+        node = Node("block")
         if not self.accept("{"):
             node.children.append(self._recover())
             return node
@@ -619,11 +610,10 @@ class _Parser:
 
     def parse_statement(self) -> Node:
         t = self.tok()
-        off = t.offset
         if t.text == "{":
             return self._parse_block()
         if self.accept(";"):
-            return Node("empty_statement", off)
+            return Node("empty_statement")
         if t.kind == "keyword":
             handler = getattr(self, f"_stmt_{t.text}", None)
             if handler is not None:
@@ -634,16 +624,16 @@ class _Parser:
                 and self.tok(1).kind == "op" and self.tok(2).text != ":"):
             self.eat()
             self.eat()
-            node = Node("labeled_statement", off)
+            node = Node("labeled_statement")
             node.children.append(self.parse_statement())
             return node
         if t.kind == "identifier" and t.text == "yield" and self.tok(1).text not in ("=", ".", "(", ";", "["):
             self.eat()
-            return self._expression_statement("yield_statement", off)
+            return self._expression_statement("yield_statement")
         local = self._try_local_var_decl([], [])
         if local is not None:
             return local
-        return self._expression_statement("expression_statement", off)
+        return self._expression_statement("expression_statement")
 
     def _modified_statement(self) -> Node:
         mods, annotations = self._parse_modifiers([])
@@ -664,17 +654,16 @@ class _Parser:
                 or not (nxt in ("=", ",", ";") or (nxt == "[" and self.tok(2).text == "]"))):
             self.pos = mark
             return None
-        first = self.eat().text
-        node = Node("local_variable_declaration", vtype.offset,
-                    {"modifiers": tuple(mods)})
+        self.eat()  # the first variable's name
+        node = Node("local_variable_declaration", {"modifiers": tuple(mods)})
         node.children.extend(annotations)
         node.children.append(vtype)
-        self._parse_declarators(node, first)
+        self._parse_declarators(node)
         return node
 
     def _stmt_if(self) -> Node:
-        off = self.eat().offset
-        node = Node("if_statement", off)
+        self.eat()
+        node = Node("if_statement")
         self._parse_condition(node)
         node.children.append(self.parse_statement())
         if self.at_kw("else"):
@@ -683,15 +672,15 @@ class _Parser:
         return node
 
     def _stmt_while(self) -> Node:
-        off = self.eat().offset
-        node = Node("while_statement", off)
+        self.eat()
+        node = Node("while_statement")
         self._parse_condition(node)
         node.children.append(self.parse_statement())
         return node
 
     def _stmt_do(self) -> Node:
-        off = self.eat().offset
-        node = Node("do_statement", off)
+        self.eat()
+        node = Node("do_statement")
         node.children.append(self.parse_statement())
         if self.at_kw("while"):
             self.eat()
@@ -700,9 +689,9 @@ class _Parser:
         return node
 
     def _stmt_for(self) -> Node:
-        off = self.eat().offset
+        self.eat()
         if not self.accept("("):
-            node = Node("for_statement", off)
+            node = Node("for_statement")
             node.children.append(self._recover())
             return node
         # enhanced for: [final] Type name : expr
@@ -711,16 +700,16 @@ class _Parser:
         ftype = self._parse_type()
         if (ftype is not None and self.tok().kind == "identifier"
                 and self.tok(1).text == ":" and self.tok(2).text != ":"):
-            name = self.eat().text
+            self.eat()  # the variable's name
             self.eat()  # :
-            node = Node("enhanced_for_statement", off, {"name": name})
+            node = Node("enhanced_for_statement")
             node.children.append(ftype)
             node.children.append(self.parse_expression())
             self.accept(")")
             node.children.append(self.parse_statement())
             return node
         self.pos = mark
-        node = Node("for_statement", off)
+        node = Node("for_statement")
         if not self.accept(";"):
             init = self._try_local_var_decl([], [])
             if init is not None:
@@ -738,8 +727,8 @@ class _Parser:
         return node
 
     def _stmt_switch(self) -> Node:
-        off = self.eat().offset
-        node = Node("switch_statement", off)
+        self.eat()
+        node = Node("switch_statement")
         self._parse_condition(node)
         if not self.accept("{"):
             node.children.append(self._recover())
@@ -747,7 +736,7 @@ class _Parser:
         while not self.eof() and not self.at("}"):
             start = self.pos
             if self.at_kw("case") or self.at_kw("default"):
-                label = Node("case_label", self.tok().offset)
+                label = Node("case_label")
                 self.eat()
                 depth = 0
                 while not self.eof():
@@ -771,27 +760,27 @@ class _Parser:
         return node
 
     def _stmt_try(self) -> Node:
-        off = self.eat().offset
-        node = Node("try_statement", off, {"resources": 0})
+        self.eat()
+        node = Node("try_statement", {"resources": 0})
         if self.accept("("):
             resources = self._parse_list(self._parse_resource, ";", ")")
             node.children.extend(resources)
             node.fields["resources"] = len(resources)
         node.children.append(self._parse_block())
         while self.at_kw("catch"):
-            coff = self.eat().offset
-            clause = Node("catch_clause", coff, {"types": 0})
+            self.eat()
+            clause = Node("catch_clause", {"types": 0})
             if self.accept("("):
                 clause.children.extend(self._variable_prefix())
                 clause.fields["types"] = len(self._parse_type_list(clause, "|"))
                 if self.tok().kind == "identifier":
-                    clause.fields["name"] = self.eat().text
+                    self.eat()  # the exception variable
                 self.accept(")")
             clause.children.append(self._parse_block())
             node.children.append(clause)
         if self.at_kw("finally"):
-            foff = self.eat().offset
-            fin = Node("finally_clause", foff)
+            self.eat()
+            fin = Node("finally_clause")
             fin.children.append(self._parse_block())
             node.children.append(fin)
         return node
@@ -801,31 +790,33 @@ class _Parser:
         self._variable_prefix()
         rtype = self._parse_type()
         if rtype is not None and self.tok().kind == "identifier" and self.tok(1).text == "=":
-            node = Node("resource", rtype.offset, {"name": self.eat().text})
-            node.children.append(rtype)
+            self.eat()  # the variable's name
             self.eat()  # =
+            node = Node("resource")
+            node.children.append(rtype)
             node.children.append(self.parse_expression())
             return node
         self.pos = mark
         # existing-variable resource (Java 9+): plain expression
-        node = Node("resource", self.tok().offset)
+        node = Node("resource")
         node.children.append(self.parse_expression())
         return node
 
     def _stmt_return(self) -> Node:
-        off = self.eat().offset
-        node = Node("return_statement", off)
+        self.eat()
+        node = Node("return_statement")
         if not self.at(";") and not self.at("}"):
             node.children.append(self.parse_expression())
         self.accept(";")
         return node
 
     def _stmt_throw(self) -> Node:
-        return self._expression_statement("throw_statement", self.eat().offset)
+        self.eat()
+        return self._expression_statement("throw_statement")
 
     def _stmt_break(self) -> Node:
         t = self.eat()  # 'break' or 'continue'
-        node = Node(f"{t.text}_statement", t.offset)
+        node = Node(f"{t.text}_statement")
         if self.tok().kind == "identifier":
             self.eat()  # the label
         self.accept(";")
@@ -834,8 +825,8 @@ class _Parser:
     _stmt_continue = _stmt_break
 
     def _stmt_assert(self) -> Node:
-        off = self.eat().offset
-        node = Node("assert_statement", off)
+        self.eat()
+        node = Node("assert_statement")
         node.children.append(self.parse_expression())
         if self.accept(":"):
             node.children.append(self.parse_expression())
@@ -844,7 +835,7 @@ class _Parser:
 
     def _stmt_synchronized(self) -> Node:
         self.eat()
-        node = Node("synchronized_statement", self.tok().offset)
+        node = Node("synchronized_statement")
         self._parse_condition(node)
         node.children.append(self._parse_block())
         return node
@@ -855,13 +846,13 @@ class _Parser:
             owner.children.append(self.parse_expression())
             self.accept(")")
 
-    def _expression_statement(self, kind: str, off: int) -> Node:
+    def _expression_statement(self, kind: str) -> Node:
         """A ``kind`` node holding one expression, then its ``;``.
 
         When the ``;`` is missing, the tokens up to the next statement
         boundary become an ``error`` child, unless the block ends here.
         """
-        node = Node(kind, off)
+        node = Node(kind)
         node.children.append(self.parse_expression())
         if not self.accept(";") and not (self.at("}") or self.eof()):
             node.children.append(self._recover())
@@ -875,7 +866,7 @@ class _Parser:
         t = self.toks[self.pos]
         if t.kind == "op" and t.text in ASSIGN_OPS:
             self.pos += 1
-            node = Node("assignment_expression", t.offset, {"op": t.text})
+            node = Node("assignment_expression")
             node.children.append(lhs)
             node.children.append(self.parse_expression())
             return node
@@ -884,8 +875,8 @@ class _Parser:
     def _parse_ternary(self) -> Node:
         cond = self._parse_binary()
         if self.at("?") and self.tok().kind == "op":
-            off = self.eat().offset
-            node = Node("ternary_expression", off)
+            self.eat()
+            node = Node("ternary_expression")
             node.children.append(cond)
             node.children.append(self.parse_expression())
             self.accept(":")
@@ -910,7 +901,7 @@ class _Parser:
                 return left
             self.pos += 1
             if t.text == "instanceof":
-                node = Node("instanceof_expression", t.offset)
+                node = Node("instanceof_expression")
                 node.children.append(left)
                 itype = self._parse_type()
                 if itype is not None:
@@ -918,7 +909,7 @@ class _Parser:
                     if self.toks[self.pos].kind == "identifier":  # pattern binding
                         self.pos += 1
             else:
-                node = Node("binary_expression", t.offset, {"op": t.text})
+                node = Node("binary_expression", {"op": t.text})
                 node.children.append(left)
                 node.children.append(self._parse_binary(level + 1))
             left = node
@@ -928,7 +919,7 @@ class _Parser:
         t = self.tok()
         if t.kind == "op" and t.text in ("!", "~", "+", "-", "++", "--"):
             self.eat()
-            node = Node("unary_expression", t.offset, {"op": t.text})
+            node = Node("unary_expression")
             node.children.append(self._parse_unary())
             return node
         if t.text == "(":
@@ -939,7 +930,6 @@ class _Parser:
 
     def _try_cast(self) -> Node | None:
         mark = self.pos
-        off = self.tok().offset
         self.eat()  # (
         ctype = self._parse_type()
         while ctype is not None and self.at("&"):  # intersection cast
@@ -960,7 +950,7 @@ class _Parser:
         if not plausible:
             self.pos = mark
             return None
-        node = Node("cast_expression", off)
+        node = Node("cast_expression")
         node.children.append(ctype)
         node.children.append(self._parse_unary())
         return node
@@ -974,7 +964,7 @@ class _Parser:
                 if nxt.is_kw("new"):
                     self.eat()
                     self.eat()
-                    expr = self._parse_creation(t.offset)
+                    expr = self._parse_creation()
                     continue
                 if nxt.is_kw("class") or nxt.is_kw("this") or nxt.is_kw("super"):
                     self.eat()
@@ -986,17 +976,16 @@ class _Parser:
                 seg = self.eat().text
                 if self.at("("):
                     qualifier = expr.get("name") if expr.kind == "name" else None
-                    node = Node("method_invocation", t.offset,
+                    node = Node("method_invocation",
                                 {"name": seg, "qualifier": qualifier})
                     node.children.append(expr)
                     node.children.extend(self._parse_args())
                     expr = node
                     continue
                 if expr.kind == "name":
-                    expr = Node("name", expr.offset,
-                                {"name": expr.get("name") + "." + seg})
+                    expr = Node("name", {"name": expr.get("name") + "." + seg})
                 else:
-                    node = Node("field_access", t.offset, {"name": seg})
+                    node = Node("field_access")
                     node.children.append(expr)
                     expr = node
                 continue
@@ -1005,13 +994,12 @@ class _Parser:
                 simple = dotted.rsplit(".", 1)
                 name = simple[-1]
                 qualifier = simple[0] if len(simple) > 1 else None
-                node = Node("method_invocation", t.offset,
-                            {"name": name, "qualifier": qualifier})
+                node = Node("method_invocation", {"name": name, "qualifier": qualifier})
                 node.children.extend(self._parse_args())
                 expr = node
                 continue
             if t.text == "(" and expr.kind in ("this_expression", "super_expression"):
-                node = Node("explicit_constructor_invocation", t.offset,
+                node = Node("explicit_constructor_invocation",
                             {"target": "this" if expr.kind == "this_expression" else "super"})
                 node.children.extend(self._parse_args())
                 expr = node
@@ -1022,14 +1010,13 @@ class _Parser:
                     self.tok().text if self.tok().kind == "identifier" else "")
                 self.eat()
                 qualifier = expr.get("name") if expr.kind == "name" else None
-                node = Node("method_reference", t.offset,
-                            {"name": ref, "qualifier": qualifier})
+                node = Node("method_reference", {"name": ref, "qualifier": qualifier})
                 node.children.append(expr)
                 expr = node
                 continue
             if t.text == "[":
                 self.eat()
-                node = Node("array_access", t.offset)
+                node = Node("array_access")
                 node.children.append(expr)
                 if not self.at("]"):
                     node.children.append(self.parse_expression())
@@ -1038,7 +1025,7 @@ class _Parser:
                 continue
             if t.kind == "op" and t.text in ("++", "--"):
                 self.eat()
-                node = Node("unary_expression", t.offset, {"op": t.text})
+                node = Node("unary_expression")
                 node.children.append(expr)
                 expr = node
                 continue
@@ -1046,29 +1033,28 @@ class _Parser:
 
     def _parse_primary(self) -> Node:
         t = self.tok()
-        off = t.offset
         if t.kind in ("number", "string", "char"):
             self.eat()
-            return Node("literal", off)
+            return Node("literal")
         if t.kind == "keyword":
             if t.text == "new":
                 self.eat()
-                return self._parse_creation(off)
+                return self._parse_creation()
             if t.text == "this":
                 self.eat()
-                return Node("this_expression", off)
+                return Node("this_expression")
             if t.text == "super":
                 self.eat()
-                return Node("super_expression", off)
+                return Node("super_expression")
             if t.text == "switch":
                 return self._stmt_switch()
             if t.text in PRIMITIVES:
                 self.eat()
                 self._skip_dims()
-                return Node("name", off, {"name": t.text})
+                return Node("name", {"name": t.text})
             # keyword in expression position: give up gracefully
             self.eat()
-            return Node("error", off)
+            return Node("error")
         if t.text == "(":
             lam = self._try_lambda()
             if lam is not None:
@@ -1081,17 +1067,17 @@ class _Parser:
             if self.tok(1).text == "->":
                 self.eat()
                 self.eat()
-                node = Node("lambda_expression", off, {"params": 1})
+                node = Node("lambda_expression", {"params": 1})
                 node.children.append(self._parse_lambda_body())
                 return node
             self.eat()
-            return Node("name", off, {"name": t.text})
+            return Node("name", {"name": t.text})
         if t.text == "@":
             return self._parse_annotation()
         if t.text == "{":
             return self._parse_array_initializer()
         self.eat()
-        return Node("error", off)
+        return Node("error")
 
     def _try_lambda(self) -> Node | None:
         depth = 0
@@ -1111,7 +1097,6 @@ class _Parser:
             i += 1
         if depth != 0 or self.toks[i + 1].text != "->":
             return None
-        off = self.tok().offset
         nparams = 0
         self.eat()  # (
         while not self.at(")") and not self.eof():
@@ -1123,7 +1108,7 @@ class _Parser:
                 self._skip_angles()
         self.accept(")")
         self.accept("->")
-        node = Node("lambda_expression", off, {"params": nparams})
+        node = Node("lambda_expression", {"params": nparams})
         node.children.append(self._parse_lambda_body())
         return node
 
@@ -1132,12 +1117,12 @@ class _Parser:
             return self._parse_block()
         return self.parse_expression()
 
-    def _parse_creation(self, off: int) -> Node:
+    def _parse_creation(self) -> Node:
         ctype = self._parse_type()
         if ctype is None:
             return self._recover()
         if ctype.kind == "array_type":  # new int[] {...}
-            node = Node("array_creation", off, {"dims": ctype.get("dims", 1)})
+            node = Node("array_creation", {"dims": ctype.get("dims", 1)})
             node.children.append(ctype.children[0])
             if self.at("{"):
                 node.children.append(self._parse_array_initializer())
@@ -1150,14 +1135,14 @@ class _Parser:
                     sizes.append(self.parse_expression())
                 self.accept("]")
                 dims += 1
-            creation = Node("array_creation", off, {"dims": dims})
+            creation = Node("array_creation", {"dims": dims})
             creation.children.append(ctype)
             creation.children.extend(sizes)
             if self.at("{"):
                 creation.children.append(self._parse_array_initializer())
             return creation
-        node = Node("object_creation", off, {"anonymous": False,
-                                             "type_name": _type_simple_name(ctype)})
+        node = Node("object_creation", {"anonymous": False,
+                                        "type_name": _type_simple_name(ctype)})
         node.children.append(ctype)
         if self.at("("):
             node.children.extend(self._parse_args())
@@ -1184,9 +1169,9 @@ class _Parser:
         return items
 
 
-def _named(kind: str, offset: int, qualified: str) -> Node:
+def _named(kind: str, qualified: str) -> Node:
     """A node naming ``qualified`` by its simple and its qualified name."""
-    return Node(kind, offset, {"name": qualified.rsplit(".", 1)[-1], "qualified": qualified})
+    return Node(kind, {"name": qualified.rsplit(".", 1)[-1], "qualified": qualified})
 
 
 def _type_simple_name(t: Node) -> str:

@@ -175,7 +175,7 @@ class AsOf:
         self.store = store
         self.commits = sorted(store.commits, key=lambda c: c.authored_at)
         self.prs = sorted(prs, key=lambda p: (p.opened_at, p.id))
-        self._pr_vectors: dict[PullRequest, list[int]] = {}
+        self._pr_vectors: dict[int, list[int]] = {}
 
     # --- timelines -------------------------------------------------------------
 
@@ -323,8 +323,8 @@ class AsOf:
         return _before({path: timeline}, pr.opened_at).get(path) if timeline else None
 
     def pr_vector(self, pr: PullRequest) -> list[int]:
-        """Aggregate KU vector over a PR's changed Java files (memoised)."""
-        total = self._pr_vectors.get(pr)
+        """Aggregate KU vector over a PR's changed Java files, memoised by id."""
+        total = self._pr_vectors.get(pr.id)
         if total is None:
             total = [0] * KU_COUNT
             for path in pr.changed_java_files():
@@ -336,7 +336,7 @@ class AsOf:
                     continue
                 for k, count in enumerate(vector):
                     total[k] += count
-            self._pr_vectors[pr] = total
+            self._pr_vectors[pr.id] = total
         return total
 
     def development(self, cutoff: datetime | None) -> Expertise:

@@ -120,6 +120,19 @@ def test_recommend_base_and_adaptive(mined, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_recommend_rejects_top_below_one(mined, capsys, top):
+    # a slice by 0 or -1 would print nothing or drop the last candidate
+    code = main(
+        ["recommend", "--store", str(mined["store"]), "--prs", str(mined["prs"]),
+         "--pr", "11", "--which", "kurec", "--top", top]
+    )
+    assert code == 1  # usage
+    captured = capsys.readouterr()
+    assert "--top" in captured.err
+    assert captured.out == ""
+
+
 def test_adaptive_recommend_honours_rf_mode(mined, capsys):
     # PR 10 opens the synthetic test split; RF counts 3 reviewed PRs for
     # both bob and carol but 5 and 4 review comments, so the two modes

@@ -1,6 +1,7 @@
 """Parser behaviour: shape of trees, error recovery, hard syntax."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from kurev.javaparse import parse_java
 from kurev.javaparse.lexer import KEYWORDS, tokenize
 from kurev.javaparse.nodes import Node
 from kurev.javaparse.parser import BINARY_LEVELS, _Parser
+
+CORPUS = Path(__file__).parent / "fixtures" / "ku_corpus"
 
 
 def kinds(tree):
@@ -26,6 +29,15 @@ def test_empty_file():
     tree = parse_java("")
     assert tree.kind == "compilation_unit"
     assert tree.children == []
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.java")), ids=lambda p: p.stem)
+def test_corpus_trees_are_well_formed(path):
+    for node in parse_java(path.read_text(encoding="utf-8")).walk():
+        assert isinstance(node.kind, str)
+        assert isinstance(node.fields, dict), node.kind
+        assert isinstance(node.children, list), node.kind
+        assert all(isinstance(c, Node) for c in node.children), node.kind
 
 
 def test_binary_input_raises_with_offset():
@@ -220,43 +232,43 @@ def test_lexer_numbers():
     assert [t.text for t in toks] == ["1_000", "0x1F", "1.5e-3", "2f", "3"]
 
 
-# (source, expected tokens before eof as (kind, text, offset)), written by
+# (source, expected tokens before eof as (kind, text)), written by
 # hand from the lexing rules: unterminated literals stop at the newline or
 # at the end of input, a backslash takes the next character with it,
 # unclosed comments and text blocks run to the end of input.
 LEXER_CASES = [
-    ('"ab\nc', [("string", '"ab', 0), ("identifier", "c", 4)]),
-    ('"ab', [("string", '"ab', 0)]),
-    ("'a\nb", [("char", "'a", 0), ("identifier", "b", 3)]),
-    ("'a", [("char", "'a", 0)]),
-    ('"a\\\nb" x', [("string", '"a\\\nb"', 0), ("identifier", "x", 7)]),
-    ('"\\', [("string", '"\\', 0)]),
-    ("a /* b", [("identifier", "a", 0)]),
-    ('x """ab\n"', [("identifier", "x", 0), ("string", '"""ab\n"', 2)]),
-    ("1.", [("number", "1", 0), ("punct", ".", 1)]),
-    ("x.y", [("identifier", "x", 0), ("punct", ".", 1), ("identifier", "y", 2)]),
-    (".5", [("number", ".5", 0)]),
-    ("1e+5", [("number", "1e+5", 0)]),
-    ("0x1P-3", [("number", "0x1P-3", 0)]),
-    ("0x1p-3", [("number", "0x1p-3", 0)]),
-    ("1E-3f", [("number", "1E-3f", 0)]),
+    ('"ab\nc', [("string", '"ab'), ("identifier", "c")]),
+    ('"ab', [("string", '"ab')]),
+    ("'a\nb", [("char", "'a"), ("identifier", "b")]),
+    ("'a", [("char", "'a")]),
+    ('"a\\\nb" x', [("string", '"a\\\nb"'), ("identifier", "x")]),
+    ('"\\', [("string", '"\\')]),
+    ("a /* b", [("identifier", "a")]),
+    ('x """ab\n"', [("identifier", "x"), ("string", '"""ab\n"')]),
+    ("1.", [("number", "1"), ("punct", ".")]),
+    ("x.y", [("identifier", "x"), ("punct", "."), ("identifier", "y")]),
+    (".5", [("number", ".5")]),
+    ("1e+5", [("number", "1e+5")]),
+    ("0x1P-3", [("number", "0x1P-3")]),
+    ("0x1p-3", [("number", "0x1p-3")]),
+    ("1E-3f", [("number", "1E-3f")]),
     # In a hex literal e/E is a digit, not an exponent: it takes no sign.
-    ("0xE+1", [("number", "0xE", 0), ("op", "+", 3), ("number", "1", 4)]),
-    ("0XFE-x", [("number", "0XFE", 0), ("op", "-", 4), ("identifier", "x", 5)]),
-    ("a>>>=b", [("identifier", "a", 0), ("op", ">>>=", 1), ("identifier", "b", 5)]),
-    ("a...b", [("identifier", "a", 0), ("op", "...", 1), ("identifier", "b", 4)]),
-    ("A::b", [("identifier", "A", 0), ("op", "::", 1), ("identifier", "b", 3)]),
-    ("$x", [("identifier", "$x", 0)]),
-    ("café", [("identifier", "café", 0)]),
+    ("0xE+1", [("number", "0xE"), ("op", "+"), ("number", "1")]),
+    ("0XFE-x", [("number", "0XFE"), ("op", "-"), ("identifier", "x")]),
+    ("a>>>=b", [("identifier", "a"), ("op", ">>>="), ("identifier", "b")]),
+    ("a...b", [("identifier", "a"), ("op", "..."), ("identifier", "b")]),
+    ("A::b", [("identifier", "A"), ("op", "::"), ("identifier", "b")]),
+    ("$x", [("identifier", "$x")]),
+    ("café", [("identifier", "café")]),
     # A letter number (category Nl) starts an identifier, as in Java.
-    ("Ⅻx", [("identifier", "Ⅻx", 0)]),
+    ("Ⅻx", [("identifier", "Ⅻx")]),
 ]
 
 
 @pytest.mark.parametrize("source,expected", LEXER_CASES, ids=[c[0] for c in LEXER_CASES])
 def test_lexer_edge_cases(source, expected):
-    tokens = [(t.kind, t.text, t.offset) for t in tokenize(source)]
-    assert tokens == expected + [("eof", "", len(source))]
+    tokens = [(t.kind, t.text) for t in tokenize(source)]
+    assert tokens == expected + [("eof", "")]
 
 
 def test_interface_and_record():
@@ -313,7 +325,7 @@ class _LevelParser(_Parser):
             t = self.tok()
             if t.is_kw("instanceof") and "instanceof" in ops:
                 self.eat()
-                node = Node("instanceof_expression", t.offset)
+                node = Node("instanceof_expression")
                 node.children.append(left)
                 itype = self._parse_type()
                 if itype is not None:
@@ -324,7 +336,7 @@ class _LevelParser(_Parser):
                 continue
             if t.kind == "op" and t.text in ops and t.text != "instanceof":
                 self.eat()
-                node = Node("binary_expression", t.offset, {"op": t.text})
+                node = Node("binary_expression", {"op": t.text})
                 node.children.append(left)
                 node.children.append(self._parse_binary(level + 1))
                 left = node

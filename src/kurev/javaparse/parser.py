@@ -961,10 +961,13 @@ class _Parser:
             t = self.tok()
             if t.text == "." and self.tok(1).kind in ("identifier", "keyword"):
                 nxt = self.tok(1)
-                if nxt.is_kw("new"):
+                if nxt.is_kw("new"):  # outer.new Inner(): the qualifier is evidence too
                     self.eat()
                     self.eat()
-                    expr = self._parse_creation()
+                    creation = self._parse_creation()
+                    # last, so that children[0] stays the created type
+                    creation.children.append(expr)
+                    expr = creation
                     continue
                 if nxt.is_kw("class") or nxt.is_kw("this") or nxt.is_kw("super"):
                     self.eat()

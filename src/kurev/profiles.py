@@ -7,21 +7,21 @@ normalizes a sum into the developer's share of all occurrences of that
 KU observed strictly before the cutoff.
 
 Every "strictly before" question is answered by one :class:`AsOf` index
-per store and PR set: a timeline per key (an author, a reviewer, a path,
-a (path, developer) pair) of date-sorted entries, and one query,
-:func:`_before`, that bisects timelines at a cutoff for their last entry
-before it. Where the question is a count, each entry is the count so far.
+per store and PR set: per question, a :class:`_Sweep` folds date-ordered
+events into a state (counts, the latest value per path and developer, or
+running rows) up to a cutoff. Its cost depends on query order: it resumes
+where the last query stopped, but starts over on an earlier cutoff.
+``tests/test_profiles.py`` checks that evaluation stays linear.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime
 from functools import cached_property
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .catalog import KU_COUNT, KU_NAMES
 from .mining import CommitRecord, KuStore
@@ -60,94 +60,85 @@ class Expertise:
 
 _NO_ROW: Row = ((0,) * KU_COUNT, (None,) * KU_COUNT)
 
-# A timeline is one tuple: the tuple of its dates, ascending, then the entry
-# of each date in the same order, so entry timeline[n] is dated dates[n - 1].
-# Two objects per key keep the many one- or two-entry (path, developer)
-# timelines small.
-Timeline = tuple
 
+class _Sweep:
+    """A state folded from date-ordered ``(date, ...)`` events up to a cutoff.
 
-def _timelines(events: Iterable[tuple[Hashable, datetime, object]]) -> dict:
-    """One timeline per key from (key, date, entry) events that arrive in
-    date order; a (path, developer) key is filed under out[path][developer]."""
-    out: dict = {}
-    for key, when, entry in events:
-        node = out
-        if isinstance(key, tuple):
-            path, key = key
-            node = out.setdefault(path, {})
-        timeline = node.get(key)
-        if timeline is None:
-            node[key] = [[when], entry]
-        else:
-            timeline[0].append(when)
-            timeline.append(entry)
-    # Each timeline was built as a list, [[date, ...], entry, ...]; freeze it.
-    nodes = [out]
-    for node in nodes:
-        for key, value in node.items():
-            if isinstance(value, dict):
-                nodes.append(value)
-            else:
-                value[0] = tuple(value[0])
-                node[key] = tuple(value)
-    return out
-
-
-def _before(timelines: dict[Hashable, Timeline], when: datetime | None) -> dict:
-    """Per key with entries dated strictly before ``when`` (None: with any
-    entry), the last of them."""
-    last = {}
-    for key, timeline in timelines.items():
-        dates = timeline[0]
-        n = len(dates) if when is None else bisect_left(dates, when)
-        if n:
-            last[key] = timeline[n]
-    return last
-
-
-def _tallied(
-    events: Iterable[tuple[Hashable, datetime]]
-) -> Iterator[tuple[Hashable, datetime, int]]:
-    """Each (key, date) event with how many events of its key there are so
-    far, so that a timeline's last entry before a date is a count."""
-    tally: dict[Hashable, int] = {}
-    for key, when in events:
-        tally[key] = n = tally.get(key, 0) + 1
-        yield key, when, n
-
-
-def _running(
-    events: Iterable[tuple[datetime, Iterable[str], Sequence[list[int] | None]]]
-) -> Iterator[tuple[str | None, datetime, object]]:
-    """Running sums of one side, from (date, developers, vectors) events in
-    date order: after each event, the row of each developer it credits and,
-    under the key None, the column totals.
-
-    Every developer of an event is credited every vector of it; None
-    vectors (unresolvable files) add nothing.
+    :meth:`at` resumes where the last query stopped, so queries in date
+    order fold each event once; a cutoff earlier than an event already
+    folded starts over from an empty state.
     """
-    rows: dict[str, Row] = {}
-    totals = _NO_ROW[0]
-    for when, developers, vectors in events:
-        column = list(totals)
-        for developer in developers:
-            counts, touched = map(list, rows.get(developer, _NO_ROW))
-            for vector in vectors:
-                for k, count in enumerate(vector or ()):
-                    if count:
-                        counts[k] += count
-                        column[k] += count
-                        touched[k] = when
-            rows[developer] = row = (tuple(counts), tuple(touched))
-            yield developer, when, row
-        totals = tuple(column)
-        yield None, when, totals
+
+    def __init__(self, events: list[tuple], fold: Callable[[dict, tuple], None]):
+        self.events = events
+        self.fold = fold
+        self.state: dict = {}
+        self.folded = 0  # events[:folded] are in state
+
+    def at(self, when: datetime | None) -> dict:
+        """The state after the events dated strictly before ``when`` (None:
+        all). It is live: read it before the next query, and never change it."""
+        events, n = self.events, self.folded
+        if n and when is not None and events[n - 1][0] >= when:
+            self.state, n = {}, 0
+        state, fold = self.state, self.fold
+        while n < len(events) and (when is None or events[n][0] < when):
+            fold(state, events[n])
+            n += 1
+        self.folded = n
+        return state
 
 
-def _expertise(kind: str, side: dict, cutoff: datetime | None) -> Expertise:
-    """One side's rows and totals as of a cutoff (see :func:`_running`)."""
-    rows = _before(side, cutoff)
+# The folds: each applies one event to a sweep's state.
+
+
+def _count(state: dict, event: tuple) -> None:
+    """(date, key): events per key."""
+    state[event[1]] = state.get(event[1], 0) + 1
+
+
+def _latest(state: dict, event: tuple) -> None:
+    """(date, path, developer, value): the latest value per path and developer."""
+    _, path, developer, value = event
+    state.setdefault(path, {})[developer] = value
+
+
+def _latest_snapshot(state: dict, event: tuple) -> None:
+    """(date, path, vector): the latest vector per path."""
+    state[event[1]] = event[2]
+
+
+def _tally_comment(state: dict, event: tuple) -> None:
+    """(date, path, reviewer, workday): per path and reviewer, (comments,
+    distinct workdays, latest workday). Comment dates are UTC
+    (``load_prs``), so a new workday differs from the latest."""
+    _, path, reviewer, workday = event
+    reviews = state.setdefault(path, {})
+    n, days, latest = reviews.get(reviewer, (0, 0, None))
+    reviews[reviewer] = (n + 1, days + (workday != latest), workday)
+
+
+def _credit(state: dict, event: tuple) -> None:
+    """(date, developers, vectors): per developer, the running row of one
+    side, crediting every developer every vector of the event (None
+    vectors, unresolvable files, add nothing); column totals under None."""
+    when, developers, vectors = event
+    column = list(state.get(None, _NO_ROW[0]))
+    for developer in developers:
+        counts, touched = map(list, state.get(developer, _NO_ROW))
+        for vector in vectors:
+            for k, count in enumerate(vector or ()):
+                if count:
+                    counts[k] += count
+                    column[k] += count
+                    touched[k] = when
+        state[developer] = (tuple(counts), tuple(touched))
+    state[None] = tuple(column)
+
+
+def _expertise(kind: str, side: _Sweep, cutoff: datetime | None) -> Expertise:
+    """One side's rows and totals as of a cutoff (see :func:`_credit`)."""
+    rows = dict(side.at(cutoff))
     totals = rows.pop(None, _NO_ROW[0])
     return Expertise(kind=kind, cutoff=cutoff, rows=rows, totals=totals)
 
@@ -155,16 +146,12 @@ def _expertise(kind: str, side: dict, cutoff: datetime | None) -> Expertise:
 class AsOf:
     """Everything known strictly before a date, over one store and PR set.
 
-    Built once and queried per PR. Commits are sorted by (date, store
-    order) and PRs by (opening date, id), so every stream of events but
-    the review comments arrives in date order; those are stably sorted
-    first. Each PR's KU vector is computed once. The timelines, each built
-    on first use: commits per author and per (path, author), own PRs per
-    (path, author), reviewed PRs and review comments per reviewer, review
-    comments per (path, reviewer) with a running count of distinct
-    workdays, resolvable snapshots per path, and both sides' running rows
-    per developer and column totals. Every query bisects them at the
-    cutoff instead of copying a prefix.
+    Built once and queried per PR, through one sweep per question, each
+    built on first use. Commits are sorted by (date, store order) and PRs
+    by (opening date, id), so every stream of events but the review
+    comments arrives in date order; those are sorted first. Each
+    PR's KU vector is computed once. A query copies its sweep's state only
+    where the caller changes the result.
 
     Review comments count only when written strictly before the cutoff.
     ``load_prs`` rejects a comment dated before its own PR opened, so each
@@ -177,104 +164,85 @@ class AsOf:
         self.prs = sorted(prs, key=lambda p: (p.opened_at, p.id))
         self._pr_vectors: dict[int, list[int]] = {}
 
-    # --- timelines -------------------------------------------------------------
+    # --- sweeps ----------------------------------------------------------------
 
     @cached_property
-    def _authored(self) -> dict[str, Timeline]:
-        """Per author: their commits, each entry a count so far."""
-        return _timelines(_tallied((c.author, c.authored_at) for c in self.commits))
+    def _authored(self) -> _Sweep:
+        """Per author: their commits."""
+        return _Sweep([(c.authored_at, c.author) for c in self.commits], _count)
 
     @cached_property
-    def _path_commits(self) -> dict[str, dict[str, Timeline]]:
-        """Per changed Java path, per author: their commits that changed it."""
-        return _timelines(((path, c.author), c.authored_at, c)
-                          for c in self.commits for path in c.changed_java_files)
+    def _path_commits(self) -> _Sweep:
+        """Per changed Java path, per author: their latest commit that changed it."""
+        return _Sweep([(c.authored_at, path, c.author, c)
+                       for c in self.commits for path in c.changed_java_files], _latest)
 
     @cached_property
-    def _path_prs(self) -> dict[str, dict[str, Timeline]]:
-        """Per changed path, per author: their own PRs that changed it."""
-        return _timelines(((path, p.author), p.opened_at, p)
-                          for p in self.prs for path in p.changed_files)
+    def _path_prs(self) -> _Sweep:
+        """Per changed path, per author: their latest own PR that changed it."""
+        return _Sweep([(p.opened_at, path, p.author, p)
+                       for p in self.prs for path in p.changed_files], _latest)
 
     @cached_property
-    def _reviewed(self) -> dict[str, Timeline]:
-        """Per reviewer: the PRs they reviewed, by opening date, each entry a
-        count so far."""
-        return _timelines(_tallied((r, p.opened_at) for p in self.prs for r in p.reviewers))
+    def _reviewed(self) -> _Sweep:
+        """Per reviewer: the PRs they reviewed, by opening date."""
+        return _Sweep([(p.opened_at, r) for p in self.prs for r in p.reviewers], _count)
 
     @cached_property
-    def _commented(self) -> dict[str, Timeline]:
-        """Per reviewer: their review comments, each entry a count so far."""
-        comments = sorted((c for p in self.prs for c in p.review_comments),
-                          key=lambda c: c.commented_at)
-        return _timelines(_tallied((c.reviewer, c.commented_at) for c in comments))
+    def _commented(self) -> _Sweep:
+        """Per reviewer: their review comments."""
+        return _Sweep(sorted(((c.commented_at, c.reviewer)
+                              for p in self.prs for c in p.review_comments)),
+                      _count)
 
     @cached_property
-    def _path_comments(self) -> dict[str, dict[str, Timeline]]:
-        """Per path, per reviewer: their comments on it, each entry (count,
-        distinct workdays, date) of the comments up to it.
-
-        Only comments on a path their own PR changed count. Comment dates
-        are UTC (``load_prs``), so workdays never decrease along a timeline
-        and a new one differs from its predecessor's.
-        """
-        comments = sorted((c for p in self.prs for c in p.review_comments
-                           if c.path in p.changed_files), key=lambda c: c.commented_at)
-        last: dict[tuple[str, str], tuple[int, int, datetime]] = {}
-
-        def events():
-            for c in comments:
-                key = (c.path, c.reviewer)
-                n, days, latest = last.get(key, (0, 0, None))
-                days += latest is None or c.workday != latest.date()
-                last[key] = entry = (n + 1, days, c.commented_at)
-                yield key, c.commented_at, entry
-
-        return _timelines(events())
+    def _path_comments(self) -> _Sweep:
+        """Per path, per reviewer: their comments on it, only those on a path
+        their own PR changed (see :func:`_tally_comment`)."""
+        return _Sweep(sorted(((c.commented_at, c.path, c.reviewer, c.workday)
+                              for p in self.prs for c in p.review_comments
+                              if c.path in p.changed_files)),
+                      _tally_comment)
 
     @cached_property
-    def _snapshots(self) -> dict[str, Timeline]:
-        """Per path: the vectors of its resolvable snapshots."""
-        return _timelines(
-            (path, c.authored_at, vector)
-            for c in self.commits for path in c.changed_java_files
-            if (vector := self.store.vector(c.hash, path)) is not None
-        )
+    def _snapshots(self) -> _Sweep:
+        """Per path: the vector of its latest resolvable snapshot."""
+        return _Sweep([(c.authored_at, path, vector)
+                       for c in self.commits for path in c.changed_java_files
+                       if (vector := self.store.vector(c.hash, path)) is not None],
+                      _latest_snapshot)
 
     @cached_property
-    def _development(self) -> dict[str | None, Timeline]:
-        """Running sums per author over commits (see :func:`_running`)."""
-        return _timelines(_running(
-            (c.authored_at, (c.author,),
-             [self.store.vector(c.hash, path) for path in c.changed_java_files])
-            for c in self.commits
-        ))
+    def _development(self) -> _Sweep:
+        """Running rows per author over commits (see :func:`_credit`)."""
+        return _Sweep([(c.authored_at, (c.author,),
+                        [self.store.vector(c.hash, path) for path in c.changed_java_files])
+                       for c in self.commits], _credit)
 
     @cached_property
-    def _review(self) -> dict[str | None, Timeline]:
-        """Running sums per reviewer over reviewed PRs (see :func:`_running`)."""
-        return _timelines(_running(
-            (pr.opened_at, pr.reviewers, (self.pr_vector(pr),))
-            for pr in self.prs if pr.reviewers
-        ))
+    def _review(self) -> _Sweep:
+        """Running rows per reviewer over reviewed PRs (see :func:`_credit`)."""
+        return _Sweep([(pr.opened_at, pr.reviewers, (self.pr_vector(pr),))
+                       for pr in self.prs if pr.reviewers], _credit)
 
     # --- queries ---------------------------------------------------------------
 
     def commit_counts(self, when: datetime) -> dict[str, int]:
         """Per author: commits authored strictly before ``when`` (none: absent)."""
-        return _before(self._authored, when)
+        return dict(self._authored.at(when))
 
     def review_counts(self, when: datetime, mode: str = "prs") -> dict[str, int]:
         """Per reviewer: reviewed PRs opened (``mode="prs"``) or review
         comments written (``mode="comments"``) strictly before ``when``."""
-        return _before(self._reviewed if mode == "prs" else self._commented, when)
+        return dict((self._reviewed if mode == "prs" else self._commented).at(when))
 
     def last_commits(self, paths: Iterable[str], when: datetime) -> dict[str, datetime]:
         """Per author: the date of their latest commit strictly before
         ``when`` that changed any of ``paths``."""
+        latest = self._path_commits.at(when)
         last: dict[str, datetime] = {}
         for path in set(paths):
-            for author, commit in _before(self._path_commits.get(path, {}), when).items():
+            for author, commit in latest.get(path, {}).items():
                 if author not in last or commit.authored_at > last[author]:
                     last[author] = commit.authored_at
         return last
@@ -283,11 +251,8 @@ class AsOf:
         """(reviewer, comments, distinct workdays, latest workday) per
         reviewer of ``path``, over comments on it written strictly before
         ``when`` on PRs that changed it."""
-        return [
-            (reviewer, n, days, latest.date())
-            for reviewer, (n, days, latest)
-            in _before(self._path_comments.get(path, {}), when).items()
-        ]
+        reviews = self._path_comments.at(when).get(path, {})
+        return [(reviewer, *tally) for reviewer, tally in reviews.items()]
 
     def recent_touches(
         self, developer: str, paths: Iterable[str], since: datetime, until: datetime
@@ -301,9 +266,9 @@ class AsOf:
         """
         paths = dict.fromkeys(paths)
 
-        def latest(index: dict[str, dict[str, Timeline]]) -> Iterable:
-            own = {p: index[p][developer] for p in paths if developer in index.get(p, ())}
-            return _before(own, until).values()
+        def latest(sweep: _Sweep) -> list:
+            state = sweep.at(until)
+            return [state[p][developer] for p in paths if developer in state.get(p, ())]
 
         return ([c for c in latest(self._path_commits) if c.authored_at >= since],
                 [p for p in latest(self._path_prs) if p.opened_at >= since])
@@ -319,8 +284,7 @@ class AsOf:
             vector = self.store.vector(pr.head_commit, path)
             if vector is not None:
                 return vector
-        timeline = self._snapshots.get(path)
-        return _before({path: timeline}, pr.opened_at).get(path) if timeline else None
+        return self._snapshots.at(pr.opened_at).get(path)
 
     def pr_vector(self, pr: PullRequest) -> list[int]:
         """Aggregate KU vector over a PR's changed Java files, memoised by id."""

@@ -104,6 +104,15 @@ def test_fully_qualified_use_counts():
     assert hits[cap(14, 2)] == 1
 
 
+def test_qualified_creation_keeps_the_qualifiers_kus():
+    # the lambda (K2) and the binary expression (K10) sit in the qualifier
+    def kus(expression):
+        return detect_kus(f"class A {{ void f() {{ Object o = {expression}; }} }}", CATALOG)
+
+    assert kus("make(x -> x + 1).new Inner()") == kus("make(x -> x + 1)")
+    assert kus("make(x -> x + 1)")[1] == kus("make(x -> x + 1)")[9] == 1
+
+
 @pytest.mark.parametrize("i", range(1, 29))
 def test_corpus_fires_own_ku(i):
     src = (CORPUS / f"K{i:02d}.java").read_text()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 import sys
 from dataclasses import replace
@@ -19,6 +20,7 @@ from kurev.pipeline import (
     run_base_recommenders,
     run_pipeline,
 )
+from kurev.recommenders import RF_MODES
 
 
 def config_for(synthetic_project, tmp_path, seed=11) -> ProjectConfig:
@@ -152,6 +154,31 @@ def test_rerun_into_fresh_directory_is_byte_identical(synthetic_project, tmp_pat
         if name.endswith(".stamp"):
             continue
         assert tree_a[name] == tree_b[name], name
+
+
+# sha256 of report.tsv per RF mode and of profiles/p_ku.tsv, recorded from an
+# earlier as-of index that every rewrite must reproduce; both seeds give the
+# same bytes here. cluster/ is left out: its bits depend on the numpy/LAPACK
+# build.
+REPORT_SHA256 = {
+    "prs": "29bca148de98cfcf4ffafc7eb4daa0ceb9b7f773a682a00379ae6c8fdd04edac",
+    "comments": "7e5bc6692a77069a7fdb5f18012496c209f48c402afbfd8dd1b5120cc798e332",
+}
+P_KU_SHA256 = "ce449d5fdf942322ac05b923d0f3d4ae38766eef6cd6ac3d2791134887a8097f"
+
+
+def test_report_and_profiles_keep_their_recorded_bytes(synthetic_project, tmp_path):
+    for seed in (0, 11):
+        for rf_mode in RF_MODES:
+            config = replace(config_for(synthetic_project, tmp_path, seed), rf_mode=rf_mode)
+            run_pipeline(config, echo=lambda message: None)
+            out = config.out_dir
+            assert sha256(out / "report.tsv") == REPORT_SHA256[rf_mode], (seed, rf_mode)
+            assert sha256(out / "profiles" / "p_ku.tsv") == P_KU_SHA256, (seed, rf_mode)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_stage_reruns_when_inputs_change(synthetic_project, tmp_path, capsys):

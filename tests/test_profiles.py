@@ -7,11 +7,15 @@ import random
 from collections import Counter
 from datetime import timedelta
 
+import pytest
+
 from kurev.catalog import KU_COUNT, KU_NAMES
 from kurev.evaluation import SIX_MONTHS
-from kurev.pipeline import evaluate_project
+from kurev.pipeline import ALL_KINDS, evaluate_project
+from kurev.prstore import PrDataset, chronological_split
 from kurev.profiles import (
     AsOf,
+    _Sweep,
     dev_exp_matrix,
     global_ku_profiles,
     pr_ku_vector,
@@ -20,7 +24,7 @@ from kurev.profiles import (
     save_last_touch,
     save_matrix,
 )
-from kurev.recommenders import History
+from kurev.recommenders import RF_MODES, History
 from kurev.util import read_jsonl
 from tests.conftest import commit, dt, ku, make_dataset, make_pr, make_store
 
@@ -267,16 +271,29 @@ def view(expertise):
     return ratios(expertise), last_touches(expertise)
 
 
+def in_three_orders(items):
+    """The items as given, reversed, and shuffled with a fixed seed: an index
+    must answer the same whatever order it is queried in."""
+    shuffled = list(items)
+    random.Random(17).shuffle(shuffled)
+    return [list(items), list(items)[::-1], shuffled]
+
+
 def assert_index_matches_naive(store, prs, cutoffs):
     asof = AsOf(store, prs)
     for pr in prs:
         assert asof.pr_vector(pr) == naive_pr_vector(store, pr), pr.id
-    for cutoff in cutoffs:
-        dev, rev = asof.development(cutoff), asof.review(cutoff)
-        assert (dev.kind, dev.cutoff) == ("development", cutoff)
-        assert (rev.kind, rev.cutoff) == ("review", cutoff)
-        assert view(dev) == naive_dev(store, cutoff), cutoff
-        assert view(rev) == naive_rev(prs, store, cutoff), cutoff
+    for order in in_three_orders(prs)[1:]:
+        for pr in order:  # pr_vector is memoised; file_vector is not
+            for path in pr.changed_java_files():
+                assert asof.file_vector(pr, path) == naive_resolve(store, pr, path)
+    for order in in_three_orders(cutoffs):
+        for cutoff in order:
+            dev, rev = asof.development(cutoff), asof.review(cutoff)
+            assert (dev.kind, dev.cutoff) == ("development", cutoff)
+            assert (rev.kind, rev.cutoff) == ("review", cutoff)
+            assert view(dev) == naive_dev(store, cutoff), cutoff
+            assert view(rev) == naive_rev(prs, store, cutoff), cutoff
 
 
 def test_index_equals_naive_scan_at_every_pr_of_synthetic_project(synthetic_project):
@@ -335,9 +352,10 @@ def test_unresolvable_file_is_logged_once_per_pr_and_path(synthetic_project, cap
 # --- per-key queries against naive scans --------------------------------------
 
 
-def random_history(rng):
-    """A small store and PR set on a coarse date grid, so that event dates
-    often coincide with each other and with the cutoffs."""
+def random_history(rng, commits=12, prs=10):
+    """A store and PR set of fewer than ``commits`` commits and ``prs`` PRs
+    on a coarse date grid, so that event dates often coincide with each
+    other and with the cutoffs."""
     start = dt("2023-01-01T00:00:00Z")
     devs = ["alice", "bob", "carol", "dan"]
     paths = ["a.java", "b.java", "c.java", "notes.md"]
@@ -345,15 +363,15 @@ def random_history(rng):
     def when():
         return start + timedelta(days=rng.randrange(0, 400, 3), hours=rng.choice((0, 12)))
 
-    commits = []
-    for i in range(rng.randrange(0, 12)):
+    history = []
+    for i in range(rng.randrange(0, commits)):
         files = {
             path: None if rng.random() < 0.2 else ku(k1=rng.randrange(3))
             for path in rng.sample(paths[:3], rng.randrange(1, 4))
         }
-        commits.append(commit(f"c{i}", rng.choice(devs), when().isoformat(), files))
-    prs = []
-    for i in range(rng.randrange(0, 10)):
+        history.append(commit(f"c{i}", rng.choice(devs), when().isoformat(), files))
+    opened_prs = []
+    for i in range(rng.randrange(0, prs)):
         opened = when()
         changed = rng.sample(paths, rng.randrange(1, 4))
         comments = [
@@ -364,10 +382,11 @@ def random_history(rng):
                                  hours=rng.choice((0, 12)))).isoformat())
             for _ in range(rng.randrange(0, 5))
         ]
-        prs.append(make_pr(i, opened.isoformat(), rng.choice(devs), changed,
-                           reviewers=rng.sample(devs + ["rita", "ron"], rng.randrange(0, 3)),
-                           comments=comments))
-    return make_store(*commits), make_dataset(*prs).prs
+        opened_prs.append(make_pr(
+            i, opened.isoformat(), rng.choice(devs), changed,
+            reviewers=rng.sample(devs + ["rita", "ron"], rng.randrange(0, 3)),
+            comments=comments))
+    return make_store(*history), make_dataset(*opened_prs).prs
 
 
 def cutoffs_of(store, prs):
@@ -411,34 +430,69 @@ def test_per_key_queries_equal_naive_scans():
         store, prs = random_history(rng)
         asof = AsOf(store, prs)
         people = ["alice", "bob", "carol", "dan", "rita", "ron", "nobody"]
-        for when in cutoffs_of(store, prs):
-            assert asof.commit_counts(when) == Counter(
-                c.author for c in store.commits if c.authored_at < when)
-            assert asof.review_counts(when, "prs") == Counter(
-                r for p in prs if p.opened_at < when for r in p.reviewers)
-            assert asof.review_counts(when, "comments") == Counter(
-                c.reviewer for p in prs for c in p.review_comments if c.commented_at < when)
-            for paths in (["a.java"], ["a.java", "b.java", "a.java"], ["notes.md"], []):
-                assert asof.last_commits(paths, when) == naive_last_commits(store, paths, when)
-            for path in ("a.java", "b.java", "c.java", "notes.md", "z.java"):
-                assert sorted(asof.file_reviews(path, when)) == naive_file_reviews(
-                    prs, path, when)
-            since = when - SIX_MONTHS
-            for dev in people:
-                for paths in (["a.java", "notes.md"], ["b.java", "c.java", "b.java"], []):
-                    commits, own = asof.recent_touches(dev, paths, since, when)
-                    assert all(c.author == dev and since <= c.authored_at < when
-                               for c in commits)
-                    assert all(p.author == dev and since <= p.opened_at < when
-                               for p in own)
-                    assert len(commits) <= len(set(paths)) >= len(own)
-                    # the same touched paths as the developer's whole window
-                    window_commits = [c for c in store.commits
-                                      if c.author == dev and since <= c.authored_at < when]
-                    window_prs = [p for p in prs
-                                  if p.author == dev and since <= p.opened_at < when]
-                    assert touched(commits, own, paths) == touched(
-                        window_commits, window_prs, paths)
-            cases += 1
+        for order in in_three_orders(cutoffs_of(store, prs)):
+            for when in order:
+                assert asof.commit_counts(when) == Counter(
+                    c.author for c in store.commits if c.authored_at < when)
+                assert asof.review_counts(when, "prs") == Counter(
+                    r for p in prs if p.opened_at < when for r in p.reviewers)
+                assert asof.review_counts(when, "comments") == Counter(
+                    c.reviewer for p in prs for c in p.review_comments if c.commented_at < when)
+                for paths in (["a.java"], ["a.java", "b.java", "a.java"], ["notes.md"], []):
+                    assert asof.last_commits(paths, when) == naive_last_commits(store, paths, when)
+                for path in ("a.java", "b.java", "c.java", "notes.md", "z.java"):
+                    assert sorted(asof.file_reviews(path, when)) == naive_file_reviews(
+                        prs, path, when)
+                since = when - SIX_MONTHS
+                for dev in people:
+                    for paths in (["a.java", "notes.md"], ["b.java", "c.java", "b.java"], []):
+                        commits, own = asof.recent_touches(dev, paths, since, when)
+                        assert all(c.author == dev and since <= c.authored_at < when
+                                   for c in commits)
+                        assert all(p.author == dev and since <= p.opened_at < when
+                                   for p in own)
+                        assert len(commits) <= len(set(paths)) >= len(own)
+                        # the same touched paths as the developer's whole window
+                        window_commits = [c for c in store.commits
+                                          if c.author == dev and since <= c.authored_at < when]
+                        window_prs = [p for p in prs
+                                      if p.author == dev and since <= p.opened_at < when]
+                        assert touched(commits, own, paths) == touched(
+                            window_commits, window_prs, paths)
+                cases += 1
         assert_index_matches_naive(store, prs, [None, *cutoffs_of(store, prs)])
-    assert cases >= 300
+    assert cases >= 900
+
+
+@pytest.mark.parametrize("rf_mode", RF_MODES)
+@pytest.mark.parametrize("project", ["synthetic", "random"])
+def test_evaluation_folds_each_event_a_bounded_number_of_times(
+    synthetic_project, monkeypatch, project, rf_mode
+):
+    # A sweep restarts on a cutoff earlier than its last one. Evaluation
+    # queries each sweep in date order once in the base recommenders and
+    # once per kind in the reasonableness loop. The synthetic project has
+    # three test PRs; the random one has enough that a query order which
+    # restarted per PR would fold quadratically many events and fail here.
+    if project == "synthetic":
+        store, dataset = synthetic_project["store"], synthetic_project["dataset"]
+    else:
+        store, prs = random_history(random.Random(2), commits=120, prs=200)
+        dataset = PrDataset("random", prs)
+    folded = Counter()
+    at = _Sweep.at
+
+    def counting(sweep, when):
+        start = sweep.folded
+        state = at(sweep, when)
+        # a restart leaves fewer events folded than before, counted from 0
+        folded[sweep] += sweep.folded - start if sweep.folded >= start else sweep.folded
+        return state
+
+    monkeypatch.setattr(_Sweep, "at", counting)
+    test = chronological_split(dataset)[1]
+    assert len(test.prs) >= (3 if project == "synthetic" else 30)
+    evaluate_project(History(store=store, prs=dataset), test, rf_mode=rf_mode)
+    assert len(folded) == 8  # every sweep but the other RF mode's
+    for sweep, n in folded.items():
+        assert n <= (1 + len(ALL_KINDS)) * len(sweep.events), sweep.fold.__name__

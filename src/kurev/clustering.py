@@ -177,13 +177,12 @@ def median_silhouette(data, labels, dists=None) -> float:
     if dists is None:
         dists = _distance_matrix(X)
     sizes = np.bincount(own)
-    # sums[i, c] adds point i's distances to cluster c over one column block
-    # of the matrix grouped by cluster (index order within a block). Each
-    # block is copied to a contiguous array first: summing a strided view
-    # adds in another order, so the last bit would differ from the 1-D sum.
-    grouped = dists[:, np.argsort(own, kind="stable")]
-    blocks = np.split(grouped, np.cumsum(sizes)[:-1], axis=1)
-    sums = np.column_stack([np.ascontiguousarray(b).sum(axis=1) for b in blocks])
+    # sums[i, c] adds point i's distances to cluster c in index order.
+    # np.take copies the columns C-contiguous, so each row sums as a 1-D sum
+    # would; an F-ordered copy (fancy or boolean indexing) adds in another
+    # order, and the last bit would differ.
+    sums = np.column_stack([np.take(dists, np.flatnonzero(own == c), axis=1).sum(axis=1)
+                            for c in range(len(uniq))])
     rows = np.arange(len(X))
     own_size = sizes[own]
     a = sums[rows, own] / np.maximum(own_size - 1, 1)

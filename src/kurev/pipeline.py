@@ -135,54 +135,51 @@ def evaluate_project(
 ) -> EvalReport:
     """Score the five base and three adaptive recommenders on the test set.
 
-    Each base recommendation is scored once (:class:`PrScore`); the winner
-    sequence, the adaptive variants and the report all read those scores.
+    One date-ordered pass over the test PRs scores each base recommendation
+    (:class:`PrScore`) and judges each distinct top-1 pick once, so the
+    sweeps behind the verdicts are walked once. The winner sequence reads
+    the scores; each adaptive step takes its delegate's score and verdict.
     """
     test_prs = list(test.prs)
     base = run_base_recommenders(history, test_prs, rf_mode=rf_mode)
-    recs_by_kind: dict[str, list[Recommendation]] = {
-        kind: [base[kind][pr.id] for pr in test_prs] for kind in KIND_ORDER
-    }
-    scores = {
-        kind: [PrScore.of(rec, set(pr.reviewers)) for pr, rec in zip(test_prs, recs)]
-        for kind, recs in recs_by_kind.items()
-    }
+    asof = history.asof
+    scores: dict[str, list[PrScore]] = {kind: [] for kind in KIND_ORDER}
+    # per kind and test PR: the top-1 pick's verdict, None when there is none
+    verdicts: dict[str, list[bool | None]] = {kind: [] for kind in KIND_ORDER}
+    for pr in test_prs:
+        truth = set(pr.reviewers)
+        judged: dict[str, bool | None] = {}  # kinds often share a top-1 developer
+        for kind in KIND_ORDER:
+            rec = base[kind][pr.id]
+            scores[kind].append(PrScore.of(rec, truth))
+            top = rec.top(1)
+            if top and top[0] not in judged:
+                # the developer's latest touch of each changed file, if in
+                # the window, decides the verdict as their whole window would
+                commits, own_prs = asof.recent_touches(
+                    top[0], pr.changed_files, pr.opened_at - SIX_MONTHS, pr.opened_at
+                )
+                judged[top[0]] = reasonableness(pr, top[0], commits, own_prs)
+            verdicts[kind].append(judged[top[0]] if top else None)
     winners = best_performers(test_prs, base, scores)  # shared by the three variants
     for variant in VARIANTS:
         steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(
             test_prs, base, winners
         )
         kind = f"ad_{variant}"
-        recs_by_kind[kind] = [s.recommendation for s in steps]
-        # a step's ranking is its delegate's, so it scores the same
+        # a step's ranking is its delegate's, so it scores and is judged the same
         scores[kind] = [scores[s.delegate][i] for i, s in enumerate(steps)]
+        verdicts[kind] = [verdicts[s.delegate][i] for i, s in enumerate(steps)]
 
     report = EvalReport(project=test.project, pr_count=len(test_prs))
-    asof = history.asof
-    verdicts: dict[tuple[int, str], bool | None] = {}
-    for kind, recs in recs_by_kind.items():
+    for kind in ALL_KINDS:
         accuracy, mean_ap = mean_scores(scores[kind])
         for k in range(1, K_MAX + 1):
             report.accuracy[(kind, k)] = accuracy[k - 1]
             report.mean_ap[(kind, k)] = mean_ap[k - 1]
-        applicable = reasonable = 0
-        for pr, rec in zip(test_prs, recs):
-            top = rec.top(1)
-            if not top:
-                continue
-            key = (pr.id, top[0])
-            if key not in verdicts:  # kinds often share a top-1 developer
-                # the developer's latest touch of each changed file, if in
-                # the window, decides the verdict as their whole window would
-                commits, own_prs = asof.recent_touches(
-                    top[0], pr.changed_files, pr.opened_at - SIX_MONTHS, pr.opened_at
-                )
-                verdicts[key] = reasonableness(pr, top[0], commits, own_prs)
-            if verdicts[key] is not None:
-                applicable += 1
-                reasonable += verdicts[key]
+        applicable = [v for v in verdicts[kind] if v is not None]
         report.reasonable_pct[kind] = (
-            100.0 * reasonable / applicable if applicable else 0.0
+            100.0 * sum(applicable) / len(applicable) if applicable else 0.0
         )
     return report
 

@@ -105,6 +105,9 @@ def _parse_pr(raw: dict, position: int) -> PullRequest:
         raise bad("changed_files", "must be a list")
     if not isinstance(raw["reviewers"], list):
         raise bad("reviewers", "must be a list")
+    head_commit = raw.get("head_commit")
+    if head_commit is not None and not isinstance(head_commit, str):
+        raise bad("head_commit", "must be a string or null")
 
     comments = []
     for i, c in enumerate(raw.get("review_comments", []) or []):
@@ -126,7 +129,7 @@ def _parse_pr(raw: dict, position: int) -> PullRequest:
         reviewers=frozenset(str(r) for r in raw["reviewers"]),
         author=str(raw["author"]),
         review_comments=tuple(comments),
-        head_commit=raw.get("head_commit"),
+        head_commit=head_commit,
     )
 
 

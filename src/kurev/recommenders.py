@@ -105,11 +105,13 @@ class KurecRecommender(BaseRecommender):
 
     def _scores(self, pr: PullRequest) -> dict[str, tuple[float, float]]:
         asof = self._history().asof
+        # the sides first: the review side resolves every PR's vector in date
+        # order, so this PR's vector is then a memo hit, not a sweep restart
+        sides = (asof.development(pr.opened_at), asof.review(pr.opened_at))
         vector = asof.pr_vector(pr)
         present = [k for k in range(KU_COUNT) if vector[k] > 0]
         if not present:
             raise NoKuError(f"PR {pr.id} contains no detectable KUs")
-        sides = (asof.development(pr.opened_at), asof.review(pr.opened_at))
         bonuses: dict[datetime, float] = {}  # one per distinct last touch
         scores: dict[str, tuple[float, float]] = {}
         candidates = (sides[0].rows.keys() | sides[1].rows.keys()) - {pr.author}

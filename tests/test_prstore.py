@@ -78,6 +78,11 @@ def test_invalid_values_rejected(tmp_path):
         load_prs(write_export(tmp_path, [valid_record(opened_at="yesterday")]))
     with pytest.raises(SchemaError):
         load_prs(write_export(tmp_path, [valid_record(id="abc")]))
+    for head in (["c1"], 7):
+        with pytest.raises(SchemaError) as err:
+            load_prs(write_export(tmp_path, [valid_record(id=9),
+                                             valid_record(head_commit=head)]))
+        assert (err.value.record, err.value.field) == (2, "head_commit")
     early = valid_record()
     early["review_comments"][0]["commented_at"] = "2023-02-28T00:00:00Z"
     with pytest.raises(SchemaError) as err:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .mining import CommitRecord
 from .prstore import PullRequest
@@ -16,30 +16,6 @@ from .util import write_text
 SIX_MONTHS = timedelta(days=183)
 # The cutoffs k = 1..K_MAX of every reported accuracy@k and MAP@k.
 K_MAX = 5
-
-
-def is_correct_top_k(rec: Recommendation | None, truth: set[str], k: int) -> bool:
-    if rec is None:
-        return False
-    return any(dev in truth for dev in rec.top(k))
-
-
-def top_k_accuracy(
-    recs: Sequence[Recommendation | None],
-    truth: Mapping[int, set[str]],
-    k: int,
-) -> float:
-    """Fraction of PRs whose true reviewer set meets the top-k list."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not recs:
-        raise ValueError("no recommendations to score")
-    hits = sum(
-        1
-        for rec in recs
-        if rec is not None and is_correct_top_k(rec, truth.get(rec.pr_id, set()), k)
-    )
-    return hits / len(recs)
 
 
 def average_precision(ranked: Sequence[str], truth: set[str], k: int) -> float:
@@ -56,23 +32,6 @@ def average_precision(ranked: Sequence[str], truth: set[str], k: int) -> float:
             seen += 1
             total += seen / i
     return total / seen if seen else 0.0
-
-
-def map_at_k(
-    recs: Sequence[Recommendation | None],
-    truth: Mapping[int, set[str]],
-    k: int,
-) -> float:
-    """Mean of AP@k across test PRs (empty recommendations score 0)."""
-    if not recs:
-        raise ValueError("no recommendations to score")
-    total = 0.0
-    for rec in recs:
-        if rec is not None:
-            total += average_precision(
-                rec.developers(), truth.get(rec.pr_id, set()), k
-            )
-    return total / len(recs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,8 +65,9 @@ def _pattern_score(pattern: tuple[bool, ...]) -> PrScore:
 def mean_scores(scores: Sequence[PrScore]) -> tuple[list[float], list[float]]:
     """Top-k accuracy and MAP@k for k = 1..K_MAX over one recommender's test PRs.
 
-    Equal to :func:`top_k_accuracy` and :func:`map_at_k` over the same
-    recommendations, summed in the same order.
+    Equal to the per-k references ``top_k_accuracy`` and ``map_at_k`` in
+    ``tests/test_evaluation.py`` over the same recommendations, summed in
+    the same order.
     """
     if not scores:
         raise ValueError("no recommendations to score")

@@ -23,9 +23,6 @@ class Node:
             yield node
             stack.extend(reversed(node.children))
 
-    def find_all(self, kind: str) -> list["Node"]:
-        return [n for n in self.walk() if n.kind == kind]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bits = [self.kind]
         if "name" in self.fields:

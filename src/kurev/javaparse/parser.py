@@ -285,7 +285,7 @@ class _Parser:
             names = self._parse_type_list(node, ",")
             if names and kw == "class":
                 node.fields["superclass_name"] = names[0]
-        if self.at_kw("implements"):
+        while self.at_kw("implements") or self.at("permits"):  # 'permits' is contextual
             self.eat()
             self._parse_type_list(node, ",")
 

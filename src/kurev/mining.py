@@ -160,17 +160,6 @@ def read_file_at(repo_path: str | Path, commit: str, path: str) -> bytes:
         raise AbsentFileError(f"{path} absent at {commit[:12]}") from exc
 
 
-def snapshot_file_kus(
-    repo_path: str | Path,
-    commit: str,
-    path: str,
-    catalog: CapabilityCatalog | None = None,
-) -> list[int]:
-    """KU vector of the full file content at one snapshot."""
-    data = read_file_at(repo_path, commit, path)
-    return detect_kus(data.decode("utf-8", "replace"), catalog)
-
-
 class KuStore:
     """Mined commits plus per-(commit, file) KU vectors.
 

@@ -74,7 +74,10 @@ class ProjectConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ProjectConfig":
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        try:
+            doc = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        except yaml.YAMLError as exc:
+            raise KurevError(f"config {path} is not valid YAML: {exc}") from exc
         if not isinstance(doc, dict) or "repo" not in doc or "prs" not in doc:
             raise KurevError(f"config {path} must define 'repo' and 'prs'")
         defaults = {f.name: f.default for f in fields(cls)}

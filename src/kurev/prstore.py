@@ -92,8 +92,10 @@ def _parse_pr(raw: dict, position: int) -> PullRequest:
 
     try:
         pr_id = int(raw["id"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise bad("id", "is not an integer") from None
+    if isinstance(raw["id"], bool) or (isinstance(raw["id"], float) and pr_id != raw["id"]):
+        raise bad("id", "is not an integer")
     try:
         opened_at = parse_rfc3339(str(raw["opened_at"]))
     except ValueError:
@@ -101,17 +103,20 @@ def _parse_pr(raw: dict, position: int) -> PullRequest:
     state = str(raw["state"])
     if state not in ("open", "closed"):
         raise bad("state", "must be 'open' or 'closed'")
-    if not isinstance(raw["changed_files"], list):
-        raise bad("changed_files", "must be a list")
-    if not isinstance(raw["reviewers"], list):
-        raise bad("reviewers", "must be a list")
+    for name in ("changed_files", "reviewers"):
+        if not isinstance(raw[name], list) or not all(isinstance(v, str) for v in raw[name]):
+            raise bad(name, "must be a list of strings")
+    if not isinstance(raw["author"], str):
+        raise bad("author", "must be a string")
     head_commit = raw.get("head_commit")
     if head_commit is not None and not isinstance(head_commit, str):
         raise bad("head_commit", "must be a string or null")
 
     comments = []
     for i, c in enumerate(raw.get("review_comments", []) or []):
-        if not isinstance(c, dict) or "reviewer" not in c or "commented_at" not in c:
+        if (not isinstance(c, dict) or "commented_at" not in c
+                or not isinstance(c.get("reviewer"), str)
+                or not isinstance(c.get("path"), (str, type(None)))):
             raise bad("review_comments", f"entry {i} malformed")
         try:
             at = parse_rfc3339(str(c["commented_at"]))
@@ -119,15 +124,15 @@ def _parse_pr(raw: dict, position: int) -> PullRequest:
             raise bad("review_comments", f"entry {i} has a bad timestamp") from None
         if at < opened_at:
             raise bad("review_comments", f"entry {i} precedes opened_at")
-        comments.append(ReviewComment(str(c["reviewer"]), c.get("path"), at))
+        comments.append(ReviewComment(c["reviewer"], c.get("path"), at))
 
     return PullRequest(
         id=pr_id,
         opened_at=opened_at,
         state=state,
-        changed_files=tuple(str(f) for f in raw["changed_files"]),
-        reviewers=frozenset(str(r) for r in raw["reviewers"]),
-        author=str(raw["author"]),
+        changed_files=tuple(raw["changed_files"]),
+        reviewers=frozenset(raw["reviewers"]),
+        author=raw["author"],
         review_comments=tuple(comments),
         head_commit=head_commit,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import subprocess
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -76,7 +76,7 @@ def make_dataset(*prs: PullRequest, project: str = "test") -> PrDataset:
 
 
 class GitScratch:
-    """Minimal scripted git repository for mining tests."""
+    """Minimal scripted git repository for mining tests and the synthetic project."""
 
     def __init__(self, root: Path):
         self.root = root
@@ -127,12 +127,10 @@ class GitScratch:
                 "GIT_AUTHOR_EMAIL": email,
                 "GIT_AUTHOR_DATE": stamp,
                 "GIT_COMMITTER_NAME": "CI Bot",
-                "GIT_COMMITTER_EMAIL": "ci@x.com",
+                "GIT_COMMITTER_EMAIL": "ci@example.com",
                 "GIT_COMMITTER_DATE": stamp,
             },
         )
-        from datetime import timedelta
-
         self.clock += timedelta(days=1)
 
 
@@ -147,7 +145,7 @@ def synthetic_project(tmp_path_factory):
     from kurev.mining import build_ku_store
     from kurev.prstore import chronological_split, filter_prs, load_prs
     from kurev.recommenders import History
-    from kurev.synthetic import build_synthetic_project
+    from tests.synthetic import build_synthetic_project
 
     base = tmp_path_factory.mktemp("synthetic")
     repo, prs_path = build_synthetic_project(base)

@@ -1,19 +1,20 @@
 """Deterministic synthetic mini-project: a git repo plus a PR export.
 
 Used by the test-suite oracles and by the end-to-end pipeline smoke run.
-Content, authors, and timestamps are all derived from the seed, so the
-same seed always produces the same commit graph and the same PR export
-bytes (commit hashes included, since dates and committers are pinned).
+The repository is built through ``conftest.GitScratch``. Content,
+authors, and timestamps are all derived from the seed, so the same seed
+always produces the same commit graph and the same PR export bytes
+(commit hashes included, since dates and committers are pinned).
 """
 
 from __future__ import annotations
 
 import random
-import subprocess
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .util import dump_json_line, format_rfc3339, normalize_identity
+from kurev.util import dump_json_line, format_rfc3339, normalize_identity
+from tests.conftest import GitScratch
 
 DEVELOPERS = (
     ("Alice Adams", "alice@example.com"),
@@ -55,23 +56,6 @@ def _java_source(path: str, extras: list[str]) -> str:
     )
 
 
-def _git(repo: Path, *args: str, env: dict | None = None) -> None:
-    base_env = {
-        "GIT_CONFIG_GLOBAL": "/dev/null",
-        "GIT_CONFIG_SYSTEM": "/dev/null",
-        "HOME": str(repo),
-        "PATH": "/usr/bin:/bin:/usr/local/bin",
-    }
-    if env:
-        base_env.update(env)
-    subprocess.run(
-        ["git", "-C", str(repo), *args],
-        check=True,
-        capture_output=True,
-        env=base_env,
-    )
-
-
 def identity(index: int) -> str:
     name, email = DEVELOPERS[index]
     return normalize_identity(name, email)
@@ -84,9 +68,7 @@ def build_synthetic_repo(
     seed: int = 7,
 ) -> list[dict]:
     """Create the repository; returns one manifest dict per commit."""
-    repo = Path(repo_dir)
-    repo.mkdir(parents=True, exist_ok=True)
-    _git(repo, "init", "-q", "-b", "main")
+    repo = GitScratch(Path(repo_dir))
     rng = random.Random(seed)
     start = datetime(2023, 1, 2, 9, 0, tzinfo=timezone.utc)
     contents: dict[str, list[str]] = {}
@@ -100,24 +82,14 @@ def build_synthetic_repo(
             extras = contents.setdefault(path, [])
             template = rng.choice(_EXTRAS)
             extras.append(template.format(i=i, n=rng.randrange(2, 9)))
-            target = repo / path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(_java_source(path, extras), encoding="utf-8")
+            repo.write(path, _java_source(path, extras))
         if i == 0:
-            (repo / "README.md").write_text("synthetic project\n", encoding="utf-8")
-        _git(repo, "add", "-A")
-        stamp = when.strftime("%Y-%m-%dT%H:%M:%S+00:00")
-        _git(
-            repo,
-            "commit", "-q", "--no-verify", "-m", f"change {i}",
-            env={
-                "GIT_AUTHOR_NAME": name,
-                "GIT_AUTHOR_EMAIL": email,
-                "GIT_AUTHOR_DATE": stamp,
-                "GIT_COMMITTER_NAME": "CI Bot",
-                "GIT_COMMITTER_EMAIL": "ci@example.com",
-                "GIT_COMMITTER_DATE": stamp,
-            },
+            repo.write("README.md", "synthetic project\n")
+        repo.commit(
+            f"change {i}",
+            name=name,
+            email=email,
+            when=when.strftime("%Y-%m-%dT%H:%M:%S+00:00"),
         )
         manifest.append(
             {

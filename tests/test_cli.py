@@ -22,7 +22,7 @@ FIXTURES = "tests/fixtures/ku_corpus"
 @pytest.fixture(scope="module")
 def mined(tmp_path_factory):
     """Synthetic project with a mined store and a pipeline config on disk."""
-    from kurev.synthetic import build_synthetic_project
+    from tests.synthetic import build_synthetic_project
 
     base = tmp_path_factory.mktemp("cli")
     repo, prs_path = build_synthetic_project(base)
@@ -230,7 +230,7 @@ def test_pipeline_rejects_unknown_config_keys(mined, tmp_path, capsys):
 @pytest.mark.parametrize(
     "line",
     ["rf_mode: bogus", 'all_commits: "false"', "train_fraction: 1.0",
-     "train_fraction: -0.5", "k_max: 1"],
+     "train_fraction: -0.5", "k_max: 1", "k_max: [unclosed"],
 )
 def test_pipeline_bad_config_value_exits_2_before_any_stage(mined, tmp_path, capsys, line):
     config = tmp_path / "bad.yaml"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -10,14 +11,55 @@ from kurev.evaluation import (
     EvalReport,
     PrScore,
     average_precision,
-    is_correct_top_k,
-    map_at_k,
     mean_scores,
     reasonableness,
-    top_k_accuracy,
 )
 from kurev.recommenders import Recommendation
 from tests.conftest import commit, make_pr, make_store
+
+
+# Per-k reference metrics: evaluation.mean_scores must equal them.
+
+
+def is_correct_top_k(rec: Recommendation | None, truth: set[str], k: int) -> bool:
+    if rec is None:
+        return False
+    return any(dev in truth for dev in rec.top(k))
+
+
+def top_k_accuracy(
+    recs: Sequence[Recommendation | None],
+    truth: Mapping[int, set[str]],
+    k: int,
+) -> float:
+    """Fraction of PRs whose true reviewer set meets the top-k list."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not recs:
+        raise ValueError("no recommendations to score")
+    hits = sum(
+        1
+        for rec in recs
+        if rec is not None and is_correct_top_k(rec, truth.get(rec.pr_id, set()), k)
+    )
+    return hits / len(recs)
+
+
+def map_at_k(
+    recs: Sequence[Recommendation | None],
+    truth: Mapping[int, set[str]],
+    k: int,
+) -> float:
+    """Mean of AP@k across test PRs (empty recommendations score 0)."""
+    if not recs:
+        raise ValueError("no recommendations to score")
+    total = 0.0
+    for rec in recs:
+        if rec is not None:
+            total += average_precision(
+                rec.developers(), truth.get(rec.pr_id, set()), k
+            )
+    return total / len(recs)
 
 
 def rec(pr_id, *devs, kind="cf"):

@@ -18,9 +18,13 @@ def kinds(tree):
     return [n.kind for n in tree.walk()]
 
 
+def find_all(tree, kind):
+    return [n for n in tree.walk() if n.kind == kind]
+
+
 def test_minimal_class():
     tree = parse_java("class A {}")
-    decls = tree.find_all("class_declaration")
+    decls = find_all(tree, "class_declaration")
     assert len(decls) == 1
     assert decls[0].get("name") == "A"
 
@@ -48,14 +52,14 @@ def test_binary_input_raises_with_offset():
 
 def test_unbalanced_brace_recovers():
     tree = parse_java("class A { void f() { if (x { } }")
-    assert tree.find_all("class_declaration")
+    assert find_all(tree, "class_declaration")
     # no crash is the contract; error nodes are allowed but not required
     assert tree.kind == "compilation_unit"
 
 
 def test_garbage_produces_error_nodes():
     tree = parse_java("%%% ??? )))")
-    assert tree.find_all("error")
+    assert find_all(tree, "error")
 
 
 def test_package_and_imports():
@@ -63,7 +67,7 @@ def test_package_and_imports():
         "package a.b;\nimport java.util.List;\nimport java.util.*;\n"
         "import static java.lang.Math.max;\nclass C {}"
     )
-    imports = tree.find_all("import_declaration")
+    imports = find_all(tree, "import_declaration")
     assert [i.get("name") for i in imports] == ["java.util.List", "java.util", "java.lang.Math.max"]
     assert imports[1].get("wildcard") and not imports[0].get("wildcard")
     assert imports[2].get("static")
@@ -73,7 +77,7 @@ def test_method_fields():
     tree = parse_java(
         "class C { public static <T> T pick(T a, T b, int... rest) throws E1, E2 { return a; } }"
     )
-    m = tree.find_all("method_declaration")[0]
+    m = find_all(tree, "method_declaration")[0]
     assert m.get("name") == "pick"
     assert m.get("params") == 3
     assert m.get("varargs") is True
@@ -84,9 +88,9 @@ def test_method_fields():
 
 def test_constructor_vs_method():
     tree = parse_java("class C { C() {} C make() { return new C(); } }")
-    assert len(tree.find_all("constructor_declaration")) == 1
-    assert len(tree.find_all("method_declaration")) == 1
-    assert len(tree.find_all("object_creation")) == 1
+    assert len(find_all(tree, "constructor_declaration")) == 1
+    assert len(find_all(tree, "method_declaration")) == 1
+    assert len(find_all(tree, "object_creation")) == 1
 
 
 def test_control_flow_statements():
@@ -109,9 +113,9 @@ def test_control_flow_statements():
         "enhanced_for_statement", "switch_statement",
         "synchronized_statement", "assert_statement", "if_statement",
     ]:
-        assert tree.find_all(kind), kind
-    assert len(tree.find_all("break_statement")) == 3
-    assert len(tree.find_all("continue_statement")) == 1
+        assert find_all(tree, kind), kind
+    assert len(find_all(tree, "break_statement")) == 3
+    assert len(find_all(tree, "continue_statement")) == 1
 
 
 def test_try_catch_finally_resources():
@@ -126,22 +130,22 @@ def test_try_catch_finally_resources():
     }
     """
     tree = parse_java(src)
-    t = tree.find_all("try_statement")[0]
+    t = find_all(tree, "try_statement")[0]
     assert t.get("resources") == 2
-    catches = tree.find_all("catch_clause")
+    catches = find_all(tree, "catch_clause")
     assert [c.get("types") for c in catches] == [2, 1]
-    assert tree.find_all("finally_clause")
+    assert find_all(tree, "finally_clause")
 
 
 def test_generics_and_arrays():
     tree = parse_java(
         "class C { Map<String, List<Integer>> m; int[][] grid = new int[2][3]; }"
     )
-    g = tree.find_all("generic_type")
+    g = find_all(tree, "generic_type")
     assert any(t.get("name") == "Map" for t in g)
-    arr = tree.find_all("array_type")
+    arr = find_all(tree, "array_type")
     assert arr and arr[0].get("dims") == 2
-    creation = tree.find_all("array_creation")[0]
+    creation = find_all(tree, "array_creation")[0]
     assert creation.get("dims") == 2
 
 
@@ -156,9 +160,9 @@ def test_lambdas_and_references():
     }
     """
     tree = parse_java(src)
-    lambdas = tree.find_all("lambda_expression")
+    lambdas = find_all(tree, "lambda_expression")
     assert sorted(l.get("params") for l in lambdas) == [0, 1, 2]
-    refs = tree.find_all("method_reference")
+    refs = find_all(tree, "method_reference")
     assert {r.get("name") for r in refs} == {"new", "trim"}
     assert {r.get("qualifier") for r in refs} == {"ArrayList", "String"}
 
@@ -172,8 +176,8 @@ def test_anonymous_class_and_enum():
     class C { Runnable r = new Runnable() { public void run() {} }; }
     """
     tree = parse_java(src)
-    assert len(tree.find_all("enum_constant")) == 2
-    anon = [n for n in tree.find_all("object_creation") if n.get("anonymous")]
+    assert len(find_all(tree, "enum_constant")) == 2
+    anon = [n for n in find_all(tree, "object_creation") if n.get("anonymous")]
     assert len(anon) == 1 and anon[0].get("type_name") == "Runnable"
 
 
@@ -182,33 +186,33 @@ def test_casts_and_instanceof():
         "class C { void f(Object o) { int x = (int) 1.5; String s = (String) o;"
         " if (o instanceof Number) {} } }"
     )
-    casts = tree.find_all("cast_expression")
+    casts = find_all(tree, "cast_expression")
     assert len(casts) == 2
     first_targets = [c.children[0].kind for c in casts]
     assert "primitive_type" in first_targets and "named_type" in first_targets
-    assert tree.find_all("instanceof_expression")
+    assert find_all(tree, "instanceof_expression")
 
 
 def test_parenthesized_expression_not_cast():
     tree = parse_java("class C { int f(int a, int b) { return (a) + b; } }")
-    assert not tree.find_all("cast_expression")
+    assert not find_all(tree, "cast_expression")
 
 
 def test_less_than_not_generics():
     tree = parse_java("class C { boolean f(int a, int b) { return a < b && b > a; } }")
-    ops = [n.get("op") for n in tree.find_all("binary_expression")]
+    ops = [n.get("op") for n in find_all(tree, "binary_expression")]
     assert ops.count("<") == 1 and ops.count(">") == 1
 
 
 def test_explicit_constructor_invocations():
     tree = parse_java("class C { C() { this(1); } C(int x) { super(); } }")
-    targets = [n.get("target") for n in tree.find_all("explicit_constructor_invocation")]
+    targets = [n.get("target") for n in find_all(tree, "explicit_constructor_invocation")]
     assert sorted(targets) == ["super", "this"]
 
 
 def test_qualified_invocation_name_merging():
     tree = parse_java("class C { void f() { java.nio.file.Files.exists(p); } }")
-    inv = tree.find_all("method_invocation")[0]
+    inv = find_all(tree, "method_invocation")[0]
     assert inv.get("name") == "exists"
     assert inv.get("qualifier") == "java.nio.file.Files"
 
@@ -217,14 +221,14 @@ def test_annotations_with_arguments():
     tree = parse_java(
         '@Entity @Table(name = "t", schema = @Schema("s")) class C { @Id long id; }'
     )
-    names = {a.get("name") for a in tree.find_all("annotation")}
+    names = {a.get("name") for a in find_all(tree, "annotation")}
     assert {"Entity", "Table", "Schema", "Id"} <= names
 
 
 def test_text_block_and_string_escapes():
     src = 'class C { String a = """\nhello "x"\n"""; String b = "a\\"b"; }'
     tree = parse_java(src)
-    assert len(tree.find_all("variable_declarator")) == 2
+    assert len(find_all(tree, "variable_declarator")) == 2
 
 
 def test_lexer_numbers():
@@ -276,8 +280,8 @@ def test_interface_and_record():
         "interface I<T> { T get(); default int n() { return 0; } }\n"
         "record Point(int x, int y) { int sum() { return x + y; } }"
     )
-    assert tree.find_all("interface_declaration")[0].get("generic")
-    rec = tree.find_all("record_declaration")[0]
+    assert find_all(tree, "interface_declaration")[0].get("generic")
+    rec = find_all(tree, "record_declaration")[0]
     assert rec.get("params") == 2
 
 
@@ -285,11 +289,11 @@ def test_local_records_with_and_without_modifiers():
     tree = parse_java(
         "class A { void m() { final record R(int x) {} record S(int y) {} } }"
     )
-    records = tree.find_all("record_declaration")
+    records = find_all(tree, "record_declaration")
     assert [(r.get("name"), r.get("modifiers")) for r in records] == [
         ("R", ("final",)), ("S", ()),
     ]
-    assert not tree.find_all("error")
+    assert not find_all(tree, "error")
 
 
 def test_statement_handlers_name_keywords():
@@ -305,8 +309,8 @@ def test_expression_statement_missing_semicolon_recovers(start):
     # every expression statement recovers the same way: the tokens after
     # the missing ';' become an error node, not a local variable declaration
     tree = parse_java(f"class A {{ void m() {{ {start} = 1 String y; }} }}")
-    assert not tree.find_all("local_variable_declaration")
-    assert tree.find_all("error")
+    assert not find_all(tree, "local_variable_declaration")
+    assert find_all(tree, "error")
 
 
 # --- binary expressions: the level-by-level descent, kept as the reference --

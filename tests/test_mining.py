@@ -17,7 +17,6 @@ from kurev.mining import (
     build_ku_store,
     mine_commits,
     read_file_at,
-    snapshot_file_kus,
 )
 from kurev.util import read_jsonl, sha256_bytes, write_jsonl
 
@@ -190,6 +189,12 @@ def test_store_validate_rejects_stray_records(scratch_repo):
 
 
 # --- the batch read path against the per-file reference reader ---------------
+
+
+def snapshot_file_kus(repo_path, commit, path):
+    """KU vector of the full file content at one snapshot."""
+    data = read_file_at(repo_path, commit, path)
+    return detect_kus(data.decode("utf-8", "replace"))
 
 
 def naive_vectors(repo, all_commits=False):

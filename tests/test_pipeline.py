@@ -12,7 +12,7 @@ import pytest
 from kurev import pipeline, util
 from kurev.adaptive import VARIANTS, AdaptiveRecommender
 from kurev.errors import KurevError
-from kurev.evaluation import map_at_k, reasonableness, top_k_accuracy
+from kurev.evaluation import reasonableness
 from kurev.pipeline import (
     ALL_KINDS,
     ProjectConfig,
@@ -21,6 +21,7 @@ from kurev.pipeline import (
     run_pipeline,
 )
 from kurev.recommenders import RF_MODES
+from tests.test_evaluation import map_at_k, top_k_accuracy
 
 
 def config_for(synthetic_project, tmp_path, seed=11) -> ProjectConfig:

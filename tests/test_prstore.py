@@ -88,6 +88,23 @@ def test_invalid_values_rejected(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_prs(write_export(tmp_path, [early]))
     assert err.value.field == "review_comments"
+    # identities are strings, never str(None); ids are integers or their text
+    bad_values = [
+        ("id", 1.7), ("id", True), ("id", float("inf")), ("author", None), ("author", 7),
+        ("reviewers", [None]), ("changed_files", [None, 3]),
+    ]
+    for field_name, value in bad_values:
+        with pytest.raises(SchemaError) as err:
+            load_prs(write_export(tmp_path, [valid_record(id=9),
+                                             valid_record(**{field_name: value})]))
+        assert (err.value.record, err.value.field) == (2, field_name), value
+    for key, value in (("reviewer", None), ("path", ["a.java"])):
+        record = valid_record()
+        record["review_comments"][0][key] = value
+        with pytest.raises(SchemaError) as err:
+            load_prs(write_export(tmp_path, [record]))
+        assert err.value.field == "review_comments", key
+    assert [pr.id for pr in load_prs(write_export(tmp_path, [valid_record(id="5")])).prs] == [5]
 
 
 def test_duplicate_id_rejected(tmp_path):

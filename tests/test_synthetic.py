@@ -1,9 +1,9 @@
-"""Determinism of the bundled synthetic project generator."""
+"""Determinism of the synthetic project generator."""
 
 from __future__ import annotations
 
 from kurev.mining import mine_commits
-from kurev.synthetic import (
+from tests.synthetic import (
     DEVELOPERS,
     build_synthetic_prs,
     build_synthetic_repo,

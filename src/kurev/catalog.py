@@ -194,12 +194,22 @@ class CapabilityCatalog:
                 raise CatalogError(f"KU {ku.label} has no enabled rule")
 
 
+def _whole_number(entry: dict, key: str) -> int:
+    """``entry[key]`` as an int: integer strings load, but booleans and
+    numbers with a fraction are errors rather than truncated."""
+    raw = entry[key]
+    value = int(raw)
+    if isinstance(raw, bool) or (isinstance(raw, float) and value != raw):
+        raise ValueError(f"{key} {raw!r} is not an integer")
+    return value
+
+
 def _parse_rule(entry: dict, position: int) -> CapabilityRule:
     where = f"rule #{position}"
     try:
-        ku = KuId(int(entry["ku"]))
-        cap = CapabilityId(ku, int(entry["capability"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        ku = KuId(_whole_number(entry, "ku"))
+        cap = CapabilityId(ku, _whole_number(entry, "capability"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CatalogError(f"{where}: bad ku/capability ({exc})") from exc
     where = f"rule {cap.label}"
     raw_patterns = entry.get("patterns", [])

@@ -153,6 +153,9 @@ class _Collector:
     def __init__(self) -> None:
         self.events: list[_Event] = []
         self.imports = _Imports()
+        # (nodes, in_block) pairs still to visit: a work list rather than
+        # recursion, so that a chain of any length costs no stack
+        self.pending: list[tuple[list[Node], bool]] = []
 
     def emit(self, category: str, node: Node, keywords=(), name=None, qualified=None):
         self.events.append(
@@ -166,7 +169,11 @@ class _Collector:
             if child.kind == "import_declaration":
                 self._register_import(child)
             else:
-                self._visit(child, in_block=False)
+                self.pending.append(([child], False))
+        while self.pending:
+            nodes, in_block = self.pending.pop()
+            for node in nodes:
+                self._visit(node, in_block)
 
     def _register_import(self, node: Node) -> None:
         name = node.get("name", "")
@@ -226,13 +233,12 @@ class _Collector:
             elif child.kind == "initializer_block":
                 kw = {"initializer"} | ({"static"} if child.get("static") else set())
                 self.emit("declaration", child, kw)
-                for sub in child.children:
-                    self._visit(sub, in_block=True)
+                self.pending.append((child.children, True))
             elif child.kind == "enum_constant":
                 self.emit("declaration", child, {"enum_constant"}, name=child.get("name"))
                 self._visit_body(child)
             else:
-                self._visit(child, in_block=False)
+                self.pending.append(([child], False))
 
     @staticmethod
     def _overload_names(members: list[Node]) -> set[str]:
@@ -293,8 +299,7 @@ class _Collector:
         if decl.get("throws"):
             keywords.add("throwing")
         self.emit("declaration", decl, keywords, name=decl.get("name"))
-        for child in decl.children:
-            self._visit(child, in_block=False)
+        self.pending.append((decl.children, False))
 
     # --- statements / expressions / types -----------------------------------
 
@@ -347,8 +352,7 @@ class _Collector:
             self.emit("invocation", node, name=node.get("name"))
             self._emit_qualifier_type(node)
             # the qualifier child duplicates the event above; skip it
-            for child in self._non_qualifier_children(node):
-                self._visit(child, in_block=in_block)
+            self.pending.append((self._non_qualifier_children(node), in_block))
             return
         elif kind == "method_reference":
             self.emit("expression", node, ("method_reference",))
@@ -363,8 +367,7 @@ class _Collector:
             elif ref:
                 self.emit("invocation", node, name=ref)
             self._emit_qualifier_type(node)
-            for child in self._non_qualifier_children(node):
-                self._visit(child, in_block=in_block)
+            self.pending.append((self._non_qualifier_children(node), in_block))
             return
         elif kind == "object_creation":
             ctype = node.children[0] if node.children else None
@@ -394,9 +397,9 @@ class _Collector:
                 if use is not None:
                     self.emit("type", node, name=use[0], qualified=use[1])
 
-        inner_block = in_block or kind in ("block", "switch_statement")
-        for child in node.children:
-            self._visit(child, in_block=inner_block)
+        if node.children:
+            self.pending.append(
+                (node.children, in_block or kind in ("block", "switch_statement")))
 
     @staticmethod
     def _non_qualifier_children(node: Node) -> list[Node]:
@@ -420,7 +423,7 @@ def _matched_nodes(source: str, catalog: CapabilityCatalog) -> dict[int, set[int
     are absent.
 
     Raises :class:`ParseError` for binary content and for nesting too deep
-    to parse or traverse.
+    to parse.
     """
     collector = _Collector()
     try:
@@ -449,7 +452,7 @@ def detect_capabilities(
     Returns a mapping from every enabled capability to the number of
     distinct syntax nodes exhibiting it (zero entries included). Raises
     :class:`ParseError` for binary content and for nesting too deep to
-    parse or traverse.
+    parse.
     """
     if catalog is None:
         catalog = load_catalog()

@@ -206,17 +206,6 @@ class _Parser:
             else:
                 return mods, annotations
 
-    def _variable_prefix(self) -> list[Node]:
-        """Consume the ``final``/annotation prefix of a variable; returns
-        the annotations."""
-        annotations = []
-        while self.at_kw("final") or self.at("@"):
-            if self.at("@"):
-                annotations.append(self._parse_annotation())
-            else:
-                self.eat()
-        return annotations
-
     def _qualified_name(self) -> str:
         parts = []
         while self.tok().kind == "identifier":
@@ -246,17 +235,6 @@ class _Parser:
         mods, annotations = self._parse_modifiers(annotations)
         mods = list(premods) + mods
         kw = self._type_decl_keyword()
-
-        if kw == "@interface":
-            self.eat()
-            self.eat()
-            name = self.eat().text if self.tok().kind == "identifier" else ""
-            node = Node("annotation_declaration",
-                        {"name": name, "modifiers": tuple(mods)})
-            node.children.extend(annotations)
-            self._parse_class_body(node, name)
-            return node
-
         if kw is None:
             if mods or annotations:
                 node = self._recover()
@@ -264,11 +242,13 @@ class _Parser:
                 return node
             return None
 
+        self.accept("@")  # of @interface
         self.eat()  # class/interface/enum/record keyword
         name = self.eat().text if self.tok().kind == "identifier" else ""
         node = Node(
             {"class": "class_declaration", "interface": "interface_declaration",
-             "enum": "enum_declaration", "record": "record_declaration"}[kw],
+             "enum": "enum_declaration", "record": "record_declaration",
+             "@interface": "annotation_declaration"}[kw],
             {"name": name, "modifiers": tuple(mods), "generic": False},
         )
         node.children.extend(annotations)
@@ -377,22 +357,10 @@ class _Parser:
         # constructor
         if (self.tok().kind == "identifier" and self.tok().text == type_name
                 and self.tok(1).text == "("):
-            name = self.eat().text
-            params, varargs = self._parse_params()
-            throws = self._parse_throws()
-            node = Node(
-                "constructor_declaration",
-                {"name": name, "modifiers": tuple(mods), "params": len(params),
-                 "varargs": varargs, "throws": throws},
-            )
+            node = Node("constructor_declaration",
+                        {"name": self.eat().text, "modifiers": tuple(mods)})
             node.children.extend(annotations)
-            node.children.extend(params)
-            node.children.extend(self._throws_types(throws))
-            if self.at("{"):
-                node.children.append(self._parse_block())
-            else:
-                self.accept(";")
-            return node
+            return self._parse_callable(node)
 
         rtype = self._parse_type()
         if rtype is None:
@@ -409,27 +377,14 @@ class _Parser:
 
         name = self.eat().text
         if self.at("("):
-            params, varargs = self._parse_params()
-            self._skip_dims()
-            throws = self._parse_throws()
             node = Node(
                 "method_declaration",
-                {"name": name, "modifiers": tuple(mods), "params": len(params),
-                 "varargs": varargs, "throws": throws, "generic": generic_method,
+                {"name": name, "modifiers": tuple(mods), "generic": generic_method,
                  "return_type_name": _type_simple_name(rtype)},
             )
             node.children.extend(annotations)
             node.children.append(rtype)
-            node.children.extend(params)
-            node.children.extend(self._throws_types(throws))
-            if self.at_kw("default"):  # annotation-type member default value
-                self.eat()
-                node.children.append(self._parse_initializer())
-            if self.at("{"):
-                node.children.append(self._parse_block())
-            else:
-                self.accept(";")
-            return node
+            return self._parse_callable(node)
 
         # field declaration
         node = Node("field_declaration", {"modifiers": tuple(mods)})
@@ -438,12 +393,32 @@ class _Parser:
         self._parse_declarators(node)
         return node
 
+    def _parse_callable(self, node: Node) -> Node:
+        """The parameters, ``throws`` types, ``default`` value and body of
+        the method or constructor ``node``."""
+        params, varargs = self._parse_params()
+        node.children.extend(params)
+        self._skip_dims()
+        throws: list[str] = []
+        if self.at_kw("throws"):
+            self.eat()
+            throws = self._parse_type_list(node, ",")
+        node.fields.update(params=len(params), varargs=varargs, throws=tuple(throws))
+        if self.at_kw("default"):  # annotation-type member default value
+            self.eat()
+            node.children.append(self.parse_expression())
+        if self.at("{"):
+            node.children.append(self._parse_block())
+        else:
+            self.accept(";")
+        return node
+
     def _parse_declarators(self, owner: Node) -> None:
         while True:
             decl = Node("variable_declarator")
             self._skip_dims()
             if self.accept("="):
-                decl.children.append(self._parse_initializer())
+                decl.children.append(self.parse_expression())
             owner.children.append(decl)
             if self.accept(",") and self.tok().kind == "identifier":
                 self.eat()  # the next variable's name
@@ -451,15 +426,10 @@ class _Parser:
             break
         self.accept(";")
 
-    def _parse_initializer(self) -> Node:
-        if self.at("{"):
-            return self._parse_array_initializer()
-        return self.parse_expression()
-
     def _parse_array_initializer(self) -> Node:
         node = Node("array_initializer")
         self.eat()  # {
-        node.children.extend(self._parse_list(self._parse_initializer, ",", "}"))
+        node.children.extend(self._parse_list(self.parse_expression, ",", "}"))
         return node
 
     def _parse_params(self) -> tuple[list[Node], bool]:
@@ -469,7 +439,7 @@ class _Parser:
             return params, varargs
         while not self.eof() and not self.at(")"):
             start = self.pos
-            annos = self._variable_prefix()
+            _, annos = self._parse_modifiers([])
             ptype = self._parse_type()
             if ptype is None:
                 while not self.eof() and not self.at(",") and not self.at(")"):
@@ -493,20 +463,6 @@ class _Parser:
                 self.eat()
         self.accept(")")
         return params, varargs
-
-    def _parse_throws(self) -> tuple[str, ...]:
-        if not self.at_kw("throws"):
-            return ()
-        self.eat()
-        names = []
-        while self.tok().kind == "identifier":
-            names.append(self._qualified_name())
-            if not self.accept(","):
-                break
-        return tuple(names)
-
-    def _throws_types(self, throws: tuple[str, ...]) -> list[Node]:
-        return [_named("named_type", q) for q in throws]
 
     # --- types -------------------------------------------------------------
 
@@ -600,12 +556,7 @@ class _Parser:
         if not self.accept("{"):
             node.children.append(self._recover())
             return node
-        while not self.eof() and not self.at("}"):
-            start = self.pos
-            node.children.append(self.parse_statement())
-            if self.pos == start:
-                self.eat()
-        self.accept("}")
+        node.children.extend(self._parse_list(self.parse_statement, None, "}"))
         return node
 
     def parse_statement(self) -> Node:
@@ -696,7 +647,7 @@ class _Parser:
             return node
         # enhanced for: [final] Type name : expr
         mark = self.pos
-        self._variable_prefix()
+        self._parse_modifiers([])
         ftype = self._parse_type()
         if (ftype is not None and self.tok().kind == "identifier"
                 and self.tok(1).text == ":" and self.tok(2).text != ":"):
@@ -771,7 +722,7 @@ class _Parser:
             self.eat()
             clause = Node("catch_clause", {"types": 0})
             if self.accept("("):
-                clause.children.extend(self._variable_prefix())
+                clause.children.extend(self._parse_modifiers([])[1])
                 clause.fields["types"] = len(self._parse_type_list(clause, "|"))
                 if self.tok().kind == "identifier":
                     self.eat()  # the exception variable
@@ -787,7 +738,7 @@ class _Parser:
 
     def _parse_resource(self) -> Node:
         mark = self.pos
-        self._variable_prefix()
+        self._parse_modifiers([])
         rtype = self._parse_type()
         if rtype is not None and self.tok().kind == "identifier" and self.tok(1).text == "=":
             self.eat()  # the variable's name
@@ -1070,7 +1021,7 @@ class _Parser:
             if self.tok(1).text == "->":
                 self.eat()
                 self.eat()
-                node = Node("lambda_expression", {"params": 1})
+                node = Node("lambda_expression")
                 node.children.append(self._parse_lambda_body())
                 return node
             self.eat()
@@ -1100,18 +1051,16 @@ class _Parser:
             i += 1
         if depth != 0 or self.toks[i + 1].text != "->":
             return None
-        nparams = 0
-        self.eat()  # (
-        while not self.at(")") and not self.eof():
-            tk = self.eat()
-            if tk.kind == "identifier" and self.tok().text in (",", ")"):
-                nparams += 1
-            elif tk.text == "<":
-                self.pos -= 1
-                self._skip_angles()
-        self.accept(")")
+        node = Node("lambda_expression")
+        # Inferred parameters are names between commas: (), (a), (a, b).
+        inner = self.toks[self.pos + 1:i]
+        if (not inner or len(inner) % 2 == 1) and all(
+                t.kind == "identifier" if k % 2 == 0 else t.text == ","
+                for k, t in enumerate(inner)):
+            self.pos = i + 1
+        else:
+            node.children.extend(self._parse_params()[0])
         self.accept("->")
-        node = Node("lambda_expression", {"params": nparams})
         node.children.append(self._parse_lambda_body())
         return node
 
@@ -1159,13 +1108,15 @@ class _Parser:
             return []
         return self._parse_list(self.parse_expression, ",", ")")
 
-    def _parse_list(self, item, sep: str, close: str) -> list[Node]:
-        """``sep``-separated ``item()`` results up to and including ``close``."""
+    def _parse_list(self, item, sep: str | None, close: str) -> list[Node]:
+        """``item()`` results, separated by ``sep`` unless it is None, up to
+        and including ``close``."""
         items: list[Node] = []
         while not self.eof() and not self.at(close):
             start = self.pos
             items.append(item())
-            self.accept(sep)
+            if sep is not None:
+                self.accept(sep)
             if self.pos == start:
                 self.eat()
         self.accept(close)

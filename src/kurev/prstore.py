@@ -112,8 +112,11 @@ def _parse_pr(raw: dict, position: int) -> PullRequest:
     if head_commit is not None and not isinstance(head_commit, str):
         raise bad("head_commit", "must be a string or null")
 
+    raw_comments = raw.get("review_comments")
+    if raw_comments is not None and not isinstance(raw_comments, list):
+        raise bad("review_comments", "must be a list")
     comments = []
-    for i, c in enumerate(raw.get("review_comments", []) or []):
+    for i, c in enumerate(raw_comments or []):
         if (not isinstance(c, dict) or "commented_at" not in c
                 or not isinstance(c.get("reviewer"), str)
                 or not isinstance(c.get("path"), (str, type(None)))):

@@ -105,6 +105,19 @@ def test_malformed_rule_names_offender():
         load_catalog_text("rules:\n  - {capability: 1}\n")
 
 
+def test_rule_ids_must_be_whole_numbers():
+    catalog = load_catalog()
+    doc_rules = [r.to_dict() for r in catalog.rules]
+    for key, value in (("capability", 97.6), ("ku", True),
+                       ("capability", float("inf")), ("ku", 1.5)):
+        bad = [dict(doc_rules[0], **{key: value})] + doc_rules[1:]
+        with pytest.raises(CatalogError, match="rule #1: bad ku/capability"):
+            load_catalog_text(yaml.safe_dump({"rules": bad}))
+    # integer strings still load
+    doc_rules[0].update(ku="1", capability="1")
+    assert load_catalog_text(yaml.safe_dump({"rules": doc_rules})).rules == catalog.rules
+
+
 def test_unknown_pattern_key_rejected():
     text = """
 rules:

@@ -268,9 +268,28 @@ def test_lambda_with_generic_parameter_types():
     tree = parse_java(src)
     assert kinds(tree) == [
         "compilation_unit", "class_declaration", "field_declaration", "named_type",
-        "variable_declarator", "lambda_expression", "name",
+        "variable_declarator", "lambda_expression",
+        "formal_parameter", "generic_type", "named_type", "named_type",
+        "formal_parameter", "primitive_type", "name",
     ]
-    (lam,) = find_all(tree, "lambda_expression")
-    assert lam.get("params") == 2
-    # the field (K1.1), the lambda (K10.1)
-    assert capabilities(src) == {(1, 1): 1, (10, 1): 1}
+    # the field (K1.1), Map<String, Integer> (K8.1), the lambda (K10.1)
+    assert capabilities(src) == {(1, 1): 1, (8, 1): 1, (10, 1): 1}
+
+
+def test_typed_lambda_parameters_count_as_method_parameters_do():
+    param = "java.util.function.Predicate<String> p"
+    as_lambda = capabilities(f"class A {{ Object f = ({param}, int k) -> k; }}")
+    as_method = capabilities(f"class A {{ void m({param}) {{ }} }}")
+    # Predicate (K9.1) and its type argument (K8.1), in both forms
+    for cap in ((8, 1), (9, 1)):
+        assert as_lambda[cap] == as_method[cap] == 1, cap
+    assert as_lambda == {(1, 1): 1, (8, 1): 1, (9, 1): 1, (10, 1): 1}
+
+
+def test_one_typed_lambda_parameter_is_not_two_names():
+    src = "class A { Object f = (String s) -> s; }"
+    (lam,) = find_all(parse_java(src), "lambda_expression")
+    assert kinds(lam) == [
+        "lambda_expression", "formal_parameter", "named_type", "name",
+    ]
+    assert [t.get("name") for t in find_all(lam, "named_type")] == ["String"]

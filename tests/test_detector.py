@@ -187,13 +187,15 @@ def test_determinism(name, _repeat):
     assert detect_kus(src, CATALOG) == detect_kus(src, CATALOG)
 
 
-# Inputs nested deeper than the recursive parser or traversal can follow.
+# Inputs nested deeper than the recursive parser can follow, and one
+# long chain, which the parser builds in a loop.
 DEEP_INPUTS = {
     "parens": "class C { int x = " + "(" * 500 + "1" + ")" * 500 + "; }",
     "ifs": "class C { void f() { " + "if (x) { " * 300 + "g();" + " }" * 300 + " } }",
     "lambdas": "class C { Object f = " + "x -> " * 400 + "x; }",
     "concat": "class C { String s = " + " + ".join(['"a"'] * 3000) + "; }",
 }
+TOO_DEEP = ("ifs", "lambdas", "parens")
 
 
 def _assert_vector_or_parse_error(src):
@@ -210,9 +212,25 @@ def test_deep_nesting_gives_vector_or_parse_error(name):
 
 
 def test_deep_nesting_is_reported_as_parse_error():
-    for name in sorted(DEEP_INPUTS):
+    for name in TOO_DEEP:
         with pytest.raises(ParseError, match="nesting too deep"):
             detect_capabilities(DEEP_INPUTS[name], CATALOG)
+
+
+def test_thousand_link_chains_give_vectors():
+    # The traversal keeps a work list, so a chain's length costs no stack.
+    for src in (
+        "class C { void f() { sb" + '.append("x")' * 1000 + "; } }",
+        "class C { String s = " + " + ".join(['"a"'] * 1000) + "; }",
+    ):
+        vec = detect_kus(src, CATALOG)
+        assert len(vec) == 28 and all(isinstance(n, int) and n >= 0 for n in vec)
+
+
+def test_thousand_and_terms_count_each_operator():
+    src = "class C { boolean b = " + " && ".join(["x"] * 1000) + "; }"
+    # the field (K1.1) and 999 binary expressions (K2.1)
+    assert nonzero(detect_capabilities(src, CATALOG)) == {(1, 1): 1, (2, 1): 999}
 
 
 def test_hundred_nested_calls_give_a_vector():

@@ -92,6 +92,7 @@ def test_invalid_values_rejected(tmp_path):
     bad_values = [
         ("id", 1.7), ("id", True), ("id", float("inf")), ("author", None), ("author", 7),
         ("reviewers", [None]), ("changed_files", [None, 3]),
+        ("review_comments", 5), ("review_comments", "ab"), ("review_comments", {"x": 1}),
     ]
     for field_name, value in bad_values:
         with pytest.raises(SchemaError) as err:

@@ -9,8 +9,10 @@ once, and a KU count is the sum of its capability counts.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 from .catalog import (
@@ -19,15 +21,16 @@ from .catalog import (
     CapabilityId,
     load_catalog,
 )
-from .errors import ParseError
 from .javaparse.nodes import Node
 from .javaparse.parser import parse_java
+from .util import sha256_bytes, sha256_text
 
 __all__ = [
     "parse_java",
     "detect_capabilities",
     "detect_kus",
     "ku_vector_from_hits",
+    "detection_key",
 ]
 
 # Type-declaration kind -> keywords of its declaration event.
@@ -153,8 +156,8 @@ class _Collector:
     def __init__(self) -> None:
         self.events: list[_Event] = []
         self.imports = _Imports()
-        # (nodes, in_block) pairs still to visit: a work list rather than
-        # recursion, so that a chain of any length costs no stack
+        # (nodes, in_block) pairs still to visit: a work list, so that a
+        # chain of any length is walked in a loop
         self.pending: list[tuple[list[Node], bool]] = []
 
     def emit(self, category: str, node: Node, keywords=(), name=None, qualified=None):
@@ -422,14 +425,10 @@ def _matched_nodes(source: str, catalog: CapabilityCatalog) -> dict[int, set[int
     position in ``catalog.enabled_rules()``; rules that matched no node
     are absent.
 
-    Raises :class:`ParseError` for binary content and for nesting too deep
-    to parse.
+    Raises :class:`ParseError` for binary content.
     """
     collector = _Collector()
-    try:
-        collector.run(parse_java(source))
-    except RecursionError:
-        raise ParseError("nesting too deep") from None
+    collector.run(parse_java(source))
     consistent = collector.imports.consistent
     table = catalog.patterns_by_key
     matched: defaultdict[int, set[int]] = defaultdict(set)
@@ -451,8 +450,7 @@ def detect_capabilities(
 
     Returns a mapping from every enabled capability to the number of
     distinct syntax nodes exhibiting it (zero entries included). Raises
-    :class:`ParseError` for binary content and for nesting too deep to
-    parse.
+    :class:`ParseError` for binary content.
     """
     if catalog is None:
         catalog = load_catalog()
@@ -483,3 +481,25 @@ def detect_kus(source: str, catalog: CapabilityCatalog | None = None) -> list[in
     for position, nodes in _matched_nodes(source, catalog).items():
         vector[slots[position]] += len(nodes)
     return vector
+
+
+def detection_key(catalog: CapabilityCatalog) -> str:
+    """Digest of ``catalog`` and of the code :func:`detect_kus` runs.
+
+    The KU cache and the mine stage's signature key on it, so a vector
+    computed by other rules or by other detection code is never reused.
+    """
+    return sha256_text(f"{catalog.digest}:{_code_digest()}")
+
+
+@functools.cache
+def _code_digest() -> str:
+    """Digest of the source of ``catalog.py``, this module and
+    ``javaparse/``, read once per process."""
+    package = Path(__file__).parent
+    files = [package / "catalog.py", Path(__file__),
+             *sorted((package / "javaparse").glob("*.py"))]
+    return sha256_text(" ".join(
+        f"{path.relative_to(package).as_posix()}:{sha256_bytes(path.read_bytes())}"
+        for path in files
+    ))

@@ -40,6 +40,10 @@ BINARY_LEVELS = [
 # identifies a binary operator.
 _BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 
+# Nesting bound, so that a tree depends on the text alone: each open
+# statement, member and annotation is one level, each expression three.
+MAX_DEPTH = 100
+
 
 def parse_java(source: str) -> Node:
     """Parse Java source text into a syntax tree.
@@ -54,6 +58,24 @@ def parse_java(source: str) -> Node:
     return _Parser(tokenize(source)).parse_compilation_unit()
 
 
+def _bounded(method):
+    """``method`` one level deeper. Past MAX_DEPTH its construct is an error
+    node spanning the tokens up to an unmatched closing bracket, or up to a
+    ``,``, ``:`` or ``;`` outside brackets."""
+    def bounded(self, *args):
+        if self.depth < MAX_DEPTH:
+            self.depth += 1
+            node = method(self, *args)
+            self.depth -= 1
+            return node
+        depth = 0
+        while not self.eof() and (depth or self.tok().text not in ",:;)]}"):
+            text = self.eat().text
+            depth += (text in "([{") - (text in ")]}")
+        return Node("error")
+    return bounded
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         # Two more copies of the final eof token: no lookahead goes past
@@ -61,6 +83,7 @@ class _Parser:
         # index below is in range without a bounds test.
         self.toks = tokens + tokens[-1:] * 2
         self.pos = 0
+        self.depth = 0
 
     # --- token helpers -------------------------------------------------
 
@@ -170,6 +193,7 @@ class _Parser:
             out.append(self._parse_annotation())
         return out
 
+    @_bounded
     def _parse_annotation(self) -> Node:
         self.eat()  # @
         node = _named("annotation", self._qualified_name())
@@ -334,6 +358,7 @@ class _Parser:
         else:
             self.accept("}")
 
+    @_bounded
     def _parse_member(self, type_name: str) -> Node | None:
         if self.accept(";"):
             return None
@@ -559,6 +584,7 @@ class _Parser:
         node.children.extend(self._parse_list(self.parse_statement, None, "}"))
         return node
 
+    @_bounded
     def parse_statement(self) -> Node:
         t = self.tok()
         if t.text == "{":
@@ -811,6 +837,7 @@ class _Parser:
 
     # --- expressions -----------------------------------------------------------
 
+    @_bounded
     def parse_expression(self) -> Node:
         """An expression, assignments included (right-associative)."""
         lhs = self._parse_ternary()
@@ -823,6 +850,7 @@ class _Parser:
             return node
         return lhs
 
+    @_bounded
     def _parse_ternary(self) -> Node:
         cond = self._parse_binary()
         if self.at("?") and self.tok().kind == "op":
@@ -866,6 +894,7 @@ class _Parser:
             left = node
             max_level = level
 
+    @_bounded
     def _parse_unary(self) -> Node:
         t = self.tok()
         if t.kind == "op" and t.text in ("!", "~", "+", "-", "++", "--"):

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .catalog import CapabilityCatalog, load_catalog
-from .detector import detect_kus
+from .detector import detect_kus, detection_key
 from .errors import AbsentFileError, ParseError, RepositoryError
 from .util import (
     dump_json_line,
@@ -217,26 +217,23 @@ class KuStore:
 
 
 class _VectorCache:
-    """Content-addressed KU-vector cache keyed by (catalog hash, blob id).
+    """Content-addressed KU-vector cache keyed by (detection key, blob id).
 
     A git blob id is a hash of the file's content, so a hit needs no read.
-    Records without a ``blob`` key (the earlier format, keyed by a sha256
-    of the content) are ignored: their contents are detected again.
-    An unparseable (None) verdict is never written and reads as a miss: it
-    can depend on the caller's stack depth, so each run detects it again.
+    Each record holds a blob id, the detection key (field ``catalog``) and
+    the verdict, an unparseable file's None included.
     """
 
-    def __init__(self, path: Path | None, catalog_hash: str):
+    def __init__(self, path: Path | None, key: str):
         self.path = path
-        self.catalog_hash = catalog_hash
+        self.key = key
         self.entries: dict[str, list[int] | None] = {}
         self.dirty = False
         if path is not None and path.exists():
             try:
                 for rec in read_jsonl(path):
-                    if rec["catalog"] == catalog_hash and "blob" in rec:
-                        if rec["vector"] is not None:
-                            self.entries[rec["blob"]] = rec["vector"]
+                    if rec["catalog"] == key:
+                        self.entries[rec["blob"]] = rec["vector"]
             except (ValueError, KeyError, TypeError):
                 log.warning("corrupt KU cache at %s; rebuilding", path)
                 self.entries = {}
@@ -246,7 +243,7 @@ class _VectorCache:
 
     def put(self, blob: str, vector: list[int] | None) -> None:
         self.entries[blob] = vector
-        self.dirty = self.dirty or vector is not None
+        self.dirty = True
 
     def flush(self) -> None:
         if self.path is None or not self.dirty:
@@ -254,9 +251,8 @@ class _VectorCache:
         write_jsonl(
             self.path,
             (
-                {"blob": b, "catalog": self.catalog_hash, "vector": v}
+                {"blob": b, "catalog": self.key, "vector": v}
                 for b, v in sorted(self.entries.items())
-                if v is not None
             ),
         )
 
@@ -325,7 +321,7 @@ def build_ku_store(
         catalog = load_catalog()
     commits = mine_commits(repo_path, all_commits=all_commits)
     cache = _VectorCache(
-        Path(cache_path) if cache_path is not None else None, catalog.digest
+        Path(cache_path) if cache_path is not None else None, detection_key(catalog)
     )
 
     vectors: dict[tuple[str, str], list[int] | None] = {}

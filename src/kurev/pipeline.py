@@ -16,6 +16,7 @@ import yaml
 from .adaptive import VARIANTS, AdaptiveRecommender, best_performers, safe_recommend
 from .catalog import KU_COUNT, load_catalog
 from .clustering import DegenerateDataError, diff_values, gini, pca_reduce, select_k
+from .detector import detection_key
 from .errors import KurevError
 from .evaluation import (
     K_MAX,
@@ -35,7 +36,7 @@ from .prstore import (
 )
 from .profiles import global_ku_profiles, save_matrix
 from .recommenders import KIND_ORDER, RF_MODES, History, Recommendation, make_recommender
-from .util import dump_json_line, sha256_text, write_text
+from .util import dump_json_line, sha256_bytes, sha256_text, write_text
 
 log = logging.getLogger(__name__)
 
@@ -197,6 +198,9 @@ def run_clustering(store: KuStore, out_dir: Path, k_max: int, seed: int) -> None
     developers = sorted(profiles.rows)
     if len(developers) < 2:
         raise DegenerateDataError("need at least 2 developers to cluster")
+    # numpy is loaded by now (through .clustering); importing it at the top
+    # instead would load it before the Java front end's modules, and that
+    # import order alone raises a run's peak RSS by about 1 MB
     import numpy as np
 
     p_ku = np.array(
@@ -271,7 +275,7 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
 
     head = _git(config.repo, "rev-parse", "HEAD").decode().strip()
     store_dir = out / "store"
-    mine_sig = sha256_text(f"mine:{head}:{catalog.digest}:{config.all_commits}")
+    mine_sig = sha256_text(f"mine:{head}:{detection_key(catalog)}:{config.all_commits}")
     mine = _Stage(out, "mine", mine_sig, [store_dir / n for n in KuStore.FILES], echo)
     if mine.cached():
         store = KuStore.load(store_dir)
@@ -314,8 +318,11 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
         profiles.done("P_ku written")
 
     report_path = out / "report.tsv"
+    # keyed on the PR files it reads, not on the export's bytes: an export
+    # with its lines reordered gives the same files and leaves it cached
+    prs_files = ":".join(sha256_bytes(path.read_bytes()) for path in parts)
     eval_sig = sha256_text(
-        f"evaluate:{mine_sig}:{prs_sig}:{config.seed}:{config.rf_mode}"
+        f"evaluate:{mine_sig}:{prs_files}:{config.seed}:{config.rf_mode}"
     )
     evaluate = _Stage(out, "evaluate", eval_sig, [report_path], echo)
     if not evaluate.cached():

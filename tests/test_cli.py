@@ -9,11 +9,13 @@ import pytest
 
 from kurev import cli
 from kurev.cli import main
+from kurev.detector import detect_kus
 from kurev.mining import KuStore
 from kurev.pipeline import run_base_recommenders
 from kurev.prstore import filter_prs, load_prs
 from kurev.recommenders import KIND_ORDER
 from kurev.util import parse_rfc3339
+from tests.test_detector import NESTED_2000
 from tests.test_profiles import naive_dev, naive_rev, read_last_touch, read_matrix, rounded
 
 FIXTURES = "tests/fixtures/ku_corpus"
@@ -43,6 +45,16 @@ def test_detect_prints_ku_vector(capsys):
     assert len(record["ku_vector"]) == 28
     assert record["ku_vector"][10] > 0  # K11 Exception Handling
     assert any(key.startswith("[K11,") for key in record["capabilities"])
+
+
+def test_detect_on_files_nested_2000_levels_deep(tmp_path, capsys):
+    # click's own frames sit under the detector; the vector is unchanged
+    for name, src in NESTED_2000.items():
+        path = tmp_path / "Deep.java"
+        path.write_text(src, encoding="utf-8")
+        assert main(["detect", str(path)]) == 0, name
+        record = json.loads(capsys.readouterr().out)
+        assert record["ku_vector"] == detect_kus(src), name
 
 
 def test_prs_validate_filter_split(mined, tmp_path, capsys):

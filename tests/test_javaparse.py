@@ -9,7 +9,7 @@ from kurev.errors import ParseError
 from kurev.javaparse import parse_java
 from kurev.javaparse.lexer import KEYWORDS, tokenize
 from kurev.javaparse.nodes import Node
-from kurev.javaparse.parser import BINARY_LEVELS, _Parser
+from kurev.javaparse.parser import BINARY_LEVELS, MAX_DEPTH, _Parser
 
 CORPUS = Path(__file__).parent / "fixtures" / "ku_corpus"
 
@@ -55,6 +55,22 @@ def test_unbalanced_brace_recovers():
     assert find_all(tree, "class_declaration")
     # no crash is the contract; error nodes are allowed but not required
     assert tree.kind == "compilation_unit"
+
+
+def test_nesting_past_max_depth_becomes_an_error_node():
+    def fields_with_calls(levels):
+        return parse_java("class C { int x = " + "f(" * levels + "1" + ")" * levels
+                          + "; int y; }")
+
+    # The field is one level and each expression three, so the argument
+    # of the 32nd nested call takes levels 98 to 100, and that of the 33rd
+    # (the innermost `1`) becomes the error node.
+    assert MAX_DEPTH == 100
+    assert find_all(fields_with_calls(32), "error") == []
+    deeper = fields_with_calls(33)
+    assert len(find_all(deeper, "error")) == 1
+    assert len(find_all(deeper, "method_invocation")) == 33
+    assert len(find_all(deeper, "field_declaration")) == 2  # the next member is read
 
 
 def test_garbage_produces_error_nodes():

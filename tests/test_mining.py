@@ -9,8 +9,8 @@ import threading
 
 import pytest
 
-from kurev import mining
-from kurev.detector import detect_kus
+from kurev import detector, mining
+from kurev.detector import detect_kus, detection_key
 from kurev.errors import AbsentFileError, ParseError, RepositoryError
 from kurev.mining import (
     KuStore,
@@ -125,16 +125,24 @@ def test_binary_java_file_gets_null_vector(scratch_repo):
     assert store.vectors[(store.commits[0].hash, "bad.java")] is None
 
 
-def test_over_deep_file_is_an_unparseable_skip(scratch_repo, caplog):
+def test_deep_file_gets_a_vector_and_a_binary_one_is_an_unparseable_skip(
+    scratch_repo, caplog
+):
     repo = scratch_repo
-    repo.write("deep.java", "class D { int x = " + "(" * 500 + "1" + ")" * 500 + "; }\n")
+    deep = "class D { int x = " + "(" * 500 + "1" + ")" * 500 + "; }\n"
+    repo.write("deep.java", deep)
+    repo.write("bad.java", b"\x00\x01\x02 class?")
     repo.write("a.java", JAVA_A)
-    repo.commit("deep and plain")
+    repo.commit("deep, binary and plain")
     with caplog.at_level(logging.WARNING, logger="kurev.mining"):
         store = build_ku_store(repo.root)
     sha = store.commits[0].hash
-    assert store.vectors == {(sha, "a.java"): detect_kus(JAVA_A), (sha, "deep.java"): None}
-    assert [r.getMessage() for r in caplog.records] == [f"unparseable deep.java at {sha[:12]}"]
+    assert store.vectors == {
+        (sha, "a.java"): detect_kus(JAVA_A),
+        (sha, "bad.java"): None,
+        (sha, "deep.java"): detect_kus(deep),
+    }
+    assert [r.getMessage() for r in caplog.records] == [f"unparseable bad.java at {sha[:12]}"]
 
 
 def test_snapshot_and_read_file_at(scratch_repo):
@@ -348,9 +356,9 @@ def test_content_hash_cache_entries_are_misses(scratch_repo, tmp_path, monkeypat
     assert all("blob" in rec for rec in read_jsonl(cache))
 
 
-def test_unparseable_verdict_is_never_cached(scratch_repo, tmp_path, monkeypatch):
-    # [DERIVED] whether a parse fails may depend on the caller's stack depth,
-    # so a None verdict holds for one run only: one detection per run
+def test_unparseable_verdict_is_detected_once_then_cached(scratch_repo, tmp_path, monkeypatch):
+    # A verdict depends on the blob's bytes alone, so a None is cached like
+    # a vector: each blob is detected once in the first run, none in the second
     repo = scratch_repo
     repo.write("bad.java", b"\x00\x01 class?")
     repo.commit("binary blob")
@@ -363,12 +371,13 @@ def test_unparseable_verdict_is_never_cached(scratch_repo, tmp_path, monkeypatch
         detections.clear()
         store = build_ku_store(repo.root, cache_path=cache)
         binary = [args for args in detections if "\x00" in args[0]]
-        assert len(binary) == 1 and len(detections) == 2 - run
+        assert len(binary) == 1 - run and len(detections) == 2 - 2 * run
         assert sum(v is None for v in store.vectors.values()) == 2
-        assert [rec["vector"] for rec in read_jsonl(cache)] == [detect_kus(JAVA_A)]
+        cached = [rec["vector"] for rec in read_jsonl(cache)]
+        assert sorted(cached, key=lambda v: v is None) == [detect_kus(JAVA_A), None]
 
 
-def test_null_cache_record_is_a_miss(scratch_repo, tmp_path):
+def test_null_cache_record_is_a_hit_under_the_current_key_only(scratch_repo, tmp_path):
     repo = scratch_repo
     repo.write("a.java", JAVA_A)
     repo.commit("add a")
@@ -377,11 +386,32 @@ def test_null_cache_record_is_a_miss(scratch_repo, tmp_path):
         check=True, capture_output=True, text=True,
     ).stdout.strip()
     cache = tmp_path / "cache.jsonl"
-    write_jsonl(cache, [{"blob": blob, "catalog": mining.load_catalog().digest,
-                         "vector": None}])
+    catalog = mining.load_catalog()
+    write_jsonl(cache, [{"blob": blob, "catalog": detection_key(catalog), "vector": None}])
+    store = build_ku_store(repo.root, cache_path=cache)
+    assert list(store.vectors.values()) == [None]  # served as cached
+    # the same record under the catalog's digest alone, as written before
+    # the key covered the detection code, is a miss
+    write_jsonl(cache, [{"blob": blob, "catalog": catalog.digest, "vector": None}])
     store = build_ku_store(repo.root, cache_path=cache)
     assert list(store.vectors.values()) == [detect_kus(JAVA_A)]
     assert [rec["vector"] for rec in read_jsonl(cache)] == [detect_kus(JAVA_A)]
+
+
+def test_cache_records_miss_under_another_detection_code_digest(
+    scratch_repo, tmp_path, monkeypatch
+):
+    repo = history_repo(scratch_repo)
+    cache = tmp_path / "cache.jsonl"
+    cold = build_ku_store(repo.root, cache_path=cache)
+    monkeypatch.setattr(detector, "_code_digest", lambda: "other detection code")
+    other_key = detection_key(mining.load_catalog())
+    detections = count_calls(monkeypatch, "detect_kus")
+    rebuilt = build_ku_store(repo.root, cache_path=cache)
+    monkeypatch.undo()
+    assert len(detections) == 4  # every distinct blob again
+    assert rebuilt.vectors == cold.vectors
+    assert [rec["catalog"] for rec in read_jsonl(cache)] == [other_key] * 4
 
 
 def test_missing_blob_gets_null_vector(scratch_repo):

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import shutil
 import sys
 from dataclasses import replace
 
 import pytest
 
-from kurev import pipeline, util
+from kurev import detector, pipeline, util
 from kurev.adaptive import VARIANTS, AdaptiveRecommender
 from kurev.errors import KurevError
 from kurev.evaluation import reasonableness
@@ -194,6 +195,43 @@ def test_stage_reruns_when_inputs_change(synthetic_project, tmp_path, capsys):
     assert "mine: cached" in echoed
     assert "evaluate: report" in echoed  # seed change invalidates evaluation
     assert "cluster: outputs written" in echoed
+
+
+def test_mine_stage_reruns_under_another_detection_code_digest(
+    synthetic_project, tmp_path, monkeypatch
+):
+    config = config_for(synthetic_project, tmp_path)
+    run_pipeline(config, echo=lambda message: None)
+    monkeypatch.setattr(detector, "_code_digest", lambda: "other detection code")
+    echoed = []
+    run_pipeline(config, echo=echoed.append)
+    ran = [line.split(":")[0] for line in echoed if not line.endswith(": cached")]
+    assert ran == ["mine", "profiles", "evaluate", "cluster"]
+
+
+def test_reordered_export_lines_change_only_the_prs_stamp(synthetic_project, tmp_path):
+    # A PR export is a set of records: the order of its lines is no input.
+    lines = synthetic_project["prs_path"].read_text(encoding="utf-8").splitlines()
+    shuffled = list(lines)
+    random.Random(1).shuffle(shuffled)
+    assert shuffled != lines
+    permuted = tmp_path / "permuted" / synthetic_project["prs_path"].name
+    permuted.parent.mkdir()
+    permuted.write_text("\n".join(shuffled) + "\n", encoding="utf-8")
+    quiet = lambda message: None  # noqa: E731
+    config = config_for(synthetic_project, tmp_path / "a")
+    run_pipeline(config, echo=quiet)
+    before = tree_bytes(config.out_dir)
+    other = replace(config_for(synthetic_project, tmp_path / "b"), prs=permuted)
+    run_pipeline(other, echo=quiet)
+    after = tree_bytes(other.out_dir)
+    assert before.keys() == after.keys()
+    assert [name for name in before if before[name] != after[name]] == ["prs.stamp"]
+    # in place, only the prs stage runs again, and it rewrites the same files
+    echoed = []
+    run_pipeline(replace(config, prs=permuted), echo=echoed.append)
+    assert [line.split(":")[0] for line in echoed if not line.endswith(": cached")] == ["prs"]
+    assert tree_bytes(config.out_dir) == after
 
 
 def test_stage_that_crashes_midway_is_not_cached_under_its_old_signature(

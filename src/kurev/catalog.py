@@ -159,22 +159,33 @@ class CapabilityCatalog:
         return sha256_text(serialize_catalog(self))
 
     @functools.cached_property
-    def patterns_by_key(self) -> dict[tuple[str, str | None], tuple[PatternEntry, ...]]:
-        """Enabled patterns by (node kind, name), in catalog order.
+    def patterns_by_kind(self) -> dict[str, tuple[tuple[PatternEntry, ...], dict, dict]]:
+        """Enabled patterns per node kind, in catalog order: those with
+        neither name nor keyword, those by name, and the other ones by
+        their least keyword, so that only an event holding that keyword
+        looks them up.
 
         Each entry is (rule position in :meth:`enabled_rules`, keywords,
-        import prefix). A pattern with no name is filed under ``None`` and
-        applies to every event of its kind; ``keyword`` is split into a set
-        of words here and nowhere else.
+        import prefix); ``keyword`` is split into a set of words here and
+        nowhere else.
         """
-        table: dict[tuple[str, str | None], list[PatternEntry]] = {}
+        table: dict[str, tuple[list, dict, dict]] = {}
         for position, rule in enumerate(self.enabled_rules()):
             for p in rule.patterns:
                 keywords = frozenset((p.keyword or "").split())
-                table.setdefault((p.node_kind, p.name), []).append(
-                    (position, keywords, p.import_prefix)
-                )
-        return {key: tuple(entries) for key, entries in table.items()}
+                entry = (position, keywords, p.import_prefix)
+                bare, by_name, by_keyword = table.setdefault(p.node_kind, ([], {}, {}))
+                if p.name is not None:
+                    by_name.setdefault(p.name, []).append(entry)
+                elif keywords:
+                    by_keyword.setdefault(min(keywords), []).append(entry)
+                else:
+                    bare.append(entry)
+        return {
+            kind: (tuple(bare), {k: tuple(v) for k, v in by_name.items()},
+                   {k: tuple(v) for k, v in by_keyword.items()})
+            for kind, (bare, by_name, by_keyword) in table.items()
+        }
 
     @functools.cached_property
     def ku_slots(self) -> tuple[int, ...]:

@@ -215,6 +215,7 @@ def recommend(
             prefix, run_base_recommenders(history, prefix, rf_mode=rf_mode)
         )
         rec = steps[-1].recommendation
+    history.asof.warn_unresolved()
 
     if not rec.ranked:
         click.echo(f"PR {pr_id}: no candidates ({which})")

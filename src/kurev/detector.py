@@ -13,7 +13,7 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import AbstractSet, NamedTuple
 
 from .catalog import (
     KU_COUNT,
@@ -77,15 +77,33 @@ _SIMPLE_EVENTS = {
     "super_expression": ("expression", frozenset(["super"])),
 }
 
+# The keyword set of every other event, by its words. Events hold these
+# sets, and the sets of declarations, themselves: no event's keywords
+# change once it is emitted, so none is copied.
+_KW = {words: frozenset(words.split()) for words in [
+    "", "try", "try try_with_resources", "catch", "catch multi_catch", "binary",
+    "binary equality", "primitive_cast", "reference_cast", "array_creation",
+    "multidim_array_creation", "super", "method_reference", "new", "anonymous_class",
+    "generic", "array", "multidim_array",
+]}
+
 _EXCEPTION_SUFFIXES = ("Exception", "Error", "Throwable")
+
+# The pattern table of a node kind that no enabled pattern names.
+_NO_PATTERNS: tuple = ((), {}, {})
 
 
 class _Event(NamedTuple):
     category: str  # one of catalog.NODE_KINDS
     node_id: int
-    keywords: frozenset[str] = frozenset()
+    keywords: AbstractSet[str] = _KW[""]
     name: str | None = None
     qualified: str | None = None
+
+
+# Builds an _Event from a tuple without the Python frame of _Event.__new__;
+# the collector makes one per event.
+_new_event = tuple.__new__
 
 
 @dataclass
@@ -131,7 +149,8 @@ def _is_this_chain(decl: Node) -> bool:
     if stmt is None or stmt.kind != "expression_statement" or not stmt.children:
         return False
     head = stmt.children[0]
-    return head.kind == "explicit_constructor_invocation" and head.get("target") == "this"
+    return (head.kind == "explicit_constructor_invocation"
+            and head.fields.get("target") == "this")
 
 
 def _qualifier_type_use(qualifier: str) -> tuple[str, str | None] | None:
@@ -160,33 +179,109 @@ class _Collector:
         # chain of any length is walked in a loop
         self.pending: list[tuple[list[Node], bool]] = []
 
-    def emit(self, category: str, node: Node, keywords=(), name=None, qualified=None):
-        self.events.append(
-            _Event(category, id(node), frozenset(keywords), name, qualified)
-        )
+    def emit(self, category: str, node: Node, keywords: AbstractSet[str] = _KW[""],
+             name: str | None = None, qualified: str | None = None) -> None:
+        self.events.append(_new_event(_Event, (category, id(node), keywords, name, qualified)))
 
     # --- traversal --------------------------------------------------------
 
     def run(self, unit: Node) -> None:
+        """Emit the events of every node under ``unit``, in one loop over
+        the work list (each node kind's events inline)."""
+        pending = self.pending
         for child in unit.children:
             if child.kind == "import_declaration":
                 self._register_import(child)
             else:
-                self.pending.append(([child], False))
-        while self.pending:
-            nodes, in_block = self.pending.pop()
+                pending.append(([child], False))
+        emit = self.emit
+        while pending:
+            nodes, in_block = pending.pop()
             for node in nodes:
-                self._visit(node, in_block)
+                kind, fields = node.kind, node.fields
+                # the commonest kinds first
+                if kind == "name":
+                    text = fields["name"]
+                    if "." in text:
+                        use = _qualifier_type_use(text)
+                        if use is not None:
+                            emit("type", node, name=use[0], qualified=use[1])
+                elif kind == "named_type" or kind == "generic_type":
+                    emit("type", node, _KW["generic" if kind == "generic_type" else ""],
+                         fields["name"], fields["qualified"])
+                elif kind in _SIMPLE_EVENTS:
+                    category, keywords = _SIMPLE_EVENTS[kind]
+                    emit(category, node, keywords)
+                elif kind == "method_invocation":
+                    emit("invocation", node, name=fields["name"])
+                    self._emit_qualifier_type(node)
+                    # the qualifier child duplicates the event above; skip it
+                    pending.append((self._non_qualifier_children(node), in_block))
+                    continue
+                elif kind in _TYPE_DECLS:
+                    self._visit_type(node, nested=False, local=in_block)
+                    continue
+                elif kind == "annotation":
+                    emit("annotation", node, name=fields["name"], qualified=fields["qualified"])
+                elif kind == "local_variable_declaration":
+                    emit("declaration", node, {"variable", *fields["modifiers"]})
+                elif kind == "binary_expression":
+                    emit("expression", node,
+                         _KW["binary equality" if fields["op"] in ("==", "!=") else "binary"])
+                elif kind == "object_creation":
+                    ctype = node.children[0] if node.children else None
+                    qualified = ctype.fields.get("qualified") if ctype is not None else None
+                    emit("invocation", node, _KW["new"], fields["type_name"], qualified)
+                    if fields["anonymous"]:
+                        emit("declaration", node, _KW["anonymous_class"], fields["type_name"])
+                        self._visit_body(node)
+                        continue
+                elif kind == "array_type":
+                    emit("type", node, _KW["multidim_array" if fields["dims"] >= 2 else "array"])
+                elif kind == "cast_expression":
+                    target = node.children[0] if node.children else None
+                    primitive = target is not None and target.kind == "primitive_type"
+                    emit("expression", node,
+                         _KW["primitive_cast" if primitive else "reference_cast"])
+                elif kind == "array_creation":
+                    emit("expression", node, _KW[
+                        "multidim_array_creation" if fields["dims"] >= 2 else "array_creation"])
+                elif kind == "method_reference":
+                    emit("expression", node, _KW["method_reference"])
+                    ref = fields["name"]
+                    if ref == "new":
+                        qual = fields["qualifier"]
+                        use = _qualifier_type_use(qual) if qual else None
+                        if use is not None:
+                            emit("invocation", node, _KW["new"], use[0], use[1])
+                    elif ref:
+                        emit("invocation", node, name=ref)
+                    self._emit_qualifier_type(node)
+                    pending.append((self._non_qualifier_children(node), in_block))
+                    continue
+                elif kind == "explicit_constructor_invocation":
+                    if fields["target"] == "super":
+                        emit("expression", node, _KW["super"])
+                elif kind == "try_statement":
+                    emit("statement", node,
+                         _KW["try try_with_resources" if fields["resources"] > 0 else "try"])
+                elif kind == "catch_clause":
+                    emit("statement", node,
+                         _KW["catch multi_catch" if fields["types"] > 1 else "catch"])
+                if node.children:
+                    pending.append(
+                        (node.children, in_block or kind in ("block", "switch_statement")))
 
     def _register_import(self, node: Node) -> None:
-        name = node.get("name", "")
-        if name and not node.get("static") and not node.get("wildcard"):
+        fields = node.fields
+        name = fields["name"]
+        if name and not fields["static"] and not fields["wildcard"]:
             self.imports.explicit[name.rsplit(".", 1)[-1]] = name
 
     def _visit_type(self, decl: Node, nested: bool, local: bool = False) -> None:
-        kind = decl.kind
-        name = decl.get("name", "")
-        mods = set(decl.get("modifiers", ()))
+        kind, fields = decl.kind, decl.fields
+        name = fields["name"]
+        mods = set(fields["modifiers"])
         keywords = mods | set(_TYPE_KEYWORDS[kind])
         if nested:
             keywords.add("member")
@@ -194,9 +289,9 @@ class _Collector:
                 keywords.add("inner_class")
         if local and kind == "class_declaration":
             keywords.add("local_class")
-        if decl.get("generic"):
+        if fields["generic"]:
             keywords.add("generic")
-        superclass = decl.get("superclass_name")
+        superclass = fields.get("superclass_name")
         if superclass:
             keywords.add("subclass")
         if kind == "class_declaration" and (
@@ -234,11 +329,11 @@ class _Collector:
             elif child.kind == "field_declaration":
                 self._visit_member(child, {"field"})
             elif child.kind == "initializer_block":
-                kw = {"initializer"} | ({"static"} if child.get("static") else set())
+                kw = {"initializer"} | ({"static"} if child.fields.get("static") else set())
                 self.emit("declaration", child, kw)
                 self.pending.append((child.children, True))
             elif child.kind == "enum_constant":
-                self.emit("declaration", child, {"enum_constant"}, name=child.get("name"))
+                self.emit("declaration", child, {"enum_constant"}, name=child.fields.get("name"))
                 self._visit_body(child)
             else:
                 self.pending.append(([child], False))
@@ -248,7 +343,7 @@ class _Collector:
         counts: dict[str, int] = {}
         for m in members:
             if m.kind == "method_declaration":
-                n = m.get("name", "")
+                n = m.fields.get("name", "")
                 counts[n] = counts.get(n, 0) + 1
         return {n for n, c in counts.items() if c > 1}
 
@@ -258,161 +353,64 @@ class _Collector:
             return False
         fields = [m for m in members if m.kind == "field_declaration"]
         ctors = [m for m in members if m.kind == "constructor_declaration"]
-        if not fields or not any(c.get("params", 0) >= 1 for c in ctors):
+        if not fields or not any(c.fields.get("params", 0) >= 1 for c in ctors):
             return False
-        return all("final" in f.get("modifiers", ()) for f in fields)
+        return all("final" in f.fields.get("modifiers", ()) for f in fields)
 
     @staticmethod
     def _looks_singleton(name: str, members: list[Node]) -> bool:
         ctors = [m for m in members if m.kind == "constructor_declaration"]
-        if not any("private" in c.get("modifiers", ()) for c in ctors):
+        if not any("private" in c.fields.get("modifiers", ()) for c in ctors):
             return False
         for m in members:
-            if "static" not in m.get("modifiers", ()):
+            if "static" not in m.fields.get("modifiers", ()):
                 continue
             if m.kind == "field_declaration":
                 for t in m.children:
-                    if t.kind in ("named_type", "generic_type") and t.get("name") == name:
+                    if t.kind in ("named_type", "generic_type") and t.fields.get("name") == name:
                         return True
-            elif m.kind == "method_declaration" and m.get("return_type_name") == name:
+            elif m.kind == "method_declaration" and m.fields.get("return_type_name") == name:
                 return True
         return False
 
     def _visit_method(self, decl: Node, overloaded: set[str]) -> None:
-        name = decl.get("name", "")
+        fields = decl.fields
+        name = fields["name"]
         keywords = {"method"}
-        returning = decl.get("return_type_name") != "void"
+        returning = fields["return_type_name"] != "void"
         if returning:
             keywords.add("returning")
-        if decl.get("generic"):
+        if fields["generic"]:
             keywords.add("generic")
         if name in overloaded:
             keywords.add("overloaded_method")
-        if _accessor_like(name, decl.get("params", 0), returning):
+        if _accessor_like(name, fields["params"], returning):
             keywords.add("accessor_method")
         self._visit_member(decl, keywords)
 
     def _visit_member(self, decl: Node, keywords: set[str]) -> None:
         """Emit a method, constructor or field declaration, then descend."""
-        keywords |= set(decl.get("modifiers", ())) | {"member"}
-        if decl.get("params", 0) >= 1:
+        fields = decl.fields
+        keywords.update(fields["modifiers"])
+        keywords.add("member")
+        if fields.get("params", 0) >= 1:
             keywords.add("parameterized")
-        if decl.get("varargs"):
+        if fields.get("varargs"):
             keywords.add("varargs")
-        if decl.get("throws"):
+        if fields.get("throws"):
             keywords.add("throwing")
-        self.emit("declaration", decl, keywords, name=decl.get("name"))
+        self.emit("declaration", decl, keywords, name=fields.get("name"))
         self.pending.append((decl.children, False))
-
-    # --- statements / expressions / types -----------------------------------
-
-    def _visit(self, node: Node, in_block: bool) -> None:
-        kind = node.kind
-        if kind in _TYPE_DECLS:
-            self._visit_type(node, nested=False, local=in_block)
-            return
-
-        if kind in _SIMPLE_EVENTS:
-            category, keywords = _SIMPLE_EVENTS[kind]
-            self.emit(category, node, keywords)
-        elif kind == "try_statement":
-            kw = ["try"]
-            if node.get("resources", 0) > 0:
-                kw.append("try_with_resources")
-            self.emit("statement", node, kw)
-        elif kind == "catch_clause":
-            kw = ["catch"]
-            if node.get("types", 0) > 1:
-                kw.append("multi_catch")
-            self.emit("statement", node, kw)
-        elif kind == "local_variable_declaration":
-            self.emit(
-                "declaration", node,
-                set(node.get("modifiers", ())) | {"variable"},
-            )
-        elif kind == "binary_expression":
-            kw = ["binary"]
-            if node.get("op") in ("==", "!="):
-                kw.append("equality")
-            self.emit("expression", node, kw)
-        elif kind == "cast_expression":
-            target = node.children[0] if node.children else None
-            primitive = target is not None and target.kind == "primitive_type"
-            self.emit(
-                "expression", node,
-                ("primitive_cast",) if primitive else ("reference_cast",),
-            )
-        elif kind == "array_creation":
-            dims = node.get("dims", 1)
-            self.emit(
-                "expression", node,
-                ("multidim_array_creation",) if dims >= 2 else ("array_creation",),
-            )
-        elif kind == "explicit_constructor_invocation":
-            if node.get("target") == "super":
-                self.emit("expression", node, ("super",))
-        elif kind == "method_invocation":
-            self.emit("invocation", node, name=node.get("name"))
-            self._emit_qualifier_type(node)
-            # the qualifier child duplicates the event above; skip it
-            self.pending.append((self._non_qualifier_children(node), in_block))
-            return
-        elif kind == "method_reference":
-            self.emit("expression", node, ("method_reference",))
-            ref = node.get("name")
-            if ref == "new":
-                qual = node.get("qualifier")
-                if qual:
-                    use = _qualifier_type_use(qual)
-                    if use is not None:
-                        self.emit("invocation", node, ("new",),
-                                  name=use[0], qualified=use[1])
-            elif ref:
-                self.emit("invocation", node, name=ref)
-            self._emit_qualifier_type(node)
-            self.pending.append((self._non_qualifier_children(node), in_block))
-            return
-        elif kind == "object_creation":
-            ctype = node.children[0] if node.children else None
-            qualified = ctype.get("qualified") if ctype is not None else None
-            self.emit("invocation", node, ("new",),
-                      name=node.get("type_name"), qualified=qualified)
-            if node.get("anonymous"):
-                self.emit("declaration", node, ("anonymous_class",),
-                          name=node.get("type_name"))
-                self._visit_body(node)
-                return
-        elif kind == "annotation":
-            self.emit("annotation", node, name=node.get("name"),
-                      qualified=node.get("qualified"))
-        elif kind in ("named_type", "generic_type"):
-            kw = ("generic",) if kind == "generic_type" else ()
-            self.emit("type", node, kw, name=node.get("name"),
-                      qualified=node.get("qualified"))
-        elif kind == "array_type":
-            dims = node.get("dims", 1)
-            self.emit("type", node,
-                      ("multidim_array",) if dims >= 2 else ("array",))
-        elif kind == "name":
-            text = node.get("name", "")
-            if "." in text:
-                use = _qualifier_type_use(text)
-                if use is not None:
-                    self.emit("type", node, name=use[0], qualified=use[1])
-
-        if node.children:
-            self.pending.append(
-                (node.children, in_block or kind in ("block", "switch_statement")))
 
     @staticmethod
     def _non_qualifier_children(node: Node) -> list[Node]:
         kids = node.children
-        if kids and kids[0].kind == "name" and kids[0].get("name") == node.get("qualifier"):
+        if kids and kids[0].kind == "name" and kids[0].fields["name"] == node.fields["qualifier"]:
             return kids[1:]
         return kids
 
     def _emit_qualifier_type(self, node: Node) -> None:
-        qual = node.get("qualifier")
+        qual = node.fields.get("qualifier")
         if not qual:
             return
         use = _qualifier_type_use(qual)
@@ -430,16 +428,20 @@ def _matched_nodes(source: str, catalog: CapabilityCatalog) -> dict[int, set[int
     collector = _Collector()
     collector.run(parse_java(source))
     consistent = collector.imports.consistent
-    table = catalog.patterns_by_key
+    tables = catalog.patterns_by_kind
     matched: defaultdict[int, set[int]] = defaultdict(set)
-    for event in collector.events:
-        names = (None,) if event.name is None else (None, event.name)
-        for name in names:
-            for position, keywords, prefix in table.get((event.category, name), ()):
-                if keywords <= event.keywords and (
-                    prefix is None or consistent(event.name, event.qualified, prefix)
-                ):
-                    matched[position].add(event.node_id)
+    for category, node_id, keywords, name, qualified in collector.events:
+        # the patterns that could match: by kind alone, by name, by keyword
+        found, by_name, by_keyword = tables.get(category, _NO_PATTERNS)
+        if name is not None:
+            found += by_name.get(name, ())
+        for word in keywords:
+            found += by_keyword.get(word, ())
+        for position, required, prefix in found:
+            if required <= keywords and (
+                prefix is None or consistent(name, qualified, prefix)
+            ):
+                matched[position].add(node_id)
     return matched
 
 

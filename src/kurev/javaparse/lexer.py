@@ -6,7 +6,6 @@ tokenizer never fails on valid UTF-8 input: unknown characters become
 """
 
 import re
-from typing import NamedTuple
 
 KEYWORDS = frozenset(
     """
@@ -30,58 +29,57 @@ OPERATORS = sorted(
     reverse=True,
 )
 
-# One alternative per token kind, tried in order. Unclosed comments and
-# text blocks run to the end of input, unterminated string and char
-# literals to the end of the line; in a literal a backslash takes the next
-# character with it. `\w` is str.isalnum() plus "_" and `\d` a decimal
-# digit (category Nd), so a word starts with any `\w` but a decimal digit.
-# A sign belongs to a number only after its exponent letter: `p`/`P` in a
-# hex literal (where `e`/`E` is a digit), `e`/`E` in any other.
+# Each match is the layout before a token (whitespace and comments, which
+# give no token), then one alternative per token kind, tried in order, the
+# commonest first; `end` matches at the end of input. A `.` is punct unless
+# it starts `...` or a number. Unclosed comments and text blocks run to the
+# end of input, unterminated string and char literals to the end of the
+# line; in a literal a backslash takes the next character with it. `\w` is
+# str.isalnum() plus "_" and `\d` a decimal digit (category Nd), so a word
+# starts with any `\w` but a decimal digit. A sign belongs to a number only
+# after its exponent letter: `p`/`P` in a hex literal (where `e`/`E` is a
+# digit), `e`/`E` in any other.
 _TOKEN = re.compile(
     r"""
-      (?P<skip>    \s+ | //[^\n]* | /\*.*?(?:\*/|\Z) )
-    | (?P<string>  \"\"\".*?(?:\"\"\"|\Z) | "(?:[^"\\\n]|\\.?)*"? )
-    | (?P<char>    '(?:[^'\\\n]|\\.?)*'? )
-    | (?P<number>  0[xX] (?:[\w.]|(?<=[pP])[+-])* | \.?\d (?:[\w.]|(?<=[eE])[+-])* )
-    | (?P<word>    (?:[^\W\d]|\$)[\w$]* )
-    | (?P<op>      """
+    (?: \s+ | //[^\n]* | /\*.*?(?:\*/|\Z) )*
+    (?: (?P<punct>   [(){}\[\];,] | \.(?!\.\.|\d) )
+      | (?P<word>    (?:[^\W\d]|\$)[\w$]* )
+      | (?P<number>  0[xX] (?:[\w.]|(?<=[pP])[+-])* | \.?\d (?:[\w.]|(?<=[eE])[+-])* )
+      | (?P<op>      """
     + "|".join(map(re.escape, OPERATORS))
     + r""" )
-    | (?P<punct>   [(){}\[\];,.] )
-    | (?P<error>   . )
+      | (?P<string>  \"\"\".*?(?:\"\"\"|\Z) | "(?:[^"\\\n]|\\.?)*"? )
+      | (?P<char>    '(?:[^'\\\n]|\\.?)*'? )
+      | (?P<error>   \S )
+      | (?P<end>     \Z ) )
     """,
     re.VERBOSE | re.DOTALL,
 )
+# Token kind by group number; each match closes one group, its last.
+_KINDS = (None, *_TOKEN.groupindex)
+_WORD, _NUMBER, _END = (_TOKEN.groupindex[g] for g in ("word", "number", "end"))
 
-
-class Token(NamedTuple):
-    kind: str  # identifier | keyword | number | string | char | op | punct | error | eof
-    text: str
-
-    def is_kw(self, word: str) -> bool:
-        return self.kind == "keyword" and self.text == word
-
-
-# Builds a Token from a (kind, text) tuple without the Python-level
-# frame of Token.__new__; the lexer makes one per token.
-_new_token = tuple.__new__
+# A token is a (kind, text) pair. Its kind is one of identifier, keyword,
+# number, string, char, op, punct, error and eof; only eof has empty text.
+Token = tuple[str, str]
+EOF = ("eof", "")
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        if kind == "skip":
-            continue
-        text = match.group()
-        if kind == "word":
-            kind = "keyword" if text in KEYWORDS else "identifier"
-        elif kind == "number" and text[-1] == ".":
+        group = match.lastindex
+        text = match[group]
+        if group == _WORD:
+            append(("keyword" if text in KEYWORDS else "identifier", text))
+        elif group == _NUMBER and text[-1] == ".":
             # A trailing '.' starts member access, not part of the literal.
-            append(_new_token(Token, (kind, text[:-1])))
-            append(_new_token(Token, ("punct", ".")))
-            continue
-        append(_new_token(Token, (kind, text)))
-    append(Token("eof", ""))
+            append(("number", text[:-1]))
+            append(("punct", "."))
+        elif group == _END:
+            break
+        else:
+            append((_KINDS[group], text))
+    append(EOF)
     return tokens

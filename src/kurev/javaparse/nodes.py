@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     kind: str
     fields: dict[str, Any] = field(default_factory=dict)

@@ -42,7 +42,14 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in 
 
 # Nesting bound, so that a tree depends on the text alone: each open
 # statement, member and annotation is one level, each expression three.
+# parse_statement, _parse_member, _parse_annotation, parse_expression,
+# _parse_ternary and _parse_unary each take one level while they run.
 MAX_DEPTH = 100
+
+# Tokens that end an expression whatever came before: a name or literal
+# followed by one is a whole expression.
+_LEAF_ENDS = frozenset([";", ",", ")", "]", "}", ":"])
+_LEAF_KINDS = frozenset(["identifier", "number", "string", "char"])
 
 
 def parse_java(source: str) -> Node:
@@ -58,24 +65,6 @@ def parse_java(source: str) -> Node:
     return _Parser(tokenize(source)).parse_compilation_unit()
 
 
-def _bounded(method):
-    """``method`` one level deeper. Past MAX_DEPTH its construct is an error
-    node spanning the tokens up to an unmatched closing bracket, or up to a
-    ``,``, ``:`` or ``;`` outside brackets."""
-    def bounded(self, *args):
-        if self.depth < MAX_DEPTH:
-            self.depth += 1
-            node = method(self, *args)
-            self.depth -= 1
-            return node
-        depth = 0
-        while not self.eof() and (depth or self.tok().text not in ",:;)]}"):
-            text = self.eat().text
-            depth += (text in "([{") - (text in ")]}")
-        return Node("error")
-    return bounded
-
-
 class _Parser:
     def __init__(self, tokens: list[Token]):
         # Two more copies of the final eof token: no lookahead goes past
@@ -86,52 +75,61 @@ class _Parser:
         self.depth = 0
 
     # --- token helpers -------------------------------------------------
+    # Hot paths read ``self.toks[self.pos]`` themselves. Only eof has empty
+    # text, so a token with a given (non-empty) text is never eof.
 
     def tok(self, ahead: int = 0) -> Token:
         return self.toks[self.pos + ahead]
 
     def at(self, text: str) -> bool:
-        t = self.toks[self.pos]
-        return t.text == text and t.kind != "eof"
+        return self.toks[self.pos][1] == text
 
     def at_kw(self, word: str) -> bool:
-        t = self.toks[self.pos]
-        return t.text == word and t.kind == "keyword"
+        return self.toks[self.pos] == ("keyword", word)
 
     def eat(self) -> Token:
         t = self.toks[self.pos]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.pos += 1
         return t
 
     def accept(self, text: str) -> bool:
-        t = self.toks[self.pos]
-        if t.text == text and t.kind != "eof":
+        if self.toks[self.pos][1] == text:
             self.pos += 1
             return True
         return False
 
     def eof(self) -> bool:
-        return self.toks[self.pos].kind == "eof"
+        return self.toks[self.pos][0] == "eof"
 
     # --- error recovery -------------------------------------------------
+
+    def _too_deep(self) -> Node:
+        """Past MAX_DEPTH, a construct is an error node spanning the tokens
+        up to an unmatched closing bracket, or up to a ``,``, ``:`` or ``;``
+        outside brackets."""
+        depth = 0
+        while not self.eof() and (depth or self.tok()[1] not in ",:;)]}"):
+            text = self.eat()[1]
+            depth += (text in "([{") - (text in ")]}")
+        return Node("error")
 
     def _recover(self, stop_at_brace: bool = True) -> Node:
         """Consume tokens into an error node until a sync point."""
         err = Node("error")
         depth = 0
         while not self.eof():
-            t = self.tok()
+            text = self.tok()[1]
             if depth == 0:
-                if t.text == ";":
+                if text == ";":
                     self.eat()
                     break
-                if t.text == "}" and stop_at_brace:
+                if text == "}" and stop_at_brace:
                     break
-            if t.text in "([{":
+            if text in "([{":
                 depth += 1
-            elif t.text in ")]}":
-                if depth == 0 and t.text in ")]":
+            elif text in ")]}":
+                if depth == 0 and text in ")]":
                     self.eat()
                     continue
                 depth -= 1
@@ -142,20 +140,20 @@ class _Parser:
 
     def parse_compilation_unit(self) -> Node:
         unit = Node("compilation_unit")
-        while not self.eof():
+        toks = self.toks
+        while toks[self.pos][0] != "eof":
             start = self.pos
-            if self.accept(";"):
+            if toks[start][1] == ";":
+                self.pos += 1
                 continue
-            annotations = self._parse_annotations()
-            if self.at_kw("package"):
-                self.eat()
+            annotations = self._parse_annotations() if toks[start][1] == "@" else []
+            if toks[self.pos] == ("keyword", "package"):
+                self.pos += 1
                 self._qualified_name()
                 self.accept(";")
-                node = Node("package_declaration")
-                node.children.extend(annotations)
-                unit.children.append(node)
+                unit.children.append(Node("package_declaration", {}, annotations))
                 continue
-            if self.at_kw("import"):
+            if toks[self.pos] == ("keyword", "import"):
                 unit.children.append(self._parse_import())
                 continue
             decl = self._parse_type_declaration(annotations)
@@ -168,18 +166,23 @@ class _Parser:
         return unit
 
     def _parse_import(self) -> Node:
-        self.eat()  # import
-        is_static = self.at_kw("static") and bool(self.eat())
+        toks = self.toks
+        pos = self.pos + 1  # after 'import'
+        is_static = toks[pos] == ("keyword", "static")
+        pos += is_static
         parts = []
         wildcard = False
-        while self.tok().kind in ("identifier", "keyword"):
-            parts.append(self.eat().text)
-            if not self.accept("."):
+        while toks[pos][0] in ("identifier", "keyword"):
+            parts.append(toks[pos][1])
+            if toks[pos + 1][1] != ".":
+                pos += 1
                 break
-            if self.accept("*"):
+            pos += 2
+            if toks[pos][1] == "*":
                 wildcard = True
+                pos += 1
                 break
-        self.accept(";")
+        self.pos = pos + (toks[pos][1] == ";")
         return Node(
             "import_declaration",
             {"name": ".".join(parts), "static": is_static, "wildcard": wildcard},
@@ -189,12 +192,14 @@ class _Parser:
 
     def _parse_annotations(self) -> list[Node]:
         out = []
-        while self.at("@") and not self.tok(1).is_kw("interface"):
+        while self.at("@") and self.tok(1) != ("keyword", "interface"):
             out.append(self._parse_annotation())
         return out
 
-    @_bounded
     def _parse_annotation(self) -> Node:
+        if self.depth >= MAX_DEPTH:
+            return self._too_deep()
+        self.depth += 1
         self.eat()  # @
         node = _named("annotation", self._qualified_name())
         if self.at("("):
@@ -203,53 +208,57 @@ class _Parser:
                 if self.at("@") and depth > 0:
                     node.children.append(self._parse_annotation())
                     continue
-                t = self.eat()
-                if t.text == "(":
+                text = self.eat()[1]
+                if text == "(":
                     depth += 1
-                elif t.text == ")":
+                elif text == ")":
                     depth -= 1
                     if depth == 0:
                         break
+        self.depth -= 1
         return node
 
     def _parse_modifiers(self, annotations: list[Node]) -> tuple[list[str], list[Node]]:
         mods: list[str] = []
+        toks = self.toks
         while True:
-            if self.tok().kind == "keyword" and self.tok().text in MODIFIER_WORDS:
-                mods.append(self.eat().text)
-            elif self.at("@") and not self.tok(1).is_kw("interface"):
+            kind, text = toks[self.pos]
+            if kind == "keyword" and text in MODIFIER_WORDS:
+                mods.append(text)
+                self.pos += 1
+            elif text == "@" and toks[self.pos + 1] != ("keyword", "interface"):
                 annotations.append(self._parse_annotation())
-            elif (self.tok().kind == "identifier" and self.tok().text == "sealed"
-                  and self.tok(1).kind == "keyword"):
-                self.eat()  # contextual 'sealed' before class/interface
-            elif (self.tok().kind == "identifier" and self.tok().text == "non"
-                  and self.tok(1).text == "-" and self.tok(2).text == "sealed"):
-                self.eat()
-                self.eat()
-                self.eat()
+            elif kind == "identifier" and text == "sealed" and toks[self.pos + 1][0] == "keyword":
+                self.pos += 1  # contextual 'sealed' before class/interface
+            elif (kind == "identifier" and text == "non" and toks[self.pos + 1][1] == "-"
+                  and toks[self.pos + 2][1] == "sealed"):
+                self.pos += 3
             else:
                 return mods, annotations
 
     def _qualified_name(self) -> str:
+        toks, pos = self.toks, self.pos
         parts = []
-        while self.tok().kind == "identifier":
-            parts.append(self.eat().text)
-            if not (self.at(".") and self.tok(1).kind == "identifier"):
+        while toks[pos][0] == "identifier":
+            parts.append(toks[pos][1])
+            pos += 1
+            if toks[pos][1] != "." or toks[pos + 1][0] != "identifier":
                 break
-            self.eat()
+            pos += 1
+        self.pos = pos
         return ".".join(parts)
 
     # --- type declarations ---------------------------------------------------
 
     def _type_decl_keyword(self) -> str | None:
         """The word that starts a type declaration here, or None."""
-        t = self.tok()
-        if t.kind == "keyword" and t.text in ("class", "interface", "enum"):
-            return t.text
-        if t.text == "@" and self.tok(1).is_kw("interface"):
+        kind, text = self.toks[self.pos]
+        if kind == "keyword" and text in ("class", "interface", "enum"):
+            return text
+        if text == "@" and self.tok(1) == ("keyword", "interface"):
             return "@interface"
-        if (t.kind == "identifier" and t.text == "record"
-                and self.tok(1).kind == "identifier" and self.tok(2).text == "("):
+        if (kind == "identifier" and text == "record"
+                and self.tok(1)[0] == "identifier" and self.tok(2)[1] == "("):
             return "record"
         return None
 
@@ -268,7 +277,7 @@ class _Parser:
 
         self.accept("@")  # of @interface
         self.eat()  # class/interface/enum/record keyword
-        name = self.eat().text if self.tok().kind == "identifier" else ""
+        name = self.eat()[1] if self.tok()[0] == "identifier" else ""
         node = Node(
             {"class": "class_declaration", "interface": "interface_declaration",
              "enum": "enum_declaration", "record": "record_declaration",
@@ -323,7 +332,8 @@ class _Parser:
 
     def _parse_members(self, owner: Node, type_name: str) -> None:
         """Members up to and including the closing ``}``."""
-        while not self.eof() and not self.at("}"):
+        toks = self.toks
+        while toks[self.pos][1] != "}" and not self.eof():
             start = self.pos
             member = self._parse_member(type_name)
             if member is not None:
@@ -341,10 +351,10 @@ class _Parser:
         # constants until ';' or '}'
         while not self.eof() and not self.at("}") and not self.at(";"):
             annos = self._parse_annotations()
-            if self.tok().kind != "identifier":
+            if self.tok()[0] != "identifier":
                 owner.children.append(self._recover())
                 break
-            const = Node("enum_constant", {"name": self.eat().text})
+            const = Node("enum_constant", {"name": self.eat()[1]})
             const.children.extend(annos)
             if self.at("("):
                 const.children.extend(self._parse_args())
@@ -358,97 +368,105 @@ class _Parser:
         else:
             self.accept("}")
 
-    @_bounded
     def _parse_member(self, type_name: str) -> Node | None:
-        if self.accept(";"):
-            return None
-        mods, annotations = self._parse_modifiers([])
+        if self.depth >= MAX_DEPTH:
+            return self._too_deep()
+        self.depth += 1
+        try:
+            toks = self.toks
+            if toks[self.pos][1] == ";":
+                self.pos += 1
+                return None
+            mods, annotations = self._parse_modifiers([])
+            text = toks[self.pos][1]
 
-        # initializer block
-        if self.at("{"):
-            node = Node("initializer_block", {"static": "static" in mods})
-            node.children.append(self._parse_block())
+            # initializer block
+            if text == "{":
+                return Node("initializer_block", {"static": "static" in mods},
+                            [self._parse_block()])
+
+            if self._type_decl_keyword() is not None:  # nested type
+                return self._parse_type_declaration(annotations, mods)
+
+            # generic method type parameters
+            generic_method = text == "<"
+            if generic_method:
+                self._skip_angles()
+
+            # constructor
+            if toks[self.pos] == ("identifier", type_name) and toks[self.pos + 1][1] == "(":
+                self.pos += 1
+                return self._parse_callable(Node(
+                    "constructor_declaration",
+                    {"name": type_name, "modifiers": tuple(mods)}, annotations))
+
+            rtype = self._parse_type()
+            if rtype is None:
+                node = self._recover()
+                node.children.extend(annotations)
+                return node
+
+            kind, name = toks[self.pos]
+            if kind != "identifier":
+                node = self._recover()
+                node.fields["modifiers"] = tuple(mods)
+                node.children.extend(annotations)
+                node.children.append(rtype)
+                return node
+
+            self.pos += 1
+            annotations.append(rtype)
+            if toks[self.pos][1] == "(":
+                return self._parse_callable(Node(
+                    "method_declaration",
+                    {"name": name, "modifiers": tuple(mods), "generic": generic_method,
+                     "return_type_name": _type_simple_name(rtype)},
+                    annotations))
+
+            # field declaration
+            node = Node("field_declaration", {"modifiers": tuple(mods)}, annotations)
+            self._parse_declarators(node)
             return node
-
-        if self._type_decl_keyword() is not None:  # nested type
-            return self._parse_type_declaration(annotations, mods)
-
-        # generic method type parameters
-        generic_method = False
-        if self.at("<"):
-            generic_method = True
-            self._skip_angles()
-
-        # constructor
-        if (self.tok().kind == "identifier" and self.tok().text == type_name
-                and self.tok(1).text == "("):
-            node = Node("constructor_declaration",
-                        {"name": self.eat().text, "modifiers": tuple(mods)})
-            node.children.extend(annotations)
-            return self._parse_callable(node)
-
-        rtype = self._parse_type()
-        if rtype is None:
-            node = self._recover()
-            node.children.extend(annotations)
-            return node
-
-        if self.tok().kind != "identifier":
-            node = self._recover()
-            node.fields["modifiers"] = tuple(mods)
-            node.children.extend(annotations)
-            node.children.append(rtype)
-            return node
-
-        name = self.eat().text
-        if self.at("("):
-            node = Node(
-                "method_declaration",
-                {"name": name, "modifiers": tuple(mods), "generic": generic_method,
-                 "return_type_name": _type_simple_name(rtype)},
-            )
-            node.children.extend(annotations)
-            node.children.append(rtype)
-            return self._parse_callable(node)
-
-        # field declaration
-        node = Node("field_declaration", {"modifiers": tuple(mods)})
-        node.children.extend(annotations)
-        node.children.append(rtype)
-        self._parse_declarators(node)
-        return node
+        finally:
+            self.depth -= 1
 
     def _parse_callable(self, node: Node) -> Node:
         """The parameters, ``throws`` types, ``default`` value and body of
         the method or constructor ``node``."""
         params, varargs = self._parse_params()
         node.children.extend(params)
-        self._skip_dims()
+        if self.toks[self.pos][1] == "[":
+            self._skip_dims()
         throws: list[str] = []
-        if self.at_kw("throws"):
-            self.eat()
+        if self.toks[self.pos] == ("keyword", "throws"):
+            self.pos += 1
             throws = self._parse_type_list(node, ",")
         node.fields.update(params=len(params), varargs=varargs, throws=tuple(throws))
-        if self.at_kw("default"):  # annotation-type member default value
-            self.eat()
+        if self.toks[self.pos] == ("keyword", "default"):  # annotation-type member default
+            self.pos += 1
             node.children.append(self.parse_expression())
-        if self.at("{"):
+        if self.toks[self.pos][1] == "{":
             node.children.append(self._parse_block())
         else:
             self.accept(";")
         return node
 
     def _parse_declarators(self, owner: Node) -> None:
+        toks = self.toks
         while True:
-            decl = Node("variable_declarator")
-            self._skip_dims()
-            if self.accept("="):
-                decl.children.append(self.parse_expression())
-            owner.children.append(decl)
-            if self.accept(",") and self.tok().kind == "identifier":
-                self.eat()  # the next variable's name
-                continue
-            break
+            if toks[self.pos][1] == "[":
+                self._skip_dims()
+            if toks[self.pos][1] == "=":
+                self.pos += 1
+                owner.children.append(Node("variable_declarator", {}, [self.parse_expression()]))
+            else:
+                owner.children.append(Node("variable_declarator"))
+            if toks[self.pos][1] != ",":
+                break
+            self.pos += 1
+            if toks[self.pos][0] != "identifier":
+                break
+            self.pos += 1  # the next variable's name
         self.accept(";")
 
     def _parse_array_initializer(self) -> Node:
@@ -462,8 +480,8 @@ class _Parser:
         varargs = False
         if not self.accept("("):
             return params, varargs
-        while not self.eof() and not self.at(")"):
-            start = self.pos
+        toks = self.toks
+        while toks[self.pos][1] != ")" and not self.eof():
             _, annos = self._parse_modifiers([])
             ptype = self._parse_type()
             if ptype is None:
@@ -474,18 +492,17 @@ class _Parser:
                         self.eat()
                 self.accept(",")
                 continue
-            if self.accept("..."):
+            if toks[self.pos][1] == "...":
+                self.pos += 1
                 varargs = True
-            if self.tok().kind == "identifier":
-                self.eat()  # the parameter's name
-            self._skip_dims()
-            p = Node("formal_parameter")
-            p.children.extend(annos)
-            p.children.append(ptype)
-            params.append(p)
-            self.accept(",")
-            if self.pos == start:
-                self.eat()
+            if toks[self.pos][0] == "identifier":
+                self.pos += 1  # the parameter's name
+            if toks[self.pos][1] == "[":
+                self._skip_dims()
+            annos.append(ptype)
+            params.append(Node("formal_parameter", {}, annos))
+            if toks[self.pos][1] == ",":
+                self.pos += 1
         self.accept(")")
         return params, varargs
 
@@ -493,14 +510,14 @@ class _Parser:
 
     def _parse_type(self) -> Node | None:
         mark = self.pos
-        t = self.tok()
+        kind, text = self.toks[mark]
         node: Node | None = None
-        if t.kind == "keyword" and t.text in PRIMITIVES:
-            self.eat()
-            node = Node("primitive_type", {"name": t.text})
-        elif t.kind == "identifier":
+        if kind == "keyword" and text in PRIMITIVES:
+            self.pos += 1
+            node = Node("primitive_type", {"name": text})
+        elif kind == "identifier":
             qualified = self._qualified_name()
-            if self.at("<"):
+            if self.toks[self.pos][1] == "<":
                 args = self._parse_type_args()
                 if args is None:
                     self.pos = mark
@@ -511,7 +528,7 @@ class _Parser:
                 node = _named("named_type", qualified)
         else:
             return None
-        dims = self._skip_dims()
+        dims = self._skip_dims() if self.toks[self.pos][1] == "[" else 0
         if dims:
             arr = Node("array_type", {"dims": dims})
             arr.children.append(node)
@@ -527,21 +544,21 @@ class _Parser:
         budget = 512
         while not self.eof() and budget:
             budget -= 1
-            t = self.tok()
-            if t.text == "<":
+            kind, text = self.tok()
+            if text == "<":
                 depth += 1
-            elif t.text in (">", ">>", ">>>"):
-                depth -= len(t.text)
+            elif text in (">", ">>", ">>>"):
+                depth -= len(text)
                 if depth <= 0:
                     self.eat()
                     return names if depth == 0 else None
-            elif t.text == ">=":
+            elif text == ">=":
                 self.pos = mark
                 return None
-            elif t.kind == "identifier":
+            elif kind == "identifier":
                 names.append(_named("named_type", self._qualified_name()))
                 continue
-            elif t.text in (";", "{", "}", "(", ")", "=") or t.kind in ("string", "char"):
+            elif text in (";", "{", "}", "(", ")", "=") or kind in ("string", "char"):
                 self.pos = mark
                 return None
             self.eat()
@@ -550,10 +567,9 @@ class _Parser:
 
     def _skip_dims(self) -> int:
         """Consume ``[]`` pairs; returns how many."""
-        dims = 0
-        while self.at("[") and self.tok(1).text == "]":
-            self.eat()
-            self.eat()
+        toks, dims = self.toks, 0
+        while toks[self.pos][1] == "[" and toks[self.pos + 1][1] == "]":
+            self.pos += 2
             dims += 1
         return dims
 
@@ -566,10 +582,10 @@ class _Parser:
     def _skip_parens(self) -> None:
         depth = 0
         while not self.eof():
-            t = self.eat()
-            if t.text == "(":
+            text = self.eat()[1]
+            if text == "(":
                 depth += 1
-            elif t.text == ")":
+            elif text == ")":
                 depth -= 1
                 if depth <= 0:
                     return
@@ -577,40 +593,44 @@ class _Parser:
     # --- statements ----------------------------------------------------------
 
     def _parse_block(self) -> Node:
-        node = Node("block")
         if not self.accept("{"):
-            node.children.append(self._recover())
-            return node
-        node.children.extend(self._parse_list(self.parse_statement, None, "}"))
-        return node
+            return Node("block", {}, [self._recover()])
+        return Node("block", {}, self._parse_list(self.parse_statement, None, "}"))
 
-    @_bounded
     def parse_statement(self) -> Node:
-        t = self.tok()
-        if t.text == "{":
-            return self._parse_block()
-        if self.accept(";"):
-            return Node("empty_statement")
-        if t.kind == "keyword":
-            handler = getattr(self, f"_stmt_{t.text}", None)
-            if handler is not None:
-                return handler()
-        if t.text in MODIFIER_WORDS or t.text == "@" or self._type_decl_keyword() is not None:
-            return self._modified_statement()
-        if (t.kind == "identifier" and self.tok(1).text == ":"
-                and self.tok(1).kind == "op" and self.tok(2).text != ":"):
-            self.eat()
-            self.eat()
-            node = Node("labeled_statement")
-            node.children.append(self.parse_statement())
-            return node
-        if t.kind == "identifier" and t.text == "yield" and self.tok(1).text not in ("=", ".", "(", ";", "["):
-            self.eat()
-            return self._expression_statement("yield_statement")
-        local = self._try_local_var_decl([], [])
-        if local is not None:
-            return local
-        return self._expression_statement("expression_statement")
+        if self.depth >= MAX_DEPTH:
+            return self._too_deep()
+        self.depth += 1
+        try:
+            kind, text = self.toks[self.pos]
+            if text == "{":
+                return self._parse_block()
+            if text == ";":
+                self.pos += 1
+                return Node("empty_statement")
+            if kind == "keyword":
+                handler = getattr(self, f"_stmt_{text}", None)
+                if handler is not None:
+                    return handler()
+            if text in MODIFIER_WORDS or text == "@" or self._type_decl_keyword() is not None:
+                return self._modified_statement()
+            if (kind == "identifier" and self.tok(1) == ("op", ":")
+                    and self.tok(2)[1] != ":"):
+                self.eat()
+                self.eat()
+                node = Node("labeled_statement")
+                node.children.append(self.parse_statement())
+                return node
+            if (kind == "identifier" and text == "yield"
+                    and self.tok(1)[1] not in ("=", ".", "(", ";", "[")):
+                self.eat()
+                return self._expression_statement("yield_statement")
+            local = self._try_local_var_decl([], [])
+            if local is not None:
+                return local
+            return self._expression_statement("expression_statement")
+        finally:
+            self.depth -= 1
 
     def _modified_statement(self) -> Node:
         mods, annotations = self._parse_modifiers([])
@@ -626,15 +646,15 @@ class _Parser:
     def _try_local_var_decl(self, mods: list[str], annotations: list[Node]) -> Node | None:
         mark = self.pos
         vtype = self._parse_type()
-        nxt = self.tok(1).text
-        if (vtype is None or self.tok().kind != "identifier"
-                or not (nxt in ("=", ",", ";") or (nxt == "[" and self.tok(2).text == "]"))):
+        toks, pos = self.toks, self.pos
+        nxt = toks[pos + 1][1]
+        if (vtype is None or toks[pos][0] != "identifier"
+                or not (nxt in ("=", ",", ";") or (nxt == "[" and toks[pos + 2][1] == "]"))):
             self.pos = mark
             return None
-        self.eat()  # the first variable's name
-        node = Node("local_variable_declaration", {"modifiers": tuple(mods)})
-        node.children.extend(annotations)
-        node.children.append(vtype)
+        self.pos = pos + 1  # after the first variable's name
+        node = Node("local_variable_declaration", {"modifiers": tuple(mods)},
+                    [*annotations, vtype])
         self._parse_declarators(node)
         return node
 
@@ -675,8 +695,8 @@ class _Parser:
         mark = self.pos
         self._parse_modifiers([])
         ftype = self._parse_type()
-        if (ftype is not None and self.tok().kind == "identifier"
-                and self.tok(1).text == ":" and self.tok(2).text != ":"):
+        if (ftype is not None and self.tok()[0] == "identifier"
+                and self.tok(1)[1] == ":" and self.tok(2)[1] != ":"):
             self.eat()  # the variable's name
             self.eat()  # :
             node = Node("enhanced_for_statement")
@@ -717,15 +737,15 @@ class _Parser:
                 self.eat()
                 depth = 0
                 while not self.eof():
-                    t = self.tok()
-                    if depth == 0 and t.text in (":", "->"):
+                    text = self.tok()[1]
+                    if depth == 0 and text in (":", "->"):
                         self.eat()
                         break
-                    if depth == 0 and t.text in ("{", "}"):
+                    if depth == 0 and text in ("{", "}"):
                         break
-                    if t.text in "([":
+                    if text in "([":
                         depth += 1
-                    elif t.text in ")]":
+                    elif text in ")]":
                         depth -= 1
                     self.eat()
                 node.children.append(label)
@@ -750,7 +770,7 @@ class _Parser:
             if self.accept("("):
                 clause.children.extend(self._parse_modifiers([])[1])
                 clause.fields["types"] = len(self._parse_type_list(clause, "|"))
-                if self.tok().kind == "identifier":
+                if self.tok()[0] == "identifier":
                     self.eat()  # the exception variable
                 self.accept(")")
             clause.children.append(self._parse_block())
@@ -766,7 +786,7 @@ class _Parser:
         mark = self.pos
         self._parse_modifiers([])
         rtype = self._parse_type()
-        if rtype is not None and self.tok().kind == "identifier" and self.tok(1).text == "=":
+        if rtype is not None and self.tok()[0] == "identifier" and self.tok(1)[1] == "=":
             self.eat()  # the variable's name
             self.eat()  # =
             node = Node("resource")
@@ -780,9 +800,9 @@ class _Parser:
         return node
 
     def _stmt_return(self) -> Node:
-        self.eat()
+        self.pos += 1
         node = Node("return_statement")
-        if not self.at(";") and not self.at("}"):
+        if self.toks[self.pos][1] not in (";", "}"):
             node.children.append(self.parse_expression())
         self.accept(";")
         return node
@@ -792,9 +812,8 @@ class _Parser:
         return self._expression_statement("throw_statement")
 
     def _stmt_break(self) -> Node:
-        t = self.eat()  # 'break' or 'continue'
-        node = Node(f"{t.text}_statement")
-        if self.tok().kind == "identifier":
+        node = Node(f"{self.eat()[1]}_statement")  # 'break' or 'continue'
+        if self.tok()[0] == "identifier":
             self.eat()  # the label
         self.accept(";")
         return node
@@ -829,39 +848,46 @@ class _Parser:
         When the ``;`` is missing, the tokens up to the next statement
         boundary become an ``error`` child, unless the block ends here.
         """
-        node = Node(kind)
-        node.children.append(self.parse_expression())
+        node = Node(kind, {}, [self.parse_expression()])
         if not self.accept(";") and not (self.at("}") or self.eof()):
             node.children.append(self._recover())
         return node
 
     # --- expressions -----------------------------------------------------------
 
-    @_bounded
     def parse_expression(self) -> Node:
         """An expression, assignments included (right-associative)."""
-        lhs = self._parse_ternary()
-        t = self.toks[self.pos]
-        if t.kind == "op" and t.text in ASSIGN_OPS:
+        depth = self.depth
+        if depth >= MAX_DEPTH:
+            return self._too_deep()
+        kind, text = self.toks[self.pos]
+        # A name or literal on its own passes the levels below unchanged:
+        # build it here when they would all be in bounds.
+        if (self.toks[self.pos + 1][1] in _LEAF_ENDS and kind in _LEAF_KINDS
+                and depth < MAX_DEPTH - 2):
             self.pos += 1
-            node = Node("assignment_expression")
-            node.children.append(lhs)
-            node.children.append(self.parse_expression())
-            return node
-        return lhs
+            return Node("name", {"name": text}) if kind == "identifier" else Node("literal")
+        self.depth = depth + 1
+        node = self._parse_ternary()
+        kind, text = self.toks[self.pos]
+        if kind == "op" and text in ASSIGN_OPS:
+            self.pos += 1
+            node = Node("assignment_expression", {}, [node, self.parse_expression()])
+        self.depth = depth
+        return node
 
-    @_bounded
     def _parse_ternary(self) -> Node:
-        cond = self._parse_binary()
-        if self.at("?") and self.tok().kind == "op":
-            self.eat()
-            node = Node("ternary_expression")
-            node.children.append(cond)
-            node.children.append(self.parse_expression())
+        if self.depth >= MAX_DEPTH:
+            return self._too_deep()
+        self.depth += 1
+        node = self._parse_binary()
+        if self.toks[self.pos] == ("op", "?"):
+            self.pos += 1
+            node = Node("ternary_expression", {}, [node, self.parse_expression()])
             self.accept(":")
             node.children.append(self._parse_ternary())
-            return node
-        return cond
+        self.depth -= 1
+        return node
 
     def _parse_binary(self, min_level: int = 0) -> Node:
         """Binary and instanceof expressions with operators of level
@@ -874,39 +900,38 @@ class _Parser:
         left = self._parse_unary()
         max_level = len(BINARY_LEVELS) - 1
         while True:
-            t = self.toks[self.pos]
-            level = _BINARY_LEVEL.get(t.text)
+            text = self.toks[self.pos][1]
+            level = _BINARY_LEVEL.get(text)
             if level is None or level < min_level or level > max_level:
                 return left
             self.pos += 1
-            if t.text == "instanceof":
-                node = Node("instanceof_expression")
-                node.children.append(left)
+            if text == "instanceof":
+                node = Node("instanceof_expression", {}, [left])
                 itype = self._parse_type()
                 if itype is not None:
                     node.children.append(itype)
-                    if self.toks[self.pos].kind == "identifier":  # pattern binding
+                    if self.toks[self.pos][0] == "identifier":  # pattern binding
                         self.pos += 1
             else:
-                node = Node("binary_expression", {"op": t.text})
-                node.children.append(left)
-                node.children.append(self._parse_binary(level + 1))
+                node = Node("binary_expression", {"op": text},
+                            [left, self._parse_binary(level + 1)])
             left = node
             max_level = level
 
-    @_bounded
     def _parse_unary(self) -> Node:
-        t = self.tok()
-        if t.kind == "op" and t.text in ("!", "~", "+", "-", "++", "--"):
-            self.eat()
-            node = Node("unary_expression")
-            node.children.append(self._parse_unary())
-            return node
-        if t.text == "(":
-            cast = self._try_cast()
-            if cast is not None:
-                return cast
-        return self._parse_postfix()
+        if self.depth >= MAX_DEPTH:
+            return self._too_deep()
+        self.depth += 1
+        kind, text = self.toks[self.pos]
+        if kind == "op" and text in ("!", "~", "+", "-", "++", "--"):
+            self.pos += 1
+            node = Node("unary_expression", {}, [self._parse_unary()])
+        else:
+            node = self._try_cast() if text == "(" else None
+            if node is None:
+                node = self._parse_postfix()
+        self.depth -= 1
+        return node
 
     def _try_cast(self) -> Node | None:
         mark = self.pos
@@ -920,12 +945,12 @@ class _Parser:
         if ctype is None or not self.accept(")"):
             self.pos = mark
             return None
-        nxt = self.tok()
+        kind, text = self.tok()
         plausible = (
             ctype.kind in ("primitive_type", "array_type", "generic_type")
-            or nxt.kind in ("identifier", "number", "string", "char")
-            or nxt.text in ("(", "!", "~")
-            or nxt.is_kw("new") or nxt.is_kw("this") or nxt.is_kw("super")
+            or kind in ("identifier", "number", "string", "char")
+            or text in ("(", "!", "~")
+            or (kind == "keyword" and text in ("new", "this", "super"))
         )
         if not plausible:
             self.pos = mark
@@ -937,154 +962,123 @@ class _Parser:
 
     def _parse_postfix(self) -> Node:
         expr = self._parse_primary()
+        toks = self.toks
         while True:
-            t = self.tok()
-            if t.text == "." and self.tok(1).kind in ("identifier", "keyword"):
-                nxt = self.tok(1)
-                if nxt.is_kw("new"):  # outer.new Inner(): the qualifier is evidence too
-                    self.eat()
-                    self.eat()
+            kind, text = toks[self.pos]
+            if text == "." and toks[self.pos + 1][0] in ("identifier", "keyword"):
+                kind, seg = toks[self.pos + 1]
+                if kind == "keyword" and seg not in ("new", "class", "this", "super"):
+                    return expr
+                self.pos += 2
+                if seg == "new":  # outer.new Inner(): the qualifier is evidence too
                     creation = self._parse_creation()
                     # last, so that children[0] stays the created type
                     creation.children.append(expr)
                     expr = creation
+                elif kind == "keyword":  # .class, .this, .super
                     continue
-                if nxt.is_kw("class") or nxt.is_kw("this") or nxt.is_kw("super"):
-                    self.eat()
-                    self.eat()
-                    continue
-                if nxt.kind != "identifier":
-                    return expr
-                self.eat()
-                seg = self.eat().text
-                if self.at("("):
-                    qualifier = expr.get("name") if expr.kind == "name" else None
-                    node = Node("method_invocation",
-                                {"name": seg, "qualifier": qualifier})
-                    node.children.append(expr)
-                    node.children.extend(self._parse_args())
-                    expr = node
-                    continue
-                if expr.kind == "name":
-                    expr = Node("name", {"name": expr.get("name") + "." + seg})
+                elif toks[self.pos][1] == "(":
+                    qualifier = expr.fields.get("name") if expr.kind == "name" else None
+                    expr = Node("method_invocation", {"name": seg, "qualifier": qualifier},
+                                [expr, *self._parse_args()])
+                elif expr.kind == "name":
+                    expr = Node("name", {"name": expr.fields["name"] + "." + seg})
                 else:
-                    node = Node("field_access")
-                    node.children.append(expr)
-                    expr = node
-                continue
-            if t.text == "(" and expr.kind == "name":
-                dotted = expr.get("name")
-                simple = dotted.rsplit(".", 1)
-                name = simple[-1]
-                qualifier = simple[0] if len(simple) > 1 else None
-                node = Node("method_invocation", {"name": name, "qualifier": qualifier})
-                node.children.extend(self._parse_args())
-                expr = node
-                continue
-            if t.text == "(" and expr.kind in ("this_expression", "super_expression"):
-                node = Node("explicit_constructor_invocation",
-                            {"target": "this" if expr.kind == "this_expression" else "super"})
-                node.children.extend(self._parse_args())
-                expr = node
-                continue
-            if t.text == "::":
+                    expr = Node("field_access", {}, [expr])
+            elif text == "(" and expr.kind == "name":
+                qualifier, _, name = expr.fields["name"].rpartition(".")
+                expr = Node("method_invocation", {"name": name, "qualifier": qualifier or None},
+                            self._parse_args())
+            elif text == "(" and expr.kind in ("this_expression", "super_expression"):
+                expr = Node("explicit_constructor_invocation",
+                            {"target": "this" if expr.kind == "this_expression" else "super"},
+                            self._parse_args())
+            elif text == "::":
+                self.pos += 1
+                kind, text = toks[self.pos]
+                ref = "new" if kind == "keyword" and text == "new" else (
+                    text if kind == "identifier" else "")
                 self.eat()
-                ref = "new" if self.at_kw("new") else (
-                    self.tok().text if self.tok().kind == "identifier" else "")
-                self.eat()
-                qualifier = expr.get("name") if expr.kind == "name" else None
-                node = Node("method_reference", {"name": ref, "qualifier": qualifier})
-                node.children.append(expr)
-                expr = node
-                continue
-            if t.text == "[":
-                self.eat()
-                node = Node("array_access")
-                node.children.append(expr)
+                qualifier = expr.fields.get("name") if expr.kind == "name" else None
+                expr = Node("method_reference", {"name": ref, "qualifier": qualifier}, [expr])
+            elif text == "[":
+                self.pos += 1
+                node = Node("array_access", {}, [expr])
                 if not self.at("]"):
                     node.children.append(self.parse_expression())
                 self.accept("]")
                 expr = node
-                continue
-            if t.kind == "op" and t.text in ("++", "--"):
-                self.eat()
-                node = Node("unary_expression")
-                node.children.append(expr)
-                expr = node
-                continue
-            return expr
+            elif kind == "op" and text in ("++", "--"):
+                self.pos += 1
+                expr = Node("unary_expression", {}, [expr])
+            else:
+                return expr
 
     def _parse_primary(self) -> Node:
-        t = self.tok()
-        if t.kind in ("number", "string", "char"):
-            self.eat()
+        kind, text = self.toks[self.pos]
+        if kind in ("number", "string", "char"):
+            self.pos += 1
             return Node("literal")
-        if t.kind == "keyword":
-            if t.text == "new":
-                self.eat()
-                return self._parse_creation()
-            if t.text == "this":
-                self.eat()
-                return Node("this_expression")
-            if t.text == "super":
-                self.eat()
-                return Node("super_expression")
-            if t.text == "switch":
+        if kind == "keyword":
+            if text == "switch":
                 return self._stmt_switch()
-            if t.text in PRIMITIVES:
-                self.eat()
+            self.pos += 1
+            if text == "new":
+                return self._parse_creation()
+            if text == "this":
+                return Node("this_expression")
+            if text == "super":
+                return Node("super_expression")
+            if text in PRIMITIVES:
                 self._skip_dims()
-                return Node("name", {"name": t.text})
+                return Node("name", {"name": text})
             # keyword in expression position: give up gracefully
-            self.eat()
             return Node("error")
-        if t.text == "(":
+        if text == "(":
             lam = self._try_lambda()
             if lam is not None:
                 return lam
-            self.eat()
+            self.pos += 1
             inner = self.parse_expression()
             self.accept(")")
             return inner
-        if t.kind == "identifier":
-            if self.tok(1).text == "->":
-                self.eat()
-                self.eat()
-                node = Node("lambda_expression")
-                node.children.append(self._parse_lambda_body())
-                return node
-            self.eat()
-            return Node("name", {"name": t.text})
-        if t.text == "@":
+        if kind == "identifier":
+            self.pos += 1
+            if self.toks[self.pos][1] == "->":
+                self.pos += 1
+                return Node("lambda_expression", {}, [self._parse_lambda_body()])
+            return Node("name", {"name": text})
+        if text == "@":
             return self._parse_annotation()
-        if t.text == "{":
+        if text == "{":
             return self._parse_array_initializer()
         self.eat()
         return Node("error")
 
     def _try_lambda(self) -> Node | None:
+        toks = self.toks
         depth = 0
         i = self.pos
         budget = 512
         while budget:
             budget -= 1
-            text = self.toks[i].text
+            kind, text = toks[i]
             if text == "(":
                 depth += 1
             elif text == ")":
                 depth -= 1
                 if depth == 0:
                     break
-            elif text in (";", "{", "}") or self.toks[i].kind == "eof":
+            elif text in (";", "{", "}") or kind == "eof":
                 return None
             i += 1
-        if depth != 0 or self.toks[i + 1].text != "->":
+        if depth != 0 or toks[i + 1][1] != "->":
             return None
         node = Node("lambda_expression")
         # Inferred parameters are names between commas: (), (a), (a, b).
-        inner = self.toks[self.pos + 1:i]
+        inner = toks[self.pos + 1:i]
         if (not inner or len(inner) % 2 == 1) and all(
-                t.kind == "identifier" if k % 2 == 0 else t.text == ","
+                t[0] == "identifier" if k % 2 == 0 else t[1] == ","
                 for k, t in enumerate(inner)):
             self.pos = i + 1
         else:
@@ -1141,15 +1135,20 @@ class _Parser:
         """``item()`` results, separated by ``sep`` unless it is None, up to
         and including ``close``."""
         items: list[Node] = []
-        while not self.eof() and not self.at(close):
+        toks = self.toks
+        while True:
+            kind, text = toks[self.pos]
+            if text == close:
+                self.pos += 1
+                return items
+            if kind == "eof":
+                return items
             start = self.pos
             items.append(item())
-            if sep is not None:
-                self.accept(sep)
+            if toks[self.pos][1] == sep:
+                self.pos += 1
             if self.pos == start:
                 self.eat()
-        self.accept(close)
-        return items
 
 
 def _named(kind: str, qualified: str) -> Node:

@@ -174,6 +174,7 @@ def evaluate_project(
         # a step's ranking is its delegate's, so it scores and is judged the same
         scores[kind] = [scores[s.delegate][i] for i, s in enumerate(steps)]
         verdicts[kind] = [verdicts[s.delegate][i] for i, s in enumerate(steps)]
+    asof.warn_unresolved()
 
     report = EvalReport(project=test.project, pr_count=len(test_prs))
     for kind in ALL_KINDS:

@@ -163,6 +163,8 @@ class AsOf:
         self.commits = sorted(store.commits, key=lambda c: c.authored_at)
         self.prs = sorted(prs, key=lambda p: (p.opened_at, p.id))
         self._pr_vectors: dict[int, list[int]] = {}
+        # (PR id, path) of each changed file no vector backed, in query order
+        self.unresolved: list[tuple[int, str]] = []
 
     # --- sweeps ----------------------------------------------------------------
 
@@ -287,21 +289,30 @@ class AsOf:
         return self._snapshots.at(pr.opened_at).get(path)
 
     def pr_vector(self, pr: PullRequest) -> list[int]:
-        """Aggregate KU vector over a PR's changed Java files, memoised by id."""
+        """Aggregate KU vector over a PR's changed Java files, memoised by id.
+
+        A file that no vector backs adds nothing and is recorded in
+        ``unresolved``, for :meth:`warn_unresolved`.
+        """
         total = self._pr_vectors.get(pr.id)
         if total is None:
             total = [0] * KU_COUNT
             for path in pr.changed_java_files():
                 vector = self.file_vector(pr, path)
                 if vector is None:
-                    log.warning(
-                        "PR %s: no content resolvable for %s; skipped", pr.id, path
-                    )
+                    self.unresolved.append((pr.id, path))
                     continue
                 for k, count in enumerate(vector):
                     total[k] += count
             self._pr_vectors[pr.id] = total
         return total
+
+    def warn_unresolved(self) -> None:
+        """Log the PR files skipped so far as one warning: their count and
+        the first (PR, path)."""
+        if self.unresolved:
+            log.warning("PR files with no content resolvable, skipped: %d (first: PR %s, %s)",
+                        len(self.unresolved), *self.unresolved[0])
 
     def development(self, cutoff: datetime | None) -> Expertise:
         """Occurrences per author over commits strictly before the cutoff."""
@@ -329,7 +340,10 @@ def resolve_pr_file_vector(
 
 def pr_ku_vector(store: KuStore, pr: PullRequest) -> list[int]:
     """Aggregate KU vector over a PR's changed Java files."""
-    return AsOf(store).pr_vector(pr)
+    asof = AsOf(store)
+    vector = asof.pr_vector(pr)
+    asof.warn_unresolved()
+    return vector
 
 
 def rev_exp_matrix(
@@ -342,7 +356,10 @@ def rev_exp_matrix(
     # Later PRs could not count; indexing them would only resolve (and warn
     # about) their files.
     prior = [p for p in prs.prs if cutoff is None or p.opened_at < cutoff]
-    return AsOf(store, prior).review(cutoff)
+    asof = AsOf(store, prior)
+    review = asof.review(cutoff)
+    asof.warn_unresolved()
+    return review
 
 
 def global_ku_profiles(store: KuStore) -> Expertise:

@@ -2,13 +2,15 @@
 
     python3 tests/frontend_diff.py PARENT_SRC CHANGE_SRC [--mutations N] [--seed S]
 
-Each ``src/`` tree runs in its own subprocess: ``parse_java`` feeds the
-detector's event collector, and ``detect_capabilities`` counts evidence.
+Each ``src/`` tree runs in its own subprocess: ``tokenize`` gives the
+token stream, ``parse_java`` feeds the detector's event collector, and
+``detect_capabilities`` counts evidence.
 The inputs are the files of ``tests/fixtures/ku_corpus`` and
 ``perfbench/corpus`` plus N one-token mutations of them (a token deleted,
 duplicated or swapped with the next one), drawn with seed S. Every input
-whose nonzero capability counts or whose events (category, keywords, name,
-qualified; compared as a multiset) differ is printed with what differs.
+whose tokens (kind, text), nonzero capability counts or events (category,
+keywords, name, qualified; compared as a multiset) differ is printed with
+what differs.
 The last line counts the differing inputs; the exit status is 1 when
 there are any, as with diff(1).
 
@@ -18,6 +20,7 @@ Only the standard library is used, so the script runs against any tree.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import random
 import re
@@ -81,11 +84,16 @@ def inputs(n_mutations: int, seed: int) -> list[tuple[str, str]]:
 
 
 def _front_end(source: str) -> dict:
-    """What the front end makes of ``source``: capability counts and
-    events, or the error each raised."""
+    """What the front end makes of ``source``: tokens, capability counts
+    and events, or the error each raised."""
     from kurev.detector import _Collector, detect_capabilities, parse_java
+    from kurev.javaparse.lexer import tokenize
 
     result = {}
+    try:
+        result["tokens"] = [[kind, text] for kind, text in tokenize(source)]
+    except Exception as exc:  # noqa: BLE001 - an error is an outcome to compare
+        result["tokens"] = f"{type(exc).__name__}: {exc}"
     try:
         result["caps"] = {cap.label: n for cap, n in sorted(
             detect_capabilities(source).items()) if n}
@@ -119,8 +127,24 @@ def _event_text(event: str) -> str:
     return f"{category} {{{', '.join(keywords)}}} {name} {qualified}"
 
 
+def _token_text(tokens: list) -> str:
+    return " ".join(f"{kind} {text!r}" for kind, text in tokens) or "nothing"
+
+
 def describe(parent: dict, change: dict) -> list[str]:
     lines = []
+    a, b = parent["tokens"], change["tokens"]
+    if a != b:
+        if isinstance(a, str) or isinstance(b, str):
+            lines.append(f"  tokens: {a if isinstance(a, str) else len(a)} -> "
+                         f"{b if isinstance(b, str) else len(b)}")
+        else:
+            matcher = difflib.SequenceMatcher(
+                None, list(map(tuple, a)), list(map(tuple, b)), autojunk=False)
+            for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+                if tag != "equal":
+                    lines.append(f"  token {i1}: {_token_text(a[i1:i2])} -> "
+                                 f"{_token_text(b[j1:j2])}")
     a, b = parent["caps"], change["caps"]
     if a != b:
         if isinstance(a, str) or isinstance(b, str):

@@ -36,3 +36,19 @@ def test_a_changed_rule_shows_in_the_files_it_counts(tmp_path):
     assert "tests/fixtures/ku_corpus/K09.java" in lines
     assert any(line.startswith("  capabilities: [K10,C1] ") for line in lines)
     assert lines[-1].endswith("of 56 inputs differ (0 mutations, seed 20)")
+
+
+def test_a_changed_token_rule_shows_as_a_token_diff(tmp_path):
+    change = tmp_path / "src"
+    shutil.copytree(SRC, change, ignore=shutil.ignore_patterns("__pycache__"))
+    lexer_path = change / "kurev" / "javaparse" / "lexer.py"
+    text = lexer_path.read_text(encoding="utf-8")
+    assert text.count(" assert ") == 1
+    # without it in the keyword list, `assert` lexes as an identifier
+    lexer_path.write_text(text.replace(" assert ", " "), encoding="utf-8")
+    done = run(SRC, change)
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert "tests/fixtures/ku_corpus/K11.java" in lines
+    token_diff = ": keyword 'assert' -> identifier 'assert'"
+    assert any(line.startswith("  token ") and line.endswith(token_diff) for line in lines)

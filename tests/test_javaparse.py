@@ -9,7 +9,7 @@ from kurev.errors import ParseError
 from kurev.javaparse import parse_java
 from kurev.javaparse.lexer import KEYWORDS, tokenize
 from kurev.javaparse.nodes import Node
-from kurev.javaparse.parser import BINARY_LEVELS, MAX_DEPTH, _Parser
+from kurev.javaparse.parser import ASSIGN_OPS, BINARY_LEVELS, MAX_DEPTH, _Parser
 
 CORPUS = Path(__file__).parent / "fixtures" / "ku_corpus"
 
@@ -250,8 +250,8 @@ def test_text_block_and_string_escapes():
 
 
 def test_lexer_numbers():
-    toks = [t for t in tokenize("1_000 0x1F 1.5e-3 2f 3. x.y") if t.kind == "number"]
-    assert [t.text for t in toks] == ["1_000", "0x1F", "1.5e-3", "2f", "3"]
+    numbers = [text for kind, text in tokenize("1_000 0x1F 1.5e-3 2f 3. x.y") if kind == "number"]
+    assert numbers == ["1_000", "0x1F", "1.5e-3", "2f", "3"]
 
 
 # (source, expected tokens before eof as (kind, text)), written by
@@ -279,18 +279,36 @@ LEXER_CASES = [
     ("0XFE-x", [("number", "0XFE"), ("op", "-"), ("identifier", "x")]),
     ("a>>>=b", [("identifier", "a"), ("op", ">>>="), ("identifier", "b")]),
     ("a...b", [("identifier", "a"), ("op", "..."), ("identifier", "b")]),
+    ("a..b", [("identifier", "a"), ("punct", "."), ("punct", "."), ("identifier", "b")]),
+    ("a....b", [("identifier", "a"), ("op", "..."), ("punct", "."), ("identifier", "b")]),
+    ("x.5", [("identifier", "x"), ("number", ".5")]),
     ("A::b", [("identifier", "A"), ("op", "::"), ("identifier", "b")]),
     ("$x", [("identifier", "$x")]),
     ("café", [("identifier", "café")]),
     # A letter number (category Nl) starts an identifier, as in Java.
     ("Ⅻx", [("identifier", "Ⅻx")]),
+    # Layout (whitespace and comments) gives no token, wherever it is.
+    ("a\n", [("identifier", "a")]),
+    ("a // c", [("identifier", "a")]),
+    ("a//c", [("identifier", "a")]),
+    ("/* c */\n", []),
+    ("// c", []),
+    (" \t\n", []),
+    ("", []),
+    ("a/**/b", [("identifier", "a"), ("identifier", "b")]),
+    ("1./**/x", [("number", "1"), ("punct", "."), ("identifier", "x")]),
+    ("a\r\nb\r\n", [("identifier", "a"), ("identifier", "b")]),
+    ("a //c\r\nb", [("identifier", "a"), ("identifier", "b")]),
+    ('"a\r\nb', [("string", '"a\r'), ("identifier", "b")]),
+    # Python's \s: a no-break space and a line separator are whitespace.
+    ("a\u00a0b", [("identifier", "a"), ("identifier", "b")]),
+    ("a\u2028b", [("identifier", "a"), ("identifier", "b")]),
 ]
 
 
 @pytest.mark.parametrize("source,expected", LEXER_CASES, ids=[c[0] for c in LEXER_CASES])
 def test_lexer_edge_cases(source, expected):
-    tokens = [(t.kind, t.text) for t in tokenize(source)]
-    assert tokens == expected + [("eof", "")]
+    assert [(kind, text) for kind, text in tokenize(source)] == expected + [("eof", "")]
 
 
 def test_interface_and_record():
@@ -344,21 +362,21 @@ class _LevelParser(_Parser):
         ops = BINARY_LEVELS[level]
         left = self._parse_binary(level + 1)
         while True:
-            t = self.tok()
-            if t.is_kw("instanceof") and "instanceof" in ops:
+            kind, text = self.tok()
+            if (kind, text) == ("keyword", "instanceof") and "instanceof" in ops:
                 self.eat()
                 node = Node("instanceof_expression")
                 node.children.append(left)
                 itype = self._parse_type()
                 if itype is not None:
                     node.children.append(itype)
-                    if self.tok().kind == "identifier":  # pattern binding
+                    if self.tok()[0] == "identifier":  # pattern binding
                         self.eat()
                 left = node
                 continue
-            if t.kind == "op" and t.text in ops and t.text != "instanceof":
+            if kind == "op" and text in ops and text != "instanceof":
                 self.eat()
-                node = Node("binary_expression", {"op": t.text})
+                node = Node("binary_expression", {"op": text})
                 node.children.append(left)
                 node.children.append(self._parse_binary(level + 1))
                 left = node
@@ -418,3 +436,45 @@ def test_binary_chains_equal_level_by_level_descent():
         climbing = _Parser(tokenize(src)).parse_compilation_unit()
         levels = _LevelParser(tokenize(src)).parse_compilation_unit()
         assert climbing == levels, expr
+
+
+# --- lone names and literals: every expression level, kept as the reference --
+
+
+class _FullChainParser(_Parser):
+    """The parser with every expression read through all of its levels,
+    without the shortcut that builds a lone name or literal directly."""
+
+    def parse_expression(self) -> Node:
+        if self.depth >= MAX_DEPTH:
+            return self._too_deep()
+        self.depth += 1
+        node = self._parse_ternary()
+        kind, text = self.tok()
+        if kind == "op" and text in ASSIGN_OPS:
+            self.eat()
+            node = Node("assignment_expression", {}, [node, self.parse_expression()])
+        self.depth -= 1
+        return node
+
+
+def _leaf_shapes(levels: int) -> list[str]:
+    """Lone names and literals at the innermost of ``levels`` nestings."""
+    return [
+        "class C { int x = " + "f(" * levels + "a, 1, \"s\", 'c'" + ")" * levels + "; }",
+        "class C { int[] x = " + "{" * levels + "a, 2" + "}" * levels + "; }",
+        "class C { int x = " + "a ? " * levels + "b" + " : c" * levels + "; }",
+        "class C { void m() { " + "{ " * levels + "y = a; g(b); return c;" + " }" * levels
+        + " } }",
+        "class C { void m() { " + "if (x) " * levels + "y = z[i];" + " } }",
+    ]
+
+
+@pytest.mark.parametrize("levels", [1, 31, 32, 33, 47, 48, 94, 95, 96, 97, 98, 99, 100])
+def test_lone_names_and_literals_equal_the_full_expression_chain(levels):
+    sources = _leaf_shapes(levels) + [
+        path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.java"))
+    ]
+    for src in sources:
+        shortcut = _Parser(tokenize(src)).parse_compilation_unit()
+        assert shortcut == _FullChainParser(tokenize(src)).parse_compilation_unit(), src[:60]

@@ -83,7 +83,7 @@ class KMeans:
     """Lloyd's algorithm with seeded k-means++ initialization.
 
     ``sq_matrix`` is the points' n×n squared distance matrix, as
-    ``select_k`` builds it once for every K; without it seeding builds it.
+    ``select_k`` builds it once for every K; without it ``fit`` builds it.
     """
 
     def __init__(self, n_clusters: int, seed: int = 0, max_iter: int = 300):
@@ -93,22 +93,24 @@ class KMeans:
 
     def _init_centers(
         self, X: np.ndarray, rng: np.random.Generator, sq_matrix=None
-    ) -> np.ndarray:
+    ) -> list:
+        """k-means++ seeding; returns the row indices of the chosen centres."""
         n = X.shape[0]
         if sq_matrix is None:
             sq_matrix = _sq_distance_matrix(X)
-        # k-means++ centres are rows of X, so their distances are columns
+        # the matrix is exactly symmetric, so a centre's distances are its
+        # contiguous row
         chosen = [rng.integers(n)]
         d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
         for _ in range(1, self.n_clusters):
-            d2 = np.minimum(d2, sq_matrix[:, chosen[-1]])
+            d2 = np.minimum(d2, sq_matrix[chosen[-1]])
             total = d2.sum()
             if total <= 0:
                 chosen.append(rng.integers(n))
                 continue
             probs = d2 / total
             chosen.append(rng.choice(n, p=probs))
-        return X[chosen]
+        return chosen
 
     def fit(self, data, sq_matrix=None) -> "KMeans":
         X = np.asarray(data, dtype=float)
@@ -116,12 +118,14 @@ class KMeans:
         k = self.n_clusters
         if not 1 <= k <= n:
             raise ValueError(f"n_clusters={k} outside 1..{n}")
-        rng = np.random.default_rng(self.seed)
-        centers = self._init_centers(X, rng, sq_matrix)
+        if sq_matrix is None:
+            sq_matrix = _sq_distance_matrix(X)
+        rows = self._init_centers(X, np.random.default_rng(self.seed), sq_matrix)
+        centers = X[rows]
         # d2 holds the distances to `assigned`, the centres before this step's
-        # repairs and mean updates; each step recomputes only the columns of
-        # the centres that either of those moved
-        d2 = _sq_dists(X, centers)
+        # repairs and mean updates: first the seeded rows' matrix columns, then
+        # each step recomputes only the columns of the centres that moved
+        d2 = sq_matrix[:, rows]
         assigned = centers.copy()
         labels = np.zeros(n, dtype=int)
         self.inertia_history_: list[float] = []
@@ -154,8 +158,15 @@ class KMeans:
             stale[labels[switched]] = True
             stale[new_labels[switched]] = True
             labels = new_labels
-            for c in np.flatnonzero(stale & (counts > 0)):
-                centers[c] = X[labels == c].mean(axis=0)
+            update = np.flatnonzero(stale & (counts > 0))
+            if len(update):
+                # a stable sort keeps each cluster's rows in index order, so
+                # its sum adds what a boolean mask would, in the same order
+                Xs = X[np.argsort(labels, kind="stable")]
+                starts = np.cumsum(counts) - counts
+                for c in update:
+                    members = Xs[starts[c] : starts[c] + counts[c]]
+                    centers[c] = np.add.reduce(members, axis=0) / counts[c]
             if converged:
                 break
         self.labels_ = labels
@@ -177,12 +188,14 @@ def median_silhouette(data, labels, dists=None) -> float:
     if dists is None:
         dists = _distance_matrix(X)
     sizes = np.bincount(own)
-    # sums[i, c] adds point i's distances to cluster c in index order.
-    # np.take copies the columns C-contiguous, so each row sums as a 1-D sum
-    # would; an F-ordered copy (fancy or boolean indexing) adds in another
-    # order, and the last bit would differ.
-    sums = np.column_stack([np.take(dists, np.flatnonzero(own == c), axis=1).sum(axis=1)
-                            for c in range(len(uniq))])
+    # sums[i, c] adds point i's distances to cluster c in index order. One
+    # np.take of the columns in stable cluster order copies them C-contiguous,
+    # so each row's run of a cluster's columns sums as a 1-D sum would; an
+    # F-ordered copy (fancy or boolean indexing) adds in another order.
+    grouped = np.take(dists, np.argsort(own, kind="stable"), axis=1)
+    ends = np.cumsum(sizes)
+    sums = np.column_stack([grouped[:, end - size : end].sum(axis=1)
+                            for size, end in zip(sizes, ends)])
     rows = np.arange(len(X))
     own_size = sizes[own]
     a = sums[rows, own] / np.maximum(own_size - 1, 1)

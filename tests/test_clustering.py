@@ -257,7 +257,7 @@ def naive_fit(X, n_clusters, seed, max_iter=300):
     """
     n = X.shape[0]
     rng = np.random.default_rng(seed)
-    centers = KMeans(n_clusters)._init_centers(X, rng)
+    centers = X[KMeans(n_clusters)._init_centers(X, rng)]
     labels = np.zeros(n, dtype=int)
     history = []
     repairs = 0
@@ -345,7 +345,7 @@ def test_silhouette_oracle_covers_singletons_and_duplicates():
 def test_kmeans_seeding_equals_all_centres_oracle():
     for case, (X, _) in enumerate(random_cases(300, seed=43)):
         k = 1 + case % len(X)
-        got = KMeans(k)._init_centers(X, np.random.default_rng(case))
+        got = X[KMeans(k)._init_centers(X, np.random.default_rng(case))]
         want = naive_init_centers(X, k, np.random.default_rng(case))
         assert np.array_equal(got, want)
 
@@ -404,21 +404,22 @@ def test_kmeans_seeding_from_the_squared_matrix_equals_all_centres_oracle():
     for case, (X, _) in enumerate(random_cases(300, seed=73)):
         k = 1 + case % len(X)
         sq = _sq_distance_matrix(X)
-        got = KMeans(k)._init_centers(X, np.random.default_rng(case), sq)
+        got = X[KMeans(k)._init_centers(X, np.random.default_rng(case), sq)]
         want = naive_init_centers(X, k, np.random.default_rng(case))
         assert np.array_equal(got, want)
 
 
-def test_kmeans_repair_that_empties_a_later_cluster_equals_oracle(monkeypatch):
-    # seeds 7, 7, -2, -1 over points 0, 5, -3, -3: in the second iteration
-    # cluster 0 is empty, its repair takes point 0 out of cluster 3, and that
-    # cluster is then repaired with the same point (cluster 0 stays empty)
-    start = np.array([[7.0], [7.0], [-2.0], [-1.0]])
-    monkeypatch.setattr(KMeans, "_init_centers", lambda self, X, rng, sq_matrix=None: start.copy())
-    X = np.array([[0.0], [5.0], [-3.0], [-3.0]])
-    model = KMeans(4).fit(X)
-    labels, centers, history, inertia, repairs = naive_fit(X, 4, 0)
-    assert repairs == 3
+def test_kmeans_repair_that_empties_a_later_cluster_equals_oracle():
+    # seed 473 picks -5.4, 1.1, -2.9, -6.7, -6.7; the mean of cluster 0's
+    # -5.4s comes out as -5.3999999999999995, so in the third step they all
+    # join cluster 4, whose centre is -5.4 exactly, and cluster 0 is empty.
+    # Its repair takes point 0 out of cluster 2, and that cluster is then
+    # repaired with the same point (cluster 0 stays empty).
+    X = np.array([-2.9, -5.4, -5.4, -5.4, 1.1, -5.4, -5.4, -6.7, -5.4, -5.4])[:, None]
+    model = KMeans(5, seed=473, max_iter=3).fit(X)
+    labels, centers, history, inertia, repairs = naive_fit(X, 5, 473, max_iter=3)
+    assert repairs == 4
+    assert 0 not in labels
     assert np.array_equal(model.labels_, labels)
     assert np.array_equal(model.cluster_centers_, centers)
     assert model.inertia_history_ == history and model.inertia_ == inertia
@@ -440,6 +441,24 @@ def test_select_k_equals_per_k_oracle():
             assert result.k == k
             assert np.array_equal(result.labels, labels)
             assert result.median_silhouette == dict(curve)[k]
+
+
+def test_select_k_equals_per_k_oracle_at_the_team_shape():
+    # the team benchmark clusters 150 profiles in 18 PCA dimensions with
+    # k_max=50. 150 draws from 40 integer rows leave fewer distinct points
+    # than the largest K, so seeding repeats points, empty clusters get
+    # repaired, and rows drawn once can end up alone in their cluster.
+    rng = np.random.default_rng(83)
+    groups = rng.standard_normal((7, 18)) * 2
+    pool = np.round(groups[rng.integers(7, size=40)] + 0.5 * rng.standard_normal((40, 18)))
+    X = pool[rng.integers(40, size=150)]
+    result = select_k(X, k_max=50, seed=1)
+    k, labels, curve = naive_select_k(X, 50, 0.90, 1)
+    assert result.curve == curve
+    assert result.k == k
+    assert np.array_equal(result.labels, labels)
+    assert naive_fit(X, 50, (1000003 + 50) % 2**32)[4] > 0  # repairs
+    assert (np.bincount(labels) == 1).any()  # singletons
 
 
 def test_median_silhouette_with_precomputed_matrix_equals_without():

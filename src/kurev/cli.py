@@ -83,7 +83,8 @@ def cli(verbose: bool) -> None:
 def detect(source: Path, catalog: Path | None, capabilities: bool) -> None:
     """Print the 28-entry KU vector for one Java source file."""
     cat = load_catalog(catalog)
-    hits = detect_capabilities(source.read_text(encoding="utf-8"), cat)
+    # decoded as mining decodes a blob, so both give one file the same vector
+    hits = detect_capabilities(source.read_bytes().decode("utf-8", "replace"), cat)
     record: dict = {
         "file": str(source),
         "ku_vector": ku_vector_from_hits(hits),

@@ -160,9 +160,10 @@ class KMeans:
             labels = new_labels
             update = np.flatnonzero(stale & (counts > 0))
             if len(update):
-                # a stable sort keeps each cluster's rows in index order, so
-                # its sum adds what a boolean mask would, in the same order
-                Xs = X[np.argsort(labels, kind="stable")]
+                # sorting the unique keys label·n + index keeps each cluster's
+                # rows in index order, so its sum adds what a boolean mask
+                # would, in the same order
+                Xs = X[np.argsort(labels * n + np.arange(n))]
                 starts = np.cumsum(counts) - counts
                 for c in update:
                     members = Xs[starts[c] : starts[c] + counts[c]]
@@ -188,15 +189,16 @@ def median_silhouette(data, labels, dists=None) -> float:
     if dists is None:
         dists = _distance_matrix(X)
     sizes = np.bincount(own)
+    rows = np.arange(len(X))
     # sums[i, c] adds point i's distances to cluster c in index order. One
-    # np.take of the columns in stable cluster order copies them C-contiguous,
-    # so each row's run of a cluster's columns sums as a 1-D sum would; an
-    # F-ordered copy (fancy or boolean indexing) adds in another order.
-    grouped = np.take(dists, np.argsort(own, kind="stable"), axis=1)
+    # np.take of the columns sorted by the unique keys cluster·n + index
+    # copies them C-contiguous, so each row's run of a cluster's columns sums
+    # as a 1-D sum would; an F-ordered copy (fancy or boolean indexing) adds
+    # in another order.
+    grouped = np.take(dists, np.argsort(own * len(X) + rows), axis=1)
     ends = np.cumsum(sizes)
     sums = np.column_stack([grouped[:, end - size : end].sum(axis=1)
                             for size, end in zip(sizes, ends)])
-    rows = np.arange(len(X))
     own_size = sizes[own]
     a = sums[rows, own] / np.maximum(own_size - 1, 1)
     means = sums / sizes

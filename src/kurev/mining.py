@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 import subprocess
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -62,9 +61,11 @@ class CommitRecord:
         )
 
 
-def _git(repo_path: str | Path, *args: str) -> bytes:
+def _git(repo_path: str | Path, *args: str, stdin: bytes | None = None) -> bytes:
+    """Standard output of one git command, fed ``stdin`` if given."""
     proc = subprocess.run(
         ["git", "-C", str(repo_path), *args],
+        input=stdin,
         capture_output=True,
     )
     if proc.returncode != 0:
@@ -151,8 +152,8 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
 def read_file_at(repo_path: str | Path, commit: str, path: str) -> bytes:
     """Raw bytes of ``path`` in the tree at ``commit``, one ``git show`` each.
 
-    :func:`build_ku_store` reads blobs through one ``git cat-file --batch``
-    process instead; this is the per-file reference reader.
+    :func:`build_ku_store` reads blobs in batches through :func:`_read_blobs`
+    instead; this is the per-file reference reader.
     """
     try:
         return _git(repo_path, "show", f"{commit}:{path}")
@@ -216,93 +217,55 @@ class KuStore:
         return cls(commits, vectors)
 
 
-class _VectorCache:
-    """Content-addressed KU-vector cache keyed by (detection key, blob id).
+def _load_cache(path: Path | None, key: str) -> dict[str, list[int] | None]:
+    """Cached verdicts under detection key ``key``, by blob id.
 
-    A git blob id is a hash of the file's content, so a hit needs no read.
-    Each record holds a blob id, the detection key (field ``catalog``) and
-    the verdict, an unparseable file's None included.
+    A git blob id hashes the file's content, so a hit needs no read. A
+    record holds a blob id, the detection key (field ``catalog``) and the
+    verdict, an unparseable file's None included.
     """
-
-    def __init__(self, path: Path | None, key: str):
-        self.path = path
-        self.key = key
-        self.entries: dict[str, list[int] | None] = {}
-        self.dirty = False
-        if path is not None and path.exists():
-            try:
-                for rec in read_jsonl(path):
-                    if rec["catalog"] == key:
-                        self.entries[rec["blob"]] = rec["vector"]
-            except (ValueError, KeyError, TypeError):
-                log.warning("corrupt KU cache at %s; rebuilding", path)
-                self.entries = {}
-
-    def get(self, blob: str):
-        return self.entries.get(blob, _MISS)
-
-    def put(self, blob: str, vector: list[int] | None) -> None:
-        self.entries[blob] = vector
-        self.dirty = True
-
-    def flush(self) -> None:
-        if self.path is None or not self.dirty:
-            return
-        write_jsonl(
-            self.path,
-            (
-                {"blob": b, "catalog": self.key, "vector": v}
-                for b, v in sorted(self.entries.items())
-            ),
-        )
-
-
-_MISS = object()
-
-
-@contextmanager
-def _cat_file(repo_path: str | Path) -> Iterator[subprocess.Popen]:
-    """One ``git cat-file --batch`` process to pass to :func:`_read_blob`.
-
-    Leaving the block closes its pipes and waits for it; an exception
-    kills it first, so no git process outlives a failed run.
-    """
-    with subprocess.Popen(
-        ["git", "-C", str(repo_path), "cat-file", "--batch"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-    ) as proc:
-        try:
-            yield proc
-        except BaseException:
-            proc.kill()
-            with suppress(OSError):  # a request left in the buffer of a dead pipe
-                proc.stdin.close()
-            raise
-
-
-def _read_blob(proc: subprocess.Popen, blob: str) -> bytes | None:
-    """Content of ``blob``, or None when git has no blob by that id.
-
-    Sends one request and reads its whole answer before returning, so
-    neither pipe can fill up and one blob at a time is held in memory.
-    """
+    if path is None or not path.exists():
+        return {}
     try:
-        proc.stdin.write(blob.encode("ascii") + b"\n")
-        proc.stdin.flush()
-    except OSError as exc:  # git has exited
-        raise RepositoryError(f"git cat-file --batch exited before {blob}") from exc
-    header = proc.stdout.readline().split()
-    if header[1:] == [b"missing"]:
-        return None
-    if len(header) != 3:
-        raise RepositoryError(f"git cat-file --batch gave no answer for {blob}")
-    size = int(header[2])
-    data = proc.stdout.read(size + 1)  # the content, then a newline
-    if len(data) != size + 1:
-        raise RepositoryError(f"git cat-file --batch exited while sending {blob}")
-    return data[:-1] if header[1] == b"blob" else None
+        return {rec["blob"]: rec["vector"] for rec in read_jsonl(path) if rec["catalog"] == key}
+    except (ValueError, KeyError, TypeError):
+        log.warning("corrupt KU cache at %s; rebuilding", path)
+        return {}
+
+
+# Blob ids per ``git cat-file --batch`` call; one call's answer is held whole.
+# Cold mines in a fresh process on 2 cores, alternating sizes, the same store
+# each run: ``history`` (280 blobs, 0.47 MB) 0.239-0.244 s at 16, 0.224-0.228
+# at 64, 0.221-0.224 at 256, 0.219-0.222 at 1024, max RSS 23.0-23.7 MB at each;
+# the paper shape (47,850 blobs) 11.43-11.45 s at 64, 10.73-10.77 at 256,
+# 10.61-10.63 at 1024, max RSS 93.9-97.1 MB (one request per blob: 11.31-11.34
+# s, 93.6-95.2 MB). Past 256 a call's start-up no longer shows.
+_BATCH = 256
+
+
+def _read_blobs(repo_path: str | Path, ids: list[str]) -> Iterator[tuple[str, memoryview | None]]:
+    """``(id, content)`` for each of ``ids`` in order, from one ``git cat-file
+    --batch`` per ``_BATCH`` ids; None for an id git has no blob by. A content
+    is a view into its batch's answer, so no blob is copied before decoding.
+    """
+    for first in range(0, len(ids), _BATCH):
+        batch = ids[first : first + _BATCH]
+        out = _git(repo_path, "cat-file", "--batch", stdin="".join(f"{b}\n" for b in batch).encode())
+        view = memoryview(out)
+        pos = 0
+        for blob in batch:
+            # "<id> <type> <size>" LF <content> LF, or "<id> missing" LF
+            eol = out.find(b"\n", pos)
+            header = out[pos:eol].split() if eol >= 0 else []
+            if header[1:] == [b"missing"]:
+                pos = eol + 1
+                yield blob, None
+                continue
+            end = eol + 1 + int(header[2]) if len(header) == 3 else len(out)
+            if end >= len(out):
+                raise RepositoryError(f"git cat-file --batch gave a truncated answer for {blob}")
+            pos = end + 1
+            yield blob, view[eol + 1 : end] if header[1] == b"blob" else None
 
 
 def build_ku_store(
@@ -313,36 +276,42 @@ def build_ku_store(
 ) -> KuStore:
     """Mine the repository and compute a KU vector per changed Java file.
 
-    Records whose blob is in the cache are not read; the others are read
-    through one ``git cat-file --batch`` process. A deleted file, or a
-    blob git cannot produce, gets a None vector.
+    Each distinct blob the cache lacks is read once, in batches through
+    :func:`_read_blobs`, and detected once. A deleted file, or a blob git
+    cannot produce, gets a None vector and no cache record.
     """
     if catalog is None:
         catalog = load_catalog()
     commits = mine_commits(repo_path, all_commits=all_commits)
-    cache = _VectorCache(
-        Path(cache_path) if cache_path is not None else None, detection_key(catalog)
-    )
+    cache_file = Path(cache_path) if cache_path is not None else None
+    key = detection_key(catalog)
+    verdicts = _load_cache(cache_file, key)
+    cached = len(verdicts)
 
-    vectors: dict[tuple[str, str], list[int] | None] = {}
-    with _cat_file(repo_path) as reader:
-        for commit in commits:
-            for path, blob in zip(commit.changed_java_files, commit.blob_ids):
-                vector = cache.get(blob)
-                if vector is _MISS:
-                    deleted = not blob.strip("0")  # the all-zero id
-                    data = None if deleted else _read_blob(reader, blob)
-                    if data is None:  # no KU credit, and nothing to cache
-                        vectors[(commit.hash, path)] = None
-                        continue
-                    try:
-                        vector = detect_kus(data.decode("utf-8", "replace"), catalog)
-                    except ParseError:
-                        log.warning("unparseable %s at %s", path, commit.hash[:12])
-                        vector = None
-                    cache.put(blob, vector)
-                vectors[(commit.hash, path)] = vector
-    cache.flush()
-    store = KuStore(commits, vectors)
+    # each missed blob's first (path, commit), for the warning; the
+    # all-zero id is a deleted file's
+    missed: dict[str, tuple[str, str]] = {}
+    for commit in commits:
+        for path, blob in zip(commit.changed_java_files, commit.blob_ids):
+            if blob not in verdicts and blob not in missed and blob.strip("0"):
+                missed[blob] = (path, commit.hash)
+    for blob, data in _read_blobs(repo_path, list(missed)):
+        if data is None:
+            continue
+        try:
+            verdicts[blob] = detect_kus(str(data, "utf-8", "replace"), catalog)
+        except ParseError:
+            path, sha = missed[blob]
+            log.warning("unparseable %s at %s", path, sha[:12])
+            verdicts[blob] = None
+
+    if cache_file is not None and len(verdicts) > cached:
+        records = ({"blob": b, "catalog": key, "vector": v} for b, v in sorted(verdicts.items()))
+        write_jsonl(cache_file, records)
+    store = KuStore(commits, {
+        (commit.hash, path): verdicts.get(blob)
+        for commit in commits
+        for path, blob in zip(commit.changed_java_files, commit.blob_ids)
+    })
     store.validate()
     return store

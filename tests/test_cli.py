@@ -10,7 +10,7 @@ import pytest
 from kurev import cli
 from kurev.cli import main
 from kurev.detector import detect_kus
-from kurev.mining import KuStore
+from kurev.mining import KuStore, build_ku_store
 from kurev.pipeline import run_base_recommenders
 from kurev.prstore import filter_prs, load_prs
 from kurev.recommenders import KIND_ORDER
@@ -55,6 +55,16 @@ def test_detect_on_files_nested_2000_levels_deep(tmp_path, capsys):
         assert main(["detect", str(path)]) == 0, name
         record = json.loads(capsys.readouterr().out)
         assert record["ku_vector"] == detect_kus(src), name
+
+
+def test_detect_gives_the_vector_mining_gives_a_latin_1_file(scratch_repo, capsys):
+    source = b"class A { void f() { for (;;) { } } } // caf\xe9\n"  # not UTF-8
+    scratch_repo.write("A.java", source)
+    scratch_repo.commit("latin-1 comment")
+    (mined_vector,) = build_ku_store(scratch_repo.root).vectors.values()
+    assert mined_vector[3] == 1  # K4 Loop
+    assert main(["detect", str(scratch_repo.root / "A.java")]) == 0
+    assert json.loads(capsys.readouterr().out)["ku_vector"] == mined_vector
 
 
 def test_prs_validate_filter_split(mined, tmp_path, capsys):

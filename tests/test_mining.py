@@ -325,16 +325,45 @@ def test_store_equals_naive_reader_across_merge_delete_readd(
     assert len(detections) == 4
 
 
+def cat_file_requests(monkeypatch):
+    """Wrap ``kurev.mining._git`` to record the ids each cat-file call asks for."""
+    requests = []
+    git = mining._git
+
+    def spy(repo_path, *args, stdin=None):
+        if "cat-file" in args:
+            requests.append(stdin.decode().split())
+        return git(repo_path, *args, stdin=stdin)
+
+    monkeypatch.setattr(mining, "_git", spy)
+    return requests
+
+
 def test_warm_rebuild_reads_no_blob(scratch_repo, tmp_path, monkeypatch):
     repo = history_repo(scratch_repo)
     cache = tmp_path / "cache.jsonl"
-    reads = count_calls(monkeypatch, "_read_blob")
+    reads = count_calls(monkeypatch, "_read_blobs")
+    requests = cat_file_requests(monkeypatch)
     cold = build_ku_store(repo.root, cache_path=cache)
-    assert len(reads) == 4  # the deletion is not read; repeated blobs once
+    # the deletion is not read; repeated blobs once
+    assert sum(len(ids) for _, ids in reads) == 4
     reads.clear()
+    requests.clear()
     warm = build_ku_store(repo.root, cache_path=cache)
-    assert reads == []
+    assert sum(len(ids) for _, ids in reads) == 0
+    assert requests == []  # no cat-file process at all
     assert warm.vectors == cold.vectors
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_batched_reads_equal_naive_reader(scratch_repo, monkeypatch, batch):
+    repo = history_repo(scratch_repo)
+    monkeypatch.setattr(mining, "_BATCH", batch)
+    requests = cat_file_requests(monkeypatch)
+    store = build_ku_store(repo.root)
+    monkeypatch.undo()
+    assert store.vectors == naive_vectors(repo.root)
+    assert [len(ids) for ids in requests] == [batch] * (4 // batch)
 
 
 def test_content_hash_cache_entries_are_misses(scratch_repo, tmp_path, monkeypatch):
@@ -429,18 +458,52 @@ def test_missing_blob_gets_null_vector(scratch_repo):
     assert store.vectors == {(sha, "a.java"): None, (sha, "c.java"): detect_kus(JAVA_C)}
 
 
+def test_missing_blob_named_twice_is_requested_once(scratch_repo, monkeypatch):
+    repo = scratch_repo
+    repo.write("a.java", JAVA_A)
+    repo.commit("add a")
+    repo.write("copy.java", JAVA_A)  # the same blob under a second path
+    repo.write("c.java", JAVA_C)
+    repo.commit("copy a, add c")
+    blob = subprocess.run(
+        ["git", "-C", str(repo.root), "rev-parse", "HEAD:a.java"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    (repo.root / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
+    requests = cat_file_requests(monkeypatch)
+    store = finishes(build_ku_store, repo.root)
+    assert sum(ids.count(blob) for ids in requests) == 1
+    first, second = (c.hash for c in store.commits)
+    assert store.vectors == {
+        (first, "a.java"): None,
+        (second, "c.java"): detect_kus(JAVA_C),
+        (second, "copy.java"): None,
+    }
+
+
+def failed_cat_file(git, repo_path, *args, stdin=None):
+    """A cat-file call that git rejects, as if it had exited early."""
+    return git(repo_path, *args, "--no-such-option", stdin=stdin)
+
+
+def truncated_cat_file(git, repo_path, *args, stdin=None):
+    """A cat-file answer cut off inside its last blob."""
+    return git(repo_path, *args, stdin=stdin)[:-5]
+
+
 def test_reader_exit_raises_repository_error(scratch_repo, monkeypatch):
     repo = three_commit_repo(scratch_repo)
-    original = mining._read_blob
+    git = mining._git
+    for answer in (failed_cat_file, truncated_cat_file):
 
-    def exited_reader(proc, blob):
-        proc.kill()
-        proc.wait()
-        return original(proc, blob)
+        def broken(repo_path, *args, stdin=None, answer=answer):
+            if "cat-file" in args:
+                return answer(git, repo_path, *args, stdin=stdin)
+            return git(repo_path, *args, stdin=stdin)
 
-    monkeypatch.setattr(mining, "_read_blob", exited_reader)
-    with pytest.raises(RepositoryError, match="cat-file"):
-        finishes(build_ku_store, repo.root)
+        monkeypatch.setattr(mining, "_git", broken)
+        with pytest.raises(RepositoryError, match="cat-file"):
+            finishes(build_ku_store, repo.root)
 
 
 def test_failed_build_leaves_no_git_process(scratch_repo, monkeypatch):

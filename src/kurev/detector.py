@@ -43,15 +43,11 @@ _TYPE_KEYWORDS = {
 }
 _TYPE_DECLS = frozenset(_TYPE_KEYWORDS)
 
-_MEMBER_KINDS = _TYPE_DECLS | frozenset(
-    [
-        "method_declaration",
-        "field_declaration",
-        "constructor_declaration",
-        "initializer_block",
-        "enum_constant",
-    ]
-)
+# Members of a type body other than nested types; nothing else holds them.
+_BODY_MEMBERS = frozenset([
+    "method_declaration", "field_declaration", "constructor_declaration",
+    "initializer_block", "enum_constant",
+])
 
 # Node kinds that always emit one event: kind -> (category, keywords).
 _SIMPLE_EVENTS = {
@@ -175,9 +171,11 @@ class _Collector:
     def __init__(self) -> None:
         self.events: list[_Event] = []
         self.imports = _Imports()
-        # (nodes, in_block) pairs still to visit: a work list, so that a
-        # chain of any length is walked in a loop
-        self.pending: list[tuple[list[Node], bool]] = []
+        # (nodes, in_block, body) still to visit: a work list, so that a
+        # chain of any length is walked in a loop. ``body`` is None, or the
+        # (overloaded method names, constructor count) of the type body
+        # whose members ``nodes`` are.
+        self.pending: list[tuple[list[Node], bool, tuple[set[str], int] | None]] = []
 
     def emit(self, category: str, node: Node, keywords: AbstractSet[str] = _KW[""],
              name: str | None = None, qualified: str | None = None) -> None:
@@ -193,10 +191,10 @@ class _Collector:
             if child.kind == "import_declaration":
                 self._register_import(child)
             else:
-                pending.append(([child], False))
+                pending.append(([child], False, None))
         emit = self.emit
         while pending:
-            nodes, in_block = pending.pop()
+            nodes, in_block, body = pending.pop()
             for node in nodes:
                 kind, fields = node.kind, node.fields
                 # the commonest kinds first
@@ -215,11 +213,11 @@ class _Collector:
                 elif kind == "method_invocation":
                     emit("invocation", node, name=fields["name"])
                     self._emit_qualifier_type(node)
-                    # the qualifier child duplicates the event above; skip it
-                    pending.append((self._non_qualifier_children(node), in_block))
-                    continue
                 elif kind in _TYPE_DECLS:
-                    self._visit_type(node, nested=False, local=in_block)
+                    self._visit_type(node, nested=body is not None, local=in_block)
+                    continue
+                elif kind in _BODY_MEMBERS:
+                    self._member(node, *body)
                     continue
                 elif kind == "annotation":
                     emit("annotation", node, name=fields["name"], qualified=fields["qualified"])
@@ -234,7 +232,7 @@ class _Collector:
                     emit("invocation", node, _KW["new"], fields["type_name"], qualified)
                     if fields["anonymous"]:
                         emit("declaration", node, _KW["anonymous_class"], fields["type_name"])
-                        self._visit_body(node)
+                        self._push_body(node)
                         continue
                 elif kind == "array_type":
                     emit("type", node, _KW["multidim_array" if fields["dims"] >= 2 else "array"])
@@ -257,8 +255,6 @@ class _Collector:
                     elif ref:
                         emit("invocation", node, name=ref)
                     self._emit_qualifier_type(node)
-                    pending.append((self._non_qualifier_children(node), in_block))
-                    continue
                 elif kind == "explicit_constructor_invocation":
                     if fields["target"] == "super":
                         emit("expression", node, _KW["super"])
@@ -270,7 +266,7 @@ class _Collector:
                          _KW["catch multi_catch" if fields["types"] > 1 else "catch"])
                 if node.children:
                     pending.append(
-                        (node.children, in_block or kind in ("block", "switch_statement")))
+                        (node.children, in_block or kind in ("block", "switch_statement"), None))
 
     def _register_import(self, node: Node) -> None:
         fields = node.fields
@@ -278,7 +274,7 @@ class _Collector:
         if name and not fields["static"] and not fields["wildcard"]:
             self.imports.explicit[name.rsplit(".", 1)[-1]] = name
 
-    def _visit_type(self, decl: Node, nested: bool, local: bool = False) -> None:
+    def _visit_type(self, decl: Node, nested: bool, local: bool) -> None:
         kind, fields = decl.kind, decl.fields
         name = fields["name"]
         mods = set(fields["modifiers"])
@@ -300,52 +296,26 @@ class _Collector:
         ):
             keywords.add("exception_class")
 
-        members = [c for c in decl.children if c.kind in _MEMBER_KINDS]
         if kind == "class_declaration":
-            if self._looks_immutable(mods, members):
+            if self._looks_immutable(mods, decl.children):
                 keywords.add("immutable_class")
-            if self._looks_singleton(name, members):
+            if self._looks_singleton(name, decl.children):
                 keywords.add("singleton_class")
         self.emit("declaration", decl, keywords, name=name)
-        self._visit_body(decl)
+        self._push_body(decl)
 
-    def _visit_body(self, decl: Node) -> None:
-        """Every child of a type, enum-constant or anonymous-class body."""
-        members = [c for c in decl.children if c.kind in _MEMBER_KINDS]
-        overloaded = self._overload_names(members)
-        n_ctors = sum(1 for m in members if m.kind == "constructor_declaration")
+    def _push_body(self, decl: Node) -> None:
+        """Queue the children of a type, enum-constant or anonymous-class
+        body, with the body's overloaded method names and constructor count."""
+        names: set[str] = set()
+        overloaded: set[str] = set()
+        n_ctors = 0
         for child in decl.children:
-            if child.kind in _TYPE_DECLS:
-                self._visit_type(child, nested=True)
-            elif child.kind == "method_declaration":
-                self._visit_method(child, overloaded)
-            elif child.kind == "constructor_declaration":
-                keywords = {"constructor"}
-                if n_ctors > 1:
-                    keywords.add("overloaded_constructor")
-                if _is_this_chain(child):
-                    keywords.add("chained_constructor")
-                self._visit_member(child, keywords)
-            elif child.kind == "field_declaration":
-                self._visit_member(child, {"field"})
-            elif child.kind == "initializer_block":
-                kw = {"initializer"} | ({"static"} if child.fields.get("static") else set())
-                self.emit("declaration", child, kw)
-                self.pending.append((child.children, True))
-            elif child.kind == "enum_constant":
-                self.emit("declaration", child, {"enum_constant"}, name=child.fields.get("name"))
-                self._visit_body(child)
-            else:
-                self.pending.append(([child], False))
-
-    @staticmethod
-    def _overload_names(members: list[Node]) -> set[str]:
-        counts: dict[str, int] = {}
-        for m in members:
-            if m.kind == "method_declaration":
-                n = m.fields.get("name", "")
-                counts[n] = counts.get(n, 0) + 1
-        return {n for n, c in counts.items() if c > 1}
+            if child.kind == "method_declaration":
+                name = child.fields["name"]
+                (overloaded if name in names else names).add(name)
+            n_ctors += child.kind == "constructor_declaration"
+        self.pending.append((decl.children, False, (overloaded, n_ctors)))
 
     @staticmethod
     def _looks_immutable(mods: set[str], members: list[Node]) -> bool:
@@ -373,24 +343,39 @@ class _Collector:
                 return True
         return False
 
-    def _visit_method(self, decl: Node, overloaded: set[str]) -> None:
-        fields = decl.fields
-        name = fields["name"]
-        keywords = {"method"}
-        returning = fields["return_type_name"] != "void"
-        if returning:
-            keywords.add("returning")
-        if fields["generic"]:
-            keywords.add("generic")
-        if name in overloaded:
-            keywords.add("overloaded_method")
-        if _accessor_like(name, fields["params"], returning):
-            keywords.add("accessor_method")
-        self._visit_member(decl, keywords)
-
-    def _visit_member(self, decl: Node, keywords: set[str]) -> None:
-        """Emit a method, constructor or field declaration, then descend."""
-        fields = decl.fields
+    def _member(self, decl: Node, overloaded: set[str], n_ctors: int) -> None:
+        """Emit a member of a type body other than a nested type, then queue
+        what it holds; ``overloaded`` and ``n_ctors`` describe the body."""
+        kind, fields = decl.kind, decl.fields
+        if kind == "initializer_block":
+            static = ("static",) if fields["static"] else ()
+            self.emit("declaration", decl, {"initializer", *static})
+            self.pending.append((decl.children, True, None))
+            return
+        if kind == "enum_constant":
+            self.emit("declaration", decl, {"enum_constant"}, name=fields["name"])
+            self._push_body(decl)
+            return
+        if kind == "method_declaration":
+            name = fields["name"]
+            keywords = {"method"}
+            returning = fields["return_type_name"] != "void"
+            if returning:
+                keywords.add("returning")
+            if fields["generic"]:
+                keywords.add("generic")
+            if name in overloaded:
+                keywords.add("overloaded_method")
+            if _accessor_like(name, fields["params"], returning):
+                keywords.add("accessor_method")
+        elif kind == "constructor_declaration":
+            keywords = {"constructor"}
+            if n_ctors > 1:
+                keywords.add("overloaded_constructor")
+            if _is_this_chain(decl):
+                keywords.add("chained_constructor")
+        else:
+            keywords = {"field"}
         keywords.update(fields["modifiers"])
         keywords.add("member")
         if fields.get("params", 0) >= 1:
@@ -400,14 +385,7 @@ class _Collector:
         if fields.get("throws"):
             keywords.add("throwing")
         self.emit("declaration", decl, keywords, name=fields.get("name"))
-        self.pending.append((decl.children, False))
-
-    @staticmethod
-    def _non_qualifier_children(node: Node) -> list[Node]:
-        kids = node.children
-        if kids and kids[0].kind == "name" and kids[0].fields["name"] == node.fields["qualifier"]:
-            return kids[1:]
-        return kids
+        self.pending.append((decl.children, False, None))
 
     def _emit_qualifier_type(self, node: Node) -> None:
         qual = node.fields.get("qualifier")

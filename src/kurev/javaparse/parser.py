@@ -146,7 +146,7 @@ class _Parser:
             if toks[start][1] == ";":
                 self.pos += 1
                 continue
-            annotations = self._parse_annotations() if toks[start][1] == "@" else []
+            mods, annotations = self._parse_modifiers([])
             if toks[self.pos] == ("keyword", "package"):
                 self.pos += 1
                 self._qualified_name()
@@ -156,7 +156,7 @@ class _Parser:
             if toks[self.pos] == ("keyword", "import"):
                 unit.children.append(self._parse_import())
                 continue
-            decl = self._parse_type_declaration(annotations)
+            decl = self._parse_type_declaration(annotations, mods)
             if decl is not None:
                 unit.children.append(decl)
             if self.pos == start:
@@ -189,12 +189,6 @@ class _Parser:
         )
 
     # --- annotations & modifiers -------------------------------------------
-
-    def _parse_annotations(self) -> list[Node]:
-        out = []
-        while self.at("@") and self.tok(1) != ("keyword", "interface"):
-            out.append(self._parse_annotation())
-        return out
 
     def _parse_annotation(self) -> Node:
         if self.depth >= MAX_DEPTH:
@@ -350,7 +344,7 @@ class _Parser:
             return
         # constants until ';' or '}'
         while not self.eof() and not self.at("}") and not self.at(";"):
-            annos = self._parse_annotations()
+            _, annos = self._parse_modifiers([])
             if self.tok()[0] != "identifier":
                 owner.children.append(self._recover())
                 break
@@ -393,8 +387,8 @@ class _Parser:
             if generic_method:
                 self._skip_angles()
 
-            # constructor
-            if toks[self.pos] == ("identifier", type_name) and toks[self.pos + 1][1] == "(":
+            # constructor; a record's compact one has no parameter list
+            if toks[self.pos] == ("identifier", type_name) and toks[self.pos + 1][1] in ("(", "{"):
                 self.pos += 1
                 return self._parse_callable(Node(
                     "constructor_declaration",
@@ -612,8 +606,6 @@ class _Parser:
                 handler = getattr(self, f"_stmt_{text}", None)
                 if handler is not None:
                     return handler()
-            if text in MODIFIER_WORDS or text == "@" or self._type_decl_keyword() is not None:
-                return self._modified_statement()
             if (kind == "identifier" and self.tok(1) == ("op", ":")
                     and self.tok(2)[1] != ":"):
                 self.eat()
@@ -625,36 +617,40 @@ class _Parser:
                     and self.tok(1)[1] not in ("=", ".", "(", ";", "[")):
                 self.eat()
                 return self._expression_statement("yield_statement")
-            local = self._try_local_var_decl([], [])
+            local = self._try_local_var_decl()
             if local is not None:
                 return local
+            if text in MODIFIER_WORDS or text == "@" or self._type_decl_keyword() is not None:
+                # a local type, or modifiers that start no declaration
+                return self._parse_type_declaration([])
             return self._expression_statement("expression_statement")
         finally:
             self.depth -= 1
 
-    def _modified_statement(self) -> Node:
-        mods, annotations = self._parse_modifiers([])
-        if self._type_decl_keyword() is not None:
-            return self._parse_type_declaration(annotations, mods)
-        local = self._try_local_var_decl(mods, annotations)
-        if local is not None:
-            return local
-        node = self._recover()
-        node.children.extend(annotations)
-        return node
-
-    def _try_local_var_decl(self, mods: list[str], annotations: list[Node]) -> Node | None:
+    def _variable_head(self) -> tuple[list[str], list[Node]] | None:
+        """``[modifiers] Type name``: its modifiers, and its annotations
+        followed by its type, with the position after the name. None, with
+        the position unchanged, when no such head starts here."""
         mark = self.pos
+        mods, children = self._parse_modifiers([])
         vtype = self._parse_type()
-        toks, pos = self.toks, self.pos
-        nxt = toks[pos + 1][1]
-        if (vtype is None or toks[pos][0] != "identifier"
-                or not (nxt in ("=", ",", ";") or (nxt == "[" and toks[pos + 2][1] == "]"))):
+        if vtype is None or self.toks[self.pos][0] != "identifier":
             self.pos = mark
             return None
-        self.pos = pos + 1  # after the first variable's name
-        node = Node("local_variable_declaration", {"modifiers": tuple(mods)},
-                    [*annotations, vtype])
+        self.pos += 1
+        children.append(vtype)
+        return mods, children
+
+    def _try_local_var_decl(self) -> Node | None:
+        mark = self.pos
+        head = self._variable_head()
+        toks, pos = self.toks, self.pos
+        nxt = toks[pos][1]
+        if head is None or not (
+                nxt in ("=", ",", ";") or (nxt == "[" and toks[pos + 1][1] == "]")):
+            self.pos = mark
+            return None
+        node = Node("local_variable_declaration", {"modifiers": tuple(head[0])}, head[1])
         self._parse_declarators(node)
         return node
 
@@ -691,16 +687,12 @@ class _Parser:
             node = Node("for_statement")
             node.children.append(self._recover())
             return node
-        # enhanced for: [final] Type name : expr
+        # enhanced for: [modifiers] Type name : expr
         mark = self.pos
-        self._parse_modifiers([])
-        ftype = self._parse_type()
-        if (ftype is not None and self.tok()[0] == "identifier"
-                and self.tok(1)[1] == ":" and self.tok(2)[1] != ":"):
-            self.eat()  # the variable's name
+        head = self._variable_head()
+        if head is not None and self.at(":") and self.tok(1)[1] != ":":
             self.eat()  # :
-            node = Node("enhanced_for_statement")
-            node.children.append(ftype)
+            node = Node("enhanced_for_statement", {}, head[1])
             node.children.append(self.parse_expression())
             self.accept(")")
             node.children.append(self.parse_statement())
@@ -708,7 +700,7 @@ class _Parser:
         self.pos = mark
         node = Node("for_statement")
         if not self.accept(";"):
-            init = self._try_local_var_decl([], [])
+            init = self._try_local_var_decl()
             if init is not None:
                 node.children.append(init)  # consumes its ';'
             else:
@@ -784,20 +776,11 @@ class _Parser:
 
     def _parse_resource(self) -> Node:
         mark = self.pos
-        self._parse_modifiers([])
-        rtype = self._parse_type()
-        if rtype is not None and self.tok()[0] == "identifier" and self.tok(1)[1] == "=":
-            self.eat()  # the variable's name
-            self.eat()  # =
-            node = Node("resource")
-            node.children.append(rtype)
-            node.children.append(self.parse_expression())
-            return node
-        self.pos = mark
-        # existing-variable resource (Java 9+): plain expression
-        node = Node("resource")
-        node.children.append(self.parse_expression())
-        return node
+        head = self._variable_head()
+        if head is not None and self.accept("="):
+            return Node("resource", {}, [*head[1], self.parse_expression()])
+        self.pos = mark  # an existing variable (Java 9+): a plain expression
+        return Node("resource", {}, [self.parse_expression()])
 
     def _stmt_return(self) -> Node:
         self.pos += 1
@@ -978,13 +961,24 @@ class _Parser:
                 elif kind == "keyword":  # .class, .this, .super
                     continue
                 elif toks[self.pos][1] == "(":
-                    qualifier = expr.fields.get("name") if expr.kind == "name" else None
+                    qualifier, receiver = _receiver(expr)
                     expr = Node("method_invocation", {"name": seg, "qualifier": qualifier},
-                                [expr, *self._parse_args()])
+                                [*receiver, *self._parse_args()])
                 elif expr.kind == "name":
                     expr = Node("name", {"name": expr.fields["name"] + "." + seg})
                 else:
                     expr = Node("field_access", {}, [expr])
+            elif text == "." and toks[self.pos + 1][1] == "<":  # a.<T>m(): type arguments
+                mark = self.pos
+                self.pos += 1
+                type_args = self._parse_type_args()
+                if (type_args is None or toks[self.pos][0] != "identifier"
+                        or toks[self.pos + 1][1] != "("):
+                    self.pos = mark
+                    return expr
+                qualifier, receiver = _receiver(expr)
+                expr = Node("method_invocation", {"name": self.eat()[1], "qualifier": qualifier},
+                            [*receiver, *type_args, *self._parse_args()])
             elif text == "(" and expr.kind == "name":
                 qualifier, _, name = expr.fields["name"].rpartition(".")
                 expr = Node("method_invocation", {"name": name, "qualifier": qualifier or None},
@@ -999,8 +993,8 @@ class _Parser:
                 ref = "new" if kind == "keyword" and text == "new" else (
                     text if kind == "identifier" else "")
                 self.eat()
-                qualifier = expr.fields.get("name") if expr.kind == "name" else None
-                expr = Node("method_reference", {"name": ref, "qualifier": qualifier}, [expr])
+                qualifier, receiver = _receiver(expr)
+                expr = Node("method_reference", {"name": ref, "qualifier": qualifier}, receiver)
             elif text == "[":
                 self.pos += 1
                 node = Node("array_access", {}, [expr])
@@ -1154,6 +1148,14 @@ class _Parser:
 def _named(kind: str, qualified: str) -> Node:
     """A node naming ``qualified`` by its simple and its qualified name."""
     return Node(kind, {"name": qualified.rsplit(".", 1)[-1], "qualified": qualified})
+
+
+def _receiver(expr: Node) -> tuple[str | None, list[Node]]:
+    """The qualifier and children of a call or method reference on ``expr``:
+    a name is the qualifier alone, anything else the first child."""
+    if expr.kind == "name":
+        return expr.fields["name"], []
+    return None, [expr]
 
 
 def _type_simple_name(t: Node) -> str:

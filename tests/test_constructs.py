@@ -6,6 +6,8 @@ grammar in ``javaparse.parser`` and the rules in ``ku_catalog.yaml``.
 Capabilities are (KU, capability) pairs with a nonzero count.
 """
 
+import pytest
+
 from kurev.detector import _Collector, detect_capabilities, detect_kus, parse_java
 from tests.test_javaparse import find_all, kinds
 
@@ -293,3 +295,82 @@ def test_one_typed_lambda_parameter_is_not_two_names():
         "lambda_expression", "formal_parameter", "named_type", "name",
     ]
     assert [t.get("name") for t in find_all(lam, "named_type")] == ["String"]
+
+
+def test_compact_record_constructor_keeps_its_body():
+    src = "record P(int x) { P { if (x < 0) throw new IllegalArgumentException(); } }"
+    tree = parse_java(src)
+    assert kinds(tree) == [
+        "compilation_unit", "record_declaration", "formal_parameter", "primitive_type",
+        "constructor_declaration", "block", "if_statement", "binary_expression",
+        "name", "literal", "throw_statement", "object_creation", "named_type",
+    ]
+    (ctor,) = find_all(tree, "constructor_declaration")
+    assert ctor.get("params") == 0
+    # the comparison (K2.1), if (K2.3), throw (K11.5), IllegalArgumentException
+    # (K11.6): the canonical form's evidence less its `this.x = x`
+    assert capabilities(src) == {(2, 1): 1, (2, 3): 1, (11, 5): 1, (11, 6): 1}
+
+
+def _returning(call):
+    return f"import java.util.*; class A {{ <T> Object m() {{ return {call}; }} }}"
+
+
+@pytest.mark.parametrize("typed, plain", [
+    ("Collections.<String>emptyList()", "Collections.emptyList()"),
+    ("Optional.<String>empty().isPresent()", "Optional.empty().isPresent()"),
+    ("this.<T>m()", "this.m()"),
+])
+def test_explicit_type_arguments_on_a_call_count_as_the_plain_call(typed, plain):
+    assert "binary_expression" not in kinds(parse_java(_returning(typed)))
+    assert capabilities(_returning(typed)) == capabilities(_returning(plain))
+
+
+def test_a_calls_type_arguments_are_type_uses():
+    (call,) = find_all(parse_java(_returning("Collections.<String>emptyList()")),
+                       "method_invocation")
+    assert (call.get("name"), call.get("qualifier")) == ("emptyList", "Collections")
+    assert kinds(call) == ["method_invocation", "named_type"]
+    # an argument type adds what any use of it adds: Optional (K10.3)
+    expected = capabilities(_returning("Collections.emptyList()"))
+    expected[(10, 3)] = 1
+    assert capabilities(_returning("Collections.<Optional<String>>emptyList()")) == expected
+
+
+# --- variables of for loops and try resources read as locals -----------------------
+
+JPA = "import javax.persistence.*; import java.io.*; import java.util.*; "
+
+
+def test_for_init_modifiers_count_as_a_local_variables_do():
+    src = JPA + "class A { void m() { for (final int i = 0; i < 3; i++) { } } }"
+    tree = parse_java(src)
+    (init,) = find_all(tree, "local_variable_declaration")
+    assert init.get("modifiers") == ("final",)
+    assert find_all(tree, "assignment_expression") == []
+    assert ("declaration", {"variable", "final"}, None, None) in events(src)
+    # the local (K1.1), final (K7.2), for (K4.2); `<` and `++` (K2.1), not
+    # the initializer's `=`
+    assert capabilities(src) == {(1, 1): 1, (7, 2): 1, (4, 2): 1, (2, 1): 2}
+
+
+def test_annotated_for_init_variable_counts_its_annotation():
+    src = JPA + "class A { void m() { for (@Id int i = 0; i < 3; i++) { } } }"
+    # the local (K1.1), @Id (K19.1), for (K4.2), `<` and `++` (K2.1)
+    assert capabilities(src) == {(1, 1): 1, (19, 1): 1, (4, 2): 1, (2, 1): 2}
+
+
+@pytest.mark.parametrize("plain", [
+    "for (String s : list) { }",
+    "try (Reader r = new StringReader(\"\")) { }",
+])
+def test_annotated_enhanced_for_and_resource_variables_count_their_annotations(plain):
+    def source(stmt):
+        return JPA + f"class A {{ void m(List<String> list) throws Exception {{ {stmt} }} }}"
+
+    annotated = source(plain.replace("(", "(@Id ", 1))
+    (anno,) = find_all(parse_java(annotated), "annotation")
+    assert anno.get("name") == "Id"
+    expected = capabilities(source(plain))
+    expected[(19, 1)] = 1  # @Id
+    assert capabilities(annotated) == expected

@@ -890,11 +890,11 @@ class _Parser:
             self.pos += 1
             if text == "instanceof":
                 node = Node("instanceof_expression", {}, [left])
-                itype = self._parse_type()
-                if itype is not None:
+                head = self._variable_head()  # a pattern binding
+                if head is not None:
+                    node.children.extend(head[1])
+                elif (itype := self._parse_type()) is not None:
                     node.children.append(itype)
-                    if self.toks[self.pos][0] == "identifier":  # pattern binding
-                        self.pos += 1
             else:
                 node = Node("binary_expression", {"op": text},
                             [left, self._parse_binary(level + 1)])

@@ -1,25 +1,27 @@
-"""Git history mining: commits, changed Java files, per-snapshot KU vectors.
+"""Git history mining: commits, changed Java files, a KU vector per blob.
 
 Talks to the repository through the ``git`` executable; history is the
-default branch (HEAD) followed first-parent by default, so merge commits
-contribute only their own diff and never double-count merged work.
+default branch (HEAD) followed first-parent by default, and a merge
+commit contributes its diff against its first parent.
 """
 
 from __future__ import annotations
 
 import logging
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterator
 
 from .catalog import CapabilityCatalog, load_catalog
 from .detector import detect_kus, detection_key
-from .errors import AbsentFileError, ParseError, RepositoryError
+from .errors import AbsentFileError, KurevError, ParseError, RepositoryError
 from .util import (
     dump_json_line,
     format_rfc3339,
+    iter_jsonl,
     normalize_identity,
     parse_rfc3339,
     read_jsonl,
@@ -31,6 +33,8 @@ log = logging.getLogger(__name__)
 
 _REC_SEP = "\x01"
 _FIELD_SEP = "\x02"
+# new modes of a changed entry that hold no Java source: a symlink, a gitlink
+_LINK_MODES = (b"120000", b"160000")
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,8 @@ class CommitRecord:
     author: str  # normalized "name <email>"
     authored_at: datetime  # UTC
     changed_java_files: tuple[str, ...]
-    # post-image blob id of each changed file, all zeros for a deletion;
-    # set by mine_commits, not saved, and not part of a record's identity
-    blob_ids: tuple[str, ...] = field(default=(), compare=False, repr=False)
+    # post-image blob id of each changed file, all zeros for a deletion
+    blob_ids: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -49,6 +52,7 @@ class CommitRecord:
             "author": self.author,
             "authored_at": format_rfc3339(self.authored_at),
             "changed_java_files": list(self.changed_java_files),
+            "blob_ids": list(self.blob_ids),
         }
 
     @classmethod
@@ -58,6 +62,7 @@ class CommitRecord:
             author=d["author"],
             authored_at=parse_rfc3339(d["authored_at"]),
             changed_java_files=tuple(d["changed_java_files"]),
+            blob_ids=tuple(d["blob_ids"]),
         )
 
 
@@ -81,8 +86,9 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
 
     Changed files come from each commit's diff against its first parent
     (root commits list all their files), with the blob id of each file's
-    new content. ``all_commits`` walks the full DAG instead of the
-    first-parent chain.
+    new content. A symlink or a gitlink named ``*.java`` holds no Java
+    source and is skipped. ``all_commits`` walks the full DAG instead of
+    the first-parent chain.
     """
     fmt = _REC_SEP + _FIELD_SEP.join(["%H", "%an", "%ae", "%aI"])
     # -z: paths unquoted and NUL-terminated. Each commit is its header,
@@ -108,7 +114,7 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
         raise
 
     records: list[CommitRecord] = []
-    skipped = 0
+    skipped = links = 0
     for chunk in out.split(_REC_SEP.encode()):
         if not chunk.strip():
             continue
@@ -128,13 +134,17 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
             raw_path = next(entries)
             if not raw_path.endswith(b".java"):
                 continue
+            old_mode, new_mode, _, blob = entry[1:].split(b" ")[:4]
+            if (new_mode if new_mode.strip(b"0") else old_mode) in _LINK_MODES:
+                links += 1
+                continue
             try:
                 path = raw_path.decode("utf-8")
             except UnicodeDecodeError:  # no PR path can name it
                 log.warning("skipping non-UTF-8 path %r at %s", raw_path, sha[:12])
                 continue
             files.append(path)
-            blobs.append(entry.split(b" ")[3].decode("ascii"))
+            blobs.append(blob.decode("ascii"))
         records.append(
             CommitRecord(
                 hash=sha,
@@ -146,6 +156,8 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
         )
     if skipped:
         log.warning("skipped %d unreadable commits", skipped)
+    if links:
+        log.warning("skipped %d symlink or submodule entries named *.java", links)
     return records
 
 
@@ -161,76 +173,63 @@ def read_file_at(repo_path: str | Path, commit: str, path: str) -> bytes:
         raise AbsentFileError(f"{path} absent at {commit[:12]}") from exc
 
 
-class KuStore:
-    """Mined commits plus per-(commit, file) KU vectors.
+def read_verdicts(path: Path, key: str) -> dict[str, list[int] | None]:
+    """The verdicts of a verdict table under detection key ``key``, by blob id.
 
-    ``vectors[(hash, path)]`` is a 28-int list, or None when the snapshot
-    was unparseable or absent (deleted file).
+    A line holds a blob id (a hash of the content), the detection key (field
+    ``catalog``) and the verdict: the KU vector, or None if unparseable.
+    """
+    return {rec["blob"]: rec["vector"] for rec in iter_jsonl(path) if rec["catalog"] == key}
+
+
+def write_verdicts(path: Path, verdicts: dict[str, list[int] | None], key: str) -> None:
+    """Write ``verdicts`` under detection key ``key`` as a verdict table, in
+    their order: lines read and written again stay first."""
+    write_jsonl(path, ({"blob": b, "catalog": key, "vector": v} for b, v in verdicts.items()))
+
+
+class KuStore:
+    """Mined commits plus the verdict of each distinct blob they name.
+
+    ``verdicts[blob]``, in order of first appearance, is a 28-int list, or
+    None for an unparseable blob, made under detection key ``key``; a
+    deleted file's all-zero id, or a blob git could not produce, has none.
+    ``vectors`` is the read-only view by (commit hash, path), None if none.
     """
 
     FILES = COMMITS, FILE_KUS, INDEX = ("commits.jsonl", "file_kus.jsonl", "index.json")
+    FORMAT = 2
 
-    def __init__(
-        self,
-        commits: list[CommitRecord],
-        vectors: dict[tuple[str, str], list[int] | None],
-    ):
-        self.commits = list(commits)
-        self.vectors = dict(vectors)
+    def __init__(self, commits: list[CommitRecord], verdicts: dict[str, list[int] | None],
+                 key: str = ""):
+        self.commits, self.key = list(commits), key
+        # a verdict no record names is never read, so the store keeps none
+        self.verdicts = {b: verdicts[b] for c in self.commits for b in c.blob_ids
+                         if b in verdicts}
+        self.vectors = MappingProxyType({(c.hash, p): verdicts.get(b) for c in self.commits
+                                         for p, b in zip(c.changed_java_files, c.blob_ids)})
 
     def vector(self, commit: str, path: str) -> list[int] | None:
         return self.vectors.get((commit, path))
 
-    def validate(self) -> None:
-        allowed = {
-            (c.hash, p) for c in self.commits for p in c.changed_java_files
-        }
-        stray = set(self.vectors) - allowed
-        if stray:
-            raise ValueError(f"store has {len(stray)} records outside commit diffs")
-
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         write_jsonl(out / self.COMMITS, (c.to_dict() for c in self.commits))
-        write_jsonl(
-            out / self.FILE_KUS,
-            (
-                {"commit": h, "path": p, "vector": v}
-                for (h, p), v in sorted(self.vectors.items())
-            ),
-        )
-        index = {
-            "commits": len(self.commits),
-            "file_records": len(self.vectors),
-            "format": 1,
-        }
+        write_verdicts(out / self.FILE_KUS, self.verdicts, self.key)
+        index = {"catalog": self.key, "commits": len(self.commits),
+                 "file_records": len(self.vectors), "format": self.FORMAT}
         write_text(out / self.INDEX, dump_json_line(index) + "\n")
 
     @classmethod
     def load(cls, in_dir: str | Path) -> "KuStore":
         src = Path(in_dir)
-        commits = [CommitRecord.from_dict(d) for d in read_jsonl(src / cls.COMMITS)]
-        vectors = {
-            (d["commit"], d["path"]): d["vector"]
-            for d in read_jsonl(src / cls.FILE_KUS)
-        }
-        return cls(commits, vectors)
-
-
-def _load_cache(path: Path | None, key: str) -> dict[str, list[int] | None]:
-    """Cached verdicts under detection key ``key``, by blob id.
-
-    A git blob id hashes the file's content, so a hit needs no read. A
-    record holds a blob id, the detection key (field ``catalog``) and the
-    verdict, an unparseable file's None included.
-    """
-    if path is None or not path.exists():
-        return {}
-    try:
-        return {rec["blob"]: rec["vector"] for rec in read_jsonl(path) if rec["catalog"] == key}
-    except (ValueError, KeyError, TypeError):
-        log.warning("corrupt KU cache at %s; rebuilding", path)
-        return {}
+        (index,) = read_jsonl(src / cls.INDEX)
+        if index.get("format") != cls.FORMAT:
+            raise KurevError(f"store {src} is in format {index.get('format')}; kurev reads"
+                             f" format {cls.FORMAT}, so mine the repository again")
+        commits = [CommitRecord.from_dict(d) for d in iter_jsonl(src / cls.COMMITS)]
+        key = index["catalog"]
+        return cls(commits, read_verdicts(src / cls.FILE_KUS, key), key)
 
 
 # Blob ids per ``git cat-file --batch`` call; one call's answer is held whole.
@@ -274,18 +273,23 @@ def build_ku_store(
     cache_path: str | Path | None = None,
     all_commits: bool = False,
 ) -> KuStore:
-    """Mine the repository and compute a KU vector per changed Java file.
+    """Mine the repository and give each distinct blob it names a verdict.
 
     Each distinct blob the cache lacks is read once, in batches through
     :func:`_read_blobs`, and detected once. A deleted file, or a blob git
-    cannot produce, gets a None vector and no cache record.
+    cannot produce, gets no verdict, so its records read None.
     """
     if catalog is None:
         catalog = load_catalog()
     commits = mine_commits(repo_path, all_commits=all_commits)
     cache_file = Path(cache_path) if cache_path is not None else None
     key = detection_key(catalog)
-    verdicts = _load_cache(cache_file, key)
+    verdicts = {}
+    if cache_file is not None and cache_file.exists():
+        try:
+            verdicts = read_verdicts(cache_file, key)
+        except (ValueError, KeyError, TypeError):
+            log.warning("corrupt KU cache at %s; rebuilding", cache_file)
     cached = len(verdicts)
 
     # each missed blob's first (path, commit), for the warning; the
@@ -306,12 +310,5 @@ def build_ku_store(
             verdicts[blob] = None
 
     if cache_file is not None and len(verdicts) > cached:
-        records = ({"blob": b, "catalog": key, "vector": v} for b, v in sorted(verdicts.items()))
-        write_jsonl(cache_file, records)
-    store = KuStore(commits, {
-        (commit.hash, path): verdicts.get(blob)
-        for commit in commits
-        for path, blob in zip(commit.changed_java_files, commit.blob_ids)
-    })
-    store.validate()
-    return store
+        write_verdicts(cache_file, verdicts, key)
+    return KuStore(commits, verdicts, key)

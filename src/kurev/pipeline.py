@@ -276,14 +276,14 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
 
     head = _git(config.repo, "rev-parse", "HEAD").decode().strip()
     store_dir = out / "store"
-    mine_sig = sha256_text(f"mine:{head}:{detection_key(catalog)}:{config.all_commits}")
+    # the store's format too, so an out/ of another format is mined again, not misread
+    mine_sig = sha256_text(
+        f"mine:{head}:{detection_key(catalog)}:{config.all_commits}:{KuStore.FORMAT}")
     mine = _Stage(out, "mine", mine_sig, [store_dir / n for n in KuStore.FILES], echo)
     if mine.cached():
         store = KuStore.load(store_dir)
     else:
-        cache = (
-            config.cache_dir / "ku_cache.jsonl" if config.cache_dir else None
-        )
+        cache = config.cache_dir / "ku_cache.jsonl" if config.cache_dir else None
         store = build_ku_store(
             config.repo, catalog, cache_path=cache, all_commits=config.all_commits
         )

@@ -76,11 +76,13 @@ def write_jsonl(path: Path, records: Iterable[Any]) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path: Path) -> list[Any]:
-    out = []
+def iter_jsonl(path: Path) -> Iterator[Any]:
+    """The value of each non-blank line, one line read at a time."""
     with path.open("r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+            if line.strip():
+                yield json.loads(line)
+
+
+def read_jsonl(path: Path) -> list[Any]:
+    return list(iter_jsonl(path))

@@ -27,23 +27,26 @@ def ku(**counts: int) -> list[int]:
 
 
 def commit(sha: str, author: str, when: str, files: dict[str, list[int] | None]):
-    """(CommitRecord, vector entries) pair for assembling stores by hand."""
+    """(CommitRecord, verdicts) pair for assembling stores by hand; each
+    file's blob id is "<sha>:<path>", so no two records share a verdict."""
+    blobs = {path: f"{sha}:{path}" for path in files}
     record = CommitRecord(
         hash=sha,
         author=author,
         authored_at=dt(when),
         changed_java_files=tuple(files),
+        blob_ids=tuple(blobs.values()),
     )
-    return record, {(sha, path): vec for path, vec in files.items()}
+    return record, {blobs[path]: vec for path, vec in files.items()}
 
 
 def make_store(*commits_with_files) -> KuStore:
     records = []
-    vectors = {}
+    verdicts = {}
     for record, entries in commits_with_files:
         records.append(record)
-        vectors.update(entries)
-    return KuStore(records, vectors)
+        verdicts.update(entries)
+    return KuStore(records, verdicts)
 
 
 def make_pr(

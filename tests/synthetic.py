@@ -66,8 +66,13 @@ def build_synthetic_repo(
     n_devs: int = 5,
     n_commits: int = 30,
     seed: int = 7,
+    between=None,
 ) -> list[dict]:
-    """Create the repository; returns one manifest dict per commit."""
+    """Create the repository; returns one manifest dict per commit.
+
+    ``between(repo, manifest)``, if given, runs after each commit with the
+    manifest so far; commits it makes itself are not in the manifest.
+    """
     repo = GitScratch(Path(repo_dir))
     rng = random.Random(seed)
     start = datetime(2023, 1, 2, 9, 0, tzinfo=timezone.utc)
@@ -99,6 +104,8 @@ def build_synthetic_repo(
                 "paths": list(paths),
             }
         )
+        if between is not None:
+            between(repo, manifest)
     return manifest
 
 

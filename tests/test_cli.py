@@ -16,6 +16,7 @@ from kurev.prstore import filter_prs, load_prs
 from kurev.recommenders import KIND_ORDER
 from kurev.util import parse_rfc3339
 from tests.test_detector import NESTED_2000
+from tests.test_mining import save_format_1
 from tests.test_profiles import naive_dev, naive_rev, read_last_touch, read_matrix, rounded
 
 FIXTURES = "tests/fixtures/ku_corpus"
@@ -140,6 +141,16 @@ def test_recommend_base_and_adaptive(mined, capsys):
          "--pr", "11", "--which", "ad_hybrid", "--seed", "11"]
     )
     assert code == 0
+
+
+def test_recommend_on_a_format_1_store_is_a_data_error_naming_the_format(
+    mined, tmp_path, capsys
+):
+    save_format_1(KuStore.load(mined["store"]), tmp_path)
+    code = main(["recommend", "--store", str(tmp_path), "--prs", str(mined["prs"]),
+                 "--pr", "11"])
+    assert code == 2
+    assert "format 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("top", ["0", "-1"])

@@ -374,3 +374,19 @@ def test_annotated_enhanced_for_and_resource_variables_count_their_annotations(p
     expected = capabilities(source(plain))
     expected[(19, 1)] = 1  # @Id
     assert capabilities(annotated) == expected
+
+
+# --- an instanceof pattern's binding reads as a local's head -------------------------
+
+
+def test_a_modifier_on_an_instanceof_binding_keeps_the_rest_of_the_condition():
+    plain = ("class A { void m(Object o) { int x; "
+             "if (o instanceof String s && s.isEmpty()) { x = 1; } } }")
+    final = plain.replace("instanceof ", "instanceof final ")
+    assert "error" not in kinds(parse_java(final))
+    (pattern,) = find_all(parse_java(final), "instanceof_expression")
+    assert kinds(pattern) == ["instanceof_expression", "name", "named_type"]
+    # the local (K1.1), `&&` and `=` (K2.1), if (K2.3), as without `final`
+    assert capabilities(final) == capabilities(plain) == {(1, 1): 1, (2, 1): 2, (2, 3): 1}
+    annotated = JPA + plain.replace("instanceof ", "instanceof @Id ")
+    assert capabilities(annotated) == {(1, 1): 1, (2, 1): 2, (2, 3): 1, (19, 1): 1}

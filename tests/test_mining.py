@@ -11,12 +11,14 @@ import pytest
 
 from kurev import detector, mining
 from kurev.detector import detect_kus, detection_key
-from kurev.errors import AbsentFileError, ParseError, RepositoryError
+from kurev.errors import AbsentFileError, KurevError, ParseError, RepositoryError
 from kurev.mining import (
     KuStore,
     build_ku_store,
     mine_commits,
     read_file_at,
+    read_verdicts,
+    write_verdicts,
 )
 from kurev.util import read_jsonl, sha256_bytes, write_jsonl
 
@@ -181,19 +183,98 @@ def test_store_save_load_round_trip(scratch_repo, tmp_path):
     store.save(out)
     again = KuStore.load(out)
     assert again.vectors == store.vectors
-    assert [c.to_dict() for c in again.commits] == [c.to_dict() for c in store.commits]
+    assert again.commits == store.commits  # blob ids included
+    assert read_jsonl(out / "index.json") == [
+        {"catalog": store.key, "commits": 3, "file_records": 3, "format": 2}
+    ]
     # reruns are byte-identical
     first = (out / "file_kus.jsonl").read_bytes()
     store.save(out)
     assert (out / "file_kus.jsonl").read_bytes() == first
 
 
-def test_store_validate_rejects_stray_records(scratch_repo):
-    repo = three_commit_repo(scratch_repo)
-    store = build_ku_store(repo.root)
-    store.vectors[("deadbeef", "ghost.java")] = [0] * 28
-    with pytest.raises(ValueError):
-        store.validate()
+def test_store_table_holds_exactly_the_blobs_its_records_name_and_git_produced(
+    scratch_repo, tmp_path
+):
+    # [DERIVED] a deletion, a blob the repository lost and a cache line of
+    # another history get no line; a blob named under two paths gets one
+    repo = history_repo(scratch_repo)
+    repo.write("gone.java", "class Gone { }\n")
+    repo.commit("add gone")
+    lost = rev_parse(repo, "HEAD:gone.java")
+    (repo.root / ".git" / "objects" / lost[:2] / lost[2:]).unlink()
+    key = detection_key(mining.load_catalog())
+    cache = tmp_path / "cache.jsonl"
+    write_verdicts(cache, {"f" * 40: [1] * 28}, key)
+    store = build_ku_store(repo.root, cache_path=cache)
+    store.save(tmp_path / "store")
+    table = read_jsonl(tmp_path / "store" / "file_kus.jsonl")
+    named = list(dict.fromkeys(b for c in store.commits for b in c.blob_ids))
+    assert "0" * 40 in named and lost in named
+    produced = [b for b in named if b not in ("0" * 40, lost)]
+    assert len(produced) == 4  # both versions of a.java, C, feat
+    assert [rec["blob"] for rec in table] == produced  # in order of first appearance
+    assert all(rec.keys() == {"blob", "catalog", "vector"} for rec in table)
+    assert {rec["catalog"] for rec in table} == {key}
+    assert read_verdicts(cache, key)["f" * 40] == [1] * 28  # the cache keeps it
+    assert KuStore.load(tmp_path / "store").vectors == store.vectors
+
+
+def save_format_1(store, out):
+    """``store`` as format 1 saved it: no blob ids, and a vector per record."""
+    write_jsonl(out / "commits.jsonl", (
+        {k: v for k, v in c.to_dict().items() if k != "blob_ids"} for c in store.commits
+    ))
+    write_jsonl(out / "file_kus.jsonl", (
+        {"commit": h, "path": p, "vector": v} for (h, p), v in sorted(store.vectors.items())
+    ))
+    index = {"commits": len(store.commits), "file_records": len(store.vectors), "format": 1}
+    write_jsonl(out / "index.json", [index])
+
+
+def test_store_of_another_format_is_refused_by_name(scratch_repo, tmp_path):
+    save_format_1(build_ku_store(three_commit_repo(scratch_repo).root), tmp_path)
+    with pytest.raises(KurevError, match="format 1"):
+        KuStore.load(tmp_path)
+
+
+def rev_parse(repo, name):
+    return subprocess.run(
+        ["git", "-C", str(repo.root), "rev-parse", name],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def test_symlinks_named_java_are_skipped_with_one_warning(scratch_repo, caplog):
+    # [DERIVED] a symlink's blob is its target's path: no Java source
+    repo = scratch_repo
+    repo.write("A.java", JAVA_A)
+    os.symlink("A.java", repo.root / "Link.java")
+    os.symlink("missing/Target.java", repo.root / "Dangling.java")
+    repo.commit("add A and two links")
+    repo.delete("Link.java")
+    repo.commit("remove a link")
+    with caplog.at_level(logging.WARNING, logger="kurev.mining"):
+        store = build_ku_store(repo.root)
+    assert [c.changed_java_files for c in store.commits] == [("A.java",), ()]
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipped 3 symlink or submodule entries named *.java"
+    ]
+
+
+def test_gitlink_named_java_is_skipped_and_never_read(scratch_repo, tmp_path, monkeypatch):
+    repo = scratch_repo
+    repo.write("A.java", JAVA_A)
+    repo.commit("add A")
+    sha = rev_parse(repo, "HEAD")
+    repo._run("update-index", "--add", "--cacheinfo", f"160000,{sha},Sub.java")
+    repo._run("commit", "-q", "-m", "add a submodule", env=MERGE_ENV)
+    cache = tmp_path / "cache.jsonl"
+    requests = cat_file_requests(monkeypatch)
+    for _ in range(2):
+        store = build_ku_store(repo.root, cache_path=cache)
+        assert [c.changed_java_files for c in store.commits] == [("A.java",), ()]
+    assert requests == [[rev_parse(repo, "HEAD~1:A.java")]]  # the first mine only
 
 
 # --- the batch read path against the per-file reference reader ---------------

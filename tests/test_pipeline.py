@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -15,8 +14,10 @@ import pytest
 
 from kurev import detector, pipeline, util
 from kurev.adaptive import VARIANTS, AdaptiveRecommender
+from kurev.catalog import load_catalog
 from kurev.errors import KurevError
 from kurev.evaluation import reasonableness
+from kurev.mining import KuStore
 from kurev.pipeline import (
     ALL_KINDS,
     ProjectConfig,
@@ -26,6 +27,7 @@ from kurev.pipeline import (
 )
 from kurev.recommenders import RF_MODES
 from tests.test_evaluation import map_at_k, top_k_accuracy
+from tests.test_mining import save_format_1
 
 
 def config_for(synthetic_project, tmp_path, seed=11) -> ProjectConfig:
@@ -212,29 +214,21 @@ def test_mine_stage_reruns_under_another_detection_code_digest(
     assert ran == ["mine", "profiles", "evaluate", "cluster"]
 
 
-def test_reordered_export_lines_change_only_the_prs_stamp(synthetic_project, tmp_path):
-    # A PR export is a set of records: the order of its lines is no input.
-    lines = synthetic_project["prs_path"].read_text(encoding="utf-8").splitlines()
-    shuffled = list(lines)
-    random.Random(1).shuffle(shuffled)
-    assert shuffled != lines
-    permuted = tmp_path / "permuted" / synthetic_project["prs_path"].name
-    permuted.parent.mkdir()
-    permuted.write_text("\n".join(shuffled) + "\n", encoding="utf-8")
-    quiet = lambda message: None  # noqa: E731
-    config = config_for(synthetic_project, tmp_path / "a")
-    run_pipeline(config, echo=quiet)
-    before = tree_bytes(config.out_dir)
-    other = replace(config_for(synthetic_project, tmp_path / "b"), prs=permuted)
-    run_pipeline(other, echo=quiet)
-    after = tree_bytes(other.out_dir)
-    assert before.keys() == after.keys()
-    assert [name for name in before if before[name] != after[name]] == ["prs.stamp"]
-    # in place, only the prs stage runs again, and it rewrites the same files
+def test_an_out_dir_mined_in_format_1_is_mined_again(synthetic_project, tmp_path):
+    # the mine stamp format 1 wrote had no format in its signature
+    config = config_for(synthetic_project, tmp_path)
+    run_pipeline(config, echo=lambda message: None)
+    out = config.out_dir
+    full = tree_bytes(out)
+    save_format_1(KuStore.load(out / "store"), out / "store")
+    head = subprocess.run(["git", "-C", str(config.repo), "rev-parse", "HEAD"],
+                          check=True, capture_output=True, text=True).stdout.strip()
+    key = detector.detection_key(load_catalog())
+    util.write_text(out / "mine.stamp", util.sha256_text(f"mine:{head}:{key}:False") + "\n")
     echoed = []
-    run_pipeline(replace(config, prs=permuted), echo=echoed.append)
-    assert [line.split(":")[0] for line in echoed if not line.endswith(": cached")] == ["prs"]
-    assert tree_bytes(config.out_dir) == after
+    run_pipeline(config, echo=echoed.append)
+    assert [line.split(":")[0] for line in echoed if not line.endswith(": cached")] == ["mine"]
+    assert tree_bytes(out) == full
 
 
 def test_stage_that_crashes_midway_is_not_cached_under_its_old_signature(

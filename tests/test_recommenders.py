@@ -376,8 +376,6 @@ def test_brute_force_equivalence_on_synthetic_project(synthetic_project, kind):
 def cut_at(hist, when):
     """The history as it stood just before ``when``: nothing dated later."""
     commits = [c for c in hist.store.commits if c.authored_at < when]
-    kept = {c.hash for c in commits}
-    vectors = {key: v for key, v in hist.store.vectors.items() if key[0] in kept}
     prs = tuple(
         replace(p, review_comments=tuple(
             c for c in p.review_comments if c.commented_at < when))
@@ -385,7 +383,7 @@ def cut_at(hist, when):
         if p.opened_at < when
     )
     return History(
-        store=KuStore(commits, vectors), prs=PrDataset(hist.prs.project, prs)
+        store=KuStore(commits, hist.store.verdicts), prs=PrDataset(hist.prs.project, prs)
     )
 
 

@@ -13,7 +13,7 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, NamedTuple
+from typing import AbstractSet, Iterator, NamedTuple
 
 from .catalog import (
     KU_COUNT,
@@ -29,6 +29,7 @@ __all__ = [
     "parse_java",
     "detect_capabilities",
     "detect_kus",
+    "iter_events",
     "ku_vector_from_hits",
     "detection_key",
 ]
@@ -394,6 +395,23 @@ class _Collector:
         use = _qualifier_type_use(qual)
         if use is not None:
             self.emit("type", node, name=use[0], qualified=use[1])
+
+
+def iter_events(source: str) -> Iterator[tuple[str, list[str], str | None, str | None]]:
+    """(category, sorted keywords, name, qualified) of each event the
+    detector reads from ``source``, and one ``error`` event per syntax
+    error; the view of the front end that tests compare.
+
+    Raises :class:`ParseError` for binary content.
+    """
+    tree = parse_java(source)
+    collector = _Collector()
+    collector.run(tree)
+    for category, _, keywords, name, qualified in collector.events:
+        yield category, sorted(keywords), name, qualified
+    for node in tree.walk():
+        if node.kind == "error":
+            yield "error", [], None, None
 
 
 def _matched_nodes(source: str, catalog: CapabilityCatalog) -> dict[int, set[int]]:

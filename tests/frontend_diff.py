@@ -3,14 +3,15 @@
     python3 tests/frontend_diff.py PARENT_SRC CHANGE_SRC [--mutations N] [--seed S]
 
 Each ``src/`` tree runs in its own subprocess: ``tokenize`` gives the
-token stream, ``parse_java`` feeds the detector's event collector, and
-``detect_capabilities`` counts evidence.
+token stream, ``detector.iter_events`` the events and syntax errors, and
+``detect_capabilities`` counts evidence. A tree from before
+``iter_events`` is read through its ``_Collector`` and syntax tree.
 The inputs are the files of ``tests/fixtures/ku_corpus`` and
 ``perfbench/corpus`` plus N one-token mutations of them (a token deleted,
 duplicated or swapped with the next one), drawn with seed S. Every input
 whose tokens (kind, text), nonzero capability counts or events (category,
-keywords, name, qualified; compared as a multiset) differ is printed with
-what differs.
+keywords, name, qualified, with one ``error`` event per syntax error;
+compared as a multiset) differ is printed with what differs.
 The last line counts the differing inputs; the exit status is 1 when
 there are any, as with diff(1).
 
@@ -83,11 +84,28 @@ def inputs(n_mutations: int, seed: int) -> list[tuple[str, str]]:
     return corpus + mutations(corpus, n_mutations, seed)
 
 
+def _collector_events(source: str):
+    """``detector.iter_events`` for a tree that lacks it: the events of
+    its ``_Collector`` and one ``error`` event per error node."""
+    from kurev.detector import _Collector, parse_java
+
+    tree = parse_java(source)
+    collector = _Collector()
+    collector.run(tree)
+    for e in collector.events:
+        yield e.category, sorted(e.keywords), e.name, e.qualified
+    for node in tree.walk():
+        if node.kind == "error":
+            yield "error", [], None, None
+
+
 def _front_end(source: str) -> dict:
     """What the front end makes of ``source``: tokens, capability counts
     and events, or the error each raised."""
-    from kurev.detector import _Collector, detect_capabilities, parse_java
+    from kurev import detector
     from kurev.javaparse.lexer import tokenize
+
+    iter_events = getattr(detector, "iter_events", _collector_events)
 
     result = {}
     try:
@@ -96,15 +114,11 @@ def _front_end(source: str) -> dict:
         result["tokens"] = f"{type(exc).__name__}: {exc}"
     try:
         result["caps"] = {cap.label: n for cap, n in sorted(
-            detect_capabilities(source).items()) if n}
+            detector.detect_capabilities(source).items()) if n}
     except Exception as exc:  # noqa: BLE001 - an error is an outcome to compare
         result["caps"] = f"{type(exc).__name__}: {exc}"
     try:
-        collector = _Collector()
-        collector.run(parse_java(source))
-        result["events"] = sorted(
-            ([e.category, sorted(e.keywords), e.name, e.qualified]
-             for e in collector.events), key=json.dumps)
+        result["events"] = sorted(map(list, iter_events(source)), key=json.dumps)
     except Exception as exc:  # noqa: BLE001
         result["events"] = f"{type(exc).__name__}: {exc}"
     return result

@@ -8,15 +8,20 @@ Capabilities are (KU, capability) pairs with a nonzero count.
 
 import pytest
 
-from kurev.detector import _Collector, detect_capabilities, detect_kus, parse_java
+from kurev.detector import detect_capabilities, detect_kus, iter_events, parse_java
 from tests.test_javaparse import find_all, kinds
 
 
 def events(source):
     """(category, keywords, name, qualified) of every detector event."""
-    collector = _Collector()
-    collector.run(parse_java(source))
-    return [(e.category, set(e.keywords), e.name, e.qualified) for e in collector.events]
+    return [(category, set(keywords), name, qualified)
+            for category, keywords, name, qualified in iter_events(source)]
+
+
+def event_multiset(source):
+    """Every event of ``source`` as (category, sorted keywords, name,
+    qualified), in sorted order."""
+    return sorted(iter_events(source))
 
 
 def capabilities(source):
@@ -390,3 +395,67 @@ def test_a_modifier_on_an_instanceof_binding_keeps_the_rest_of_the_condition():
     assert capabilities(final) == capabilities(plain) == {(1, 1): 1, (2, 1): 2, (2, 3): 1}
     annotated = JPA + plain.replace("instanceof ", "instanceof @Id ")
     assert capabilities(annotated) == {(1, 1): 1, (2, 1): 2, (2, 3): 1, (19, 1): 1}
+
+
+# --- a speculative read that backs off leaves no event behind ------------------------
+
+
+def test_a_call_statement_first_read_as_a_local_leaves_only_the_call():
+    # `Foo.bar` reads as a type until `(` shows no variable name follows
+    assert event_multiset("class A { void m() { Foo.bar(x); } }") == [
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["member", "method"], "m", None),
+        ("invocation", [], "bar", None),
+        ("type", [], "Foo", None),
+    ]
+
+
+def test_a_cast_and_a_parenthesised_operand_are_told_apart():
+    # `(String) o` is a cast; `(a) + b` backs off the cast and is a sum
+    src = ("class A { Object f(Object o, int a, int b) {"
+           " String s = (String) o; int c = (a) + b; return s; } }")
+    assert event_multiset(src) == [
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["member", "method", "parameterized", "returning"], "f", None),
+        ("declaration", ["variable"], None, None),
+        ("declaration", ["variable"], None, None),
+        ("expression", ["binary"], None, None),
+        ("expression", ["reference_cast"], None, None),
+        ("type", [], "Object", "Object"),
+        ("type", [], "Object", "Object"),
+        ("type", [], "String", "String"),
+        ("type", [], "String", "String"),
+    ]
+
+
+def test_lambdas_and_a_parenthesised_expression_are_told_apart():
+    # each parenthesis is first tried as a cast; `(String s) -> s` keeps
+    # one String, read as the lambda's parameter type
+    src = ("class A { Object f = (a, b) -> a; Object g = (String s) -> s;"
+           " int h = (x + y) * 2; }")
+    assert event_multiset(src) == [
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["field", "member"], None, None),
+        ("declaration", ["field", "member"], None, None),
+        ("declaration", ["field", "member"], None, None),
+        ("expression", ["binary"], None, None),
+        ("expression", ["binary"], None, None),
+        ("expression", ["lambda"], None, None),
+        ("expression", ["lambda"], None, None),
+        ("type", [], "Object", "Object"),
+        ("type", [], "Object", "Object"),
+        ("type", [], "String", "String"),
+    ]
+
+
+def test_a_comparison_statement_and_a_generic_local_are_told_apart():
+    # `a < b;` reads `<b` as type arguments until `;`; `List<String> x;` is a local
+    src = "class A { void m(int a, int b) { a < b; List<String> x; } }"
+    assert event_multiset(src) == [
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["member", "method", "parameterized"], "m", None),
+        ("declaration", ["variable"], None, None),
+        ("expression", ["binary"], None, None),
+        ("type", [], "String", "String"),
+        ("type", ["generic"], "List", "List"),
+    ]

@@ -1,6 +1,5 @@
-"""Self-contained Java lexer and best-effort parser."""
+"""Self-contained Java lexer and best-effort event-emitting parser."""
 
-from .nodes import Node
 from .parser import parse_java
 
-__all__ = ["Node", "parse_java"]
+__all__ = ["parse_java"]

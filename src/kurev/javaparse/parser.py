@@ -1,17 +1,32 @@
-"""Best-effort recursive-descent parser for Java compilation units.
+"""Best-effort recursive-descent reader of Java compilation units.
 
-The grammar coverage is pragmatic rather than compiler-grade: the tree it
-builds exposes declarations, statements, expressions, type usages,
+The grammar coverage is pragmatic rather than compiler-grade: the reader
+recognises declarations, statements, expressions, type usages,
 annotations and invocations with enough fidelity for pattern-based
-counting. Localized syntax errors become ``error`` nodes and parsing
-continues at the next synchronization point.
+counting, and builds no syntax tree. As it reads each construct it
+appends that construct's detection events to one list. An event is a
+tuple ``(category, node_id, keywords, name, qualified)``: ``category`` is
+one of ``catalog.NODE_KINDS`` or ``error``, and the events of one
+construct share its node id, the index of its first event. Localized
+syntax errors become ``error`` events and reading continues at the next
+synchronization point.
+
+What an event needs beyond its own construct is reader state:
+
+- A type body keeps the keywords of its methods, constructors and fields
+  until it closes, when overloads, the constructor count and the
+  immutable and singleton checks are known; then its member events and
+  its type's event are appended.
+- A speculative read that backs off truncates the event list to where it
+  began, so whatever it read leaves no event.
+- A dotted name read as an expression gives a type event, which the
+  reader removes again when the name turns out to qualify a call.
 """
 
 from __future__ import annotations
 
 from ..errors import ParseError
 from .lexer import Token, tokenize
-from .nodes import Node
 
 PRIMITIVES = frozenset(
     ["boolean", "byte", "char", "short", "int", "long", "float", "double", "void"]
@@ -40,7 +55,7 @@ BINARY_LEVELS = [
 # identifies a binary operator.
 _BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 
-# Nesting bound, so that a tree depends on the text alone: each open
+# Nesting bound, so that the events depend on the text alone: each open
 # statement, member and annotation is one level, each expression three.
 # parse_statement, _parse_member, _parse_annotation, parse_expression,
 # _parse_ternary and _parse_unary each take one level while they run.
@@ -51,18 +66,78 @@ MAX_DEPTH = 100
 _LEAF_ENDS = frozenset([";", ",", ")", "]", "}", ":"])
 _LEAF_KINDS = frozenset(["identifier", "number", "string", "char"])
 
+# The keyword set of every event but a declaration's, by its words. No
+# event's keywords change once it is appended, so events share these sets.
+_KW = {words: frozenset(words.split()) for words in [
+    "", "if", "switch", "while", "do_while", "for", "enhanced_for", "break",
+    "continue", "throw", "assert", "synchronized", "finally", "try",
+    "try try_with_resources", "catch", "catch multi_catch", "assignment", "unary",
+    "ternary", "instanceof", "lambda", "array_access", "array_initializer", "super",
+    "binary", "binary equality", "primitive_cast", "reference_cast", "array_creation",
+    "multidim_array_creation", "method_reference", "new", "anonymous_class",
+    "generic", "array", "multidim_array", "enum_constant",
+]}
 
-def parse_java(source: str) -> Node:
-    """Parse Java source text into a syntax tree.
+# Type-declaration keyword -> keywords of its declaration event.
+_TYPE_KEYWORDS = {
+    "class": ("class",),
+    "interface": ("interface",),
+    "enum": ("enum",),
+    "record": ("class", "record"),
+    "@interface": ("annotation_type",),
+}
 
-    Raises :class:`ParseError` only for catastrophically unusable input
-    (NUL bytes, i.e. binary data mislabeled as source). Anything else
-    yields a tree, possibly containing ``error`` nodes.
+_EXCEPTION_SUFFIXES = ("Exception", "Error", "Throwable")
+
+# What an expression reader returns besides a name (a str) or None:
+# `this`, `super`, and `this(…)`, a constructor chaining to another.
+_THIS = object()
+_SUPER = object()
+_THIS_CALL = object()
+
+
+def parse_java(source: str) -> tuple[list[tuple], dict[str, str]]:
+    """Read Java source text into its detection events and imports.
+
+    Returns the events (see the module docstring) and the explicit
+    single-type imports, by simple name. Raises :class:`ParseError` only
+    for catastrophically unusable input (NUL bytes, i.e. binary data
+    mislabeled as source). Anything else yields events, possibly
+    including ``error`` events.
     """
     nul = source.find("\x00")
     if nul >= 0:
         raise ParseError(f"binary content (NUL byte at offset {nul})", offset=nul)
-    return _Parser(tokenize(source)).parse_compilation_unit()
+    parser = _Parser(tokenize(source))
+    parser.parse_compilation_unit()
+    return parser.events, parser.imports
+
+
+def _accessor_like(name: str, params: int, returning: bool) -> bool:
+    for pre in ("get", "is"):
+        if name.startswith(pre) and len(name) > len(pre) and name[len(pre)].isupper():
+            return params == 0 and returning
+    if name.startswith("set") and len(name) > 3 and name[3].isupper():
+        return params == 1
+    return False
+
+
+def _qualifier_type_use(qualifier: str) -> tuple[str, str | None] | None:
+    """Extract a plausible type reference from a dotted qualifier.
+
+    ``Files`` -> (Files, None); ``java.nio.file.Files.x`` -> the first
+    capitalized segment together with its package prefix. Returns None
+    when every segment looks like a plain variable.
+    """
+    parts = qualifier.split(".")
+    for i, part in enumerate(parts):
+        if part and part[0].isupper():
+            if i == 0:
+                return part, None
+            return part, ".".join(parts[: i + 1])
+        if part and not part[0].islower():
+            return None
+    return None
 
 
 class _Parser:
@@ -73,6 +148,8 @@ class _Parser:
         self.toks = tokens + tokens[-1:] * 2
         self.pos = 0
         self.depth = 0
+        self.events: list[tuple] = []
+        self.imports: dict[str, str] = {}  # simple name -> qualified name
 
     # --- token helpers -------------------------------------------------
     # Hot paths read ``self.toks[self.pos]`` themselves. Only eof has empty
@@ -102,21 +179,47 @@ class _Parser:
     def eof(self) -> bool:
         return self.toks[self.pos][0] == "eof"
 
+    # --- events ---------------------------------------------------------
+    # Hot paths append their events themselves.
+
+    def _emit(self, category: str, keywords=_KW[""], name: str | None = None,
+              qualified: str | None = None) -> None:
+        events = self.events
+        events.append((category, len(events), keywords, name, qualified))
+
+    def _name_event(self, name: str) -> None:
+        """The type use that the dotted name ``name``, read as an
+        expression, gives; a name with no dot gives none."""
+        if "." in name:
+            use = _qualifier_type_use(name)
+            if use is not None:
+                self._emit("type", _KW[""], use[0], use[1])
+
+    def _invocation(self, name: str, qualifier: str | None) -> None:
+        """A call of ``name`` on ``qualifier``, and the type that the
+        qualifier names, if any, as one node."""
+        events = self.events
+        node_id = len(events)
+        events.append(("invocation", node_id, _KW[""], name, None))
+        if qualifier:
+            use = _qualifier_type_use(qualifier)
+            if use is not None:
+                events.append(("type", node_id, _KW[""], use[0], use[1]))
+
     # --- error recovery -------------------------------------------------
 
-    def _too_deep(self) -> Node:
-        """Past MAX_DEPTH, a construct is an error node spanning the tokens
-        up to an unmatched closing bracket, or up to a ``,``, ``:`` or ``;``
+    def _too_deep(self) -> None:
+        """Past MAX_DEPTH, a construct is an error spanning the tokens up
+        to an unmatched closing bracket, or up to a ``,``, ``:`` or ``;``
         outside brackets."""
         depth = 0
         while not self.eof() and (depth or self.tok()[1] not in ",:;)]}"):
             text = self.eat()[1]
             depth += (text in "([{") - (text in ")]}")
-        return Node("error")
+        self._emit("error")
 
-    def _recover(self, stop_at_brace: bool = True) -> Node:
-        """Consume tokens into an error node until a sync point."""
-        err = Node("error")
+    def _recover(self, stop_at_brace: bool = True) -> None:
+        """Consume tokens into an error until a sync point."""
         depth = 0
         while not self.eof():
             text = self.tok()[1]
@@ -134,38 +237,36 @@ class _Parser:
                     continue
                 depth -= 1
             self.eat()
-        return err
+        self._emit("error")
 
     # --- compilation unit -------------------------------------------------
 
-    def parse_compilation_unit(self) -> Node:
-        unit = Node("compilation_unit")
-        toks = self.toks
+    def parse_compilation_unit(self) -> None:
+        toks, events = self.toks, self.events
         while toks[self.pos][0] != "eof":
             start = self.pos
             if toks[start][1] == ";":
                 self.pos += 1
                 continue
-            mods, annotations = self._parse_modifiers([])
+            mark = len(events)
+            mods = self._parse_modifiers()
             if toks[self.pos] == ("keyword", "package"):
                 self.pos += 1
                 self._qualified_name()
                 self.accept(";")
-                unit.children.append(Node("package_declaration", {}, annotations))
                 continue
             if toks[self.pos] == ("keyword", "import"):
-                unit.children.append(self._parse_import())
+                del events[mark:]  # an import's annotations are dropped
+                self._parse_import()
                 continue
-            decl = self._parse_type_declaration(annotations, mods)
-            if decl is not None:
-                unit.children.append(decl)
+            self._parse_type_declaration(mods, mark)
             if self.pos == start:
-                unit.children.append(self._recover(stop_at_brace=False))
+                self._recover(stop_at_brace=False)
                 if self.pos == start:
                     self.eat()
-        return unit
 
-    def _parse_import(self) -> Node:
+    def _parse_import(self) -> None:
+        """An import; a single-type one registers its simple name."""
         toks = self.toks
         pos = self.pos + 1  # after 'import'
         is_static = toks[pos] == ("keyword", "static")
@@ -183,24 +284,24 @@ class _Parser:
                 pos += 1
                 break
         self.pos = pos + (toks[pos][1] == ";")
-        return Node(
-            "import_declaration",
-            {"name": ".".join(parts), "static": is_static, "wildcard": wildcard},
-        )
+        if parts and not is_static and not wildcard:
+            self.imports[parts[-1]] = ".".join(parts)
 
     # --- annotations & modifiers -------------------------------------------
 
-    def _parse_annotation(self) -> Node:
+    def _parse_annotation(self) -> None:
         if self.depth >= MAX_DEPTH:
-            return self._too_deep()
+            self._too_deep()
+            return
         self.depth += 1
         self.eat()  # @
-        node = _named("annotation", self._qualified_name())
+        qualified = self._qualified_name()
+        self._emit("annotation", _KW[""], qualified.rsplit(".", 1)[-1], qualified)
         if self.at("("):
             depth = 0
             while not self.eof():
                 if self.at("@") and depth > 0:
-                    node.children.append(self._parse_annotation())
+                    self._parse_annotation()
                     continue
                 text = self.eat()[1]
                 if text == "(":
@@ -210,9 +311,10 @@ class _Parser:
                     if depth == 0:
                         break
         self.depth -= 1
-        return node
 
-    def _parse_modifiers(self, annotations: list[Node]) -> tuple[list[str], list[Node]]:
+    def _parse_modifiers(self) -> list[str]:
+        """Modifier words, annotations (as events) and the contextual
+        ``sealed`` and ``non-sealed``; returns the modifier words."""
         mods: list[str] = []
         toks = self.toks
         while True:
@@ -221,14 +323,14 @@ class _Parser:
                 mods.append(text)
                 self.pos += 1
             elif text == "@" and toks[self.pos + 1] != ("keyword", "interface"):
-                annotations.append(self._parse_annotation())
+                self._parse_annotation()
             elif kind == "identifier" and text == "sealed" and toks[self.pos + 1][0] == "keyword":
                 self.pos += 1  # contextual 'sealed' before class/interface
             elif (kind == "identifier" and text == "non" and toks[self.pos + 1][1] == "-"
                   and toks[self.pos + 2][1] == "sealed"):
                 self.pos += 3
             else:
-                return mods, annotations
+                return mods
 
     def _qualified_name(self) -> str:
         toks, pos = self.toks, self.pos
@@ -256,131 +358,175 @@ class _Parser:
             return "record"
         return None
 
-    def _parse_type_declaration(
-        self, annotations: list[Node], premods: tuple[str, ...] | list[str] = ()
-    ) -> Node | None:
-        mods, annotations = self._parse_modifiers(annotations)
-        mods = list(premods) + mods
+    def _parse_type_declaration(self, mods: list[str], mark: int,
+                                nested: bool = False, local: bool = False) -> None:
+        """A type declaration after its modifiers ``mods``, whose events
+        begin at ``mark``; ``nested`` for a member of a type body, ``local``
+        for a statement. Modifiers or annotations that start no type
+        declaration are an error."""
         kw = self._type_decl_keyword()
         if kw is None:
-            if mods or annotations:
-                node = self._recover()
-                node.children.extend(annotations)
-                return node
-            return None
+            if mods or len(self.events) > mark:
+                self._recover()
+            return
 
         self.accept("@")  # of @interface
         self.eat()  # class/interface/enum/record keyword
         name = self.eat()[1] if self.tok()[0] == "identifier" else ""
-        node = Node(
-            {"class": "class_declaration", "interface": "interface_declaration",
-             "enum": "enum_declaration", "record": "record_declaration",
-             "@interface": "annotation_declaration"}[kw],
-            {"name": name, "modifiers": tuple(mods), "generic": False},
-        )
-        node.children.extend(annotations)
-
+        keywords = {*mods, *_TYPE_KEYWORDS[kw]}
         if self.at("<"):
-            node.fields["generic"] = True
+            keywords.add("generic")
             self._skip_angles()
         if kw == "record" and self.at("("):
-            params, _ = self._parse_params()
-            node.fields["params"] = len(params)
-            node.children.extend(params)
+            self._parse_params()
+        superclass = ""
         if self.at_kw("extends"):
             self.eat()
-            names = self._parse_type_list(node, ",")
+            names = self._parse_type_list(",")
             if names and kw == "class":
-                node.fields["superclass_name"] = names[0]
+                superclass = names[0]
+                keywords.add("subclass")
         while self.at_kw("implements") or self.at("permits"):  # 'permits' is contextual
             self.eat()
-            self._parse_type_list(node, ",")
+            self._parse_type_list(",")
 
+        members: list[tuple[set[str], str | None, str | None]] = []
         if self.accept(";"):
-            return node
-        if kw == "enum":
-            self._parse_enum_body(node, name)
+            pass
+        elif kw == "enum":
+            members = self._parse_enum_body(name)
         else:
-            self._parse_class_body(node, name)
-        return node
+            members = self._parse_class_body(name)
 
-    def _parse_type_list(self, owner: Node, sep: str) -> list[str]:
-        """Parse ``sep``-separated types into ``owner``; returns their
-        simple names."""
+        if nested:
+            keywords.add("member")
+            if kw == "class":
+                keywords.add("inner_class")
+        if kw == "class":
+            if local:
+                keywords.add("local_class")
+            if name.endswith(_EXCEPTION_SUFFIXES) or superclass.endswith(_EXCEPTION_SUFFIXES):
+                keywords.add("exception_class")
+            fields = [k for k, _, _ in members if "field" in k]
+            ctors = [k for k, _, _ in members if "constructor" in k]
+            if ("final" in mods and fields and any("parameterized" in c for c in ctors)
+                    and all("final" in f for f in fields)):
+                keywords.add("immutable_class")
+            if any("private" in c for c in ctors) and any(
+                    "static" in k and type_name == name for k, _, type_name in members):
+                keywords.add("singleton_class")
+        self._emit("declaration", keywords, name)
+
+    def _parse_type_list(self, sep: str) -> list[str]:
+        """Read ``sep``-separated types; returns their simple names."""
         names = []
         while True:
             t = self._parse_type()
             if t is None:
                 break
-            names.append(_type_simple_name(t))
-            owner.children.append(t)
+            names.append(t[1])
             if not self.accept(sep):
                 break
         return names
 
-    def _parse_class_body(self, owner: Node, type_name: str) -> None:
+    def _parse_class_body(self, type_name: str) -> list[tuple[set[str], str | None, str | None]]:
+        """A class, enum-constant or anonymous-class body: its members'
+        records (see _parse_members)."""
         if not self.accept("{"):
-            owner.children.append(self._recover())
-            return
-        self._parse_members(owner, type_name)
+            self._recover()
+            return []
+        return self._parse_members(type_name)
 
-    def _parse_members(self, owner: Node, type_name: str) -> None:
-        """Members up to and including the closing ``}``."""
+    def _parse_members(self, type_name: str) -> list[tuple[set[str], str | None, str | None]]:
+        """Members up to and including the closing ``}``.
+
+        Returns a (keywords, name, type name) record for each method,
+        constructor and field, the type name being a method's return type
+        or a field's class type. Their declaration events are appended
+        once the body is read, when its overloads are known.
+        """
         toks = self.toks
+        members = []
         while toks[self.pos][1] != "}" and not self.eof():
             start = self.pos
             member = self._parse_member(type_name)
             if member is not None:
-                owner.children.append(member)
+                members.append(member)
             if self.pos == start:
-                owner.children.append(self._recover())
+                self._recover()
                 if self.pos == start:
                     self.eat()
         self.accept("}")
+        names: set[str] = set()
+        overloaded: set[str] = set()
+        n_ctors = 0
+        for keywords, name, _ in members:
+            if "method" in keywords:
+                (overloaded if name in names else names).add(name)
+            n_ctors += "constructor" in keywords
+        events = self.events
+        for keywords, name, _ in members:
+            if "method" in keywords:
+                if name in overloaded:
+                    keywords.add("overloaded_method")
+            elif n_ctors > 1 and "constructor" in keywords:
+                keywords.add("overloaded_constructor")
+            events.append(("declaration", len(events), keywords, name, None))
+        return members
 
-    def _parse_enum_body(self, owner: Node, type_name: str) -> None:
+    def _parse_enum_body(self, type_name: str) -> list[tuple[set[str], str | None, str | None]]:
         if not self.accept("{"):
-            owner.children.append(self._recover())
-            return
+            self._recover()
+            return []
         # constants until ';' or '}'
+        events = self.events
         while not self.eof() and not self.at("}") and not self.at(";"):
-            _, annos = self._parse_modifiers([])
+            mark = len(events)
+            self._parse_modifiers()
             if self.tok()[0] != "identifier":
-                owner.children.append(self._recover())
+                del events[mark:]  # annotations of no constant are dropped
+                self._recover()
                 break
-            const = Node("enum_constant", {"name": self.eat()[1]})
-            const.children.extend(annos)
+            self._emit("declaration", _KW["enum_constant"], self.eat()[1])
             if self.at("("):
-                const.children.extend(self._parse_args())
+                self._parse_args()
             if self.at("{"):
-                self._parse_class_body(const, type_name)
-            owner.children.append(const)
+                self._parse_class_body(type_name)
             if not self.accept(","):
                 break
         if self.accept(";"):
-            self._parse_members(owner, type_name)
-        else:
-            self.accept("}")
+            return self._parse_members(type_name)
+        self.accept("}")
+        return []
 
-    def _parse_member(self, type_name: str) -> Node | None:
+    def _parse_member(self, type_name: str) -> tuple[set[str], str | None, str | None] | None:
+        """One member of a type body: the record of a method, constructor
+        or field (see _parse_members); None for anything else, whose
+        events are appended here."""
         if self.depth >= MAX_DEPTH:
-            return self._too_deep()
+            self._too_deep()
+            return None
         self.depth += 1
         try:
             toks = self.toks
             if toks[self.pos][1] == ";":
                 self.pos += 1
                 return None
-            mods, annotations = self._parse_modifiers([])
+            mark = len(self.events)
+            mods = self._parse_modifiers()
             text = toks[self.pos][1]
 
             # initializer block
             if text == "{":
-                return Node("initializer_block", {"static": "static" in mods},
-                            [self._parse_block()])
+                del self.events[mark:]  # an initializer's annotations are dropped
+                self._emit("declaration",
+                           {"initializer", "static"} if "static" in mods else {"initializer"})
+                self._parse_block()
+                return None
 
             if self._type_decl_keyword() is not None:  # nested type
-                return self._parse_type_declaration(annotations, mods)
+                self._parse_type_declaration(mods, mark, nested=True)
+                return None
 
             # generic method type parameters
             generic_method = text == "<"
@@ -390,71 +536,70 @@ class _Parser:
             # constructor; a record's compact one has no parameter list
             if toks[self.pos] == ("identifier", type_name) and toks[self.pos + 1][1] in ("(", "{"):
                 self.pos += 1
-                return self._parse_callable(Node(
-                    "constructor_declaration",
-                    {"name": type_name, "modifiers": tuple(mods)}, annotations))
+                keywords = {"constructor", "member", *mods}
+                _, first = self._parse_callable(keywords)
+                if first is _THIS_CALL:
+                    keywords.add("chained_constructor")
+                return keywords, type_name, None
 
             rtype = self._parse_type()
-            if rtype is None:
-                node = self._recover()
-                node.children.extend(annotations)
-                return node
-
-            kind, name = toks[self.pos]
-            if kind != "identifier":
-                node = self._recover()
-                node.fields["modifiers"] = tuple(mods)
-                node.children.extend(annotations)
-                node.children.append(rtype)
-                return node
-
+            if rtype is None or toks[self.pos][0] != "identifier":
+                self._recover()
+                return None
+            name = toks[self.pos][1]
             self.pos += 1
-            annotations.append(rtype)
             if toks[self.pos][1] == "(":
-                return self._parse_callable(Node(
-                    "method_declaration",
-                    {"name": name, "modifiers": tuple(mods), "generic": generic_method,
-                     "return_type_name": _type_simple_name(rtype)},
-                    annotations))
+                keywords = {"method", "member", *mods}
+                returning = rtype[1] != "void"
+                if returning:
+                    keywords.add("returning")
+                if generic_method:
+                    keywords.add("generic")
+                n_params, _ = self._parse_callable(keywords)
+                if _accessor_like(name, n_params, returning):
+                    keywords.add("accessor_method")
+                return keywords, name, rtype[1]
 
             # field declaration
-            node = Node("field_declaration", {"modifiers": tuple(mods)}, annotations)
-            self._parse_declarators(node)
-            return node
+            self._parse_declarators()
+            class_type = rtype[1] if rtype[0] in ("named_type", "generic_type") else None
+            return {"field", "member", *mods}, None, class_type
         finally:
             self.depth -= 1
 
-    def _parse_callable(self, node: Node) -> Node:
+    def _parse_callable(self, keywords: set[str]) -> tuple[int, object]:
         """The parameters, ``throws`` types, ``default`` value and body of
-        the method or constructor ``node``."""
-        params, varargs = self._parse_params()
-        node.children.extend(params)
-        if self.toks[self.pos][1] == "[":
+        a method or constructor, adding what they show to its
+        ``keywords``. Returns the parameter count and what the body's
+        first statement read (see parse_statement)."""
+        n_params, varargs = self._parse_params()
+        toks = self.toks
+        if toks[self.pos][1] == "[":
             self._skip_dims()
-        throws: list[str] = []
-        if self.toks[self.pos] == ("keyword", "throws"):
+        if toks[self.pos] == ("keyword", "throws"):
             self.pos += 1
-            throws = self._parse_type_list(node, ",")
-        node.fields.update(params=len(params), varargs=varargs, throws=tuple(throws))
-        if self.toks[self.pos] == ("keyword", "default"):  # annotation-type member default
+            if self._parse_type_list(","):
+                keywords.add("throwing")
+        if n_params:
+            keywords.add("parameterized")
+        if varargs:
+            keywords.add("varargs")
+        if toks[self.pos] == ("keyword", "default"):  # annotation-type member default
             self.pos += 1
-            node.children.append(self.parse_expression())
-        if self.toks[self.pos][1] == "{":
-            node.children.append(self._parse_block())
-        else:
-            self.accept(";")
-        return node
+            self.parse_expression()
+        if toks[self.pos][1] == "{":
+            return n_params, self._parse_block()
+        self.accept(";")
+        return n_params, None
 
-    def _parse_declarators(self, owner: Node) -> None:
+    def _parse_declarators(self) -> None:
         toks = self.toks
         while True:
             if toks[self.pos][1] == "[":
                 self._skip_dims()
             if toks[self.pos][1] == "=":
                 self.pos += 1
-                owner.children.append(Node("variable_declarator", {}, [self.parse_expression()]))
-            else:
-                owner.children.append(Node("variable_declarator"))
+                self.parse_expression()
             if toks[self.pos][1] != ",":
                 break
             self.pos += 1
@@ -463,22 +608,24 @@ class _Parser:
             self.pos += 1  # the next variable's name
         self.accept(";")
 
-    def _parse_array_initializer(self) -> Node:
-        node = Node("array_initializer")
+    def _parse_array_initializer(self) -> None:
+        self._emit("expression", _KW["array_initializer"])
         self.eat()  # {
-        node.children.extend(self._parse_list(self.parse_expression, ",", "}"))
-        return node
+        self._parse_list(self.parse_expression, ",", "}")
 
-    def _parse_params(self) -> tuple[list[Node], bool]:
-        params: list[Node] = []
+    def _parse_params(self) -> tuple[int, bool]:
+        """A parameter list: how many parameters, and whether the last is
+        varargs."""
+        n_params = 0
         varargs = False
         if not self.accept("("):
-            return params, varargs
-        toks = self.toks
+            return n_params, varargs
+        toks, events = self.toks, self.events
         while toks[self.pos][1] != ")" and not self.eof():
-            _, annos = self._parse_modifiers([])
-            ptype = self._parse_type()
-            if ptype is None:
+            mark = len(events)
+            self._parse_modifiers()
+            if self._parse_type() is None:
+                del events[mark:]  # annotations of no parameter are dropped
                 while not self.eof() and not self.at(",") and not self.at(")"):
                     if self.at("("):
                         self._skip_parens()
@@ -493,48 +640,55 @@ class _Parser:
                 self.pos += 1  # the parameter's name
             if toks[self.pos][1] == "[":
                 self._skip_dims()
-            annos.append(ptype)
-            params.append(Node("formal_parameter", {}, annos))
+            n_params += 1
             if toks[self.pos][1] == ",":
                 self.pos += 1
         self.accept(")")
-        return params, varargs
+        return n_params, varargs
 
     # --- types -------------------------------------------------------------
 
-    def _parse_type(self) -> Node | None:
-        mark = self.pos
-        kind, text = self.toks[mark]
-        node: Node | None = None
+    def _parse_type(self) -> tuple[str, str, str | None, int] | None:
+        """A type and its events: (kind, simple name, qualified name,
+        array dimensions), the kind being ``primitive_type``,
+        ``named_type``, ``generic_type`` or ``array_type``, and the names
+        an array's element type's. None, with nothing read, when no type
+        starts here."""
+        kind, text = self.toks[self.pos]
+        events = self.events
         if kind == "keyword" and text in PRIMITIVES:
             self.pos += 1
-            node = Node("primitive_type", {"name": text})
+            result = ("primitive_type", text, None, 0)
         elif kind == "identifier":
+            mark = self.pos
             qualified = self._qualified_name()
+            name = qualified.rsplit(".", 1)[-1]
             if self.toks[self.pos][1] == "<":
-                args = self._parse_type_args()
-                if args is None:
+                if not self._parse_type_args():
                     self.pos = mark
                     return None
-                node = _named("generic_type", qualified)
-                node.children.extend(args)
+                events.append(("type", len(events), _KW["generic"], name, qualified))
+                result = ("generic_type", name, qualified, 0)
             else:
-                node = _named("named_type", qualified)
+                events.append(("type", len(events), _KW[""], name, qualified))
+                result = ("named_type", name, qualified, 0)
         else:
             return None
         dims = self._skip_dims() if self.toks[self.pos][1] == "[" else 0
         if dims:
-            arr = Node("array_type", {"dims": dims})
-            arr.children.append(node)
-            return arr
-        return node
+            events.append(("type", len(events),
+                           _KW["multidim_array" if dims >= 2 else "array"], None, None))
+            return "array_type", result[1], result[2], dims
+        return result
 
-    def _parse_type_args(self) -> list[Node] | None:
-        """Consume balanced angle brackets, extracting type names used inside."""
+    def _parse_type_args(self) -> bool:
+        """Consume balanced angle brackets, a type event for each type name
+        inside. On failure, whatever they held leaves no event."""
         mark = self.pos
+        events = self.events
+        first = len(events)
         self.eat()  # <
         depth = 1
-        names: list[Node] = []
         budget = 512
         while not self.eof() and budget:
             budget -= 1
@@ -545,19 +699,23 @@ class _Parser:
                 depth -= len(text)
                 if depth <= 0:
                     self.eat()
-                    return names if depth == 0 else None
+                    if depth == 0:
+                        return True
+                    del events[first:]
+                    return False
             elif text == ">=":
-                self.pos = mark
-                return None
+                break
             elif kind == "identifier":
-                names.append(_named("named_type", self._qualified_name()))
+                qualified = self._qualified_name()
+                events.append(("type", len(events), _KW[""],
+                               qualified.rsplit(".", 1)[-1], qualified))
                 continue
             elif text in (";", "{", "}", "(", ")", "=") or kind in ("string", "char"):
-                self.pos = mark
-                return None
+                break
             self.eat()
         self.pos = mark
-        return None
+        del events[first:]
+        return False
 
     def _skip_dims(self) -> int:
         """Consume ``[]`` pairs; returns how many."""
@@ -568,10 +726,13 @@ class _Parser:
         return dims
 
     def _skip_angles(self) -> None:
-        if self._parse_type_args() is None:
+        """Type parameters, which give no event."""
+        mark = len(self.events)
+        if not self._parse_type_args():
             # unbalanced; consume the single '<' and move on
             if self.at("<"):
                 self.eat()
+        del self.events[mark:]
 
     def _skip_parens(self) -> None:
         depth = 0
@@ -586,147 +747,151 @@ class _Parser:
 
     # --- statements ----------------------------------------------------------
 
-    def _parse_block(self) -> Node:
+    def _parse_block(self) -> object:
+        """A block; returns what its first statement read (see
+        parse_statement)."""
         if not self.accept("{"):
-            return Node("block", {}, [self._recover()])
-        return Node("block", {}, self._parse_list(self.parse_statement, None, "}"))
+            self._recover()
+            return None
+        statements = self._parse_list(self.parse_statement, None, "}")
+        return statements[0] if statements else None
 
-    def parse_statement(self) -> Node:
+    def parse_statement(self) -> object:
+        """One statement. Returns what an expression statement's
+        expression read (see parse_expression), and None for any other
+        statement."""
         if self.depth >= MAX_DEPTH:
-            return self._too_deep()
+            self._too_deep()
+            return None
         self.depth += 1
         try:
             kind, text = self.toks[self.pos]
             if text == "{":
-                return self._parse_block()
+                self._parse_block()
+                return None
             if text == ";":
                 self.pos += 1
-                return Node("empty_statement")
+                return None
             if kind == "keyword":
                 handler = getattr(self, f"_stmt_{text}", None)
                 if handler is not None:
-                    return handler()
+                    handler()
+                    return None
             if (kind == "identifier" and self.tok(1) == ("op", ":")
                     and self.tok(2)[1] != ":"):
-                self.eat()
-                self.eat()
-                node = Node("labeled_statement")
-                node.children.append(self.parse_statement())
-                return node
+                self.pos += 2  # a label
+                self.parse_statement()
+                return None
             if (kind == "identifier" and text == "yield"
                     and self.tok(1)[1] not in ("=", ".", "(", ";", "[")):
                 self.eat()
-                return self._expression_statement("yield_statement")
-            local = self._try_local_var_decl()
-            if local is not None:
-                return local
+                self._expression_statement()
+                return None
+            if self._try_local_var_decl():
+                return None
             if text in MODIFIER_WORDS or text == "@" or self._type_decl_keyword() is not None:
                 # a local type, or modifiers that start no declaration
-                return self._parse_type_declaration([])
-            return self._expression_statement("expression_statement")
+                mark = len(self.events)
+                self._parse_type_declaration(self._parse_modifiers(), mark, local=True)
+                return None
+            return self._expression_statement()
         finally:
             self.depth -= 1
 
-    def _variable_head(self) -> tuple[list[str], list[Node]] | None:
-        """``[modifiers] Type name``: its modifiers, and its annotations
-        followed by its type, with the position after the name. None, with
-        the position unchanged, when no such head starts here."""
+    def _variable_head(self) -> list[str] | None:
+        """``[modifiers] Type name``: its modifiers, with the position after
+        the name. None, with nothing read, when no such head starts here."""
         mark = self.pos
-        mods, children = self._parse_modifiers([])
-        vtype = self._parse_type()
-        if vtype is None or self.toks[self.pos][0] != "identifier":
+        first = len(self.events)
+        mods = self._parse_modifiers()
+        if self._parse_type() is None or self.toks[self.pos][0] != "identifier":
             self.pos = mark
+            del self.events[first:]
             return None
         self.pos += 1
-        children.append(vtype)
-        return mods, children
+        return mods
 
-    def _try_local_var_decl(self) -> Node | None:
+    def _try_local_var_decl(self) -> bool:
         mark = self.pos
-        head = self._variable_head()
+        first = len(self.events)
+        mods = self._variable_head()
         toks, pos = self.toks, self.pos
         nxt = toks[pos][1]
-        if head is None or not (
+        if mods is None or not (
                 nxt in ("=", ",", ";") or (nxt == "[" and toks[pos + 1][1] == "]")):
             self.pos = mark
-            return None
-        node = Node("local_variable_declaration", {"modifiers": tuple(head[0])}, head[1])
-        self._parse_declarators(node)
-        return node
+            del self.events[first:]
+            return False
+        self._emit("declaration", {"variable", *mods})
+        self._parse_declarators()
+        return True
 
-    def _stmt_if(self) -> Node:
+    def _stmt_if(self) -> None:
         self.eat()
-        node = Node("if_statement")
-        self._parse_condition(node)
-        node.children.append(self.parse_statement())
+        self._emit("statement", _KW["if"])
+        self._parse_condition()
+        self.parse_statement()
         if self.at_kw("else"):
             self.eat()
-            node.children.append(self.parse_statement())
-        return node
+            self.parse_statement()
 
-    def _stmt_while(self) -> Node:
+    def _stmt_while(self) -> None:
         self.eat()
-        node = Node("while_statement")
-        self._parse_condition(node)
-        node.children.append(self.parse_statement())
-        return node
+        self._emit("statement", _KW["while"])
+        self._parse_condition()
+        self.parse_statement()
 
-    def _stmt_do(self) -> Node:
+    def _stmt_do(self) -> None:
         self.eat()
-        node = Node("do_statement")
-        node.children.append(self.parse_statement())
+        self._emit("statement", _KW["do_while"])
+        self.parse_statement()
         if self.at_kw("while"):
             self.eat()
-            self._parse_condition(node)
+            self._parse_condition()
         self.accept(";")
-        return node
 
-    def _stmt_for(self) -> Node:
+    def _stmt_for(self) -> None:
         self.eat()
         if not self.accept("("):
-            node = Node("for_statement")
-            node.children.append(self._recover())
-            return node
+            self._emit("statement", _KW["for"])
+            self._recover()
+            return
         # enhanced for: [modifiers] Type name : expr
         mark = self.pos
-        head = self._variable_head()
-        if head is not None and self.at(":") and self.tok(1)[1] != ":":
+        first = len(self.events)
+        if self._variable_head() is not None and self.at(":") and self.tok(1)[1] != ":":
             self.eat()  # :
-            node = Node("enhanced_for_statement", {}, head[1])
-            node.children.append(self.parse_expression())
+            self._emit("statement", _KW["enhanced_for"])
+            self.parse_expression()
             self.accept(")")
-            node.children.append(self.parse_statement())
-            return node
+            self.parse_statement()
+            return
         self.pos = mark
-        node = Node("for_statement")
+        del self.events[first:]
+        self._emit("statement", _KW["for"])
         if not self.accept(";"):
-            init = self._try_local_var_decl()
-            if init is not None:
-                node.children.append(init)  # consumes its ';'
-            else:
-                node.children.append(self.parse_expression())
+            if not self._try_local_var_decl():  # a local consumes its ';'
+                self.parse_expression()
                 while self.accept(","):
-                    node.children.append(self.parse_expression())
+                    self.parse_expression()
                 self.accept(";")
         if not self.at(";"):
-            node.children.append(self.parse_expression())
+            self.parse_expression()
         self.accept(";")
-        node.children.extend(self._parse_list(self.parse_expression, ",", ")"))
-        node.children.append(self.parse_statement())
-        return node
+        self._parse_list(self.parse_expression, ",", ")")
+        self.parse_statement()
 
-    def _stmt_switch(self) -> Node:
+    def _stmt_switch(self) -> None:
         self.eat()
-        node = Node("switch_statement")
-        self._parse_condition(node)
+        self._emit("statement", _KW["switch"])
+        self._parse_condition()
         if not self.accept("{"):
-            node.children.append(self._recover())
-            return node
+            self._recover()
+            return
         while not self.eof() and not self.at("}"):
             start = self.pos
             if self.at_kw("case") or self.at_kw("default"):
-                label = Node("case_label")
-                self.eat()
+                self.eat()  # a case label: its tokens give no event
                 depth = 0
                 while not self.eof():
                     text = self.tok()[1]
@@ -740,139 +905,142 @@ class _Parser:
                     elif text in ")]":
                         depth -= 1
                     self.eat()
-                node.children.append(label)
             else:
-                node.children.append(self.parse_statement())
+                self.parse_statement()
             if self.pos == start:
                 self.eat()
         self.accept("}")
-        return node
 
-    def _stmt_try(self) -> Node:
+    def _stmt_try(self) -> None:
         self.eat()
-        node = Node("try_statement", {"resources": 0})
+        resources = 0
         if self.accept("("):
-            resources = self._parse_list(self._parse_resource, ";", ")")
-            node.children.extend(resources)
-            node.fields["resources"] = len(resources)
-        node.children.append(self._parse_block())
+            resources = len(self._parse_list(self._parse_resource, ";", ")"))
+        self._emit("statement", _KW["try try_with_resources" if resources else "try"])
+        self._parse_block()
         while self.at_kw("catch"):
             self.eat()
-            clause = Node("catch_clause", {"types": 0})
+            types = 0
             if self.accept("("):
-                clause.children.extend(self._parse_modifiers([])[1])
-                clause.fields["types"] = len(self._parse_type_list(clause, "|"))
+                self._parse_modifiers()
+                types = len(self._parse_type_list("|"))
                 if self.tok()[0] == "identifier":
                     self.eat()  # the exception variable
                 self.accept(")")
-            clause.children.append(self._parse_block())
-            node.children.append(clause)
+            self._emit("statement", _KW["catch multi_catch" if types > 1 else "catch"])
+            self._parse_block()
         if self.at_kw("finally"):
             self.eat()
-            fin = Node("finally_clause")
-            fin.children.append(self._parse_block())
-            node.children.append(fin)
-        return node
+            self._emit("statement", _KW["finally"])
+            self._parse_block()
 
-    def _parse_resource(self) -> Node:
+    def _parse_resource(self) -> None:
         mark = self.pos
-        head = self._variable_head()
-        if head is not None and self.accept("="):
-            return Node("resource", {}, [*head[1], self.parse_expression()])
+        first = len(self.events)
+        if self._variable_head() is not None and self.accept("="):
+            self.parse_expression()
+            return
         self.pos = mark  # an existing variable (Java 9+): a plain expression
-        return Node("resource", {}, [self.parse_expression()])
+        del self.events[first:]
+        self.parse_expression()
 
-    def _stmt_return(self) -> Node:
+    def _stmt_return(self) -> None:
         self.pos += 1
-        node = Node("return_statement")
         if self.toks[self.pos][1] not in (";", "}"):
-            node.children.append(self.parse_expression())
+            self.parse_expression()
         self.accept(";")
-        return node
 
-    def _stmt_throw(self) -> Node:
+    def _stmt_throw(self) -> None:
         self.eat()
-        return self._expression_statement("throw_statement")
+        self._emit("statement", _KW["throw"])
+        self._expression_statement()
 
-    def _stmt_break(self) -> Node:
-        node = Node(f"{self.eat()[1]}_statement")  # 'break' or 'continue'
+    def _stmt_break(self) -> None:
+        self._emit("statement", _KW[self.eat()[1]])  # 'break' or 'continue'
         if self.tok()[0] == "identifier":
             self.eat()  # the label
         self.accept(";")
-        return node
 
     _stmt_continue = _stmt_break
 
-    def _stmt_assert(self) -> Node:
+    def _stmt_assert(self) -> None:
         self.eat()
-        node = Node("assert_statement")
-        node.children.append(self.parse_expression())
+        self._emit("statement", _KW["assert"])
+        self.parse_expression()
         if self.accept(":"):
-            node.children.append(self.parse_expression())
+            self.parse_expression()
         self.accept(";")
-        return node
 
-    def _stmt_synchronized(self) -> Node:
+    def _stmt_synchronized(self) -> None:
         self.eat()
-        node = Node("synchronized_statement")
-        self._parse_condition(node)
-        node.children.append(self._parse_block())
-        return node
+        self._emit("statement", _KW["synchronized"])
+        self._parse_condition()
+        self._parse_block()
 
-    def _parse_condition(self, owner: Node) -> None:
-        """Append a parenthesized expression to ``owner``, if one follows."""
+    def _parse_condition(self) -> None:
+        """A parenthesized expression, if one follows."""
         if self.accept("("):
-            owner.children.append(self.parse_expression())
+            self.parse_expression()
             self.accept(")")
 
-    def _expression_statement(self, kind: str) -> Node:
-        """A ``kind`` node holding one expression, then its ``;``.
+    def _expression_statement(self) -> object:
+        """One expression, then its ``;``; returns what the expression
+        read.
 
         When the ``;`` is missing, the tokens up to the next statement
-        boundary become an ``error`` child, unless the block ends here.
+        boundary become an error, unless the block ends here.
         """
-        node = Node(kind, {}, [self.parse_expression()])
+        expr = self.parse_expression()
         if not self.accept(";") and not (self.at("}") or self.eof()):
-            node.children.append(self._recover())
-        return node
+            self._recover()
+        return expr
 
     # --- expressions -----------------------------------------------------------
+    # Each expression reader returns what it read, when a reader above
+    # needs to know: a name (its text, dotted or not), _THIS, _SUPER or
+    # _THIS_CALL; and None for anything else.
 
-    def parse_expression(self) -> Node:
+    def parse_expression(self) -> object:
         """An expression, assignments included (right-associative)."""
         depth = self.depth
         if depth >= MAX_DEPTH:
-            return self._too_deep()
+            self._too_deep()
+            return None
         kind, text = self.toks[self.pos]
         # A name or literal on its own passes the levels below unchanged:
-        # build it here when they would all be in bounds.
+        # read it here when they would all be in bounds.
         if (self.toks[self.pos + 1][1] in _LEAF_ENDS and kind in _LEAF_KINDS
                 and depth < MAX_DEPTH - 2):
             self.pos += 1
-            return Node("name", {"name": text}) if kind == "identifier" else Node("literal")
+            return text if kind == "identifier" else None
         self.depth = depth + 1
-        node = self._parse_ternary()
+        expr = self._parse_ternary()
         kind, text = self.toks[self.pos]
         if kind == "op" and text in ASSIGN_OPS:
             self.pos += 1
-            node = Node("assignment_expression", {}, [node, self.parse_expression()])
+            self._emit("expression", _KW["assignment"])
+            self.parse_expression()
+            expr = None
         self.depth = depth
-        return node
+        return expr
 
-    def _parse_ternary(self) -> Node:
+    def _parse_ternary(self) -> object:
         if self.depth >= MAX_DEPTH:
-            return self._too_deep()
+            self._too_deep()
+            return None
         self.depth += 1
-        node = self._parse_binary()
+        expr = self._parse_binary()
         if self.toks[self.pos] == ("op", "?"):
             self.pos += 1
-            node = Node("ternary_expression", {}, [node, self.parse_expression()])
+            self._emit("expression", _KW["ternary"])
+            self.parse_expression()
             self.accept(":")
-            node.children.append(self._parse_ternary())
+            self._parse_ternary()
+            expr = None
         self.depth -= 1
-        return node
+        return expr
 
-    def _parse_binary(self, min_level: int = 0) -> Node:
+    def _parse_binary(self, min_level: int = 0) -> object:
         """Binary and instanceof expressions with operators of level
         ``min_level`` or tighter, by precedence climbing.
 
@@ -882,6 +1050,7 @@ class _Parser:
         """
         left = self._parse_unary()
         max_level = len(BINARY_LEVELS) - 1
+        events = self.events
         while True:
             text = self.toks[self.pos][1]
             level = _BINARY_LEVEL.get(text)
@@ -889,149 +1058,186 @@ class _Parser:
                 return left
             self.pos += 1
             if text == "instanceof":
-                node = Node("instanceof_expression", {}, [left])
-                head = self._variable_head()  # a pattern binding
-                if head is not None:
-                    node.children.extend(head[1])
-                elif (itype := self._parse_type()) is not None:
-                    node.children.append(itype)
+                events.append(("expression", len(events), _KW["instanceof"], None, None))
+                if self._variable_head() is None:  # else a pattern binding
+                    self._parse_type()
             else:
-                node = Node("binary_expression", {"op": text},
-                            [left, self._parse_binary(level + 1)])
-            left = node
+                events.append(("expression", len(events),
+                               _KW["binary equality" if text in ("==", "!=") else "binary"],
+                               None, None))
+                self._parse_binary(level + 1)
+            left = None
             max_level = level
 
-    def _parse_unary(self) -> Node:
+    def _parse_unary(self) -> object:
         if self.depth >= MAX_DEPTH:
-            return self._too_deep()
+            self._too_deep()
+            return None
         self.depth += 1
         kind, text = self.toks[self.pos]
         if kind == "op" and text in ("!", "~", "+", "-", "++", "--"):
             self.pos += 1
-            node = Node("unary_expression", {}, [self._parse_unary()])
+            self._emit("expression", _KW["unary"])
+            self._parse_unary()
+            expr = None
+        elif text == "(" and self._try_cast():
+            expr = None
         else:
-            node = self._try_cast() if text == "(" else None
-            if node is None:
-                node = self._parse_postfix()
+            expr = self._parse_postfix()
         self.depth -= 1
-        return node
+        return expr
 
-    def _try_cast(self) -> Node | None:
+    def _try_cast(self) -> bool:
         mark = self.pos
+        events = self.events
+        first = len(events)
         self.eat()  # (
         ctype = self._parse_type()
         while ctype is not None and self.at("&"):  # intersection cast
             self.eat()
-            extra = self._parse_type()
-            if extra is None:
+            extra = len(events)
+            if self._parse_type() is None:
                 ctype = None
+            del events[extra:]  # only the first type of an intersection counts
         if ctype is None or not self.accept(")"):
             self.pos = mark
-            return None
+            del events[first:]
+            return False
         kind, text = self.tok()
         plausible = (
-            ctype.kind in ("primitive_type", "array_type", "generic_type")
+            ctype[0] in ("primitive_type", "array_type", "generic_type")
             or kind in ("identifier", "number", "string", "char")
             or text in ("(", "!", "~")
             or (kind == "keyword" and text in ("new", "this", "super"))
         )
         if not plausible:
             self.pos = mark
-            return None
-        node = Node("cast_expression")
-        node.children.append(ctype)
-        node.children.append(self._parse_unary())
-        return node
+            del events[first:]
+            return False
+        self._emit("expression",
+                   _KW["primitive_cast" if ctype[0] == "primitive_type" else "reference_cast"])
+        self._parse_unary()
+        return True
 
-    def _parse_postfix(self) -> Node:
+    def _parse_postfix(self) -> object:
         expr = self._parse_primary()
-        toks = self.toks
+        toks, events = self.toks, self.events
+        # A name is read on by its suffixes, and gives its type event, if
+        # any, once it ends. A parenthesised dotted name has given its
+        # event already, as the last one: take it back.
+        if type(expr) is str and "." in expr and _qualifier_type_use(expr) is not None:
+            events.pop()
         while True:
             kind, text = toks[self.pos]
             if text == "." and toks[self.pos + 1][0] in ("identifier", "keyword"):
                 kind, seg = toks[self.pos + 1]
                 if kind == "keyword" and seg not in ("new", "class", "this", "super"):
-                    return expr
+                    break
                 self.pos += 2
                 if seg == "new":  # outer.new Inner(): the qualifier is evidence too
-                    creation = self._parse_creation()
-                    # last, so that children[0] stays the created type
-                    creation.children.append(expr)
-                    expr = creation
+                    if type(expr) is str:
+                        self._name_event(expr)
+                    self._parse_creation()
+                    expr = None
                 elif kind == "keyword":  # .class, .this, .super
                     continue
                 elif toks[self.pos][1] == "(":
-                    qualifier, receiver = _receiver(expr)
-                    expr = Node("method_invocation", {"name": seg, "qualifier": qualifier},
-                                [*receiver, *self._parse_args()])
-                elif expr.kind == "name":
-                    expr = Node("name", {"name": expr.fields["name"] + "." + seg})
+                    self._invocation(seg, expr if type(expr) is str else None)
+                    self._parse_args()
+                    expr = None
+                elif type(expr) is str:
+                    expr = expr + "." + seg
                 else:
-                    expr = Node("field_access", {}, [expr])
+                    expr = None  # a field access
             elif text == "." and toks[self.pos + 1][1] == "<":  # a.<T>m(): type arguments
                 mark = self.pos
+                first = len(events)
                 self.pos += 1
-                type_args = self._parse_type_args()
-                if (type_args is None or toks[self.pos][0] != "identifier"
+                if (not self._parse_type_args() or toks[self.pos][0] != "identifier"
                         or toks[self.pos + 1][1] != "("):
                     self.pos = mark
-                    return expr
-                qualifier, receiver = _receiver(expr)
-                expr = Node("method_invocation", {"name": self.eat()[1], "qualifier": qualifier},
-                            [*receiver, *type_args, *self._parse_args()])
-            elif text == "(" and expr.kind == "name":
-                qualifier, _, name = expr.fields["name"].rpartition(".")
-                expr = Node("method_invocation", {"name": name, "qualifier": qualifier or None},
-                            self._parse_args())
-            elif text == "(" and expr.kind in ("this_expression", "super_expression"):
-                expr = Node("explicit_constructor_invocation",
-                            {"target": "this" if expr.kind == "this_expression" else "super"},
-                            self._parse_args())
+                    del events[first:]
+                    break
+                self._invocation(self.eat()[1], expr if type(expr) is str else None)
+                self._parse_args()
+                expr = None
+            elif text == "(" and type(expr) is str:
+                qualifier, _, name = expr.rpartition(".")
+                self._invocation(name, qualifier or None)
+                self._parse_args()
+                expr = None
+            elif text == "(" and (expr is _THIS or expr is _SUPER):
+                # this(…) or super(…); `super` has given its event
+                expr = _THIS_CALL if expr is _THIS else None
+                self._parse_args()
             elif text == "::":
                 self.pos += 1
                 kind, text = toks[self.pos]
                 ref = "new" if kind == "keyword" and text == "new" else (
                     text if kind == "identifier" else "")
                 self.eat()
-                qualifier, receiver = _receiver(expr)
-                expr = Node("method_reference", {"name": ref, "qualifier": qualifier}, receiver)
+                qualifier = expr if type(expr) is str else None
+                node_id = len(events)
+                events.append(("expression", node_id, _KW["method_reference"], None, None))
+                if ref == "new":
+                    use = _qualifier_type_use(qualifier) if qualifier else None
+                    if use is not None:
+                        events.append(("invocation", node_id, _KW["new"], use[0], use[1]))
+                elif ref:
+                    events.append(("invocation", node_id, _KW[""], ref, None))
+                if qualifier:
+                    use = _qualifier_type_use(qualifier)
+                    if use is not None:
+                        events.append(("type", node_id, _KW[""], use[0], use[1]))
+                expr = None
             elif text == "[":
+                if type(expr) is str:
+                    self._name_event(expr)
                 self.pos += 1
-                node = Node("array_access", {}, [expr])
+                events.append(("expression", len(events), _KW["array_access"], None, None))
                 if not self.at("]"):
-                    node.children.append(self.parse_expression())
+                    self.parse_expression()
                 self.accept("]")
-                expr = node
+                expr = None
             elif kind == "op" and text in ("++", "--"):
+                if type(expr) is str:
+                    self._name_event(expr)
                 self.pos += 1
-                expr = Node("unary_expression", {}, [expr])
+                events.append(("expression", len(events), _KW["unary"], None, None))
+                expr = None
             else:
-                return expr
+                break
+        if type(expr) is str:
+            self._name_event(expr)
+        return expr
 
-    def _parse_primary(self) -> Node:
+    def _parse_primary(self) -> object:
         kind, text = self.toks[self.pos]
         if kind in ("number", "string", "char"):
             self.pos += 1
-            return Node("literal")
+            return None
         if kind == "keyword":
             if text == "switch":
-                return self._stmt_switch()
+                self._stmt_switch()
+                return None
             self.pos += 1
             if text == "new":
-                return self._parse_creation()
+                self._parse_creation()
+                return None
             if text == "this":
-                return Node("this_expression")
+                return _THIS
             if text == "super":
-                return Node("super_expression")
+                self._emit("expression", _KW["super"])
+                return _SUPER
             if text in PRIMITIVES:
                 self._skip_dims()
-                return Node("name", {"name": text})
+                return text
             # keyword in expression position: give up gracefully
-            return Node("error")
+            self._emit("error")
+            return None
         if text == "(":
-            lam = self._try_lambda()
-            if lam is not None:
-                return lam
+            if self._try_lambda():
+                return None
             self.pos += 1
             inner = self.parse_expression()
             self.accept(")")
@@ -1040,16 +1246,21 @@ class _Parser:
             self.pos += 1
             if self.toks[self.pos][1] == "->":
                 self.pos += 1
-                return Node("lambda_expression", {}, [self._parse_lambda_body()])
-            return Node("name", {"name": text})
+                self._emit("expression", _KW["lambda"])
+                self._parse_lambda_body()
+                return None
+            return text
         if text == "@":
-            return self._parse_annotation()
+            self._parse_annotation()
+            return None
         if text == "{":
-            return self._parse_array_initializer()
+            self._parse_array_initializer()
+            return None
         self.eat()
-        return Node("error")
+        self._emit("error")
+        return None
 
-    def _try_lambda(self) -> Node | None:
+    def _try_lambda(self) -> bool:
         toks = self.toks
         depth = 0
         i = self.pos
@@ -1064,11 +1275,11 @@ class _Parser:
                 if depth == 0:
                     break
             elif text in (";", "{", "}") or kind == "eof":
-                return None
+                return False
             i += 1
         if depth != 0 or toks[i + 1][1] != "->":
-            return None
-        node = Node("lambda_expression")
+            return False
+        self._emit("expression", _KW["lambda"])
         # Inferred parameters are names between commas: (), (a), (a, b).
         inner = toks[self.pos + 1:i]
         if (not inner or len(inner) % 2 == 1) and all(
@@ -1076,59 +1287,60 @@ class _Parser:
                 for k, t in enumerate(inner)):
             self.pos = i + 1
         else:
-            node.children.extend(self._parse_params()[0])
+            self._parse_params()
         self.accept("->")
-        node.children.append(self._parse_lambda_body())
-        return node
+        self._parse_lambda_body()
+        return True
 
-    def _parse_lambda_body(self) -> Node:
+    def _parse_lambda_body(self) -> None:
         if self.at("{"):
-            return self._parse_block()
-        return self.parse_expression()
+            self._parse_block()
+        else:
+            self.parse_expression()
 
-    def _parse_creation(self) -> Node:
+    def _parse_creation(self) -> None:
+        """What follows ``new``."""
         ctype = self._parse_type()
         if ctype is None:
-            return self._recover()
-        if ctype.kind == "array_type":  # new int[] {...}
-            node = Node("array_creation", {"dims": ctype.get("dims", 1)})
-            node.children.append(ctype.children[0])
+            self._recover()
+            return
+        kind, name, qualified, dims = ctype
+        if kind == "array_type":  # new int[] {...}
+            self.events.pop()  # the array type is the creation's, no type use
+            self._emit("expression", _KW[
+                "multidim_array_creation" if dims >= 2 else "array_creation"])
             if self.at("{"):
-                node.children.append(self._parse_array_initializer())
-            return node
+                self._parse_array_initializer()
+            return
         if self.at("["):
             dims = 0
-            sizes: list[Node] = []
             while self.accept("["):
                 if not self.at("]"):
-                    sizes.append(self.parse_expression())
+                    self.parse_expression()
                 self.accept("]")
                 dims += 1
-            creation = Node("array_creation", {"dims": dims})
-            creation.children.append(ctype)
-            creation.children.extend(sizes)
+            self._emit("expression", _KW[
+                "multidim_array_creation" if dims >= 2 else "array_creation"])
             if self.at("{"):
-                creation.children.append(self._parse_array_initializer())
-            return creation
-        node = Node("object_creation", {"anonymous": False,
-                                        "type_name": _type_simple_name(ctype)})
-        node.children.append(ctype)
+                self._parse_array_initializer()
+            return
+        events = self.events
+        node_id = len(events)
+        events.append(("invocation", node_id, _KW["new"], name, qualified))
         if self.at("("):
-            node.children.extend(self._parse_args())
+            self._parse_args()
         if self.at("{"):
-            node.fields["anonymous"] = True
-            self._parse_class_body(node, _type_simple_name(ctype))
-        return node
+            events.append(("declaration", node_id, _KW["anonymous_class"], name, None))
+            self._parse_class_body(name)
 
-    def _parse_args(self) -> list[Node]:
-        if not self.accept("("):
-            return []
-        return self._parse_list(self.parse_expression, ",", ")")
+    def _parse_args(self) -> None:
+        if self.accept("("):
+            self._parse_list(self.parse_expression, ",", ")")
 
-    def _parse_list(self, item, sep: str | None, close: str) -> list[Node]:
+    def _parse_list(self, item, sep: str | None, close: str) -> list:
         """``item()`` results, separated by ``sep`` unless it is None, up to
         and including ``close``."""
-        items: list[Node] = []
+        items: list = []
         toks = self.toks
         while True:
             kind, text = toks[self.pos]
@@ -1143,22 +1355,3 @@ class _Parser:
                 self.pos += 1
             if self.pos == start:
                 self.eat()
-
-
-def _named(kind: str, qualified: str) -> Node:
-    """A node naming ``qualified`` by its simple and its qualified name."""
-    return Node(kind, {"name": qualified.rsplit(".", 1)[-1], "qualified": qualified})
-
-
-def _receiver(expr: Node) -> tuple[str | None, list[Node]]:
-    """The qualifier and children of a call or method reference on ``expr``:
-    a name is the qualifier alone, anything else the first child."""
-    if expr.kind == "name":
-        return expr.fields["name"], []
-    return None, [expr]
-
-
-def _type_simple_name(t: Node) -> str:
-    if t.kind == "array_type" and t.children:
-        return _type_simple_name(t.children[0])
-    return t.get("name", "")

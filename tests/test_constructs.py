@@ -1,15 +1,16 @@
 """One short source per Java construct that the KU corpus does not hold.
 
-Each case states the parse tree's node kinds in pre-order and the
-detector's evidence for the source, both worked out by hand from the
-grammar in ``javaparse.parser`` and the rules in ``ku_catalog.yaml``.
-Capabilities are (KU, capability) pairs with a nonzero count.
+Each case states the parser's events for the source, as a multiset, and
+the detector's evidence, both worked out by hand from the grammar in
+``javaparse.parser`` and the rules in ``ku_catalog.yaml``. Capabilities
+are (KU, capability) pairs with a nonzero count.
 """
+
+from collections import Counter
 
 import pytest
 
-from kurev.detector import detect_capabilities, detect_kus, iter_events, parse_java
-from tests.test_javaparse import find_all, kinds
+from kurev.detector import detect_capabilities, detect_kus, iter_events
 
 
 def events(source):
@@ -18,10 +19,15 @@ def events(source):
             for category, keywords, name, qualified in iter_events(source)]
 
 
+def multiset(found):
+    """Events (category, keywords, name, qualified) as a multiset."""
+    return Counter((category, tuple(sorted(keywords)), name, qualified)
+                   for category, keywords, name, qualified in found)
+
+
 def event_multiset(source):
-    """Every event of ``source`` as (category, sorted keywords, name,
-    qualified), in sorted order."""
-    return sorted(iter_events(source))
+    """The events of ``source`` as a multiset."""
+    return multiset(iter_events(source))
 
 
 def capabilities(source):
@@ -34,45 +40,46 @@ def capabilities(source):
 
 def test_anonymous_class_is_a_declaration_and_its_body_is_visited():
     src = "class A { Task t = new Task() { public void run() { } }; }"
-    assert kinds(parse_java(src)) == [
-        "compilation_unit", "class_declaration", "field_declaration", "named_type",
-        "variable_declarator", "object_creation", "named_type",
-        "method_declaration", "primitive_type", "block",
-    ]
-    found = events(src)
-    assert ("invocation", {"new"}, "Task", "Task") in found
-    assert ("declaration", {"anonymous_class"}, "Task", None) in found
-    assert ("declaration", {"method", "public", "member"}, "run", None) in found
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["field", "member"], None, None),
+        ("type", [], "Task", "Task"),
+        ("invocation", ["new"], "Task", "Task"),
+        ("declaration", ["anonymous_class"], "Task", None),
+        ("type", [], "Task", "Task"),
+        ("declaration", ["method", "public", "member"], "run", None),
+    ])
     # field (K1.1), anonymous class (K7.1), public method (K5.6)
     assert capabilities(src) == {(1, 1): 1, (7, 1): 1, (5, 6): 1}
 
 
 def test_constructor_reference_is_a_creation_of_its_qualifier():
     src = "class A { Object a = A::new; Object b = java.util.ArrayList::new; }"
-    refs = find_all(parse_java(src), "method_reference")
-    assert [(r.get("name"), r.get("qualifier")) for r in refs] == [
-        ("new", "A"), ("new", "java.util.ArrayList"),
-    ]
-    found = events(src)
-    for event in (
-        ("expression", {"method_reference"}, None, None),
-        ("invocation", {"new"}, "A", None),
-        ("type", set(), "A", None),
-        ("invocation", {"new"}, "ArrayList", "java.util.ArrayList"),
-        ("type", set(), "ArrayList", "java.util.ArrayList"),
-    ):
-        assert event in found, event
+    # each reference's qualifier is the type it creates, and a type use
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["field", "member"], None, None),
+        ("type", [], "Object", "Object"),
+        ("expression", ["method_reference"], None, None),
+        ("invocation", ["new"], "A", None),
+        ("type", [], "A", None),
+        ("declaration", ["field", "member"], None, None),
+        ("type", [], "Object", "Object"),
+        ("expression", ["method_reference"], None, None),
+        ("invocation", ["new"], "ArrayList", "java.util.ArrayList"),
+        ("type", [], "ArrayList", "java.util.ArrayList"),
+    ])
     # two fields (K1.1), two method references (K9.1), new ArrayList (K8.2)
     assert capabilities(src) == {(1, 1): 2, (9, 1): 2, (8, 2): 1}
 
 
 def test_class_declared_in_a_block_is_local():
     src = "class A { void m() { class Local { } } }"
-    assert kinds(parse_java(src)) == [
-        "compilation_unit", "class_declaration", "method_declaration",
-        "primitive_type", "block", "class_declaration",
-    ]
-    assert ("declaration", {"class", "local_class"}, "Local", None) in events(src)
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["method", "member"], "m", None),
+        ("declaration", ["class", "local_class"], "Local", None),
+    ])
     assert capabilities(src) == {(7, 1): 1}
 
 
@@ -90,12 +97,14 @@ def test_final_class_with_final_fields_set_by_a_constructor_is_immutable():
 
 def test_private_constructor_and_static_factory_make_a_singleton():
     src = "class S { private S() { } static S instance() { return new S(); } }"
-    assert kinds(parse_java(src)) == [
-        "compilation_unit", "class_declaration", "constructor_declaration", "block",
-        "method_declaration", "named_type", "block", "return_statement",
-        "object_creation", "named_type",
-    ]
-    assert ("declaration", {"class", "singleton_class"}, "S", None) in events(src)
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class", "singleton_class"], "S", None),
+        ("declaration", ["constructor", "member", "private"], "S", None),
+        ("declaration", ["method", "member", "returning", "static"], "instance", None),
+        ("type", [], "S", "S"),
+        ("invocation", ["new"], "S", "S"),
+        ("type", [], "S", "S"),
+    ])
     # singleton (K7.4), private constructor (K5.6), static method (K5.2)
     assert capabilities(src) == {(7, 4): 1, (5, 6): 1, (5, 2): 1}
 
@@ -111,11 +120,14 @@ def test_one_parameter_setter_is_an_accessor():
 
 def test_method_with_type_parameters_is_generic():
     src = "class G { <T> T id(T t) { return t; } }"
-    (method,) = find_all(parse_java(src), "method_declaration")
-    assert method.get("generic") is True
-    assert (
-        "declaration", {"method", "returning", "generic", "member", "parameterized"}, "id", None
-    ) in events(src)
+    # the type parameter <T> is no type use; the return and parameter types are
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "G", None),
+        ("declaration", ["method", "returning", "generic", "member", "parameterized"],
+         "id", None),
+        ("type", [], "T", "T"),
+        ("type", [], "T", "T"),
+    ])
     # generic method (K8.1), parameterized returning method (K5.1)
     assert capabilities(src) == {(8, 1): 1, (5, 1): 1}
 
@@ -125,12 +137,14 @@ def test_method_with_type_parameters_is_generic():
 
 def test_annotation_type_with_default_values():
     src = '@interface Tag { int level() default 1; String[] names() default {"a"}; }'
-    assert kinds(parse_java(src)) == [
-        "compilation_unit", "annotation_declaration",
-        "method_declaration", "primitive_type", "literal",
-        "method_declaration", "array_type", "named_type", "array_initializer", "literal",
-    ]
-    assert ("declaration", {"annotation_type"}, "Tag", None) in events(src)
+    assert event_multiset(src) == multiset([
+        ("declaration", ["annotation_type"], "Tag", None),
+        ("declaration", ["method", "member", "returning"], "level", None),
+        ("declaration", ["method", "member", "returning"], "names", None),
+        ("type", ["array"], None, None),
+        ("type", [], "String", "String"),
+        ("expression", ["array_initializer"], None, None),
+    ])
     # the String[] type and the {"a"} initializer (K3.1)
     assert capabilities(src) == {(3, 1): 2}
 
@@ -140,12 +154,14 @@ def test_labeled_statements_and_labeled_jumps():
         "class A { void m() { outer: for (;;) {"
         " inner: for (;;) { continue outer; } break outer; } } }"
     )
-    assert kinds(parse_java(src)) == [
-        "compilation_unit", "class_declaration", "method_declaration",
-        "primitive_type", "block", "labeled_statement", "for_statement", "block",
-        "labeled_statement", "for_statement", "block", "continue_statement",
-        "break_statement",
-    ]
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["method", "member"], "m", None),
+        ("statement", ["for"], None, None),
+        ("statement", ["for"], None, None),
+        ("statement", ["continue"], None, None),
+        ("statement", ["break"], None, None),
+    ])
     # two for loops (K4.2), the break (K4.4), the continue (K4.5)
     assert capabilities(src) == {(4, 2): 2, (4, 4): 1, (4, 5): 1}
 
@@ -155,14 +171,13 @@ def test_switch_expression_with_arrow_arms_and_yield():
         "class A { int m(int k) { int v = switch (k) {"
         " case 1 -> 10; default -> { yield k; } }; return v; } }"
     )
-    assert kinds(parse_java(src)) == [
-        "compilation_unit", "class_declaration", "method_declaration",
-        "primitive_type", "formal_parameter", "primitive_type", "block",
-        "local_variable_declaration", "primitive_type", "variable_declarator",
-        "switch_statement", "name", "case_label", "expression_statement", "literal",
-        "case_label", "block", "yield_statement", "name",
-        "return_statement", "name",
-    ]
+    # case labels, the arms' values and `yield k` give no event
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["method", "member", "parameterized", "returning"], "m", None),
+        ("declaration", ["variable"], None, None),
+        ("statement", ["switch"], None, None),
+    ])
     # parameterized returning method (K5.1), the local (K1.1), switch (K2.4)
     assert capabilities(src) == {(5, 1): 1, (1, 1): 1, (2, 4): 1}
 
@@ -173,21 +188,22 @@ def test_sealed_and_non_sealed_types():
         " final class Circle implements Shape {}"
         " non-sealed class Square implements Shape {}"
     )
-    tree = parse_java(src)
-    assert kinds(tree) == [
-        "compilation_unit", "interface_declaration", "named_type", "named_type",
-        "class_declaration", "named_type", "class_declaration", "named_type",
-    ]
-    decls = find_all(tree, "interface_declaration") + find_all(tree, "class_declaration")
-    assert [(d.get("name"), d.get("modifiers")) for d in decls] == [
-        ("Shape", ()), ("Circle", ("final",)), ("Square", ()),
-    ]
+    # `sealed` and `non-sealed` are no modifiers; the permitted types are uses
+    assert event_multiset(src) == multiset([
+        ("declaration", ["interface"], "Shape", None),
+        ("type", [], "Circle", "Circle"),
+        ("type", [], "Square", "Square"),
+        ("declaration", ["class", "final"], "Circle", None),
+        ("type", [], "Shape", "Shape"),
+        ("declaration", ["class"], "Square", None),
+        ("type", [], "Shape", "Shape"),
+    ])
     assert capabilities(src) == {(7, 2): 1}  # final class
 
 
 def test_permits_clause_keeps_the_rest_of_the_file():
     src = "sealed interface S permits A {} class After { void m() { for (;;) {} } }"
-    assert "error" not in kinds(parse_java(src))
+    assert "error" not in {category for category, _, _, _ in iter_events(src)}
     # the for loop after the sealed type (K4) counts, as without the clause
     assert detect_kus(src)[3] == 1
     assert detect_kus(src) == detect_kus(src.replace(" permits A", ""))
@@ -198,15 +214,15 @@ def test_enum_constants_with_arguments_and_a_body():
         "enum Coin { PENNY(1), DIME(10) { int bonus() { return 1; } };"
         " final int cents; Coin(int c) { cents = c; } }"
     )
-    assert kinds(parse_java(src)) == [
-        "compilation_unit", "enum_declaration",
-        "enum_constant", "literal",
-        "enum_constant", "literal", "method_declaration", "primitive_type", "block",
-        "return_statement", "literal",
-        "field_declaration", "primitive_type", "variable_declarator",
-        "constructor_declaration", "formal_parameter", "primitive_type", "block",
-        "expression_statement", "assignment_expression", "name", "name",
-    ]
+    assert event_multiset(src) == multiset([
+        ("declaration", ["enum"], "Coin", None),
+        ("declaration", ["enum_constant"], "PENNY", None),
+        ("declaration", ["enum_constant"], "DIME", None),
+        ("declaration", ["method", "member", "returning"], "bonus", None),
+        ("declaration", ["field", "final", "member"], None, None),
+        ("declaration", ["constructor", "member", "parameterized"], "Coin", None),
+        ("expression", ["assignment"], None, None),
+    ])
     # the enum and its two constants (K7.3), field (K1.1), final field
     # (K7.2), the assignment (K2.1)
     assert capabilities(src) == {(7, 3): 3, (1, 1): 1, (7, 2): 1, (2, 1): 1}
@@ -214,16 +230,19 @@ def test_enum_constants_with_arguments_and_a_body():
 
 def test_array_creation_with_an_initializer():
     src = "class A { int[] xs = new int[]{1, 2}; int[][] grid = new int[][]{{1}}; }"
-    tree = parse_java(src)
-    assert kinds(tree) == [
-        "compilation_unit", "class_declaration",
-        "field_declaration", "array_type", "primitive_type", "variable_declarator",
-        "array_creation", "primitive_type", "array_initializer", "literal", "literal",
-        "field_declaration", "array_type", "primitive_type", "variable_declarator",
-        "array_creation", "primitive_type", "array_initializer", "array_initializer",
-        "literal",
-    ]
-    assert [n.get("dims") for n in find_all(tree, "array_creation")] == [1, 2]
+    # a created array's type is the creation's: no array type use of its own
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["field", "member"], None, None),
+        ("type", ["array"], None, None),
+        ("expression", ["array_creation"], None, None),
+        ("expression", ["array_initializer"], None, None),
+        ("declaration", ["field", "member"], None, None),
+        ("type", ["multidim_array"], None, None),
+        ("expression", ["multidim_array_creation"], None, None),
+        ("expression", ["array_initializer"], None, None),
+        ("expression", ["array_initializer"], None, None),
+    ])
     # two fields (K1.1); one-dimensional type, creation and three
     # initializers (K3.1); two-dimensional type and creation (K3.2)
     assert capabilities(src) == {(1, 1): 2, (3, 1): 5, (3, 2): 2}
@@ -231,54 +250,56 @@ def test_array_creation_with_an_initializer():
 
 def test_primitive_class_literal():
     src = "class A { Object a = int.class, b = int[].class; }"
-    tree = parse_java(src)
-    assert kinds(tree) == [
-        "compilation_unit", "class_declaration", "field_declaration", "named_type",
-        "variable_declarator", "name", "variable_declarator", "name",
-    ]
-    assert [n.get("name") for n in find_all(tree, "name")] == ["int", "int"]
+    # each literal reads as the name `int`, which gives no event, and no error
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["field", "member"], None, None),
+        ("type", [], "Object", "Object"),
+    ])
     assert capabilities(src) == {(1, 1): 1}
 
 
 def test_for_with_expression_lists_in_init_and_update():
     src = "class A { void m() { int i, j; for (i = 0, j = 9; i < j; i++, j--) { } } }"
-    assert kinds(parse_java(src)) == [
-        "compilation_unit", "class_declaration", "method_declaration",
-        "primitive_type", "block",
-        "local_variable_declaration", "primitive_type", "variable_declarator",
-        "variable_declarator",
-        "for_statement", "assignment_expression", "name", "literal",
-        "assignment_expression", "name", "literal", "binary_expression", "name", "name",
-        "unary_expression", "name", "unary_expression", "name", "block",
-    ]
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["method", "member"], "m", None),
+        ("declaration", ["variable"], None, None),
+        ("statement", ["for"], None, None),
+        ("expression", ["assignment"], None, None),
+        ("expression", ["assignment"], None, None),
+        ("expression", ["binary"], None, None),
+        ("expression", ["unary"], None, None),
+        ("expression", ["unary"], None, None),
+    ])
     # the local (K1.1); two assignments, one binary, two unary (K2.1); for (K4.2)
     assert capabilities(src) == {(1, 1): 1, (2, 1): 5, (4, 2): 1}
 
 
 def test_try_with_an_existing_variable_as_resource():
     src = "class A { void m(java.io.Reader r) throws Exception { try (r) { } } }"
-    tree = parse_java(src)
-    assert kinds(tree) == [
-        "compilation_unit", "class_declaration", "method_declaration",
-        "primitive_type", "formal_parameter", "named_type", "named_type", "block",
-        "try_statement", "resource", "name", "block",
-    ]
-    (stmt,) = find_all(tree, "try_statement")
-    assert stmt.get("resources") == 1
-    assert ("statement", {"try", "try_with_resources"}, None, None) in events(src)
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["method", "member", "parameterized", "throwing"], "m", None),
+        ("type", [], "Reader", "java.io.Reader"),
+        ("type", [], "Exception", "Exception"),
+        ("statement", ["try", "try_with_resources"], None, None),
+    ])
     # try (K11.1), try-with-resources (K11.3), throwing method (K11.5)
     assert capabilities(src) == {(11, 1): 1, (11, 3): 1, (11, 5): 1}
 
 
 def test_lambda_with_generic_parameter_types():
     src = "class A { Object f = (java.util.Map<String, Integer> m, int k) -> k; }"
-    tree = parse_java(src)
-    assert kinds(tree) == [
-        "compilation_unit", "class_declaration", "field_declaration", "named_type",
-        "variable_declarator", "lambda_expression",
-        "formal_parameter", "generic_type", "named_type", "named_type",
-        "formal_parameter", "primitive_type", "name",
-    ]
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["field", "member"], None, None),
+        ("type", [], "Object", "Object"),
+        ("expression", ["lambda"], None, None),
+        ("type", ["generic"], "Map", "java.util.Map"),
+        ("type", [], "String", "String"),
+        ("type", [], "Integer", "Integer"),
+    ])
     # the field (K1.1), Map<String, Integer> (K8.1), the lambda (K10.1)
     assert capabilities(src) == {(1, 1): 1, (8, 1): 1, (10, 1): 1}
 
@@ -295,23 +316,27 @@ def test_typed_lambda_parameters_count_as_method_parameters_do():
 
 def test_one_typed_lambda_parameter_is_not_two_names():
     src = "class A { Object f = (String s) -> s; }"
-    (lam,) = find_all(parse_java(src), "lambda_expression")
-    assert kinds(lam) == [
-        "lambda_expression", "formal_parameter", "named_type", "name",
-    ]
-    assert [t.get("name") for t in find_all(lam, "named_type")] == ["String"]
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["field", "member"], None, None),
+        ("type", [], "Object", "Object"),
+        ("expression", ["lambda"], None, None),
+        ("type", [], "String", "String"),
+    ])
 
 
 def test_compact_record_constructor_keeps_its_body():
     src = "record P(int x) { P { if (x < 0) throw new IllegalArgumentException(); } }"
-    tree = parse_java(src)
-    assert kinds(tree) == [
-        "compilation_unit", "record_declaration", "formal_parameter", "primitive_type",
-        "constructor_declaration", "block", "if_statement", "binary_expression",
-        "name", "literal", "throw_statement", "object_creation", "named_type",
-    ]
-    (ctor,) = find_all(tree, "constructor_declaration")
-    assert ctor.get("params") == 0
+    # the compact constructor has no parameter of its own
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class", "record"], "P", None),
+        ("declaration", ["constructor", "member"], "P", None),
+        ("statement", ["if"], None, None),
+        ("expression", ["binary"], None, None),
+        ("statement", ["throw"], None, None),
+        ("invocation", ["new"], "IllegalArgumentException", "IllegalArgumentException"),
+        ("type", [], "IllegalArgumentException", "IllegalArgumentException"),
+    ])
     # the comparison (K2.1), if (K2.3), throw (K11.5), IllegalArgumentException
     # (K11.6): the canonical form's evidence less its `this.x = x`
     assert capabilities(src) == {(2, 1): 1, (2, 3): 1, (11, 5): 1, (11, 6): 1}
@@ -327,15 +352,20 @@ def _returning(call):
     ("this.<T>m()", "this.m()"),
 ])
 def test_explicit_type_arguments_on_a_call_count_as_the_plain_call(typed, plain):
-    assert "binary_expression" not in kinds(parse_java(_returning(typed)))
+    assert not any("binary" in keywords for _, keywords, _, _ in iter_events(_returning(typed)))
     assert capabilities(_returning(typed)) == capabilities(_returning(plain))
 
 
 def test_a_calls_type_arguments_are_type_uses():
-    (call,) = find_all(parse_java(_returning("Collections.<String>emptyList()")),
-                       "method_invocation")
-    assert (call.get("name"), call.get("qualifier")) == ("emptyList", "Collections")
-    assert kinds(call) == ["method_invocation", "named_type"]
+    # the call of emptyList on Collections, and its type argument String
+    assert event_multiset(_returning("Collections.<String>emptyList()")) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["generic", "member", "method", "returning"], "m", None),
+        ("type", [], "Object", "Object"),
+        ("invocation", [], "emptyList", None),
+        ("type", [], "Collections", None),
+        ("type", [], "String", "String"),
+    ])
     # an argument type adds what any use of it adds: Optional (K10.3)
     expected = capabilities(_returning("Collections.emptyList()"))
     expected[(10, 3)] = 1
@@ -349,11 +379,11 @@ JPA = "import javax.persistence.*; import java.io.*; import java.util.*; "
 
 def test_for_init_modifiers_count_as_a_local_variables_do():
     src = JPA + "class A { void m() { for (final int i = 0; i < 3; i++) { } } }"
-    tree = parse_java(src)
-    (init,) = find_all(tree, "local_variable_declaration")
-    assert init.get("modifiers") == ("final",)
-    assert find_all(tree, "assignment_expression") == []
-    assert ("declaration", {"variable", "final"}, None, None) in events(src)
+    found = events(src)
+    assert [e for e in found if "variable" in e[1]] == [
+        ("declaration", {"variable", "final"}, None, None),
+    ]
+    assert not any("assignment" in keywords for _, keywords, _, _ in found)
     # the local (K1.1), final (K7.2), for (K4.2); `<` and `++` (K2.1), not
     # the initializer's `=`
     assert capabilities(src) == {(1, 1): 1, (7, 2): 1, (4, 2): 1, (2, 1): 2}
@@ -374,8 +404,8 @@ def test_annotated_enhanced_for_and_resource_variables_count_their_annotations(p
         return JPA + f"class A {{ void m(List<String> list) throws Exception {{ {stmt} }} }}"
 
     annotated = source(plain.replace("(", "(@Id ", 1))
-    (anno,) = find_all(parse_java(annotated), "annotation")
-    assert anno.get("name") == "Id"
+    assert [name for category, _, name, _ in iter_events(annotated)
+            if category == "annotation"] == ["Id"]
     expected = capabilities(source(plain))
     expected[(19, 1)] = 1  # @Id
     assert capabilities(annotated) == expected
@@ -388,9 +418,19 @@ def test_a_modifier_on_an_instanceof_binding_keeps_the_rest_of_the_condition():
     plain = ("class A { void m(Object o) { int x; "
              "if (o instanceof String s && s.isEmpty()) { x = 1; } } }")
     final = plain.replace("instanceof ", "instanceof final ")
-    assert "error" not in kinds(parse_java(final))
-    (pattern,) = find_all(parse_java(final), "instanceof_expression")
-    assert kinds(pattern) == ["instanceof_expression", "name", "named_type"]
+    # the binding's type String is read; the condition goes on to `&&`
+    assert event_multiset(final) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["member", "method", "parameterized"], "m", None),
+        ("type", [], "Object", "Object"),
+        ("declaration", ["variable"], None, None),
+        ("statement", ["if"], None, None),
+        ("expression", ["instanceof"], None, None),
+        ("type", [], "String", "String"),
+        ("expression", ["binary"], None, None),
+        ("invocation", [], "isEmpty", None),
+        ("expression", ["assignment"], None, None),
+    ])
     # the local (K1.1), `&&` and `=` (K2.1), if (K2.3), as without `final`
     assert capabilities(final) == capabilities(plain) == {(1, 1): 1, (2, 1): 2, (2, 3): 1}
     annotated = JPA + plain.replace("instanceof ", "instanceof @Id ")
@@ -402,19 +442,19 @@ def test_a_modifier_on_an_instanceof_binding_keeps_the_rest_of_the_condition():
 
 def test_a_call_statement_first_read_as_a_local_leaves_only_the_call():
     # `Foo.bar` reads as a type until `(` shows no variable name follows
-    assert event_multiset("class A { void m() { Foo.bar(x); } }") == [
+    assert event_multiset("class A { void m() { Foo.bar(x); } }") == multiset([
         ("declaration", ["class"], "A", None),
         ("declaration", ["member", "method"], "m", None),
         ("invocation", [], "bar", None),
         ("type", [], "Foo", None),
-    ]
+    ])
 
 
 def test_a_cast_and_a_parenthesised_operand_are_told_apart():
     # `(String) o` is a cast; `(a) + b` backs off the cast and is a sum
     src = ("class A { Object f(Object o, int a, int b) {"
            " String s = (String) o; int c = (a) + b; return s; } }")
-    assert event_multiset(src) == [
+    assert event_multiset(src) == multiset([
         ("declaration", ["class"], "A", None),
         ("declaration", ["member", "method", "parameterized", "returning"], "f", None),
         ("declaration", ["variable"], None, None),
@@ -425,7 +465,7 @@ def test_a_cast_and_a_parenthesised_operand_are_told_apart():
         ("type", [], "Object", "Object"),
         ("type", [], "String", "String"),
         ("type", [], "String", "String"),
-    ]
+    ])
 
 
 def test_lambdas_and_a_parenthesised_expression_are_told_apart():
@@ -433,7 +473,7 @@ def test_lambdas_and_a_parenthesised_expression_are_told_apart():
     # one String, read as the lambda's parameter type
     src = ("class A { Object f = (a, b) -> a; Object g = (String s) -> s;"
            " int h = (x + y) * 2; }")
-    assert event_multiset(src) == [
+    assert event_multiset(src) == multiset([
         ("declaration", ["class"], "A", None),
         ("declaration", ["field", "member"], None, None),
         ("declaration", ["field", "member"], None, None),
@@ -445,17 +485,17 @@ def test_lambdas_and_a_parenthesised_expression_are_told_apart():
         ("type", [], "Object", "Object"),
         ("type", [], "Object", "Object"),
         ("type", [], "String", "String"),
-    ]
+    ])
 
 
 def test_a_comparison_statement_and_a_generic_local_are_told_apart():
     # `a < b;` reads `<b` as type arguments until `;`; `List<String> x;` is a local
     src = "class A { void m(int a, int b) { a < b; List<String> x; } }"
-    assert event_multiset(src) == [
+    assert event_multiset(src) == multiset([
         ("declaration", ["class"], "A", None),
         ("declaration", ["member", "method", "parameterized"], "m", None),
         ("declaration", ["variable"], None, None),
         ("expression", ["binary"], None, None),
         ("type", [], "String", "String"),
         ("type", ["generic"], "List", "List"),
-    ]
+    ])

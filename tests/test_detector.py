@@ -15,7 +15,7 @@ from kurev.catalog import (
     serialize_catalog,
 )
 from kurev.detector import (
-    _Collector,
+    _Imports,
     detect_capabilities,
     detect_kus,
     ku_vector_from_hits,
@@ -253,7 +253,7 @@ def test_deep_nesting_gives_one_vector_at_any_stack_depth():
 
 
 def test_thousand_link_chains_give_vectors():
-    # The traversal keeps a work list, so a chain's length costs no stack.
+    # The parser reads a chain in a loop, so its length costs no stack.
     for src in (
         "class C { void f() { sb" + '.append("x")' * 1000 + "; } }",
         "class C { String s = " + " + ".join(['"a"'] * 1000) + "; }",
@@ -270,7 +270,7 @@ def test_thousand_and_terms_count_each_operator():
 
 def test_hundred_nested_calls_give_a_vector():
     # Past the parser's depth bound the innermost calls become an error
-    # node; an unqualified call counts no KU, so the vector is one call's.
+    # event; an unqualified call counts no KU, so the vector is one call's.
     src = "class C { int x = " + "f(" * 100 + "1" + ")" * 100 + "; }"
     vec = detect_kus(src, CATALOG)
     assert len(vec) == 28 and all(isinstance(n, int) and n >= 0 for n in vec)
@@ -287,28 +287,29 @@ def test_any_text_gives_vector_or_parse_error(src):
 
 
 def _naive_pattern_matches(pattern, event, imports):
-    if pattern.node_kind != event.category:
+    category, _, keywords, name, qualified = event
+    if pattern.node_kind != category:
         return False
     if pattern.keyword is not None:
-        if not set(pattern.keyword.split()) <= event.keywords:
+        if not set(pattern.keyword.split()) <= keywords:
             return False
-    if pattern.name is not None and event.name != pattern.name:
+    if pattern.name is not None and name != pattern.name:
         return False
     if pattern.import_prefix is not None:
-        if not imports.consistent(event.name, event.qualified, pattern.import_prefix):
+        if not imports.consistent(name, qualified, pattern.import_prefix):
             return False
     return True
 
 
 def naive_capabilities(source, catalog):
-    collector = _Collector()
-    collector.run(parse_java(source))
+    events, imports = parse_java(source)
+    imports = _Imports(imports)
     out = {}
     for rule in catalog.enabled_rules():
         matched = set()
-        for event in collector.events:
-            if any(_naive_pattern_matches(p, event, collector.imports) for p in rule.patterns):
-                matched.add(event.node_id)
+        for event in events:
+            if any(_naive_pattern_matches(p, event, imports) for p in rule.patterns):
+                matched.add(event[1])
         out[rule.id] = len(matched)
     return out
 

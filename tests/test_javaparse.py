@@ -1,47 +1,57 @@
-"""Parser behaviour: shape of trees, error recovery, hard syntax."""
+"""Parser behaviour: the events of constructs, error recovery, hard syntax."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from kurev.catalog import NODE_KINDS
 from kurev.errors import ParseError
 from kurev.javaparse import parse_java
 from kurev.javaparse.lexer import KEYWORDS, tokenize
-from kurev.javaparse.nodes import Node
-from kurev.javaparse.parser import ASSIGN_OPS, BINARY_LEVELS, MAX_DEPTH, _Parser
+from kurev.javaparse.parser import ASSIGN_OPS, BINARY_LEVELS, MAX_DEPTH, _KW, _Parser
 
 CORPUS = Path(__file__).parent / "fixtures" / "ku_corpus"
 
 
-def kinds(tree):
-    return [n.kind for n in tree.walk()]
+def events(source):
+    """(category, keywords, name, qualified) of each event, in order."""
+    return [(category, set(keywords), name, qualified)
+            for category, _, keywords, name, qualified in parse_java(source)[0]]
 
 
-def find_all(tree, kind):
-    return [n for n in tree.walk() if n.kind == kind]
+def count(source, category, keywords=None, name=None):
+    """How many events of ``category`` have ``keywords`` among their own
+    and, when ``name`` is given, that name."""
+    return sum(c == category and set(keywords or ()) <= k and (name is None or n == name)
+               for c, k, n, _ in events(source))
 
 
 def test_minimal_class():
-    tree = parse_java("class A {}")
-    decls = find_all(tree, "class_declaration")
-    assert len(decls) == 1
-    assert decls[0].get("name") == "A"
+    assert events("class A {}") == [("declaration", {"class"}, "A", None)]
 
 
 def test_empty_file():
-    tree = parse_java("")
-    assert tree.kind == "compilation_unit"
-    assert tree.children == []
+    assert parse_java("") == ([], {})
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.java")), ids=lambda p: p.stem)
 def test_corpus_trees_are_well_formed(path):
-    for node in parse_java(path.read_text(encoding="utf-8")).walk():
-        assert isinstance(node.kind, str)
-        assert isinstance(node.fields, dict), node.kind
-        assert isinstance(node.children, list), node.kind
-        assert all(isinstance(c, Node) for c in node.children), node.kind
+    found, imports = parse_java(path.read_text(encoding="utf-8"))
+    assert found
+    for index, event in enumerate(found):
+        assert isinstance(event, tuple) and len(event) == 5, event
+        category, node_id, keywords, name, qualified = event
+        assert category in NODE_KINDS, event  # the corpus reads without error events
+        # a node's id is the index of its first event
+        assert isinstance(node_id, int) and 0 <= node_id <= index, event
+        assert found[node_id][1] == node_id, event
+        assert isinstance(keywords, (set, frozenset)), event
+        assert all(isinstance(word, str) and word for word in keywords), event
+        assert name is None or isinstance(name, str), event
+        assert qualified is None or isinstance(qualified, str), event
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in imports.items())
 
 
 def test_binary_input_raises_with_offset():
@@ -51,62 +61,56 @@ def test_binary_input_raises_with_offset():
 
 
 def test_unbalanced_brace_recovers():
-    tree = parse_java("class A { void f() { if (x { } }")
-    assert find_all(tree, "class_declaration")
-    # no crash is the contract; error nodes are allowed but not required
-    assert tree.kind == "compilation_unit"
+    # no crash is the contract; error events are allowed but not required
+    assert count("class A { void f() { if (x { } }", "declaration", {"class"}, "A") == 1
 
 
 def test_nesting_past_max_depth_becomes_an_error_node():
     def fields_with_calls(levels):
-        return parse_java("class C { int x = " + "f(" * levels + "1" + ")" * levels
-                          + "; int y; }")
+        return ("class C { int x = " + "f(" * levels + "1" + ")" * levels
+                + "; int y; }")
 
     # The field is one level and each expression three, so the argument
     # of the 32nd nested call takes levels 98 to 100, and that of the 33rd
-    # (the innermost `1`) becomes the error node.
+    # (the innermost `1`) becomes the error event.
     assert MAX_DEPTH == 100
-    assert find_all(fields_with_calls(32), "error") == []
+    assert count(fields_with_calls(32), "error") == 0
     deeper = fields_with_calls(33)
-    assert len(find_all(deeper, "error")) == 1
-    assert len(find_all(deeper, "method_invocation")) == 33
-    assert len(find_all(deeper, "field_declaration")) == 2  # the next member is read
+    assert count(deeper, "error") == 1
+    assert count(deeper, "invocation", name="f") == 33
+    assert count(deeper, "declaration", {"field"}) == 2  # the next member is read
 
 
 def test_garbage_produces_error_nodes():
-    tree = parse_java("%%% ??? )))")
-    assert find_all(tree, "error")
+    assert count("%%% ??? )))", "error")
 
 
 def test_package_and_imports():
-    tree = parse_java(
+    found, imports = parse_java(
         "package a.b;\nimport java.util.List;\nimport java.util.*;\n"
-        "import static java.lang.Math.max;\nclass C {}"
+        "import static java.lang.Math.max;\nimport java.util.Map.Entry;\nclass C {}"
     )
-    imports = find_all(tree, "import_declaration")
-    assert [i.get("name") for i in imports] == ["java.util.List", "java.util", "java.lang.Math.max"]
-    assert imports[1].get("wildcard") and not imports[0].get("wildcard")
-    assert imports[2].get("static")
+    # only single-type imports register; wildcard and static ones do not
+    assert imports == {"List": "java.util.List", "Entry": "java.util.Map.Entry"}
+    assert [e[0] for e in found] == ["declaration"]
 
 
 def test_method_fields():
-    tree = parse_java(
-        "class C { public static <T> T pick(T a, T b, int... rest) throws E1, E2 { return a; } }"
-    )
-    m = find_all(tree, "method_declaration")[0]
-    assert m.get("name") == "pick"
-    assert m.get("params") == 3
-    assert m.get("varargs") is True
-    assert m.get("generic") is True
-    assert m.get("throws") == ("E1", "E2")
-    assert set(m.get("modifiers")) == {"public", "static"}
+    src = "class C { public static <T> T pick(T a, T b, int... rest) throws E1, E2 { return a; } }"
+    assert ("declaration", {"method", "returning", "generic", "member", "parameterized",
+                            "varargs", "throwing", "public", "static"}, "pick", None) in events(src)
+    # the return and two parameter types, and the two thrown types; <T> is
+    # a type parameter, no use
+    types = Counter(name for category, _, name, _ in events(src) if category == "type")
+    assert types == {"T": 3, "E1": 1, "E2": 1}
+    assert _Parser(tokenize("(T a, T b, int... rest)"))._parse_params() == (3, True)
 
 
 def test_constructor_vs_method():
-    tree = parse_java("class C { C() {} C make() { return new C(); } }")
-    assert len(find_all(tree, "constructor_declaration")) == 1
-    assert len(find_all(tree, "method_declaration")) == 1
-    assert len(find_all(tree, "object_creation")) == 1
+    src = "class C { C() {} C make() { return new C(); } }"
+    assert count(src, "declaration", {"constructor"}) == 1
+    assert count(src, "declaration", {"method"}, "make") == 1
+    assert count(src, "invocation", {"new"}, "C") == 1
 
 
 def test_control_flow_statements():
@@ -123,15 +127,13 @@ def test_control_flow_statements():
       }
     }
     """
-    tree = parse_java(src)
-    for kind in [
-        "while_statement", "do_statement", "for_statement",
-        "enhanced_for_statement", "switch_statement",
-        "synchronized_statement", "assert_statement", "if_statement",
-    ]:
-        assert find_all(tree, kind), kind
-    assert len(find_all(tree, "break_statement")) == 3
-    assert len(find_all(tree, "continue_statement")) == 1
+    statements = Counter(
+        word for category, keywords, _, _ in events(src) if category == "statement"
+        for word in keywords)
+    assert statements == {
+        "while": 1, "do_while": 1, "for": 1, "enhanced_for": 1, "switch": 1,
+        "synchronized": 1, "assert": 1, "if": 1, "break": 3, "continue": 1,
+    }
 
 
 def test_try_catch_finally_resources():
@@ -145,24 +147,22 @@ def test_try_catch_finally_resources():
       }
     }
     """
-    tree = parse_java(src)
-    t = find_all(tree, "try_statement")[0]
-    assert t.get("resources") == 2
-    catches = find_all(tree, "catch_clause")
-    assert [c.get("types") for c in catches] == [2, 1]
-    assert find_all(tree, "finally_clause")
+    found = events(src)
+    statements = [keywords for category, keywords, _, _ in found if category == "statement"]
+    assert statements == [
+        {"try", "try_with_resources"}, {"catch", "multi_catch"}, {"catch"}, {"finally"},
+    ]
+    # both resources are read as variables, and the multi-catch's two types
+    assert [name for category, _, name, _ in found if category == "type"] == [
+        "Reader", "Writer", "IOException", "SQLException", "Exception",
+    ]
 
 
 def test_generics_and_arrays():
-    tree = parse_java(
-        "class C { Map<String, List<Integer>> m; int[][] grid = new int[2][3]; }"
-    )
-    g = find_all(tree, "generic_type")
-    assert any(t.get("name") == "Map" for t in g)
-    arr = find_all(tree, "array_type")
-    assert arr and arr[0].get("dims") == 2
-    creation = find_all(tree, "array_creation")[0]
-    assert creation.get("dims") == 2
+    src = "class C { Map<String, List<Integer>> m; int[][] grid = new int[2][3]; }"
+    assert ("type", {"generic"}, "Map", "Map") in events(src)
+    assert count(src, "type", {"multidim_array"}) == 1
+    assert count(src, "expression", {"multidim_array_creation"}) == 1
 
 
 def test_lambdas_and_references():
@@ -175,14 +175,14 @@ def test_lambdas_and_references():
       Function<String, String> e = String::trim;
     }
     """
-    tree = parse_java(src)
-    lambdas = find_all(tree, "lambda_expression")
-    assert len(lambdas) == 3
-    # inferred parameters are bare names, so they give no formal_parameter
-    assert not any(find_all(lam, "formal_parameter") for lam in lambdas)
-    refs = find_all(tree, "method_reference")
-    assert {r.get("name") for r in refs} == {"new", "trim"}
-    assert {r.get("qualifier") for r in refs} == {"ArrayList", "String"}
+    found = events(src)
+    assert count(src, "expression", {"lambda"}) == 3
+    # inferred parameters are bare names, so none is read as a type
+    assert not {name for category, _, name, _ in found if category == "type"} & {"s", "x", "y"}
+    assert count(src, "expression", {"method_reference"}) == 2
+    for event in (("invocation", {"new"}, "ArrayList", None), ("type", set(), "ArrayList", None),
+                  ("invocation", set(), "trim", None), ("type", set(), "String", None)):
+        assert event in found, event
 
 
 def test_anonymous_class_and_enum():
@@ -193,60 +193,60 @@ def test_anonymous_class_and_enum():
     }
     class C { Runnable r = new Runnable() { public void run() {} }; }
     """
-    tree = parse_java(src)
-    assert len(find_all(tree, "enum_constant")) == 2
-    anon = [n for n in find_all(tree, "object_creation") if n.get("anonymous")]
-    assert len(anon) == 1 and anon[0].get("type_name") == "Runnable"
+    assert count(src, "declaration", {"enum_constant"}) == 2
+    assert [name for category, keywords, name, _ in events(src)
+            if category == "declaration" and "anonymous_class" in keywords] == ["Runnable"]
 
 
 def test_casts_and_instanceof():
-    tree = parse_java(
-        "class C { void f(Object o) { int x = (int) 1.5; String s = (String) o;"
-        " if (o instanceof Number) {} } }"
-    )
-    casts = find_all(tree, "cast_expression")
-    assert len(casts) == 2
-    first_targets = [c.children[0].kind for c in casts]
-    assert "primitive_type" in first_targets and "named_type" in first_targets
-    assert find_all(tree, "instanceof_expression")
+    src = ("class C { void f(Object o) { int x = (int) 1.5; String s = (String) o;"
+           " if (o instanceof Number) {} } }")
+    assert count(src, "expression", {"primitive_cast"}) == 1
+    assert count(src, "expression", {"reference_cast"}) == 1
+    assert count(src, "expression", {"instanceof"}) == 1
 
 
 def test_parenthesized_expression_not_cast():
-    tree = parse_java("class C { int f(int a, int b) { return (a) + b; } }")
-    assert not find_all(tree, "cast_expression")
+    src = "class C { int f(int a, int b) { return (a) + b; } }"
+    assert count(src, "expression", {"primitive_cast"}) == 0
+    assert count(src, "expression", {"reference_cast"}) == 0
 
 
 def test_less_than_not_generics():
-    tree = parse_java("class C { boolean f(int a, int b) { return a < b && b > a; } }")
-    ops = [n.get("op") for n in find_all(tree, "binary_expression")]
-    assert ops.count("<") == 1 and ops.count(">") == 1
+    found = events("class C { boolean f(int a, int b) { return a < b && b > a; } }")
+    # `<`, `&&` and `>`, and no type
+    assert [e for e in found if e[0] != "declaration"] == [
+        ("expression", {"binary"}, None, None),
+    ] * 3
 
 
 def test_explicit_constructor_invocations():
-    tree = parse_java("class C { C() { this(1); } C(int x) { super(); } }")
-    targets = [n.get("target") for n in find_all(tree, "explicit_constructor_invocation")]
-    assert sorted(targets) == ["super", "this"]
+    src = "class C { C() { this(1); } C(int x) { super(); } }"
+    ctors = [keywords for category, keywords, _, _ in events(src)
+             if category == "declaration" and "constructor" in keywords]
+    assert ["chained_constructor" in keywords for keywords in ctors] == [True, False]
+    assert count(src, "expression", {"super"}) == 1
 
 
 def test_qualified_invocation_name_merging():
-    tree = parse_java("class C { void f() { java.nio.file.Files.exists(p); } }")
-    inv = find_all(tree, "method_invocation")[0]
-    assert inv.get("name") == "exists"
-    assert inv.get("qualifier") == "java.nio.file.Files"
+    assert events("class C { void f() { java.nio.file.Files.exists(p); } }") == [
+        ("invocation", set(), "exists", None),
+        ("type", set(), "Files", "java.nio.file.Files"),
+        ("declaration", {"method", "member"}, "f", None),
+        ("declaration", {"class"}, "C", None),
+    ]
 
 
 def test_annotations_with_arguments():
-    tree = parse_java(
-        '@Entity @Table(name = "t", schema = @Schema("s")) class C { @Id long id; }'
-    )
-    names = {a.get("name") for a in find_all(tree, "annotation")}
+    src = '@Entity @Table(name = "t", schema = @Schema("s")) class C { @Id long id; }'
+    names = {name for category, _, name, _ in events(src) if category == "annotation"}
     assert {"Entity", "Table", "Schema", "Id"} <= names
 
 
 def test_text_block_and_string_escapes():
     src = 'class C { String a = """\nhello "x"\n"""; String b = "a\\"b"; }'
-    tree = parse_java(src)
-    assert len(find_all(tree, "variable_declarator")) == 2
+    assert count(src, "declaration", {"field"}) == 2
+    assert count(src, "error") == 0
 
 
 def test_lexer_numbers():
@@ -312,24 +312,26 @@ def test_lexer_edge_cases(source, expected):
 
 
 def test_interface_and_record():
-    tree = parse_java(
-        "interface I<T> { T get(); default int n() { return 0; } }\n"
-        "record Point(int x, int y) { int sum() { return x + y; } }"
-    )
-    assert find_all(tree, "interface_declaration")[0].get("generic")
-    rec = find_all(tree, "record_declaration")[0]
-    assert rec.get("params") == 2
+    src = ("interface I<T> { T get(); default int n() { return 0; } }\n"
+           "record Point(int x, int y) { int sum() { return x + y; } }")
+    assert ("declaration", {"interface", "generic"}, "I", None) in events(src)
+    assert ("declaration", {"class", "record"}, "Point", None) in events(src)
+    assert count(src, "declaration", {"method", "member", "returning"}, "sum") == 1
+    assert count(src, "error") == 0
+    # a record's header is a parameter list: each component type is a use
+    boxed = "record Pair(Integer x, java.util.List<String> y) { }"
+    assert [(name, qualified) for category, _, name, qualified in events(boxed)
+            if category == "type"] == [
+        ("Integer", "Integer"), ("String", "String"), ("List", "java.util.List"),
+    ]
 
 
 def test_local_records_with_and_without_modifiers():
-    tree = parse_java(
-        "class A { void m() { final record R(int x) {} record S(int y) {} } }"
-    )
-    records = find_all(tree, "record_declaration")
-    assert [(r.get("name"), r.get("modifiers")) for r in records] == [
-        ("R", ("final",)), ("S", ()),
-    ]
-    assert not find_all(tree, "error")
+    src = "class A { void m() { final record R(int x) {} record S(int y) {} } }"
+    records = [(name, keywords) for category, keywords, name, _ in events(src)
+               if category == "declaration" and "record" in keywords]
+    assert records == [("R", {"final", "class", "record"}), ("S", {"class", "record"})]
+    assert count(src, "error") == 0
 
 
 def test_statement_handlers_name_keywords():
@@ -343,20 +345,27 @@ def test_statement_handlers_name_keywords():
 @pytest.mark.parametrize("start", ["this.x", "x", "super.x", "new A().x"])
 def test_expression_statement_missing_semicolon_recovers(start):
     # every expression statement recovers the same way: the tokens after
-    # the missing ';' become an error node, not a local variable declaration
-    tree = parse_java(f"class A {{ void m() {{ {start} = 1 String y; }} }}")
-    assert not find_all(tree, "local_variable_declaration")
-    assert find_all(tree, "error")
+    # the missing ';' become an error, not a local variable declaration
+    src = f"class A {{ void m() {{ {start} = 1 String y; }} }}"
+    assert count(src, "declaration", {"variable"}) == 0
+    assert count(src, "error")
 
 
 # --- binary expressions: the level-by-level descent, kept as the reference --
+
+
+def read(parser_class, src):
+    """The events ``parser_class`` emits for ``src``."""
+    parser = parser_class(tokenize(src))
+    parser.parse_compilation_unit()
+    return parser.events
 
 
 class _LevelParser(_Parser):
     """The parser with binary expressions parsed one precedence level per
     call, operators of one level in a left-associative loop."""
 
-    def _parse_binary(self, level: int = 0) -> Node:
+    def _parse_binary(self, level: int = 0):
         if level >= len(BINARY_LEVELS):
             return self._parse_unary()
         ops = BINARY_LEVELS[level]
@@ -365,21 +374,17 @@ class _LevelParser(_Parser):
             kind, text = self.tok()
             if (kind, text) == ("keyword", "instanceof") and "instanceof" in ops:
                 self.eat()
-                node = Node("instanceof_expression")
-                node.children.append(left)
-                itype = self._parse_type()
-                if itype is not None:
-                    node.children.append(itype)
-                    if self.tok()[0] == "identifier":  # pattern binding
-                        self.eat()
-                left = node
+                self._emit("expression", _KW["instanceof"])
+                if self._parse_type() is not None and self.tok()[0] == "identifier":
+                    self.eat()  # pattern binding
+                left = None
                 continue
             if kind == "op" and text in ops and text != "instanceof":
                 self.eat()
-                node = Node("binary_expression", {"op": text})
-                node.children.append(left)
-                node.children.append(self._parse_binary(level + 1))
-                left = node
+                self._emit("expression", _KW["binary equality" if text in ("==", "!=")
+                                             else "binary"])
+                self._parse_binary(level + 1)
+                left = None
                 continue
             return left
 
@@ -433,9 +438,7 @@ def test_binary_chains_equal_level_by_level_descent():
     rng = random.Random(9)
     for expr in HAND_CHAINS + [_chain(rng) for _ in range(1500)]:
         src = f"class C {{ void m() {{ Object r = {expr}; g({expr}, {expr}); {expr}; }} }}"
-        climbing = _Parser(tokenize(src)).parse_compilation_unit()
-        levels = _LevelParser(tokenize(src)).parse_compilation_unit()
-        assert climbing == levels, expr
+        assert read(_Parser, src) == read(_LevelParser, src), expr
 
 
 # --- lone names and literals: every expression level, kept as the reference --
@@ -443,19 +446,22 @@ def test_binary_chains_equal_level_by_level_descent():
 
 class _FullChainParser(_Parser):
     """The parser with every expression read through all of its levels,
-    without the shortcut that builds a lone name or literal directly."""
+    without the shortcut that reads a lone name or literal directly."""
 
-    def parse_expression(self) -> Node:
+    def parse_expression(self):
         if self.depth >= MAX_DEPTH:
-            return self._too_deep()
+            self._too_deep()
+            return None
         self.depth += 1
-        node = self._parse_ternary()
+        expr = self._parse_ternary()
         kind, text = self.tok()
         if kind == "op" and text in ASSIGN_OPS:
             self.eat()
-            node = Node("assignment_expression", {}, [node, self.parse_expression()])
+            self._emit("expression", _KW["assignment"])
+            self.parse_expression()
+            expr = None
         self.depth -= 1
-        return node
+        return expr
 
 
 def _leaf_shapes(levels: int) -> list[str]:
@@ -476,5 +482,4 @@ def test_lone_names_and_literals_equal_the_full_expression_chain(levels):
         path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.java"))
     ]
     for src in sources:
-        shortcut = _Parser(tokenize(src)).parse_compilation_unit()
-        assert shortcut == _FullChainParser(tokenize(src)).parse_compilation_unit(), src[:60]
+        assert read(_Parser, src) == read(_FullChainParser, src), src[:60]

@@ -1256,6 +1256,14 @@ class _Parser:
         if text == "{":
             self._parse_array_initializer()
             return None
+        if text == "<":  # <T>this(…) or <T>super(…): type arguments, as a call's
+            mark = self.pos
+            first = len(self.events)
+            if (self._parse_type_args() and self.toks[self.pos][1] in ("this", "super")
+                    and self.toks[self.pos + 1][1] == "("):
+                return self._parse_primary()
+            self.pos = mark
+            del self.events[first:]
         self.eat()
         self._emit("error")
         return None
@@ -1299,7 +1307,10 @@ class _Parser:
             self.parse_expression()
 
     def _parse_creation(self) -> None:
-        """What follows ``new``."""
+        """What follows ``new``. Explicit type arguments (``new
+        <T>A()``) are type uses, as a call's are."""
+        if self.toks[self.pos][1] == "<":
+            self._parse_type_args()
         ctype = self._parse_type()
         if ctype is None:
             self._recover()

@@ -372,6 +372,38 @@ def test_a_calls_type_arguments_are_type_uses():
     assert capabilities(_returning("Collections.<Optional<String>>emptyList()")) == expected
 
 
+def test_explicit_type_arguments_on_a_creation_count_as_the_plain_creation():
+    def source(creation):
+        return f"import java.util.*; class A {{ Object m() {{ return {creation}; }} }}"
+
+    typed = source("new <String>ArrayList<String>()")
+    # ArrayList<String> (K8.1) and its creation (K8.2); String adds nothing
+    assert capabilities(typed) == capabilities(source("new ArrayList<String>()")) == {
+        (8, 1): 1, (8, 2): 1,
+    }
+    assert ("type", {"generic"}, "ArrayList", "ArrayList") in events(typed)
+    assert [e for e in events(typed) if e[0] in ("type", "error") and e[2] == "String"] == [
+        ("type", set(), "String", "String"),
+    ] * 2
+
+
+def test_explicit_type_arguments_on_a_constructor_call_keep_it_a_chain():
+    typed = "class A { A() { <T>this(1); } A(int x) { } }"
+    # two overloaded constructors (K5.3), the first chained to the second (K5.4)
+    assert capabilities(typed) == capabilities(typed.replace("<T>", "")) == {
+        (5, 3): 2, (5, 4): 1,
+    }
+    assert "error" not in {category for category, _, _, _ in iter_events(typed)}
+    with_super = "class A extends B { A() { <T>super(1); } }"
+    assert event_multiset(with_super) == multiset([
+        ("declaration", ["class", "subclass"], "A", None),
+        ("type", [], "B", "B"),
+        ("declaration", ["constructor", "member"], "A", None),
+        ("type", [], "T", "T"),
+        ("expression", ["super"], None, None),
+    ])
+
+
 # --- variables of for loops and try resources read as locals -----------------------
 
 JPA = "import javax.persistence.*; import java.io.*; import java.util.*; "

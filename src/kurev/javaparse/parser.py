@@ -19,11 +19,14 @@ What an event needs beyond its own construct is reader state:
   its type's event are appended.
 - A speculative read that backs off truncates the event list to where it
   began, so whatever it read leaves no event.
-- A dotted name read as an expression gives a type event, which the
-  reader removes again when the name turns out to qualify a call.
+- A dotted name read as an expression gives its type event once the
+  name ends; a parenthesised name, whose event is given, takes it back
+  when it reads on (``(a.B).c()`` qualifies a call, as ``a.B.c()`` does).
 """
 
 from __future__ import annotations
+
+from typing import AbstractSet
 
 from ..errors import ParseError
 from .lexer import Token, tokenize
@@ -89,6 +92,11 @@ _TYPE_KEYWORDS = {
 
 _EXCEPTION_SUFFIXES = ("Exception", "Error", "Throwable")
 
+# A method's, constructor's or field's (keywords, name, type name), kept
+# until its type body closes; the type name is a method's return type or a
+# field's class type.
+_Member = tuple[set[str], str | None, str | None]
+
 # What an expression reader returns besides a name (a str) or None:
 # `this`, `super`, and `this(…)`, a constructor chaining to another.
 _THIS = object()
@@ -140,6 +148,21 @@ def _qualifier_type_use(qualifier: str) -> tuple[str, str | None] | None:
     return None
 
 
+def _looks_immutable(members: list[_Member]) -> bool:
+    """Whether a final class's fields are all final and a constructor
+    takes parameters to set them."""
+    fields = [k for k, _, _ in members if "field" in k]
+    return bool(fields) and all("final" in f for f in fields) and any(
+        "constructor" in k and "parameterized" in k for k, _, _ in members)
+
+
+def _looks_singleton(name: str, members: list[_Member]) -> bool:
+    """Whether class ``name`` has a private constructor and a static field
+    of its own type or a static method returning it."""
+    return any("constructor" in k and "private" in k for k, _, _ in members) and any(
+        "static" in k and type_name == name for k, _, type_name in members)
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         # Two more copies of the final eof token: no lookahead goes past
@@ -182,8 +205,8 @@ class _Parser:
     # --- events ---------------------------------------------------------
     # Hot paths append their events themselves.
 
-    def _emit(self, category: str, keywords=_KW[""], name: str | None = None,
-              qualified: str | None = None) -> None:
+    def _emit(self, category: str, keywords: AbstractSet[str] = _KW[""],
+              name: str | None = None, qualified: str | None = None) -> None:
         events = self.events
         events.append((category, len(events), keywords, name, qualified))
 
@@ -390,7 +413,7 @@ class _Parser:
             self.eat()
             self._parse_type_list(",")
 
-        members: list[tuple[set[str], str | None, str | None]] = []
+        members: list[_Member] = []
         if self.accept(";"):
             pass
         elif kw == "enum":
@@ -407,13 +430,9 @@ class _Parser:
                 keywords.add("local_class")
             if name.endswith(_EXCEPTION_SUFFIXES) or superclass.endswith(_EXCEPTION_SUFFIXES):
                 keywords.add("exception_class")
-            fields = [k for k, _, _ in members if "field" in k]
-            ctors = [k for k, _, _ in members if "constructor" in k]
-            if ("final" in mods and fields and any("parameterized" in c for c in ctors)
-                    and all("final" in f for f in fields)):
+            if "final" in mods and _looks_immutable(members):
                 keywords.add("immutable_class")
-            if any("private" in c for c in ctors) and any(
-                    "static" in k and type_name == name for k, _, type_name in members):
+            if _looks_singleton(name, members):
                 keywords.add("singleton_class")
         self._emit("declaration", keywords, name)
 
@@ -429,7 +448,7 @@ class _Parser:
                 break
         return names
 
-    def _parse_class_body(self, type_name: str) -> list[tuple[set[str], str | None, str | None]]:
+    def _parse_class_body(self, type_name: str) -> list[_Member]:
         """A class, enum-constant or anonymous-class body: its members'
         records (see _parse_members)."""
         if not self.accept("{"):
@@ -437,13 +456,12 @@ class _Parser:
             return []
         return self._parse_members(type_name)
 
-    def _parse_members(self, type_name: str) -> list[tuple[set[str], str | None, str | None]]:
+    def _parse_members(self, type_name: str) -> list[_Member]:
         """Members up to and including the closing ``}``.
 
-        Returns a (keywords, name, type name) record for each method,
-        constructor and field, the type name being a method's return type
-        or a field's class type. Their declaration events are appended
-        once the body is read, when its overloads are known.
+        Returns the record of each method, constructor and field (see
+        _Member). Their declaration events are appended once the body is
+        read, when its overloads are known.
         """
         toks = self.toks
         members = []
@@ -474,7 +492,7 @@ class _Parser:
             events.append(("declaration", len(events), keywords, name, None))
         return members
 
-    def _parse_enum_body(self, type_name: str) -> list[tuple[set[str], str | None, str | None]]:
+    def _parse_enum_body(self, type_name: str) -> list[_Member]:
         if not self.accept("{"):
             self._recover()
             return []
@@ -499,7 +517,7 @@ class _Parser:
         self.accept("}")
         return []
 
-    def _parse_member(self, type_name: str) -> tuple[set[str], str | None, str | None] | None:
+    def _parse_member(self, type_name: str) -> _Member | None:
         """One member of a type body: the record of a method, constructor
         or field (see _parse_members); None for anything else, whose
         events are appended here."""

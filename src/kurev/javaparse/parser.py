@@ -210,13 +210,18 @@ class _Parser:
         events = self.events
         events.append((category, len(events), keywords, name, qualified))
 
-    def _name_event(self, name: str) -> None:
-        """The type use that the dotted name ``name``, read as an
-        expression, gives; a name with no dot gives none."""
-        if "." in name:
-            use = _qualifier_type_use(name)
-            if use is not None:
-                self._emit("type", _KW[""], use[0], use[1])
+    def _type_use(self, name: str, node_id: int | None = None) -> None:
+        """The type use that ``name``, a qualifier or a name read as an
+        expression, gives, if any: an event of node ``node_id``, or else
+        of a node of its own, which a name with no dot never gives."""
+        events = self.events
+        if node_id is None:
+            if "." not in name:
+                return
+            node_id = len(events)
+        use = _qualifier_type_use(name)
+        if use is not None:
+            events.append(("type", node_id, _KW[""], use[0], use[1]))
 
     def _invocation(self, name: str, qualifier: str | None) -> None:
         """A call of ``name`` on ``qualifier``, and the type that the
@@ -225,9 +230,14 @@ class _Parser:
         node_id = len(events)
         events.append(("invocation", node_id, _KW[""], name, None))
         if qualifier:
-            use = _qualifier_type_use(qualifier)
-            if use is not None:
-                events.append(("type", node_id, _KW[""], use[0], use[1]))
+            self._type_use(qualifier, node_id)
+
+    def _rewind(self, mark: tuple[int, int]) -> None:
+        """Back off a speculative read: the position and the event list
+        return to ``mark``, a (position, event count) pair taken when the
+        read began, so whatever it read leaves no event."""
+        self.pos, n_events = mark
+        del self.events[n_events:]
 
     # --- error recovery -------------------------------------------------
 
@@ -701,10 +711,11 @@ class _Parser:
 
     def _parse_type_args(self) -> bool:
         """Consume balanced angle brackets, a type event for each type name
-        inside. On failure, whatever they held leaves no event."""
-        mark = self.pos
+        inside. On failure, whatever they held leaves no event, and the
+        position returns to the ``<``, or stays past a closer that closes
+        more than was opened."""
         events = self.events
-        first = len(events)
+        mark = self.pos, len(events)
         self.eat()  # <
         depth = 1
         budget = 512
@@ -719,7 +730,7 @@ class _Parser:
                     self.eat()
                     if depth == 0:
                         return True
-                    del events[first:]
+                    self._rewind((self.pos, mark[1]))
                     return False
             elif text == ">=":
                 break
@@ -731,8 +742,7 @@ class _Parser:
             elif text in (";", "{", "}", "(", ")", "=") or kind in ("string", "char"):
                 break
             self.eat()
-        self.pos = mark
-        del events[first:]
+        self._rewind(mark)
         return False
 
     def _skip_dims(self) -> int:
@@ -819,26 +829,22 @@ class _Parser:
     def _variable_head(self) -> list[str] | None:
         """``[modifiers] Type name``: its modifiers, with the position after
         the name. None, with nothing read, when no such head starts here."""
-        mark = self.pos
-        first = len(self.events)
+        mark = self.pos, len(self.events)
         mods = self._parse_modifiers()
         if self._parse_type() is None or self.toks[self.pos][0] != "identifier":
-            self.pos = mark
-            del self.events[first:]
+            self._rewind(mark)
             return None
         self.pos += 1
         return mods
 
     def _try_local_var_decl(self) -> bool:
-        mark = self.pos
-        first = len(self.events)
+        mark = self.pos, len(self.events)
         mods = self._variable_head()
         toks, pos = self.toks, self.pos
         nxt = toks[pos][1]
         if mods is None or not (
                 nxt in ("=", ",", ";") or (nxt == "[" and toks[pos + 1][1] == "]")):
-            self.pos = mark
-            del self.events[first:]
+            self._rewind(mark)
             return False
         self._emit("declaration", {"variable", *mods})
         self._parse_declarators()
@@ -875,8 +881,7 @@ class _Parser:
             self._recover()
             return
         # enhanced for: [modifiers] Type name : expr
-        mark = self.pos
-        first = len(self.events)
+        mark = self.pos, len(self.events)
         if self._variable_head() is not None and self.at(":") and self.tok(1)[1] != ":":
             self.eat()  # :
             self._emit("statement", _KW["enhanced_for"])
@@ -884,8 +889,7 @@ class _Parser:
             self.accept(")")
             self.parse_statement()
             return
-        self.pos = mark
-        del self.events[first:]
+        self._rewind(mark)
         self._emit("statement", _KW["for"])
         if not self.accept(";"):
             if not self._try_local_var_decl():  # a local consumes its ';'
@@ -953,13 +957,11 @@ class _Parser:
             self._parse_block()
 
     def _parse_resource(self) -> None:
-        mark = self.pos
-        first = len(self.events)
+        mark = self.pos, len(self.events)
         if self._variable_head() is not None and self.accept("="):
             self.parse_expression()
             return
-        self.pos = mark  # an existing variable (Java 9+): a plain expression
-        del self.events[first:]
+        self._rewind(mark)  # an existing variable (Java 9+): a plain expression
         self.parse_expression()
 
     def _stmt_return(self) -> None:
@@ -1106,9 +1108,8 @@ class _Parser:
         return expr
 
     def _try_cast(self) -> bool:
-        mark = self.pos
         events = self.events
-        first = len(events)
+        mark = self.pos, len(events)
         self.eat()  # (
         ctype = self._parse_type()
         while ctype is not None and self.at("&"):  # intersection cast
@@ -1118,8 +1119,7 @@ class _Parser:
                 ctype = None
             del events[extra:]  # only the first type of an intersection counts
         if ctype is None or not self.accept(")"):
-            self.pos = mark
-            del events[first:]
+            self._rewind(mark)
             return False
         kind, text = self.tok()
         plausible = (
@@ -1129,8 +1129,7 @@ class _Parser:
             or (kind == "keyword" and text in ("new", "this", "super"))
         )
         if not plausible:
-            self.pos = mark
-            del events[first:]
+            self._rewind(mark)
             return False
         self._emit("expression",
                    _KW["primitive_cast" if ctype[0] == "primitive_type" else "reference_cast"])
@@ -1154,7 +1153,7 @@ class _Parser:
                 self.pos += 2
                 if seg == "new":  # outer.new Inner(): the qualifier is evidence too
                     if type(expr) is str:
-                        self._name_event(expr)
+                        self._type_use(expr)
                     self._parse_creation()
                     expr = None
                 elif kind == "keyword":  # .class, .this, .super
@@ -1168,13 +1167,11 @@ class _Parser:
                 else:
                     expr = None  # a field access
             elif text == "." and toks[self.pos + 1][1] == "<":  # a.<T>m(): type arguments
-                mark = self.pos
-                first = len(events)
+                mark = self.pos, len(events)
                 self.pos += 1
                 if (not self._parse_type_args() or toks[self.pos][0] != "identifier"
                         or toks[self.pos + 1][1] != "("):
-                    self.pos = mark
-                    del events[first:]
+                    self._rewind(mark)
                     break
                 self._invocation(self.eat()[1], expr if type(expr) is str else None)
                 self._parse_args()
@@ -1204,13 +1201,11 @@ class _Parser:
                 elif ref:
                     events.append(("invocation", node_id, _KW[""], ref, None))
                 if qualifier:
-                    use = _qualifier_type_use(qualifier)
-                    if use is not None:
-                        events.append(("type", node_id, _KW[""], use[0], use[1]))
+                    self._type_use(qualifier, node_id)
                 expr = None
             elif text == "[":
                 if type(expr) is str:
-                    self._name_event(expr)
+                    self._type_use(expr)
                 self.pos += 1
                 events.append(("expression", len(events), _KW["array_access"], None, None))
                 if not self.at("]"):
@@ -1219,14 +1214,14 @@ class _Parser:
                 expr = None
             elif kind == "op" and text in ("++", "--"):
                 if type(expr) is str:
-                    self._name_event(expr)
+                    self._type_use(expr)
                 self.pos += 1
                 events.append(("expression", len(events), _KW["unary"], None, None))
                 expr = None
             else:
                 break
         if type(expr) is str:
-            self._name_event(expr)
+            self._type_use(expr)
         return expr
 
     def _parse_primary(self) -> object:
@@ -1275,13 +1270,11 @@ class _Parser:
             self._parse_array_initializer()
             return None
         if text == "<":  # <T>this(…) or <T>super(…): type arguments, as a call's
-            mark = self.pos
-            first = len(self.events)
+            mark = self.pos, len(self.events)
             if (self._parse_type_args() and self.toks[self.pos][1] in ("this", "super")
                     and self.toks[self.pos + 1][1] == "("):
                 return self._parse_primary()
-            self.pos = mark
-            del self.events[first:]
+            self._rewind(mark)
         self.eat()
         self._emit("error")
         return None

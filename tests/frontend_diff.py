@@ -4,18 +4,18 @@
 
 Each ``src/`` tree runs in its own subprocess: ``tokenize`` gives the
 token stream, ``detector.iter_events`` the events and syntax errors, and
-``detect_capabilities`` counts evidence. A tree from before
-``iter_events`` is read through its ``_Collector`` and syntax tree.
-The inputs are the files of ``tests/fixtures/ku_corpus`` and
-``perfbench/corpus`` plus N one-token mutations of them (a token deleted,
-duplicated or swapped with the next one), drawn with seed S. Every input
+``detect_capabilities`` counts evidence. The inputs are the files of
+``tests/fixtures/ku_corpus`` and ``perfbench/corpus`` plus N one-token
+mutations of them (a token deleted, duplicated or swapped with the next
+one), drawn with seed S. Every input
 whose tokens (kind, text), nonzero capability counts or events (category,
 keywords, name, qualified, with one ``error`` event per syntax error;
 compared as a multiset) differ is printed with what differs.
 The last line counts the differing inputs; the exit status is 1 when
 there are any, as with diff(1).
 
-Only the standard library is used, so the script runs against any tree.
+Only the standard library is used, so the script runs against any tree
+that has ``detector.iter_events``.
 """
 
 from __future__ import annotations
@@ -84,28 +84,11 @@ def inputs(n_mutations: int, seed: int) -> list[tuple[str, str]]:
     return corpus + mutations(corpus, n_mutations, seed)
 
 
-def _collector_events(source: str):
-    """``detector.iter_events`` for a tree that lacks it: the events of
-    its ``_Collector`` and one ``error`` event per error node."""
-    from kurev.detector import _Collector, parse_java
-
-    tree = parse_java(source)
-    collector = _Collector()
-    collector.run(tree)
-    for e in collector.events:
-        yield e.category, sorted(e.keywords), e.name, e.qualified
-    for node in tree.walk():
-        if node.kind == "error":
-            yield "error", [], None, None
-
-
 def _front_end(source: str) -> dict:
     """What the front end makes of ``source``: tokens, capability counts
     and events, or the error each raised."""
     from kurev import detector
     from kurev.javaparse.lexer import tokenize
-
-    iter_events = getattr(detector, "iter_events", _collector_events)
 
     result = {}
     try:
@@ -118,7 +101,7 @@ def _front_end(source: str) -> dict:
     except Exception as exc:  # noqa: BLE001 - an error is an outcome to compare
         result["caps"] = f"{type(exc).__name__}: {exc}"
     try:
-        result["events"] = sorted(map(list, iter_events(source)), key=json.dumps)
+        result["events"] = sorted(map(list, detector.iter_events(source)), key=json.dumps)
     except Exception as exc:  # noqa: BLE001
         result["events"] = f"{type(exc).__name__}: {exc}"
     return result

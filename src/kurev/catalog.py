@@ -16,7 +16,7 @@ from pathlib import Path
 import yaml
 
 from .errors import CatalogError
-from .util import sha256_text
+from .util import sha256_text, whole_number
 
 KU_COUNT = 28
 
@@ -205,21 +205,11 @@ class CapabilityCatalog:
                 raise CatalogError(f"KU {ku.label} has no enabled rule")
 
 
-def _whole_number(entry: dict, key: str) -> int:
-    """``entry[key]`` as an int: integer strings load, but booleans and
-    numbers with a fraction are errors rather than truncated."""
-    raw = entry[key]
-    value = int(raw)
-    if isinstance(raw, bool) or (isinstance(raw, float) and value != raw):
-        raise ValueError(f"{key} {raw!r} is not an integer")
-    return value
-
-
 def _parse_rule(entry: dict, position: int) -> CapabilityRule:
     where = f"rule #{position}"
     try:
-        ku = KuId(_whole_number(entry, "ku"))
-        cap = CapabilityId(ku, _whole_number(entry, "capability"))
+        ku = KuId(whole_number(entry["ku"], "ku"))
+        cap = CapabilityId(ku, whole_number(entry["capability"], "capability"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CatalogError(f"{where}: bad ku/capability ({exc})") from exc
     where = f"rule {cap.label}"

@@ -18,7 +18,8 @@ What an event needs beyond its own construct is reader state:
   immutable and singleton checks are known; then its member events and
   its type's event are appended.
 - A speculative read that backs off truncates the event list to where it
-  began, so whatever it read leaves no event.
+  began, so whatever it read leaves no event. Type parameters give no
+  event either; every other construct read keeps its events.
 - A dotted name read as an expression gives its type event once the
   name ends; a parenthesised name, whose event is given, takes it back
   when it reads on (``(a.B).c()`` qualifies a call, as ``a.B.c()`` does).
@@ -289,7 +290,6 @@ class _Parser:
                 self.accept(";")
                 continue
             if toks[self.pos] == ("keyword", "import"):
-                del events[mark:]  # an import's annotations are dropped
                 self._parse_import()
                 continue
             self._parse_type_declaration(mods, mark)
@@ -507,12 +507,9 @@ class _Parser:
             self._recover()
             return []
         # constants until ';' or '}'
-        events = self.events
         while not self.eof() and not self.at("}") and not self.at(";"):
-            mark = len(events)
             self._parse_modifiers()
             if self.tok()[0] != "identifier":
-                del events[mark:]  # annotations of no constant are dropped
                 self._recover()
                 break
             self._emit("declaration", _KW["enum_constant"], self.eat()[1])
@@ -546,7 +543,6 @@ class _Parser:
 
             # initializer block
             if text == "{":
-                del self.events[mark:]  # an initializer's annotations are dropped
                 self._emit("declaration",
                            {"initializer", "static"} if "static" in mods else {"initializer"})
                 self._parse_block()
@@ -648,12 +644,10 @@ class _Parser:
         varargs = False
         if not self.accept("("):
             return n_params, varargs
-        toks, events = self.toks, self.events
+        toks = self.toks
         while toks[self.pos][1] != ")" and not self.eof():
-            mark = len(events)
             self._parse_modifiers()
             if self._parse_type() is None:
-                del events[mark:]  # annotations of no parameter are dropped
                 while not self.eof() and not self.at(",") and not self.at(")"):
                     if self.at("("):
                         self._skip_parens()
@@ -1108,16 +1102,13 @@ class _Parser:
         return expr
 
     def _try_cast(self) -> bool:
-        events = self.events
-        mark = self.pos, len(events)
+        mark = self.pos, len(self.events)
         self.eat()  # (
         ctype = self._parse_type()
         while ctype is not None and self.at("&"):  # intersection cast
             self.eat()
-            extra = len(events)
             if self._parse_type() is None:
                 ctype = None
-            del events[extra:]  # only the first type of an intersection counts
         if ctype is None or not self.accept(")"):
             self._rewind(mark)
             return False

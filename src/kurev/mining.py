@@ -88,8 +88,17 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
     (root commits list all their files), with the blob id of each file's
     new content. A symlink or a gitlink named ``*.java`` holds no Java
     source and is skipped. ``all_commits`` walks the full DAG instead of
-    the first-parent chain.
+    the first-parent chain. A shallow clone is refused: its history stops
+    at the cut, so the first commit kept would claim every file.
     """
+    try:
+        shallow = _git(repo_path, "rev-parse", "--is-shallow-repository")
+    except (RepositoryError, OSError):
+        raise RepositoryError(f"not a git repository: {repo_path}") from None
+    if shallow.strip() == b"true":
+        raise RepositoryError(
+            f"shallow repository: {repo_path} lacks the history before its cut; "
+            "run `git fetch --unshallow` in it first")
     fmt = _REC_SEP + _FIELD_SEP.join(["%H", "%an", "%ae", "%aI"])
     # -z: paths unquoted and NUL-terminated. Each commit is its header,
     # NUL, then per changed file (first-parent diff, renames off):
@@ -102,11 +111,7 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
         args.insert(2, "--first-parent")
     try:
         out = _git(repo_path, *args)
-    except (RepositoryError, OSError):  # probe for the cause only on failure
-        try:
-            _git(repo_path, "rev-parse", "--git-dir")
-        except (RepositoryError, OSError):
-            raise RepositoryError(f"not a git repository: {repo_path}") from None
+    except RepositoryError:  # probe for the cause only on failure
         try:
             _git(repo_path, "rev-parse", "HEAD")
         except RepositoryError:

@@ -9,7 +9,9 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import SchemaError, SplitError
-from .util import atomic_open, dump_json_line, format_rfc3339, parse_rfc3339, read_jsonl
+from .util import (
+    atomic_open, dump_json_line, format_rfc3339, parse_rfc3339, read_jsonl, whole_number,
+)
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,9 @@ def _parse_pr(raw: dict, position: int) -> PullRequest:
         )
 
     try:
-        pr_id = int(raw["id"])
+        pr_id = whole_number(raw["id"], "id")
     except (TypeError, ValueError, OverflowError):
         raise bad("id", "is not an integer") from None
-    if isinstance(raw["id"], bool) or (isinstance(raw["id"], float) and pr_id != raw["id"]):
-        raise bad("id", "is not an integer")
     try:
         opened_at = parse_rfc3339(str(raw["opened_at"]))
     except ValueError:

@@ -33,6 +33,16 @@ def normalize_identity(name: str, email: str) -> str:
     return f"{name.strip().casefold()} <{email.strip().casefold()}>"
 
 
+def whole_number(raw: Any, name: str) -> int:
+    """``raw``, the value of ``name``, as an int: integer strings are
+    accepted, but booleans and numbers with a fraction raise ValueError
+    rather than being truncated. ``int``'s own errors pass through."""
+    value = int(raw)
+    if isinstance(raw, bool) or (isinstance(raw, float) and value != raw):
+        raise ValueError(f"{name} {raw!r} is not an integer")
+    return value
+
+
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

@@ -5,11 +5,15 @@ The repository is built through ``conftest.GitScratch``. Content,
 authors, and timestamps are all derived from the seed, so the same seed
 always produces the same commit graph and the same PR export bytes
 (commit hashes included, since dates and committers are pinned).
+``offset`` moves every commit, PR and comment date by the same amount,
+and ``developers`` gives the (name, email) pairs that authors and
+reviewers are drawn from, by index.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -23,6 +27,8 @@ DEVELOPERS = (
     ("Dan Diaz", "dan@example.com"),
     ("Eve Evans", "eve@example.com"),
 )
+
+START = datetime(2023, 1, 2, 9, 0, tzinfo=timezone.utc)
 
 _FILES = (
     "core/Engine.java",
@@ -56,8 +62,8 @@ def _java_source(path: str, extras: list[str]) -> str:
     )
 
 
-def identity(index: int) -> str:
-    name, email = DEVELOPERS[index]
+def identity(index: int, developers: Sequence[tuple[str, str]] = DEVELOPERS) -> str:
+    name, email = developers[index]
     return normalize_identity(name, email)
 
 
@@ -67,6 +73,8 @@ def build_synthetic_repo(
     n_commits: int = 30,
     seed: int = 7,
     between=None,
+    offset: timedelta = timedelta(0),
+    developers: Sequence[tuple[str, str]] = DEVELOPERS,
 ) -> list[dict]:
     """Create the repository; returns one manifest dict per commit.
 
@@ -75,12 +83,12 @@ def build_synthetic_repo(
     """
     repo = GitScratch(Path(repo_dir))
     rng = random.Random(seed)
-    start = datetime(2023, 1, 2, 9, 0, tzinfo=timezone.utc)
+    start = START + offset
     contents: dict[str, list[str]] = {}
     manifest = []
     for i in range(n_commits):
         author_ix = rng.randrange(n_devs)
-        name, email = DEVELOPERS[author_ix]
+        name, email = developers[author_ix]
         when = start + timedelta(days=i, hours=author_ix)
         paths = rng.sample(_FILES, k=rng.choice((1, 1, 2)))
         for path in paths:
@@ -114,10 +122,12 @@ def build_synthetic_prs(
     n_prs: int = 12,
     seed: int = 7,
     first_open_day: int = 8,
+    offset: timedelta = timedelta(0),
+    developers: Sequence[tuple[str, str]] = DEVELOPERS,
 ) -> list[dict]:
     """PR export records (dicts ready for JSONL) over the synthetic files."""
     rng = random.Random(seed * 31 + 1)
-    start = datetime(2023, 1, 2, 9, 0, tzinfo=timezone.utc)
+    start = START + offset
     records = []
     for j in range(n_prs):
         opened = start + timedelta(days=first_open_day + 2 * j, hours=12)
@@ -132,7 +142,7 @@ def build_synthetic_prs(
             for c in range(rng.choice((1, 2))):
                 comments.append(
                     {
-                        "reviewer": identity(r),
+                        "reviewer": identity(r, developers),
                         "path": rng.choice(changed),
                         "commented_at": format_rfc3339(
                             opened + timedelta(hours=3 + 5 * c)
@@ -145,8 +155,8 @@ def build_synthetic_prs(
                 "opened_at": format_rfc3339(opened),
                 "state": "closed",
                 "changed_files": changed,
-                "reviewers": sorted(identity(r) for r in reviewers),
-                "author": identity(author_ix),
+                "reviewers": sorted(identity(r, developers) for r in reviewers),
+                "author": identity(author_ix, developers),
                 "review_comments": comments,
                 "head_commit": None,
             }
@@ -160,13 +170,17 @@ def build_synthetic_project(
     n_commits: int = 30,
     n_prs: int = 12,
     seed: int = 7,
+    offset: timedelta = timedelta(0),
+    developers: Sequence[tuple[str, str]] = DEVELOPERS,
 ) -> tuple[Path, Path]:
     """Materialize repo + PR export under base_dir; returns their paths."""
     base = Path(base_dir)
     repo = base / "repo"
-    build_synthetic_repo(repo, n_devs=n_devs, n_commits=n_commits, seed=seed)
+    build_synthetic_repo(repo, n_devs=n_devs, n_commits=n_commits, seed=seed,
+                         offset=offset, developers=developers)
     prs_path = base / "prs.jsonl"
-    records = build_synthetic_prs(n_devs=n_devs, n_prs=n_prs, seed=seed)
+    records = build_synthetic_prs(n_devs=n_devs, n_prs=n_prs, seed=seed,
+                                  offset=offset, developers=developers)
     prs_path.write_text(
         "".join(dump_json_line(r) + "\n" for r in records), encoding="utf-8"
     )

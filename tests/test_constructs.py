@@ -531,3 +531,40 @@ def test_a_comparison_statement_and_a_generic_local_are_told_apart():
         ("type", [], "String", "String"),
         ("type", ["generic"], "List", "List"),
     ])
+
+
+# --- every bound of an intersection cast and every annotation count ------------------
+
+
+def test_every_bound_of_an_intersection_cast_is_a_type_use():
+    src = "class A { Object r = (Runnable & java.io.Serializable) () -> {}; }"
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["field", "member"], None, None),
+        ("type", [], "Object", "Object"),
+        ("type", [], "Runnable", "Runnable"),
+        ("type", [], "Serializable", "java.io.Serializable"),
+        ("expression", ["reference_cast"], None, None),
+        ("expression", ["lambda"], None, None),
+    ])
+
+
+def test_an_annotation_before_no_parameter_type_counts():
+    src = 'import javax.ws.rs.PathParam; class A { void m(@PathParam("id")) {} }'
+    assert event_multiset(src) == multiset([
+        ("declaration", ["class"], "A", None),
+        ("declaration", ["member", "method"], "m", None),
+        ("annotation", [], "PathParam", "PathParam"),
+    ])
+    # @PathParam (K24.2)
+    assert capabilities(src) == {(24, 2): 1}
+
+
+@pytest.mark.parametrize("src", [
+    "@Deprecated import a.B; class C { }",
+    "enum E { A, @Deprecated ; }",
+    "class C { @Deprecated { } }",
+])
+def test_an_annotation_that_starts_no_declaration_still_counts(src):
+    assert [name for category, _, name, _ in iter_events(src)
+            if category == "annotation"] == ["Deprecated"]

@@ -63,7 +63,7 @@ def test_empty_repository_yields_no_commits(scratch_repo):
     assert mine_commits(scratch_repo.root) == []
 
 
-def test_mining_a_repository_starts_one_git_process(scratch_repo, monkeypatch):
+def test_mining_a_repository_starts_two_git_processes(scratch_repo, monkeypatch):
     repo = three_commit_repo(scratch_repo)
     started = []
     run = subprocess.run
@@ -74,7 +74,7 @@ def test_mining_a_repository_starts_one_git_process(scratch_repo, monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", recorded)
     assert len(mine_commits(repo.root)) == 3
-    assert [args[3] for args in started] == ["log"]
+    assert [args[3] for args in started] == ["rev-parse", "log"]
 
 
 def test_not_a_repository_raises(tmp_path):
@@ -82,6 +82,16 @@ def test_not_a_repository_raises(tmp_path):
     plain.mkdir()
     with pytest.raises(RepositoryError):
         mine_commits(plain)
+
+
+def test_a_shallow_clone_is_refused(scratch_repo, tmp_path):
+    repo = three_commit_repo(scratch_repo)
+    clone = tmp_path / "clone"
+    subprocess.run(["git", "clone", "-q", "--depth", "1", repo.root.as_uri(), str(clone)],
+                   check=True, capture_output=True)
+    # the clone's one commit would claim every file as its own
+    with pytest.raises(RepositoryError, match="git fetch --unshallow"):
+        mine_commits(clone)
 
 
 def test_merge_commit_uses_first_parent_diff(scratch_repo):

@@ -242,61 +242,55 @@ class _Parser:
 
     # --- error recovery -------------------------------------------------
 
+    def _skip_to(self, stops: AbstractSet[str]) -> None:
+        """The parser's one skip: consume tokens up to the first of ``stops``
+        outside the brackets it opened, or up to eof. A closer that closes
+        nothing it opened is consumed, and the stops after it still count."""
+        toks, depth = self.toks, 0
+        while True:
+            kind, text = toks[self.pos]
+            if kind == "eof" or (not depth and text in stops):
+                return
+            if text in ("(", "[", "{"):
+                depth += 1
+            elif depth and text in (")", "]", "}"):
+                depth -= 1
+            self.pos += 1
+
     def _too_deep(self) -> None:
         """Past MAX_DEPTH, a construct is an error spanning the tokens up
         to an unmatched closing bracket, or up to a ``,``, ``:`` or ``;``
         outside brackets."""
-        depth = 0
-        while not self.eof() and (depth or self.tok()[1] not in ",:;)]}"):
-            text = self.eat()[1]
-            depth += (text in "([{") - (text in ")]}")
+        self._skip_to({",", ":", ";", ")", "]", "}"})
         self._emit("error")
 
-    def _recover(self, stop_at_brace: bool = True) -> None:
-        """Consume tokens into an error until a sync point."""
-        depth = 0
-        while not self.eof():
-            text = self.tok()[1]
-            if depth == 0:
-                if text == ";":
-                    self.eat()
-                    break
-                if text == "}" and stop_at_brace:
-                    break
-            if text in "([{":
-                depth += 1
-            elif text in ")]}":
-                if depth == 0 and text in ")]":
-                    self.eat()
-                    continue
-                depth -= 1
-            self.eat()
+    def _recover(self) -> None:
+        """Consume tokens into an error up to a ``}`` or through a ``;``
+        outside the brackets they open."""
+        self._skip_to({";", "}"})
+        self.accept(";")
         self._emit("error")
 
     # --- compilation unit -------------------------------------------------
 
     def parse_compilation_unit(self) -> None:
-        toks, events = self.toks, self.events
-        while toks[self.pos][0] != "eof":
-            start = self.pos
-            if toks[start][1] == ";":
-                self.pos += 1
-                continue
-            mark = len(events)
-            mods = self._parse_modifiers()
-            if toks[self.pos] == ("keyword", "package"):
-                self.pos += 1
-                self._qualified_name()
-                self.accept(";")
-                continue
-            if toks[self.pos] == ("keyword", "import"):
-                self._parse_import()
-                continue
-            self._parse_type_declaration(mods, mark)
-            if self.pos == start:
-                self._recover(stop_at_brace=False)
-                if self.pos == start:
-                    self.eat()
+        self._parse_list(self._parse_top_level, None, None)
+
+    def _parse_top_level(self) -> None:
+        """A package, import or type declaration, or an empty one."""
+        toks = self.toks
+        if toks[self.pos][1] == ";":
+            self.pos += 1
+            return
+        mods = self._parse_modifiers()
+        if toks[self.pos] == ("keyword", "package"):
+            self.pos += 1
+            self._qualified_name()
+            self.accept(";")
+        elif toks[self.pos] == ("keyword", "import"):
+            self._parse_import()
+        else:
+            self._parse_type_declaration(mods)
 
     def _parse_import(self) -> None:
         """An import; a single-type one registers its simple name."""
@@ -391,16 +385,14 @@ class _Parser:
             return "record"
         return None
 
-    def _parse_type_declaration(self, mods: list[str], mark: int,
-                                nested: bool = False, local: bool = False) -> None:
-        """A type declaration after its modifiers ``mods``, whose events
-        begin at ``mark``; ``nested`` for a member of a type body, ``local``
-        for a statement. Modifiers or annotations that start no type
-        declaration are an error."""
+    def _parse_type_declaration(self, mods: list[str], nested: bool = False,
+                                local: bool = False) -> None:
+        """A type declaration after its modifiers ``mods``; ``nested`` for a
+        member of a type body, ``local`` for a statement. Where no type
+        declaration starts, what follows is an error."""
         kw = self._type_decl_keyword()
         if kw is None:
-            if mods or len(self.events) > mark:
-                self._recover()
+            self._recover()
             return
 
         self.accept("@")  # of @interface
@@ -537,7 +529,6 @@ class _Parser:
             if toks[self.pos][1] == ";":
                 self.pos += 1
                 return None
-            mark = len(self.events)
             mods = self._parse_modifiers()
             text = toks[self.pos][1]
 
@@ -549,7 +540,7 @@ class _Parser:
                 return None
 
             if self._type_decl_keyword() is not None:  # nested type
-                self._parse_type_declaration(mods, mark, nested=True)
+                self._parse_type_declaration(mods, nested=True)
                 return None
 
             # generic method type parameters
@@ -647,13 +638,10 @@ class _Parser:
         toks = self.toks
         while toks[self.pos][1] != ")" and not self.eof():
             self._parse_modifiers()
-            if self._parse_type() is None:
-                while not self.eof() and not self.at(",") and not self.at(")"):
-                    if self.at("("):
-                        self._skip_parens()
-                    else:
-                        self.eat()
-                self.accept(",")
+            if self._parse_type() is None:  # unreadable: the list ends unless ',' follows
+                self._skip_to({",", ")", "{", ";"})
+                if not self.accept(","):
+                    break
                 continue
             if toks[self.pos][1] == "...":
                 self.pos += 1
@@ -756,17 +744,6 @@ class _Parser:
                 self.eat()
         del self.events[mark:]
 
-    def _skip_parens(self) -> None:
-        depth = 0
-        while not self.eof():
-            text = self.eat()[1]
-            if text == "(":
-                depth += 1
-            elif text == ")":
-                depth -= 1
-                if depth <= 0:
-                    return
-
     # --- statements ----------------------------------------------------------
 
     def _parse_block(self) -> object:
@@ -813,8 +790,7 @@ class _Parser:
                 return None
             if text in MODIFIER_WORDS or text == "@" or self._type_decl_keyword() is not None:
                 # a local type, or modifiers that start no declaration
-                mark = len(self.events)
-                self._parse_type_declaration(self._parse_modifiers(), mark, local=True)
+                self._parse_type_declaration(self._parse_modifiers(), local=True)
                 return None
             return self._expression_statement()
         finally:
@@ -904,28 +880,17 @@ class _Parser:
         if not self.accept("{"):
             self._recover()
             return
-        while not self.eof() and not self.at("}"):
-            start = self.pos
-            if self.at_kw("case") or self.at_kw("default"):
-                self.eat()  # a case label: its tokens give no event
-                depth = 0
-                while not self.eof():
-                    text = self.tok()[1]
-                    if depth == 0 and text in (":", "->"):
-                        self.eat()
-                        break
-                    if depth == 0 and text in ("{", "}"):
-                        break
-                    if text in "([":
-                        depth += 1
-                    elif text in ")]":
-                        depth -= 1
-                    self.eat()
-            else:
-                self.parse_statement()
-            if self.pos == start:
-                self.eat()
-        self.accept("}")
+        self._parse_list(self._parse_switch_item, None, "}")
+
+    def _parse_switch_item(self) -> None:
+        """A case label, whose tokens give no event, or a statement."""
+        if self.at_kw("case") or self.at_kw("default"):
+            self.eat()
+            self._skip_to({":", "->", "{", "}"})
+            if not self.accept(":"):
+                self.accept("->")
+        else:
+            self.parse_statement()
 
     def _stmt_try(self) -> None:
         self.eat()
@@ -1318,15 +1283,9 @@ class _Parser:
             self._recover()
             return
         kind, name, qualified, dims = ctype
-        if kind == "array_type":  # new int[] {...}
-            self.events.pop()  # the array type is the creation's, no type use
-            self._emit("expression", _KW[
-                "multidim_array_creation" if dims >= 2 else "array_creation"])
-            if self.at("{"):
-                self._parse_array_initializer()
-            return
-        if self.at("["):
-            dims = 0
+        if dims or self.at("["):  # new int[] {…}, new int[n][]
+            if dims:
+                self.events.pop()  # the array type is the creation's, no type use
             while self.accept("["):
                 if not self.at("]"):
                     self.parse_expression()
@@ -1350,9 +1309,9 @@ class _Parser:
         if self.accept("("):
             self._parse_list(self.parse_expression, ",", ")")
 
-    def _parse_list(self, item, sep: str | None, close: str) -> list:
+    def _parse_list(self, item, sep: str | None, close: str | None) -> list:
         """``item()`` results, separated by ``sep`` unless it is None, up to
-        and including ``close``."""
+        and including ``close``, or up to eof when it is None."""
         items: list = []
         toks = self.toks
         while True:

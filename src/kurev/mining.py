@@ -86,9 +86,10 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
 
     Changed files come from each commit's diff against its first parent
     (root commits list all their files), with the blob id of each file's
-    new content. A symlink or a gitlink named ``*.java`` holds no Java
-    source and is skipped. ``all_commits`` walks the full DAG instead of
-    the first-parent chain. A shallow clone is refused: its history stops
+    new content; one warning counts the merge commits and the files their
+    authors are credited with that way. A symlink or a gitlink named
+    ``*.java`` holds no Java source and is skipped. ``all_commits`` walks
+    the full DAG instead of the first-parent chain. A shallow clone is refused: its history stops
     at the cut, so the first commit kept would claim every file.
     """
     try:
@@ -99,7 +100,7 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
         raise RepositoryError(
             f"shallow repository: {repo_path} lacks the history before its cut; "
             "run `git fetch --unshallow` in it first")
-    fmt = _REC_SEP + _FIELD_SEP.join(["%H", "%an", "%ae", "%aI"])
+    fmt = _REC_SEP + _FIELD_SEP.join(["%H", "%an", "%ae", "%aI", "%P"])
     # -z: paths unquoted and NUL-terminated. Each commit is its header,
     # NUL, then per changed file (first-parent diff, renames off):
     # ":<old mode> <new mode> <old blob> <new blob> <status>" NUL <path> NUL
@@ -119,18 +120,18 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
         raise
 
     records: list[CommitRecord] = []
-    skipped = links = 0
+    skipped = links = merges = merged_files = 0
     for chunk in out.split(_REC_SEP.encode()):
         if not chunk.strip():
             continue
         raw_header, _, diff = chunk.partition(b"\0")
         header = raw_header.decode("utf-8", "replace")
         head = header.split(_FIELD_SEP)
-        if len(head) != 4:
+        if len(head) != 5:
             skipped += 1
             log.warning("skipping unreadable commit header: %r", header[:80])
             continue
-        sha, name, email, when = head
+        sha, name, email, when, parents = head
         files, blobs = [], []
         entries = iter(diff.lstrip(b"\n").split(b"\0"))
         for entry in entries:
@@ -150,6 +151,9 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
                 continue
             files.append(path)
             blobs.append(blob.decode("ascii"))
+        if " " in parents:  # a merge: its author is credited with its first-parent diff
+            merges += 1
+            merged_files += len(files)
         records.append(
             CommitRecord(
                 hash=sha,
@@ -163,6 +167,9 @@ def mine_commits(repo_path: str | Path, all_commits: bool = False) -> list[Commi
         log.warning("skipped %d unreadable commits", skipped)
     if links:
         log.warning("skipped %d symlink or submodule entries named *.java", links)
+    if merges:
+        log.warning("credited %d merge commits with the %d Java files of their "
+                    "first-parent diffs", merges, merged_files)
     return records
 
 

@@ -214,7 +214,15 @@ NESTED_2000 = {
     "prefix operators": "class C { int f = " + nested("- ", "x", "") + "; }",
     "ternary chains": "class C { int f = " + nested("a ? b : ", "c", "") + "; }",
     "assignment chains": "class C { void f() { " + nested("a = ", "b", "") + "; } }",
+    "switch statements": (
+        "class C { void f() { " + nested("switch (x) { case 1: ", "g();", " }") + " } }"
+    ),
+    "arrow-case blocks": (
+        "class C { void f() { " + nested("switch (x) { case 1 -> { ", "g();", " } }") + " } }"
+    ),
+    "switch expressions": "class C { int f = " + nested("switch (x) { case 1 -> ", "1", "; }") + "; }",
     "nested classes": nested("class A { ", "int x;", " }"),
+    "local classes": "class C { void f() { " + nested("class L { void f() { ", "g();", " } }") + " } }",
     "anonymous classes": (
         "class C { Object o = " + nested("new Object() { Object o = ", "null", "; }") + "; }"
     ),

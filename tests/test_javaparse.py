@@ -65,6 +65,29 @@ def test_unbalanced_brace_recovers():
     assert count("class A { void f() { if (x { } }", "declaration", {"class"}, "A") == 1
 
 
+def test_a_stray_closing_brace_keeps_the_next_type_declaration():
+    # The stray `}` is consumed as one error; it closes nothing the skip opened.
+    found = events("class A { void f() {} } } class B { void g() { for (;;) {} } }")
+    assert found[2:] == [
+        ("error", set(), None, None),
+        ("statement", {"for"}, None, None),
+        ("declaration", {"method", "member"}, "g", None),
+        ("declaration", {"class"}, "B", None),
+    ]
+
+
+def test_an_unreadable_parameter_stops_at_the_body():
+    source = "class C { void f(int a, 1 b { while (x) {} } void g() {} }"
+    assert count(source, "statement", {"while"}) == 1
+    assert count(source, "declaration", {"method"}, "g") == 1
+
+
+def test_a_stray_bracket_in_a_case_label_keeps_what_follows():
+    source = "class C { void f() { switch (x) { case 1]: g(); } while (y) {} } }"
+    assert count(source, "invocation", name="g") == 1
+    assert count(source, "statement", {"while"}) == 1
+
+
 def test_nesting_past_max_depth_becomes_an_error_node():
     def fields_with_calls(levels):
         return ("class C { int x = " + "f(" * levels + "1" + ")" * levels

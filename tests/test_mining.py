@@ -114,6 +114,29 @@ def test_merge_commit_uses_first_parent_diff(scratch_repo):
     assert len(everything) == 4
 
 
+def test_merges_are_counted_in_one_warning_per_mine(scratch_repo, caplog):
+    repo = scratch_repo
+    repo.write("base.java", "class Base { }\n")
+    repo.commit("base", name="Carol C", email="carol@x.com")
+    for branch in ("one", "two"):
+        repo._run("checkout", "-q", "-b", branch, "main")
+        repo.write(f"{branch}.java", "class X { }\n")
+        repo.write(f"{branch}2.java", "class Y { }\n")
+        repo.commit(f"{branch} work", name="Bob B", email="bob@x.com")
+        repo._run("checkout", "-q", "main")
+        repo._run("merge", "-q", "--no-ff", "--no-edit", branch, env=MERGE_ENV)
+    for all_commits in (False, True):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="kurev.mining"):
+            records = mine_commits(repo.root, all_commits=all_commits)
+        # the crediting rule is unchanged: each merge claims its side's two files
+        assert [r.changed_java_files for r in records if r.author.startswith("alice")] == [
+            ("one.java", "one2.java"), ("two.java", "two2.java")]
+        assert [r.getMessage() for r in caplog.records] == [
+            "credited 2 merge commits with the 4 Java files of their first-parent diffs"
+        ]
+
+
 def test_deleted_file_gets_null_vector(scratch_repo):
     repo = scratch_repo
     repo.write("a.java", JAVA_A)

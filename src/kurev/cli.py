@@ -251,7 +251,8 @@ def evaluate(
 @click.option("--seed", default=0, show_default=True)
 def cluster(store_dir: Path, out: Path, k_max: int, seed: int) -> None:
     """Cluster global developer KU profiles."""
-    run_clustering(KuStore.load(store_dir), out, k_max=k_max, seed=seed)
+    profiles = global_ku_profiles(KuStore.load(store_dir))
+    run_clustering(profiles, out, k_max=k_max, seed=seed)
     click.echo(f"clustering outputs → {out}")
 
 

@@ -79,11 +79,58 @@ def _distance_matrix(X: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
+def _seed_rows(sq_matrix: np.ndarray, ks, rngs) -> list[np.ndarray]:
+    """k-means++ seeding of every K in ascending ``ks`` at once.
+
+    Returns each K's centre rows. ``rngs[i]`` is K ``ks[i]``'s own generator,
+    and each K gets the rows it would get alone. Draw j is one array step
+    over the Ks that still need a centre: each one's row of ``d2`` keeps the
+    smaller of its distances and the newest centre's, the row sums are the
+    totals, and each row's cumulative sum of ``d2 / total``, divided by its
+    last entry, is compared with one ``random()`` of that K's generator. The
+    drawn row is the count of entries at most that number. That is how
+    ``Generator.choice(n, p=d2 / total)`` draws (``cdf = p.cumsum();
+    cdf /= cdf[-1]``, then ``searchsorted`` to the right). A K whose total
+    is 0 draws ``integers(n)``; a NaN or infinite total goes to ``choice``,
+    which raises ``ValueError`` for it.
+    """
+    n = sq_matrix.shape[0]
+    ks = np.asarray(ks)
+    chosen = np.empty((len(ks), ks.max()), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    d2 = np.full((len(ks), n), np.inf)  # squared distance to the nearest centre
+    for j in range(1, ks.max()):
+        first = int(np.searchsorted(ks, j, side="right"))  # ks[first:] draw j
+        live = d2[first:]
+        # the matrix is exactly symmetric, so a centre's distances are its
+        # contiguous row
+        np.minimum(live, sq_matrix[chosen[first:, j - 1]], out=live)
+        totals = live.sum(axis=1)
+        drawn = (totals > 0) & (totals < np.inf)
+        for i in np.flatnonzero(~drawn):
+            rng = rngs[first + i]
+            chosen[first + i, j] = (
+                rng.integers(n) if totals[i] <= 0 else rng.choice(n, p=live[i] / totals[i])
+            )
+        rows = np.flatnonzero(drawn)
+        cdf = np.cumsum(live[rows] / totals[rows, None], axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rngs[first + i].random() for i in rows])
+        chosen[first + rows, j] = (cdf <= u[:, None]).sum(axis=1)
+    return [chosen[i, :k] for i, k in enumerate(ks)]
+
+
 class KMeans:
     """Lloyd's algorithm with seeded k-means++ initialization.
 
+    Each step's means add every cluster's rows in index order, as a boolean
+    mask's mean does: one ``bincount`` for all clusters, or with d == 1,
+    where numpy sums a lone column pairwise, one sorted run per cluster.
+
     ``sq_matrix`` is the points' n×n squared distance matrix, as
     ``select_k`` builds it once for every K; without it ``fit`` builds it.
+    ``rows`` are the seeded centres' row indices, as ``select_k`` seeds every
+    K at once; without them ``fit`` seeds from ``seed``.
     """
 
     def __init__(self, n_clusters: int, seed: int = 0, max_iter: int = 300):
@@ -93,34 +140,22 @@ class KMeans:
 
     def _init_centers(
         self, X: np.ndarray, rng: np.random.Generator, sq_matrix=None
-    ) -> list:
+    ) -> np.ndarray:
         """k-means++ seeding; returns the row indices of the chosen centres."""
-        n = X.shape[0]
         if sq_matrix is None:
             sq_matrix = _sq_distance_matrix(X)
-        # the matrix is exactly symmetric, so a centre's distances are its
-        # contiguous row
-        chosen = [rng.integers(n)]
-        d2 = np.full(n, np.inf)  # squared distance to the nearest centre so far
-        for _ in range(1, self.n_clusters):
-            d2 = np.minimum(d2, sq_matrix[chosen[-1]])
-            total = d2.sum()
-            if total <= 0:
-                chosen.append(rng.integers(n))
-                continue
-            probs = d2 / total
-            chosen.append(rng.choice(n, p=probs))
-        return chosen
+        return _seed_rows(sq_matrix, [self.n_clusters], [rng])[0]
 
-    def fit(self, data, sq_matrix=None) -> "KMeans":
+    def fit(self, data, sq_matrix=None, rows=None) -> "KMeans":
         X = np.asarray(data, dtype=float)
-        n = X.shape[0]
+        n, d = X.shape
         k = self.n_clusters
         if not 1 <= k <= n:
             raise ValueError(f"n_clusters={k} outside 1..{n}")
         if sq_matrix is None:
             sq_matrix = _sq_distance_matrix(X)
-        rows = self._init_centers(X, np.random.default_rng(self.seed), sq_matrix)
+        if rows is None:
+            rows = self._init_centers(X, np.random.default_rng(self.seed), sq_matrix)
         centers = X[rows]
         # d2 holds the distances to `assigned`, the centres before this step's
         # repairs and mean updates: first the seeded rows' matrix columns, then
@@ -148,26 +183,26 @@ class KMeans:
                         centers[c] = X[far]
             inertia = float(((X - centers[new_labels]) ** 2).sum())
             self.inertia_history_.append(inertia)
-            switched = new_labels != labels
-            first = len(self.inertia_history_) == 1
-            converged = not first and not switched.any()
-            # a cluster whose members are unchanged keeps its mean's bits, so
-            # after the first step only clusters that gained or lost a point
-            # get a new mean
-            stale = np.full(k, first)
-            stale[labels[switched]] = True
-            stale[new_labels[switched]] = True
+            converged = len(self.inertia_history_) > 1 and np.array_equal(new_labels, labels)
             labels = new_labels
-            update = np.flatnonzero(stale & (counts > 0))
-            if len(update):
-                # sorting the unique keys label·n + index keeps each cluster's
-                # rows in index order, so its sum adds what a boolean mask
-                # would, in the same order
-                Xs = X[np.argsort(labels * n + np.arange(n))]
-                starts = np.cumsum(counts) - counts
-                for c in update:
-                    members = Xs[starts[c] : starts[c] + counts[c]]
-                    centers[c] = np.add.reduce(members, axis=0) / counts[c]
+            # each cluster's sum adds its rows in index order, as a boolean
+            # mask's mean does, so a cluster whose members are unchanged gets
+            # its mean's bits again. One bincount of the keys label·d + column
+            # does that for every cluster (from +0.0: a sum of -0.0s alone
+            # comes out +0.0). numpy sums a lone column pairwise instead, so
+            # with d == 1 each cluster's rows are one contiguous run summed
+            # on its own: sorting the unique keys label·n + index keeps them
+            # in index order.
+            if d == 1:
+                Xs = X[np.argsort(labels * n + np.arange(n)), 0]
+                ends = np.cumsum(counts)
+                sums = np.array([Xs[end - size : end].sum()
+                                 for size, end in zip(counts, ends)])[:, None]
+            else:
+                keys = (labels[:, None] * d + np.arange(d)).ravel()
+                sums = np.bincount(keys, weights=X.ravel(), minlength=k * d).reshape(k, d)
+            full = counts > 0
+            centers[full] = sums[full] / counts[full, None]
             if converged:
                 break
         self.labels_ = labels
@@ -228,18 +263,22 @@ def select_k(
     """Largest K in 2..k_max whose median silhouette meets the threshold.
 
     Falls back (flagged) to the silhouette-maximizing K when none does.
+    Every K keeps its own seed, ``seed * 1000003 + K``; the k-means++ draws
+    of all of them are taken in lockstep (``_seed_rows``) before the fits.
     """
     X = np.asarray(data, dtype=float)
     n = X.shape[0]
     upper = min(k_max, n)
     if upper < 2:
         raise DegenerateDataError("need at least 2 points to cluster")
-    results: dict[int, KMeans] = {}
-    # one n×n matrix serves the whole sweep: squared for the fits, then
-    # square-rooted in place for the silhouettes
+    # one n×n matrix serves the whole sweep: squared for the seeding and the
+    # fits, then square-rooted in place for the silhouettes
     sq = _sq_distance_matrix(X)
-    for k in range(2, upper + 1):
-        results[k] = KMeans(k, seed=(seed * 1000003 + k) % 2**32).fit(X, sq)
+    ks = range(2, upper + 1)
+    results = {k: KMeans(k, seed=(seed * 1000003 + k) % 2**32) for k in ks}
+    rngs = [np.random.default_rng(model.seed) for model in results.values()]
+    for model, rows in zip(results.values(), _seed_rows(sq, ks, rngs)):
+        model.fit(X, sq, rows)
     dists = np.sqrt(sq, out=sq)
     curve = [
         (k, median_silhouette(X, model.labels_, dists)) for k, model in results.items()

@@ -34,7 +34,7 @@ from .prstore import (
     load_prs,
     save_prs,
 )
-from .profiles import global_ku_profiles, save_matrix
+from .profiles import Expertise, global_ku_profiles, save_matrix
 from .recommenders import KIND_ORDER, RF_MODES, History, Recommendation, make_recommender
 from .util import dump_json_line, sha256_bytes, sha256_text, write_text
 
@@ -194,8 +194,8 @@ def evaluate_project(
 CLUSTER_FILES = ("labels.tsv", "silhouette_curve.tsv", "summary.json", "diff_values.tsv")
 
 
-def run_clustering(store: KuStore, out_dir: Path, k_max: int, seed: int) -> None:
-    profiles = global_ku_profiles(store)
+def run_clustering(profiles: Expertise, out_dir: Path, k_max: int, seed: int) -> None:
+    """Cluster the developers of P_ku (``global_ku_profiles``) into ``out_dir``."""
     developers = sorted(profiles.rows)
     if len(developers) < 2:
         raise DegenerateDataError("need at least 2 developers to cluster")
@@ -314,8 +314,11 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     p_ku_path = out / "profiles" / "p_ku.tsv"
     prof_sig = sha256_text(f"profiles:{mine_sig}")
     profiles = _Stage(out, "profiles", prof_sig, [p_ku_path], echo)
+    # P_ku, built once by whichever of the profiles and cluster stages runs first
+    p_ku = None
     if not profiles.cached():
-        save_matrix(global_ku_profiles(store), p_ku_path)
+        p_ku = global_ku_profiles(store)
+        save_matrix(p_ku, p_ku_path)
         profiles.done("P_ku written")
 
     report_path = out / "report.tsv"
@@ -339,7 +342,9 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     cluster = _Stage(out, "cluster", cluster_sig,
                      [cluster_dir / n for n in CLUSTER_FILES], echo)
     if not cluster.cached():
-        run_clustering(store, cluster_dir, k_max=config.k_max, seed=config.seed)
+        if p_ku is None:
+            p_ku = global_ku_profiles(store)
+        run_clustering(p_ku, cluster_dir, k_max=config.k_max, seed=config.seed)
         cluster.done("outputs written")
 
     return report_path

@@ -19,7 +19,7 @@ from kurev.clustering import (
     pca_reduce,
     select_k,
 )
-from kurev.clustering import _distance_matrix, _sq_distance_matrix
+from kurev.clustering import _distance_matrix, _seed_rows, _sq_distance_matrix
 
 
 def blobs(centers, per=10, spread=0.05, seed=99, dims=None):
@@ -407,6 +407,63 @@ def test_kmeans_seeding_from_the_squared_matrix_equals_all_centres_oracle():
         got = X[KMeans(k)._init_centers(X, np.random.default_rng(case), sq)]
         want = naive_init_centers(X, k, np.random.default_rng(case))
         assert np.array_equal(got, want)
+
+
+class CountingRng:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.integers_calls = 0
+
+    def integers(self, n):
+        self.integers_calls += 1
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        return self.rng.choice(n, p=p)
+
+
+def test_seeding_every_k_at_once_equals_all_centres_oracle():
+    zero_totals = 0
+    cases = [X for X, _ in random_cases(100, seed=89)]
+    rng = np.random.default_rng(97)
+    for _ in range(30):  # fewer distinct points than the largest K
+        n = int(rng.integers(4, 41))
+        pool = np.round(rng.standard_normal((int(rng.integers(1, 4)), 3)) * 3)
+        cases.append(pool[rng.integers(len(pool), size=n)])
+    for case, X in enumerate(cases):
+        ks = range(2, len(X) + 1)
+        seeds = [(case * 1000003 + k) % 2**32 for k in ks]  # select_k's
+        got = _seed_rows(_sq_distance_matrix(X), ks, [np.random.default_rng(s) for s in seeds])
+        for k, rows, seed in zip(ks, got, seeds):
+            counting = CountingRng(seed)
+            assert np.array_equal(X[rows], naive_init_centers(X, k, counting))
+            zero_totals += counting.integers_calls > 1  # a draw from a zero total
+    assert zero_totals
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_seeding_refuses_a_point_that_choice_refuses(bad):
+    X = np.random.default_rng(101).standard_normal((12, 4))
+    X[5, 2] = bad
+    with pytest.raises(ValueError):
+        KMeans(3)._init_centers(X, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        select_k(X, k_max=6, seed=0)
+
+
+def test_kmeans_fit_given_seeded_rows_equals_fit_without_them():
+    for case, (X, k, max_iter) in enumerate(lloyd_cases(300, seed=103)):
+        sq = _sq_distance_matrix(X)
+        (rows,) = _seed_rows(sq, [k], [np.random.default_rng(case)])
+        given = KMeans(k, seed=case, max_iter=max_iter).fit(X, sq, rows)
+        built = KMeans(k, seed=case, max_iter=max_iter).fit(X)
+        assert np.array_equal(given.labels_, built.labels_)
+        assert np.array_equal(given.cluster_centers_, built.cluster_centers_)
+        assert given.inertia_history_ == built.inertia_history_
+        assert given.inertia_ == built.inertia_
 
 
 def test_kmeans_repair_that_empties_a_later_cluster_equals_oracle():

@@ -151,6 +151,22 @@ def test_each_deleted_output_comes_back_from_its_own_stage(synthetic_project, tm
         assert missed == [STAGE_OF[name.split("/")[0]]], name
 
 
+def test_a_run_builds_p_ku_at_most_once(synthetic_project, tmp_path, monkeypatch):
+    built = []
+    build = pipeline.global_ku_profiles
+    monkeypatch.setattr(pipeline, "global_ku_profiles",
+                        lambda store: built.append(store) or build(store))
+    config = config_for(synthetic_project, tmp_path)
+    run_pipeline(config, echo=lambda message: None)
+    assert len(built) == 1  # the profiles and cluster stages share one build
+    run_pipeline(config, echo=lambda message: None)
+    assert len(built) == 1  # every stage is cached
+    for name in ("profiles/p_ku.tsv", "cluster/labels.tsv"):
+        (config.out_dir / name).unlink()
+        run_pipeline(config, echo=lambda message: None)
+    assert len(built) == 3  # one build for each stage that ran alone
+
+
 def test_rerun_into_fresh_directory_is_byte_identical(synthetic_project, tmp_path):
     a = run_pipeline(config_for(synthetic_project, tmp_path / "a"))
     b = run_pipeline(config_for(synthetic_project, tmp_path / "b"))

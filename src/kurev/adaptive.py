@@ -90,10 +90,13 @@ def best_performers(
     return winners
 
 
-def safe_recommend(rec: BaseRecommender, pr: PullRequest) -> Recommendation:
-    """Base recommendation with the no-KU case mapped to an empty ranking."""
+def safe_recommend(
+    rec: BaseRecommender, pr: PullRequest, k: int | None = None
+) -> Recommendation:
+    """Base recommendation (its first ``k`` entries, all if None) with the
+    no-KU case mapped to an empty ranking."""
     try:
-        return rec.recommend(pr)
+        return rec.recommend(pr, k=k)
     except NoKuError:
         return Recommendation(pr_id=pr.id, kind=rec.kind, ranked=())
 

@@ -16,6 +16,7 @@ from .adaptive import AdaptiveRecommender, safe_recommend
 from .catalog import load_catalog
 from .detector import detect_capabilities, ku_vector_from_hits
 from .errors import KurevError
+from .evaluation import K_MAX
 from .mining import KuStore, build_ku_store
 from .pipeline import (
     ALL_KINDS,
@@ -203,7 +204,7 @@ def recommend(
     if which in KIND_ORDER:
         params = {"mode": rf_mode} if which == "rf" else {}
         model = make_recommender(which, **params).fit(history)
-        rec = safe_recommend(model, by_id[pr_id])
+        rec = safe_recommend(model, by_id[pr_id], k=top)
     else:
         _, test = chronological_split(history.prs, train_fraction)
         test_ids = [pr.id for pr in test.prs]
@@ -212,9 +213,10 @@ def recommend(
         # the replay is online, so the target's step needs only the PRs up to it
         prefix = list(test.prs[: test_ids.index(pr_id) + 1])
         variant = which.removeprefix("ad_")
-        steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(
-            prefix, run_base_recommenders(history, prefix, rf_mode=rf_mode)
-        )
+        # the winners read ranks 1..K_MAX of every base ranking, so a smaller
+        # --top still keeps K_MAX of them
+        base = run_base_recommenders(history, prefix, rf_mode=rf_mode, k=max(top, K_MAX))
+        steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(prefix, base)
         rec = steps[-1].recommendation
     history.asof.warn_unresolved()
 

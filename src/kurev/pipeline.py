@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 
 import yaml
@@ -121,13 +122,14 @@ class ProjectConfig:
 
 
 def run_base_recommenders(
-    history: History, test_prs: list, rf_mode: str = "prs"
+    history: History, test_prs: list, rf_mode: str = "prs", k: int | None = None
 ) -> dict[str, dict[int, Recommendation]]:
+    """Each base kind's ranking of each test PR, its first ``k`` entries (all if None)."""
     out: dict[str, dict[int, Recommendation]] = {}
     for kind in KIND_ORDER:
         params = {"mode": rf_mode} if kind == "rf" else {}
         model = make_recommender(kind, **params).fit(history)
-        out[kind] = {pr.id: safe_recommend(model, pr) for pr in test_prs}
+        out[kind] = {pr.id: safe_recommend(model, pr, k=k) for pr in test_prs}
     return out
 
 
@@ -143,9 +145,11 @@ def evaluate_project(
     (:class:`PrScore`) and judges each distinct top-1 pick once, so the
     sweeps behind the verdicts are walked once. The winner sequence reads
     the scores; each adaptive step takes its delegate's score and verdict.
+    Scores read ranks 1..K_MAX and verdicts rank 1, so each base ranking
+    keeps only its first K_MAX entries.
     """
     test_prs = list(test.prs)
-    base = run_base_recommenders(history, test_prs, rf_mode=rf_mode)
+    base = run_base_recommenders(history, test_prs, rf_mode=rf_mode, k=K_MAX)
     asof = history.asof
     scores: dict[str, list[PrScore]] = {kind: [] for kind in KIND_ORDER}
     # per kind and test PR: the top-1 pick's verdict, None when there is none
@@ -269,7 +273,11 @@ class _Stage:
 
 
 def run_pipeline(config: ProjectConfig, echo=print) -> Path:
-    """Run all stages; returns the evaluation report path."""
+    """Run all stages; returns the evaluation report path.
+
+    The store and the PR export are read only by a stage that misses, so a
+    rerun with every stage cached reads neither.
+    """
     config.validate()
     out = config.out_dir
     catalog = load_catalog(config.catalog)
@@ -280,15 +288,19 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     mine_sig = sha256_text(
         f"mine:{head}:{detection_key(catalog)}:{config.all_commits}:{KuStore.FORMAT}")
     mine = _Stage(out, "mine", mine_sig, [store_dir / n for n in KuStore.FILES], echo)
-    if mine.cached():
-        store = KuStore.load(store_dir)
-    else:
-        cache = config.cache_dir / "ku_cache.jsonl" if config.cache_dir else None
-        store = build_ku_store(
-            config.repo, catalog, cache_path=cache, all_commits=config.all_commits
+    mined = None
+    if not mine.cached():
+        cache_path = config.cache_dir / "ku_cache.jsonl" if config.cache_dir else None
+        mined = build_ku_store(
+            config.repo, catalog, cache_path=cache_path, all_commits=config.all_commits
         )
-        store.save(store_dir)
-        mine.done(f"{len(store.commits)} commits, {len(store.vectors)} file records")
+        mined.save(store_dir)
+        mine.done(f"{len(mined.commits)} commits, {len(mined.vectors)} file records")
+
+    @cache
+    def store() -> KuStore:
+        """The store, read back only by a profiles, evaluate or cluster stage that misses."""
+        return mined if mined is not None else KuStore.load(store_dir)
 
     prs_dir = out / "prs"
     prs_sig = sha256_text(
@@ -296,15 +308,19 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
         + sha256_text(config.prs.read_text(encoding="utf-8"))
         + f":{config.train_fraction}"
     )
-    dataset = load_prs(config.prs, project=config.prs.stem)
-    filtered, eligible = filter_prs(dataset)
-    train, test = chronological_split(filtered, config.train_fraction)
-    parts = {prs_dir / "filtered.jsonl": filtered, prs_dir / "train.jsonl": train,
-             prs_dir / "test.jsonl": test}
+
+    @cache
+    def split() -> tuple[int, PrDataset, PrDataset, PrDataset]:
+        """(eligible, filtered, train, test), read by the prs or evaluate stage."""
+        filtered, eligible = filter_prs(load_prs(config.prs, project=config.prs.stem))
+        return (eligible, filtered, *chronological_split(filtered, config.train_fraction))
+
+    part_paths = [prs_dir / f"{name}.jsonl" for name in ("filtered", "train", "test")]
     meta_path = prs_dir / "meta.json"
-    prs = _Stage(out, "prs", prs_sig, [*parts, meta_path], echo)
+    prs = _Stage(out, "prs", prs_sig, [*part_paths, meta_path], echo)
     if not prs.cached():
-        for path, part in parts.items():
+        eligible, filtered, train, test = split()
+        for path, part in zip(part_paths, (filtered, train, test)):
             save_prs(part, path)
         meta = {"eligible": eligible, "kept": len(filtered.prs),
                 "train": len(train.prs), "test": len(test.prs)}
@@ -317,20 +333,21 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     # P_ku, built once by whichever of the profiles and cluster stages runs first
     p_ku = None
     if not profiles.cached():
-        p_ku = global_ku_profiles(store)
+        p_ku = global_ku_profiles(store())
         save_matrix(p_ku, p_ku_path)
         profiles.done("P_ku written")
 
     report_path = out / "report.tsv"
     # keyed on the PR files it reads, not on the export's bytes: an export
     # with its lines reordered gives the same files and leaves it cached
-    prs_files = ":".join(sha256_bytes(path.read_bytes()) for path in parts)
+    prs_files = ":".join(sha256_bytes(path.read_bytes()) for path in part_paths)
     eval_sig = sha256_text(
         f"evaluate:{mine_sig}:{prs_files}:{config.seed}:{config.rf_mode}"
     )
     evaluate = _Stage(out, "evaluate", eval_sig, [report_path], echo)
     if not evaluate.cached():
-        history = History(store=store, prs=filtered)
+        _, filtered, _, test = split()
+        history = History(store=store(), prs=filtered)
         report = evaluate_project(
             history, test, seed=config.seed, rf_mode=config.rf_mode
         )
@@ -343,7 +360,7 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
                      [cluster_dir / n for n in CLUSTER_FILES], echo)
     if not cluster.cached():
         if p_ku is None:
-            p_ku = global_ku_profiles(store)
+            p_ku = global_ku_profiles(store())
         run_clustering(p_ku, cluster_dir, k_max=config.k_max, seed=config.seed)
         cluster.done("outputs written")
 

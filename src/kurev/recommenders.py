@@ -4,6 +4,7 @@ Every recommender is a small estimator: construct with parameters, `fit`
 with the project history, then `recommend(pr)` test PRs. All of them use
 strictly-prior data only (commits authored before, and PRs opened before,
 the PR under recommendation) and never rank the PR's own author.
+``recommend(pr, k)`` keeps the first ``k`` entries of the full ranking.
 """
 
 from __future__ import annotations
@@ -52,9 +53,18 @@ class History:
         return AsOf(self.store, self.prs.prs)
 
 
-def rank(scores: dict[str, float], pr_id: int, kind: str) -> Recommendation:
+def rank(
+    scores: dict[str, float], pr_id: int, kind: str, k: int | None = None
+) -> Recommendation:
+    """Candidates by descending score, ties by name; the first ``k`` (all if None).
+
+    The full sort and then a slice, so a cut ranking is the full ranking's
+    prefix by construction, whatever ``k``.
+    """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, not {k!r}")
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Recommendation(pr_id=pr_id, kind=kind, ranked=tuple(ordered))
+    return Recommendation(pr_id=pr_id, kind=kind, ranked=tuple(ordered[:k]))
 
 
 def recency_bonus(last: datetime | None, pr_open: datetime) -> float:
@@ -82,7 +92,8 @@ class BaseRecommender:
             raise RuntimeError(f"{type(self).__name__} is not fitted")
         return self.history_
 
-    def recommend(self, pr: PullRequest) -> Recommendation:
+    def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
+        """The ranking of ``pr``'s candidates, its first ``k`` entries (all if None)."""
         raise NotImplementedError
 
 
@@ -95,9 +106,9 @@ class KurecRecommender(BaseRecommender):
 
     kind = "kurec"
 
-    def recommend(self, pr: PullRequest) -> Recommendation:
+    def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
         scores = {dev: d + r for dev, (d, r) in self._scores(pr).items()}
-        return rank(scores, pr.id, self.kind)
+        return rank(scores, pr.id, self.kind, k)
 
     def decompose(self, pr: PullRequest) -> dict[str, tuple[float, float]]:
         """Per-candidate (DevScore, RevScore) pairs, for auditability."""
@@ -144,10 +155,10 @@ class CfRecommender(BaseRecommender):
 
     kind = "cf"
 
-    def recommend(self, pr: PullRequest) -> Recommendation:
+    def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
         counts = self._history().asof.commit_counts(pr.opened_at)
         counts.pop(pr.author, None)
-        return rank({dev: float(n) for dev, n in counts.items()}, pr.id, self.kind)
+        return rank({dev: float(n) for dev, n in counts.items()}, pr.id, self.kind, k)
 
 
 class RfRecommender(BaseRecommender):
@@ -166,10 +177,10 @@ class RfRecommender(BaseRecommender):
             raise ValueError(f"unknown RF mode {mode!r}")
         self.mode = mode
 
-    def recommend(self, pr: PullRequest) -> Recommendation:
+    def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
         counts = self._history().asof.review_counts(pr.opened_at, self.mode)
         counts.pop(pr.author, None)
-        return rank({dev: float(n) for dev, n in counts.items()}, pr.id, self.kind)
+        return rank({dev: float(n) for dev, n in counts.items()}, pr.id, self.kind, k)
 
 
 class ErRecommender(BaseRecommender):
@@ -177,13 +188,13 @@ class ErRecommender(BaseRecommender):
 
     kind = "er"
 
-    def recommend(self, pr: PullRequest) -> Recommendation:
+    def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
         last = self._history().asof.last_commits(pr.changed_files, pr.opened_at)
         last.pop(pr.author, None)
         scores = {
             dev: when.replace(tzinfo=timezone.utc).timestamp() for dev, when in last.items()
         }
-        return rank(scores, pr.id, self.kind)
+        return rank(scores, pr.id, self.kind, k)
 
 
 class ChrevRecommender(BaseRecommender):
@@ -195,14 +206,14 @@ class ChrevRecommender(BaseRecommender):
 
     kind = "chrev"
 
-    def recommend(self, pr: PullRequest) -> Recommendation:
+    def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
         asof = self._history().asof
         scores: dict[str, float] = {}
         for path in pr.changed_files:
             for reviewer, x in self._file_stats(asof.file_reviews(path, pr.opened_at)):
                 scores[reviewer] = scores.get(reviewer, 0.0) + x
         scores.pop(pr.author, None)
-        return rank(scores, pr.id, self.kind)
+        return rank(scores, pr.id, self.kind, k)
 
     @staticmethod
     def _file_stats(reviews: list[tuple[str, int, int, date]]) -> list[tuple[str, float]]:

@@ -165,3 +165,29 @@ def synthetic_project(tmp_path_factory):
         "test": test,
         "history": History(store=store, prs=filtered),
     }
+
+
+@pytest.fixture(scope="session")
+def crowded_project(tmp_path_factory):
+    """A synthetic project of 16 developers, mined once per session: its
+    base rankings run past K_MAX, up to 15 candidates, on the 4 test PRs."""
+    from kurev.mining import build_ku_store
+    from kurev.prstore import chronological_split, filter_prs, load_prs
+    from kurev.recommenders import History
+    from tests.synthetic import build_synthetic_project
+
+    base = tmp_path_factory.mktemp("crowded")
+    developers = [(f"Dev {i:02d}", f"dev{i:02d}@example.com") for i in range(16)]
+    repo, prs_path = build_synthetic_project(
+        base, n_devs=len(developers), n_commits=60, n_prs=20, developers=developers
+    )
+    store = build_ku_store(repo)
+    store.save(base / "store")
+    filtered, _ = filter_prs(load_prs(prs_path))
+    _, test = chronological_split(filtered)
+    return {
+        "prs_path": prs_path,
+        "store_dir": base / "store",
+        "test": test,
+        "history": History(store=store, prs=filtered),
+    }

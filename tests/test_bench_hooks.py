@@ -108,16 +108,16 @@ def test_hooked_names_see_every_evaluation_call(synthetic_project, monkeypatch):
     for kind, cls in RECOMMENDER_CLASSES.items():
         original = getattr(recommenders, cls).recommend
 
-        def counted(self, pr, kind=kind, original=original):
+        def counted(self, pr, k=None, kind=kind, original=original):
             calls[kind] += 1
-            return original(self, pr)
+            return original(self, pr, k=k)
 
         monkeypatch.setattr(getattr(recommenders, cls), "recommend", counted)
     safe_recommend, reasonableness = pipeline.safe_recommend, pipeline.reasonableness
 
-    def counted_safe(rec, pr):
+    def counted_safe(rec, pr, k=None):
         calls["safe_recommend"] += 1
-        return safe_recommend(rec, pr)
+        return safe_recommend(rec, pr, k=k)
 
     def counted_judge(pr, top1, commits, prior_prs):
         judged[pr.id, top1] += 1

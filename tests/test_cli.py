@@ -8,12 +8,13 @@ import random
 import pytest
 
 from kurev import cli
+from kurev.adaptive import AdaptiveRecommender, safe_recommend
 from kurev.cli import main
 from kurev.detector import detect_kus
 from kurev.mining import KuStore, build_ku_store
-from kurev.pipeline import run_base_recommenders
+from kurev.pipeline import ALL_KINDS, run_base_recommenders
 from kurev.prstore import filter_prs, load_prs
-from kurev.recommenders import KIND_ORDER
+from kurev.recommenders import KIND_ORDER, make_recommender
 from kurev.util import parse_rfc3339
 from tests.test_detector import NESTED_2000
 from tests.test_mining import save_format_1
@@ -166,6 +167,29 @@ def test_recommend_rejects_top_below_one(mined, capsys, top):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("top", [1, 5, 12])
+def test_recommend_prints_the_first_top_rows_of_the_full_ranking(crowded_project,
+                                                                 capsys, top):
+    # the last test PR replays the whole test split; its rankings run to 15,
+    # and at --top 1 its ad_rec delegate still depends on ranks 2..K_MAX
+    history, test_prs = crowded_project["history"], list(crowded_project["test"].prs)
+    pr = test_prs[-1]
+    steps = {
+        f"ad_{step_kind}": AdaptiveRecommender(step_kind).fit(history).replay(test_prs)[-1]
+        for step_kind in ("freq", "rec", "hybrid")
+    }
+    for which in ALL_KINDS:
+        if which in KIND_ORDER:
+            full = safe_recommend(make_recommender(which).fit(history), pr).ranked
+        else:
+            full = steps[which].recommendation.ranked
+        assert main(["recommend", "--store", str(crowded_project["store_dir"]),
+                     "--prs", str(crowded_project["prs_path"]), "--pr", str(pr.id),
+                     "--which", which, "--top", str(top)]) == 0
+        rows = [f"{i}\t{dev}\t{score:.6f}" for i, (dev, score) in enumerate(full, 1)]
+        assert capsys.readouterr().out.splitlines() == rows[:top], which
+
+
 def test_adaptive_recommend_honours_rf_mode(mined, capsys):
     # PR 10 opens the synthetic test split; RF counts 3 reviewed PRs for
     # both bob and carol but 5 and 4 review comments, so the two modes
@@ -198,9 +222,9 @@ def test_adaptive_recommend_replays_only_up_to_the_target(mined, tmp_path, capsy
     same_instant.write_text("".join(json.dumps(r) + "\n" for r in records))
     replayed = []
 
-    def spy(history, prefix, rf_mode="prs"):
+    def spy(history, prefix, rf_mode="prs", k=None):
         replayed.append([pr.id for pr in prefix])
-        return run_base_recommenders(history, prefix, rf_mode=rf_mode)
+        return run_base_recommenders(history, prefix, rf_mode=rf_mode, k=k)
 
     def ranking(prs_path, variant):
         assert main(["recommend", "--store", str(mined["store"]), "--prs", str(prs_path),

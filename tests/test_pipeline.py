@@ -7,16 +7,17 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from kurev import detector, pipeline, util
+from kurev import detector, pipeline, recommenders, util
 from kurev.adaptive import VARIANTS, AdaptiveRecommender
 from kurev.catalog import load_catalog
 from kurev.errors import KurevError
-from kurev.evaluation import reasonableness
+from kurev.evaluation import K_MAX, reasonableness
 from kurev.mining import KuStore
 from kurev.pipeline import (
     ALL_KINDS,
@@ -101,6 +102,29 @@ def test_report_equals_the_per_k_rescoring(synthetic_project, seed):
     )
 
 
+def test_evaluation_keeps_each_base_ranking_to_its_first_k_max(crowded_project,
+                                                               monkeypatch):
+    # the report reads ranks 1..K_MAX only, so evaluation cuts each base
+    # ranking there; the cut is the full ranking's prefix, and the report
+    # still equals the per-k rescoring of the full rankings
+    history, test = crowded_project["history"], crowded_project["test"]
+    expected = naive_report(history, list(test.prs), seed=0)
+    full_rank = recommenders.rank
+    ranked = []
+
+    def spy(scores, pr_id, kind, k=None):
+        rec = full_rank(scores, pr_id, kind, k)
+        ranked.append((rec.ranked, full_rank(scores, pr_id, kind).ranked))
+        return rec
+
+    monkeypatch.setattr(recommenders, "rank", spy)
+    report = evaluate_project(history, test, seed=0)
+    assert len(ranked) == 5 * len(test.prs)
+    assert any(len(full) > K_MAX for _, full in ranked)
+    assert all(cut == full[:K_MAX] for cut, full in ranked)
+    assert (report.accuracy, report.mean_ap, report.reasonable_pct) == expected
+
+
 def test_run_pipeline_outputs_and_caching(synthetic_project, tmp_path, capsys):
     config = config_for(synthetic_project, tmp_path)
     report_path = run_pipeline(config)
@@ -133,22 +157,46 @@ def test_run_pipeline_outputs_and_caching(synthetic_project, tmp_path, capsys):
 # The stage that writes each top-level entry of out/.
 STAGE_OF = {"store": "mine", "prs": "prs", "profiles": "profiles",
             "report.tsv": "evaluate", "cluster": "cluster"}
+# What each stage reads when it misses: the store back from out/store/ (a mine
+# that runs hands its store on), the PR export, or both. A cached one reads none.
+READS = {"mine": {}, "prs": {"prs": 1}, "profiles": {"store": 1},
+         "evaluate": {"store": 1, "prs": 1}, "cluster": {"store": 1}}
 
 
-def test_each_deleted_output_comes_back_from_its_own_stage(synthetic_project, tmp_path):
+def test_each_deleted_output_comes_back_from_its_own_stage(
+    synthetic_project, tmp_path, monkeypatch
+):
     config = config_for(synthetic_project, tmp_path)
     run_pipeline(config, echo=lambda message: None)
     out = config.out_dir
     full = tree_bytes(out)
+    reads: Counter = Counter()
+    load_store, load_prs = KuStore.load.__func__, pipeline.load_prs
+    monkeypatch.setattr(KuStore, "load", classmethod(
+        lambda cls, in_dir: reads.update(["store"]) or load_store(cls, in_dir)))
+    monkeypatch.setattr(pipeline, "load_prs",
+                        lambda *args, **kwargs: reads.update(["prs"]) or load_prs(*args, **kwargs))
+    run_pipeline(config, echo=lambda message: None)
+    assert reads == {}  # every stage is cached
     outputs = [name for name in full if not name.endswith(".stamp")]
     assert len(outputs) == 13
     for name in outputs:
         (out / name).unlink()
         echoed = []
+        reads.clear()
         run_pipeline(config, echo=echoed.append)
         assert tree_bytes(out) == full, name
         missed = [line.split(":")[0] for line in echoed if not line.endswith(": cached")]
-        assert missed == [STAGE_OF[name.split("/")[0]]], name
+        stage = STAGE_OF[name.split("/")[0]]
+        assert missed == [stage], name
+        assert reads == READS[stage], name
+    # stages that miss together read the store and the export once
+    for name in ("prs/meta.json", "profiles/p_ku.tsv", "report.tsv", "cluster/summary.json"):
+        (out / name).unlink()
+    reads.clear()
+    run_pipeline(config, echo=lambda message: None)
+    assert tree_bytes(out) == full
+    assert reads == {"store": 1, "prs": 1}
 
 
 def test_a_run_builds_p_ku_at_most_once(synthetic_project, tmp_path, monkeypatch):

@@ -41,8 +41,14 @@ def test_recency_bonus_values():
 
 
 def test_rank_breaks_ties_by_identity():
-    rec = rank({"zed": 1.0, "abe": 1.0, "mia": 2.0}, pr_id=1, kind="cf")
-    assert rec.developers() == ["mia", "abe", "zed"]
+    scores = {"zed": 1.0, "abe": 1.0, "mia": 2.0, "bo": 1.0}
+    rec = rank(scores, pr_id=1, kind="cf")
+    assert rec.developers() == ["mia", "abe", "bo", "zed"]
+    # a cut inside the tie keeps the full ranking's prefix, not any tied name
+    for k in range(1, len(scores) + 2):
+        assert rank(scores, pr_id=1, kind="cf", k=k).ranked == rec.ranked[:k]
+    with pytest.raises(ValueError):
+        rank(scores, pr_id=1, kind="cf", k=0)
 
 
 def test_kurec_hand_example():

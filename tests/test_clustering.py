@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import kurev
 
 from kurev.clustering import (
     CHUNK_ROWS,
@@ -19,7 +25,13 @@ from kurev.clustering import (
     pca_reduce,
     select_k,
 )
-from kurev.clustering import _distance_matrix, _seed_rows, _sq_distance_matrix
+from kurev.clustering import (
+    _distance_matrix,
+    _median,
+    _percentiles,
+    _seed_rows,
+    _sq_distance_matrix,
+)
 
 
 def blobs(centers, per=10, spread=0.05, seed=99, dims=None):
@@ -546,3 +558,45 @@ def test_select_k_holds_one_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n * n * 8
+
+
+def test_median_and_quartiles_equal_numpy_bit_for_bit():
+    # signed zeros, infinities and NaNs included: the sign of a zero median
+    # rests on which zero numpy's partition puts in the middle
+    rng = np.random.default_rng(53)
+    specials = [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan, 1e308, -1e308]
+    for case in range(4000):
+        n, d = int(rng.integers(1, 14)), int(rng.integers(1, 4))
+        if case % 2:
+            X = rng.choice(specials, size=(n, d))
+        else:
+            X = rng.standard_normal((n, d)) * 10.0 ** int(rng.integers(-5, 5))
+        with np.errstate(invalid="ignore", over="ignore"):
+            pairs = [
+                (_median(X), np.median(X, axis=0)),
+                (_median(X[:, 0]), np.median(X[:, 0])),
+                *zip(_percentiles(X, (25, 75)), np.percentile(X, [25, 75], axis=0)),
+            ]
+        for got, want in pairs:
+            assert np.array_equal(got, want, equal_nan=True), (X, got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (X, got, want)
+
+
+def test_clustering_does_not_load_numpy_ma():
+    # np.median, np.percentile and a plain np.unique import numpy.ma, about
+    # 1.2 MB resident, for a check on masked arrays that never come here
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from kurev.clustering import diff_values, median_silhouette, select_k\n"
+        "X = np.random.default_rng(0).random((30, 4))\n"
+        "result = select_k(X, k_max=5, seed=0)\n"
+        "median_silhouette(X, np.arange(30) % 3)\n"
+        "diff_values(X, np.arange(30) % 3)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(kurev.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

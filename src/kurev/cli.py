@@ -12,11 +12,11 @@ from pathlib import Path
 
 import click
 
-from .adaptive import AdaptiveRecommender, safe_recommend
+from .adaptive import AdaptiveRecommender, best_performers
 from .catalog import load_catalog
 from .detector import detect_capabilities, ku_vector_from_hits
 from .errors import KurevError
-from .evaluation import K_MAX
+from .evaluation import K_MAX, base_scores
 from .mining import KuStore, build_ku_store
 from .pipeline import (
     ALL_KINDS,
@@ -36,7 +36,7 @@ from .profiles import (
     save_last_touch,
     save_matrix,
 )
-from .recommenders import KIND_ORDER, RF_MODES, History, make_recommender
+from .recommenders import KIND_ORDER, RF_MODES, History, make_recommender, safe_recommend
 from .util import parse_rfc3339
 
 log = logging.getLogger(__name__)
@@ -216,8 +216,9 @@ def recommend(
         # the winners read ranks 1..K_MAX of every base ranking, so a smaller
         # --top still keeps K_MAX of them
         base = run_base_recommenders(history, prefix, rf_mode=rf_mode, k=max(top, K_MAX))
-        steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(prefix, base)
-        rec = steps[-1].recommendation
+        winners = best_performers(base_scores(base, prefix))
+        step = AdaptiveRecommender(variant, seed=seed).replay(prefix, base, winners)[-1]
+        rec = base[step.delegate][pr_id]
     history.asof.warn_unresolved()
 
     if not rec.ranked:

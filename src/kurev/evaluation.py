@@ -62,6 +62,17 @@ def _pattern_score(pattern: tuple[bool, ...]) -> PrScore:
     )
 
 
+def base_scores(
+    base: dict[str, dict[int, Recommendation]], test_prs: Sequence[PullRequest]
+) -> dict[str, list[PrScore]]:
+    """Each kind's :class:`PrScore` per test PR, in order, of its ranking in ``base``."""
+    truths = [set(pr.reviewers) for pr in test_prs]
+    return {
+        kind: [PrScore.of(recs[pr.id], truth) for pr, truth in zip(test_prs, truths)]
+        for kind, recs in base.items()
+    }
+
+
 def mean_scores(scores: Sequence[PrScore]) -> tuple[list[float], list[float]]:
     """Top-k accuracy and MAP@k for k = 1..K_MAX over one recommender's test PRs.
 

@@ -234,14 +234,23 @@ class KuStore:
 
     @classmethod
     def load(cls, in_dir: str | Path) -> "KuStore":
+        """The store saved in ``in_dir``; a malformed file is a KurevError naming it."""
         src = Path(in_dir)
-        (index,) = read_jsonl(src / cls.INDEX)
-        if index.get("format") != cls.FORMAT:
-            raise KurevError(f"store {src} is in format {index.get('format')}; kurev reads"
-                             f" format {cls.FORMAT}, so mine the repository again")
-        commits = [CommitRecord.from_dict(d) for d in iter_jsonl(src / cls.COMMITS)]
-        key = index["catalog"]
-        return cls(commits, read_verdicts(src / cls.FILE_KUS, key), key)
+        path = src / cls.INDEX
+        try:
+            (index,) = read_jsonl(path)
+            if index.get("format") != cls.FORMAT:
+                raise KurevError(f"store {src} is in format {index.get('format')}; kurev"
+                                 f" reads format {cls.FORMAT}, so mine the repository again")
+            key = index["catalog"]
+            path = src / cls.COMMITS
+            commits = [CommitRecord.from_dict(d) for d in iter_jsonl(path)]
+            path = src / cls.FILE_KUS
+            verdicts = read_verdicts(path, key)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise KurevError(
+                f"store file {path} is malformed ({type(exc).__name__}: {exc})") from exc
+        return cls(commits, verdicts, key)
 
 
 # Blob ids per ``git cat-file --batch`` call; one call's answer is held whole.

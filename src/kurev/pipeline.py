@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .adaptive import VARIANTS, AdaptiveRecommender, best_performers, safe_recommend
+from .adaptive import VARIANTS, AdaptiveRecommender, best_performers
 from .catalog import KU_COUNT, load_catalog
 from .clustering import DegenerateDataError, diff_values, gini, pca_reduce, select_k
 from .detector import detection_key
@@ -23,7 +23,7 @@ from .evaluation import (
     K_MAX,
     SIX_MONTHS,
     EvalReport,
-    PrScore,
+    base_scores,
     mean_scores,
     reasonableness,
 )
@@ -37,6 +37,8 @@ from .prstore import (
 )
 from .profiles import Expertise, global_ku_profiles, save_matrix
 from .recommenders import KIND_ORDER, RF_MODES, History, Recommendation, make_recommender
+# perfbench/tracing.py hooks safe_recommend by this module's name (test_bench_hooks.py)
+from .recommenders import safe_recommend
 from .util import dump_json_line, sha256_bytes, sha256_text, write_text
 
 log = logging.getLogger(__name__)
@@ -141,26 +143,23 @@ def evaluate_project(
 ) -> EvalReport:
     """Score the five base and three adaptive recommenders on the test set.
 
-    One date-ordered pass over the test PRs scores each base recommendation
-    (:class:`PrScore`) and judges each distinct top-1 pick once, so the
-    sweeps behind the verdicts are walked once. The winner sequence reads
-    the scores; each adaptive step takes its delegate's score and verdict.
-    Scores read ranks 1..K_MAX and verdicts rank 1, so each base ranking
-    keeps only its first K_MAX entries.
+    Each base recommendation is scored (``base_scores``), and one
+    date-ordered pass over the test PRs judges each distinct top-1 pick
+    once, so the sweeps behind the verdicts are walked once. The winner
+    sequence reads the scores; each adaptive step takes its delegate's
+    score and verdict. Scores read ranks 1..K_MAX and verdicts rank 1, so
+    each base ranking keeps only its first K_MAX entries.
     """
     test_prs = list(test.prs)
     base = run_base_recommenders(history, test_prs, rf_mode=rf_mode, k=K_MAX)
+    scores = base_scores(base, test_prs)
     asof = history.asof
-    scores: dict[str, list[PrScore]] = {kind: [] for kind in KIND_ORDER}
     # per kind and test PR: the top-1 pick's verdict, None when there is none
     verdicts: dict[str, list[bool | None]] = {kind: [] for kind in KIND_ORDER}
     for pr in test_prs:
-        truth = set(pr.reviewers)
         judged: dict[str, bool | None] = {}  # kinds often share a top-1 developer
         for kind in KIND_ORDER:
-            rec = base[kind][pr.id]
-            scores[kind].append(PrScore.of(rec, truth))
-            top = rec.top(1)
+            top = base[kind][pr.id].top(1)
             if top and top[0] not in judged:
                 # the developer's latest touch of each changed file, if in
                 # the window, decides the verdict as their whole window would
@@ -169,11 +168,9 @@ def evaluate_project(
                 )
                 judged[top[0]] = reasonableness(pr, top[0], commits, own_prs)
             verdicts[kind].append(judged[top[0]] if top else None)
-    winners = best_performers(test_prs, base, scores)  # shared by the three variants
+    winners = best_performers(scores)  # shared by the three variants
     for variant in VARIANTS:
-        steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(
-            test_prs, base, winners
-        )
+        steps = AdaptiveRecommender(variant, seed=seed).replay(test_prs, base, winners)
         kind = f"ad_{variant}"
         # a step's ranking is its delegate's, so it scores and is judged the same
         scores[kind] = [scores[s.delegate][i] for i, s in enumerate(steps)]
@@ -272,11 +269,35 @@ class _Stage:
         self.echo(f"{self.name}: {message}")
 
 
+_Split = tuple[int, PrDataset, PrDataset, PrDataset]
+
+
+def _save_split(split: _Split, part_paths: list[Path], meta_path: Path) -> str:
+    """Write the PR split's parts and counts; returns the prs stage's message."""
+    eligible, filtered, train, test = split
+    for path, part in zip(part_paths, (filtered, train, test)):
+        save_prs(part, path)
+    meta = {"eligible": eligible, "kept": len(filtered.prs),
+            "train": len(train.prs), "test": len(test.prs)}
+    write_text(meta_path, dump_json_line(meta) + "\n")
+    return f"kept {len(filtered.prs)} (eligible={eligible})"
+
+
+def _evaluate(store: KuStore, split: _Split, config: ProjectConfig, report_path: Path) -> str:
+    """Write the report; returns the evaluate stage's message. The history ends here."""
+    _, filtered, _, test = split
+    history = History(store=store, prs=filtered)
+    evaluate_project(history, test, seed=config.seed, rf_mode=config.rf_mode).save(report_path)
+    return f"report for {len(test.prs)} test PRs"
+
+
 def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     """Run all stages; returns the evaluation report path.
 
     The store and the PR export are read only by a stage that misses, so a
-    rerun with every stage cached reads neither.
+    rerun with every stage cached reads neither. The cluster stage reads
+    only P_ku, so the PR split, and the store once P_ku is built, are
+    released before it: its allocations do not land on top of them.
     """
     config.validate()
     out = config.out_dir
@@ -310,7 +331,7 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     )
 
     @cache
-    def split() -> tuple[int, PrDataset, PrDataset, PrDataset]:
+    def split() -> _Split:
         """(eligible, filtered, train, test), read by the prs or evaluate stage."""
         filtered, eligible = filter_prs(load_prs(config.prs, project=config.prs.stem))
         return (eligible, filtered, *chronological_split(filtered, config.train_fraction))
@@ -319,13 +340,7 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     meta_path = prs_dir / "meta.json"
     prs = _Stage(out, "prs", prs_sig, [*part_paths, meta_path], echo)
     if not prs.cached():
-        eligible, filtered, train, test = split()
-        for path, part in zip(part_paths, (filtered, train, test)):
-            save_prs(part, path)
-        meta = {"eligible": eligible, "kept": len(filtered.prs),
-                "train": len(train.prs), "test": len(test.prs)}
-        write_text(meta_path, dump_json_line(meta) + "\n")
-        prs.done(f"kept {len(filtered.prs)} (eligible={eligible})")
+        prs.done(_save_split(split(), part_paths, meta_path))
 
     p_ku_path = out / "profiles" / "p_ku.tsv"
     prof_sig = sha256_text(f"profiles:{mine_sig}")
@@ -346,13 +361,11 @@ def run_pipeline(config: ProjectConfig, echo=print) -> Path:
     )
     evaluate = _Stage(out, "evaluate", eval_sig, [report_path], echo)
     if not evaluate.cached():
-        _, filtered, _, test = split()
-        history = History(store=store(), prs=filtered)
-        report = evaluate_project(
-            history, test, seed=config.seed, rf_mode=config.rf_mode
-        )
-        report.save(report_path)
-        evaluate.done(f"report for {len(test.prs)} test PRs")
+        evaluate.done(_evaluate(store(), split(), config, report_path))
+    split.cache_clear()
+    if p_ku is not None:
+        mined = None
+        store.cache_clear()
 
     cluster_dir = out / "cluster"
     cluster_sig = sha256_text(f"cluster:{mine_sig}:{config.seed}:{config.k_max}")

@@ -250,3 +250,14 @@ def make_recommender(kind: str, **params) -> BaseRecommender:
     except KeyError:
         raise ValueError(f"unknown recommender kind {kind!r}") from None
     return cls(**params)
+
+
+def safe_recommend(
+    rec: BaseRecommender, pr: PullRequest, k: int | None = None
+) -> Recommendation:
+    """Base recommendation (its first ``k`` entries, all if None) with the
+    no-KU case mapped to an empty ranking."""
+    try:
+        return rec.recommend(pr, k=k)
+    except NoKuError:
+        return Recommendation(pr_id=pr.id, kind=rec.kind, ranked=())

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kurev.adaptive import AdaptiveRecommender
 from kurev.catalog import KU_COUNT, load_catalog
 from kurev.clustering import KMeans, PcaReducer, gini, select_k
 from kurev.detector import detect_kus
@@ -22,6 +21,7 @@ from kurev.evaluation import average_precision
 from kurev.prstore import chronological_split
 from kurev.recommenders import KIND_ORDER, KurecRecommender, make_recommender
 from tests.conftest import commit, dt, ku, make_dataset, make_pr, make_store
+from tests.test_adaptive import replay_from_scratch
 from tests.test_clustering import blobs
 from tests.test_detector import SPOT_CHECKS, nonzero
 from tests.test_evaluation import brute_force_ap
@@ -177,14 +177,12 @@ def test_criterion_6_adaptive_replay_protocol(synthetic_project):
     hist = synthetic_project["history"]
     test_prs = list(synthetic_project["test"].prs)
     for variant in ("freq", "rec", "hybrid"):
-        model = AdaptiveRecommender(variant, seed=11).fit(hist)
-        first = model.replay(test_prs)
-        second = AdaptiveRecommender(variant, seed=11).fit(hist).replay(test_prs)
+        # the steps, the winners and each step's ranking
+        first = replay_from_scratch(hist, test_prs, variant, 11)
+        second = replay_from_scratch(hist, test_prs, variant, 11)
         assert first == second, variant
-        prefix = AdaptiveRecommender(variant, seed=11).fit(hist).replay(
-            test_prs[:2]
-        )
-        assert first[:2] == prefix, variant
+        prefix = replay_from_scratch(hist, test_prs[:2], variant, 11)
+        assert tuple(part[:2] for part in first) == prefix, variant
 
     from kurev.adaptive import WINDOW_SIZE, Brst
 

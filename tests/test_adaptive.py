@@ -17,10 +17,10 @@ from kurev.adaptive import (
     ReplayStep,
     best_performers,
 )
-from kurev.evaluation import average_precision
-from kurev.mining import KuStore
-from kurev.recommenders import History, Recommendation
-from tests.conftest import make_dataset, make_pr
+from kurev.evaluation import average_precision, base_scores
+from kurev.recommenders import Recommendation
+from kurev.pipeline import run_base_recommenders
+from tests.conftest import make_pr
 
 
 def test_brst_freq_counts_and_tie_order():
@@ -83,31 +83,31 @@ def test_brst_matches_the_naive_policies(winners):
             assert brst.choose() == naive_policy(variant, winners[:i]), (variant, i)
 
 
-def one_pr_base(rankings):
-    """One PR (id 1, true reviewer ``hit``) with a ranking per kind."""
+def one_pr_scores(rankings):
+    """The scores of one PR (id 1, true reviewer ``hit``) with a ranking per kind."""
     pr = make_pr(1, "2023-02-01T00:00:00Z", "author", ["x.java"], reviewers=["hit"])
     base = {
         kind: {1: Recommendation(pr_id=1, kind=kind,
                                  ranked=tuple((d, 1.0) for d in rankings[kind]))}
         for kind in KIND_ORDER
     }
-    return [pr], base
+    return base_scores(base, [pr])
 
 
 def test_best_performers_prefers_better_combined_score():
     rankings = {kind: ["x", "y"] for kind in KIND_ORDER}
     rankings["cf"] = ["hit", "x"]
     rankings["er"] = ["x", "hit"]
-    assert best_performers(*one_pr_base(rankings)) == ["cf"]
+    assert best_performers(one_pr_scores(rankings)) == ["cf"]
 
 
 def test_best_performers_ties_break_by_kind_order():
-    assert best_performers(*one_pr_base({kind: ["x"] for kind in KIND_ORDER})) == [
+    assert best_performers(one_pr_scores({kind: ["x"] for kind in KIND_ORDER})) == [
         "kurec"
     ]
     rankings = {kind: ["x"] for kind in KIND_ORDER}
     rankings["er"] = rankings["chrev"] = ["hit"]
-    assert best_performers(*one_pr_base(rankings)) == ["chrev"]
+    assert best_performers(one_pr_scores(rankings)) == ["chrev"]
 
 
 # --- naive oracle: one cumulative tally per variant, as the paper reads -------
@@ -135,12 +135,14 @@ class NaiveTally:
 def naive_replay(variant, seed, test_prs, base):
     """Each variant re-tallies every base recommender after every PR.
 
-    Returns the steps and how many winners were picked from a score tie.
+    Returns the steps, the winners and how many winners were picked from a
+    score tie.
     """
     rng = random.Random(seed)
     brst = Brst(variant)
     tallies = {kind: NaiveTally() for kind in KIND_ORDER}
     steps = []
+    winners = []
     ties = 0
     for pr in test_prs:
         chosen = brst.choose()
@@ -160,12 +162,9 @@ def naive_replay(variant, seed, test_prs, base):
         scores = [tallies[kind].combined() for kind in KIND_ORDER]
         ties += scores.count(max(scores)) > 1
         brst.update(winner)
-        steps.append(ReplayStep(
-            pr_id=pr.id, delegate=delegate, chosen=chosen, winner=winner,
-            recommendation=Recommendation(
-                pr_id=pr.id, kind=f"ad_{variant}", ranked=recs[delegate].ranked),
-        ))
-    return steps, ties
+        winners.append(winner)
+        steps.append(ReplayStep(pr_id=pr.id, delegate=delegate, chosen=chosen))
+    return steps, winners, ties
 
 
 def random_replay_case(rng):
@@ -192,19 +191,17 @@ def random_replay_case(rng):
 
 
 def test_replay_equals_the_per_variant_tally_oracle():
-    history = History(store=KuStore([], {}), prs=make_dataset())
     rng = random.Random(20231)
     singles = ties = fallbacks = 0
     for case in range(300):
         prs, base = random_replay_case(rng)
-        winners = best_performers(prs, base)
+        winners = best_performers(base_scores(base, prs))
         for variant in VARIANTS:
-            model = AdaptiveRecommender(variant, seed=case).fit(history)
-            expected, tied = naive_replay(variant, case, prs, base)
-            assert model.replay(prs, base) == expected, (case, variant)
+            model = AdaptiveRecommender(variant, seed=case)
+            expected, expected_winners, tied = naive_replay(variant, case, prs, base)
             assert model.replay(prs, base, winners) == expected, (case, variant)
             fallbacks += sum(s.chosen != s.delegate for s in expected)
-        assert winners == [step.winner for step in expected]
+        assert winners == expected_winners
         singles += len(prs) == 1
         ties += tied
     # the cases exercise single-PR sequences, score ties and the KUREC fallback
@@ -212,13 +209,12 @@ def test_replay_equals_the_per_variant_tally_oracle():
 
 
 def fabricated_setup(n_prs=6):
-    """Tiny history plus canned base recommendations for replay tests."""
+    """Test PRs, canned base recommendations and their winners for replay tests."""
     prs = [
         make_pr(i, f"2023-02-{i:02d}T00:00:00Z", "author", ["x.java"],
                 reviewers=[f"rev{i % 2}"])
         for i in range(1, n_prs + 1)
     ]
-    history = History(store=KuStore([], {}), prs=make_dataset(*prs))
     base = {}
     for kind in KIND_ORDER:
         base[kind] = {}
@@ -230,60 +226,69 @@ def fabricated_setup(n_prs=6):
             else:
                 ranked = (("other", 2.0), (f"rev{pr.id % 2}", 1.0))
             base[kind][pr.id] = Recommendation(pr_id=pr.id, kind=kind, ranked=ranked)
-    return history, prs, base
+    return prs, base, best_performers(base_scores(base, prs))
 
 
 def test_replay_is_deterministic_and_seeded():
-    history, prs, base = fabricated_setup()
-    a = AdaptiveRecommender("freq", seed=3).fit(history).replay(prs, base)
-    b = AdaptiveRecommender("freq", seed=3).fit(history).replay(prs, base)
+    prs, base, winners = fabricated_setup()
+    a = AdaptiveRecommender("freq", seed=3).replay(prs, base, winners)
+    b = AdaptiveRecommender("freq", seed=3).replay(prs, base, winners)
     assert a == b
     first_expected = random.Random(3).choice(KIND_ORDER)
     assert a[0].chosen == first_expected
 
 
 def test_replay_no_ku_fallback_delegates_to_rf():
-    history, prs, base = fabricated_setup()
+    prs, base, winners = fabricated_setup()
     # seed chosen so the first pick is kurec
     seed = next(
         s for s in range(100) if random.Random(s).choice(KIND_ORDER) == "kurec"
     )
-    steps = AdaptiveRecommender("rec", seed=seed).fit(history).replay(prs, base)
+    steps = AdaptiveRecommender("rec", seed=seed).replay(prs, base, winners)
     assert steps[0].chosen == "kurec"
     assert steps[0].delegate == "rf"
-    assert steps[0].recommendation.ranked == base["rf"][prs[0].id].ranked
-    assert steps[0].recommendation.kind == "ad_rec"
+    assert base[steps[0].delegate][steps[0].pr_id].ranked == base["rf"][prs[0].id].ranked
 
 
 def test_replay_winner_is_rf_and_policies_follow():
-    history, prs, base = fabricated_setup()
+    prs, base, winners = fabricated_setup()
+    # rf always ranks the true reviewer first, so it wins every PR
+    assert winners == ["rf"] * len(prs)
     for variant in ("freq", "rec", "hybrid"):
-        steps = AdaptiveRecommender(variant, seed=0).fit(history).replay(prs, base)
-        # rf always ranks the true reviewer first, so it wins every PR
-        assert all(step.winner == "rf" for step in steps)
+        steps = AdaptiveRecommender(variant, seed=0).replay(prs, base, winners)
         # after the first (random) PR every delegation follows the winner
         assert all(step.delegate == "rf" for step in steps[1:])
 
 
 def test_replay_prefix_matches_full_run():
-    history, prs, base = fabricated_setup()
-    full = AdaptiveRecommender("hybrid", seed=5).fit(history).replay(prs, base)
-    prefix = AdaptiveRecommender("hybrid", seed=5).fit(history).replay(prs[:3], base)
+    prs, base, winners = fabricated_setup()
+    full = AdaptiveRecommender("hybrid", seed=5).replay(prs, base, winners)
+    prefix_winners = best_performers(base_scores(base, prs[:3]))
+    assert prefix_winners == winners[:3]  # the winners are cumulative
+    prefix = AdaptiveRecommender("hybrid", seed=5).replay(prs[:3], base, prefix_winners)
     assert full[:3] == prefix
+
+
+def replay_from_scratch(history, test_prs, variant, seed):
+    """A variant's steps, the winners and each step's ranking, from base
+    rankings run anew."""
+    base = run_base_recommenders(history, test_prs)
+    winners = best_performers(base_scores(base, test_prs))
+    steps = AdaptiveRecommender(variant, seed=seed).replay(test_prs, base, winners)
+    return steps, winners, [base[s.delegate][s.pr_id].ranked for s in steps]
 
 
 def test_replay_on_synthetic_project_is_reproducible(synthetic_project):
     history = synthetic_project["history"]
     test_prs = list(synthetic_project["test"].prs)
     for variant in ("freq", "rec", "hybrid"):
-        first = AdaptiveRecommender(variant, seed=11).fit(history).replay(test_prs)
-        second = AdaptiveRecommender(variant, seed=11).fit(history).replay(test_prs)
-        assert [(s.pr_id, s.delegate, s.winner) for s in first] == [
-            (s.pr_id, s.delegate, s.winner) for s in second
+        first, winners_a, rankings_a = replay_from_scratch(history, test_prs, variant, 11)
+        second, winners_b, rankings_b = replay_from_scratch(history, test_prs, variant, 11)
+        assert [(s.pr_id, s.delegate) for s in first] == [
+            (s.pr_id, s.delegate) for s in second
         ]
-        assert [s.recommendation.ranked for s in first] == [
-            s.recommendation.ranked for s in second
-        ]
+        assert winners_a == winners_b
+        assert rankings_a == rankings_b
 
 
 def test_unknown_variant_rejected():

@@ -8,14 +8,14 @@ import random
 import pytest
 
 from kurev import cli
-from kurev.adaptive import AdaptiveRecommender, safe_recommend
 from kurev.cli import main
 from kurev.detector import detect_kus
 from kurev.mining import KuStore, build_ku_store
 from kurev.pipeline import ALL_KINDS, run_base_recommenders
 from kurev.prstore import filter_prs, load_prs
-from kurev.recommenders import KIND_ORDER, make_recommender
+from kurev.recommenders import KIND_ORDER, make_recommender, safe_recommend
 from kurev.util import parse_rfc3339
+from tests.test_adaptive import replay_from_scratch
 from tests.test_detector import NESTED_2000
 from tests.test_mining import save_format_1
 from tests.test_profiles import naive_dev, naive_rev, read_last_touch, read_matrix, rounded
@@ -154,6 +154,38 @@ def test_recommend_on_a_format_1_store_is_a_data_error_naming_the_format(
     assert "format 1" in capsys.readouterr().err
 
 
+def drop_hash(lines):
+    first = json.loads(lines[0])
+    del first["hash"]
+    return [json.dumps(first), *lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "name,edit",
+    [
+        ("index.json", lambda lines: [json.dumps({"format": 2})]),
+        ("index.json", lambda lines: ["[]"]),
+        ("commits.jsonl", drop_hash),
+    ],
+    ids=["index-without-catalog", "index-not-an-object", "commit-without-hash"],
+)
+def test_cluster_on_a_malformed_store_is_a_data_error_naming_the_file(
+    mined, tmp_path, capsys, name, edit
+):
+    store = tmp_path / "store"
+    store.mkdir()
+    for path in mined["store"].iterdir():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        (store / path.name).write_text(
+            "".join(line + "\n" for line in (edit(lines) if path.name == name else lines)),
+            encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["cluster", "--store", str(store), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(store / name) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("top", ["0", "-1"])
 def test_recommend_rejects_top_below_one(mined, capsys, top):
     # a slice by 0 or -1 would print nothing or drop the last candidate
@@ -174,15 +206,15 @@ def test_recommend_prints_the_first_top_rows_of_the_full_ranking(crowded_project
     # and at --top 1 its ad_rec delegate still depends on ranks 2..K_MAX
     history, test_prs = crowded_project["history"], list(crowded_project["test"].prs)
     pr = test_prs[-1]
-    steps = {
-        f"ad_{step_kind}": AdaptiveRecommender(step_kind).fit(history).replay(test_prs)[-1]
+    rankings = {
+        f"ad_{step_kind}": replay_from_scratch(history, test_prs, step_kind, 0)[2][-1]
         for step_kind in ("freq", "rec", "hybrid")
     }
     for which in ALL_KINDS:
         if which in KIND_ORDER:
             full = safe_recommend(make_recommender(which).fit(history), pr).ranked
         else:
-            full = steps[which].recommendation.ranked
+            full = rankings[which]
         assert main(["recommend", "--store", str(crowded_project["store_dir"]),
                      "--prs", str(crowded_project["prs_path"]), "--pr", str(pr.id),
                      "--which", which, "--top", str(top)]) == 0

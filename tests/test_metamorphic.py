@@ -9,11 +9,10 @@ from datetime import timedelta
 
 import pytest
 
-from kurev.adaptive import safe_recommend
 from kurev.mining import build_ku_store
 from kurev.pipeline import ProjectConfig, run_pipeline
 from kurev.prstore import filter_prs, load_prs
-from kurev.recommenders import RF_MODES, History, make_recommender
+from kurev.recommenders import RF_MODES, History, make_recommender, safe_recommend
 from kurev.util import parse_rfc3339
 from tests.synthetic import DEVELOPERS, build_synthetic_project, build_synthetic_repo
 from tests.test_pipeline import config_for, tree_bytes

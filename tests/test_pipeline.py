@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from kurev import detector, pipeline, recommenders, util
-from kurev.adaptive import VARIANTS, AdaptiveRecommender
+from kurev.adaptive import VARIANTS
 from kurev.catalog import load_catalog
 from kurev.errors import KurevError
 from kurev.evaluation import K_MAX, reasonableness
@@ -27,6 +29,7 @@ from kurev.pipeline import (
     run_pipeline,
 )
 from kurev.recommenders import RF_MODES
+from tests.test_adaptive import naive_replay
 from tests.test_evaluation import map_at_k, top_k_accuracy
 from tests.test_mining import save_format_1
 
@@ -72,8 +75,8 @@ def naive_report(history, test_prs, seed):
     base = run_base_recommenders(history, test_prs)
     recs = {kind: [base[kind][pr.id] for pr in test_prs] for kind in base}
     for variant in VARIANTS:
-        steps = AdaptiveRecommender(variant, seed=seed).fit(history).replay(test_prs)
-        recs[f"ad_{variant}"] = [step.recommendation for step in steps]
+        steps = naive_replay(variant, seed, test_prs, base)[0]
+        recs[f"ad_{variant}"] = [base[step.delegate][step.pr_id] for step in steps]
     accuracy, mean_ap, reasonable = {}, {}, {}
     for kind, kind_recs in recs.items():
         for k in range(1, 6):
@@ -213,6 +216,39 @@ def test_a_run_builds_p_ku_at_most_once(synthetic_project, tmp_path, monkeypatch
         (config.out_dir / name).unlink()
         run_pipeline(config, echo=lambda message: None)
     assert len(built) == 3  # one build for each stage that ran alone
+
+
+def test_the_cluster_stage_runs_after_the_store_and_history_are_released(
+    synthetic_project, tmp_path, monkeypatch
+):
+    # the cluster stage reads only P_ku: the store and the evaluation's
+    # history (its as-of index) must not sit under its allocations
+    build, evaluate, cluster = (
+        pipeline.build_ku_store, pipeline.evaluate_project, pipeline.run_clustering)
+    refs, alive = {}, []
+
+    def built(*args, **kwargs):
+        store = build(*args, **kwargs)
+        refs["store"] = weakref.ref(store)
+        return store
+
+    def evaluated(history, *args, **kwargs):
+        refs["history"] = weakref.ref(history)
+        return evaluate(history, *args, **kwargs)
+
+    def clustered(*args, **kwargs):
+        gc.collect()
+        alive.extend(name for name, ref in sorted(refs.items()) if ref() is not None)
+        return cluster(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_ku_store", built)
+    monkeypatch.setattr(pipeline, "evaluate_project", evaluated)
+    monkeypatch.setattr(pipeline, "run_clustering", clustered)
+    messages = []
+    run_pipeline(config_for(synthetic_project, tmp_path), echo=messages.append)
+    assert not any(message.endswith(": cached") for message in messages)
+    assert sorted(refs) == ["history", "store"]
+    assert alive == []
 
 
 def test_rerun_into_fresh_directory_is_byte_identical(synthetic_project, tmp_path):

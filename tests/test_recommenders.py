@@ -8,7 +8,6 @@ from datetime import timezone
 
 import pytest
 
-from kurev.adaptive import safe_recommend
 from kurev.errors import NoKuError
 from kurev.evaluation import reasonableness
 from kurev.mining import KuStore
@@ -21,6 +20,7 @@ from kurev.recommenders import (
     make_recommender,
     rank,
     recency_bonus,
+    safe_recommend,
 )
 from tests.conftest import commit, dt, ku, make_dataset, make_pr, make_store
 

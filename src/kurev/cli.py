@@ -28,15 +28,16 @@ from .pipeline import (
     run_clustering,
     run_pipeline,
 )
-from .prstore import chronological_split, filter_prs, load_prs, save_prs
+from .prstore import PrDataset, chronological_split, filter_prs, load_prs, save_prs
 from .profiles import (
+    AsOf,
     dev_exp_matrix,
     global_ku_profiles,
     rev_exp_matrix,
     save_last_touch,
     save_matrix,
 )
-from .recommenders import KIND_ORDER, RF_MODES, History, make_recommender, safe_recommend
+from .recommenders import KIND_ORDER, RF_MODES, base_recommenders, safe_recommend
 from .util import parse_rfc3339
 
 log = logging.getLogger(__name__)
@@ -62,9 +63,9 @@ def _checked(rule):
     return callback
 
 
-def _load(store_dir: Path, prs_path: Path) -> History:
-    """The history of a mined store and of the PRs that ``filter_prs`` keeps."""
-    return History(store=KuStore.load(store_dir), prs=filter_prs(load_prs(prs_path))[0])
+def _load(store_dir: Path, prs_path: Path) -> tuple[KuStore, PrDataset]:
+    """A mined store and the PRs that ``filter_prs`` keeps."""
+    return KuStore.load(store_dir), filter_prs(load_prs(prs_path))[0]
 
 
 @click.group()
@@ -167,10 +168,10 @@ def profiles(store_dir: Path, prs_path: Path, cutoff: str, out: Path) -> None:
 
     The review side counts the PRs that ``filter_prs`` keeps, as KUREC does.
     """
-    history = _load(store_dir, prs_path)
-    store, when = history.store, parse_rfc3339(cutoff)
+    store, dataset = _load(store_dir, prs_path)
+    when = parse_rfc3339(cutoff)
     dev = dev_exp_matrix(store, when)
-    rev = rev_exp_matrix(history.prs, store, when)
+    rev = rev_exp_matrix(dataset, store, when)
     save_matrix(dev, out / "dev.tsv")
     save_matrix(rev, out / "rev.tsv")
     save_last_touch(dev, out / "dev_last_touch.jsonl")
@@ -196,17 +197,16 @@ def recommend(
     train_fraction: float, rf_mode: str,
 ) -> None:
     """Rank reviewer candidates for one PR."""
-    history = _load(store_dir, prs_path)
-    by_id = {pr.id: pr for pr in history.prs.prs}
+    store, dataset = _load(store_dir, prs_path)
+    by_id = {pr.id: pr for pr in dataset.prs}
     if pr_id not in by_id:
         raise KurevError(f"PR {pr_id} not in the filtered dataset")
 
+    asof = AsOf(store, dataset.prs)
     if which in KIND_ORDER:
-        params = {"mode": rf_mode} if which == "rf" else {}
-        model = make_recommender(which, **params).fit(history)
-        rec = safe_recommend(model, by_id[pr_id], k=top)
+        rec = safe_recommend(base_recommenders(asof, rf_mode)[which], by_id[pr_id], k=top)
     else:
-        _, test = chronological_split(history.prs, train_fraction)
+        _, test = chronological_split(dataset, train_fraction)
         test_ids = [pr.id for pr in test.prs]
         if pr_id not in test_ids:
             raise KurevError(f"PR {pr_id} is not in the test partition")
@@ -215,11 +215,11 @@ def recommend(
         variant = which.removeprefix("ad_")
         # the winners read ranks 1..K_MAX of every base ranking, so a smaller
         # --top still keeps K_MAX of them
-        base = run_base_recommenders(history, prefix, rf_mode=rf_mode, k=max(top, K_MAX))
+        base = run_base_recommenders(asof, prefix, rf_mode=rf_mode, k=max(top, K_MAX))
         winners = best_performers(base_scores(base, prefix))
         step = AdaptiveRecommender(variant, seed=seed).replay(prefix, base, winners)[-1]
         rec = base[step.delegate][pr_id]
-    history.asof.warn_unresolved()
+    asof.warn_unresolved()
 
     if not rec.ranked:
         click.echo(f"PR {pr_id}: no candidates ({which})")
@@ -240,9 +240,9 @@ def evaluate(
     store_dir: Path, prs_path: Path, out: Path, seed: int, train_fraction: float, rf_mode: str
 ) -> None:
     """Evaluate all eight recommenders on the chronological test split."""
-    history = _load(store_dir, prs_path)
-    _, test = chronological_split(history.prs, train_fraction)
-    report = evaluate_project(history, test, seed=seed, rf_mode=rf_mode)
+    store, dataset = _load(store_dir, prs_path)
+    _, test = chronological_split(dataset, train_fraction)
+    report = evaluate_project(AsOf(store, dataset.prs), test, seed=seed, rf_mode=rf_mode)
     report.save(out)
     click.echo(f"report for {len(test.prs)} test PRs → {out}")
 

@@ -247,7 +247,7 @@ class KuStore:
             commits = [CommitRecord.from_dict(d) for d in iter_jsonl(path)]
             path = src / cls.FILE_KUS
             verdicts = read_verdicts(path, key)
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise KurevError(
                 f"store file {path} is malformed ({type(exc).__name__}: {exc})") from exc
         return cls(commits, verdicts, key)

@@ -35,8 +35,8 @@ from .prstore import (
     load_prs,
     save_prs,
 )
-from .profiles import Expertise, global_ku_profiles, save_matrix
-from .recommenders import KIND_ORDER, RF_MODES, History, Recommendation, make_recommender
+from .profiles import AsOf, Expertise, global_ku_profiles, save_matrix
+from .recommenders import KIND_ORDER, RF_MODES, Recommendation, base_recommenders
 # perfbench/tracing.py hooks safe_recommend by this module's name (test_bench_hooks.py)
 from .recommenders import safe_recommend
 from .util import dump_json_line, sha256_bytes, sha256_text, write_text
@@ -124,19 +124,17 @@ class ProjectConfig:
 
 
 def run_base_recommenders(
-    history: History, test_prs: list, rf_mode: str = "prs", k: int | None = None
+    asof: AsOf, test_prs: list, rf_mode: str = "prs", k: int | None = None
 ) -> dict[str, dict[int, Recommendation]]:
     """Each base kind's ranking of each test PR, its first ``k`` entries (all if None)."""
-    out: dict[str, dict[int, Recommendation]] = {}
-    for kind in KIND_ORDER:
-        params = {"mode": rf_mode} if kind == "rf" else {}
-        model = make_recommender(kind, **params).fit(history)
-        out[kind] = {pr.id: safe_recommend(model, pr, k=k) for pr in test_prs}
-    return out
+    return {
+        kind: {pr.id: safe_recommend(model, pr, k=k) for pr in test_prs}
+        for kind, model in base_recommenders(asof, rf_mode).items()
+    }
 
 
 def evaluate_project(
-    history: History,
+    asof: AsOf,
     test: PrDataset,
     seed: int = 0,
     rf_mode: str = "prs",
@@ -151,9 +149,8 @@ def evaluate_project(
     each base ranking keeps only its first K_MAX entries.
     """
     test_prs = list(test.prs)
-    base = run_base_recommenders(history, test_prs, rf_mode=rf_mode, k=K_MAX)
+    base = run_base_recommenders(asof, test_prs, rf_mode=rf_mode, k=K_MAX)
     scores = base_scores(base, test_prs)
-    asof = history.asof
     # per kind and test PR: the top-1 pick's verdict, None when there is none
     verdicts: dict[str, list[bool | None]] = {kind: [] for kind in KIND_ORDER}
     for pr in test_prs:
@@ -284,10 +281,10 @@ def _save_split(split: _Split, part_paths: list[Path], meta_path: Path) -> str:
 
 
 def _evaluate(store: KuStore, split: _Split, config: ProjectConfig, report_path: Path) -> str:
-    """Write the report; returns the evaluate stage's message. The history ends here."""
+    """Write the report; returns the evaluate stage's message. The as-of index ends here."""
     _, filtered, _, test = split
-    history = History(store=store, prs=filtered)
-    evaluate_project(history, test, seed=config.seed, rf_mode=config.rf_mode).save(report_path)
+    asof = AsOf(store, filtered.prs)
+    evaluate_project(asof, test, seed=config.seed, rf_mode=config.rf_mode).save(report_path)
     return f"report for {len(test.prs)} test PRs"
 
 

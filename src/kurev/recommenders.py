@@ -1,22 +1,20 @@
 """KUREC and the four baseline reviewer recommenders.
 
-Every recommender is a small estimator: construct with parameters, `fit`
-with the project history, then `recommend(pr)` test PRs. All of them use
-strictly-prior data only (commits authored before, and PRs opened before,
-the PR under recommendation) and never rank the PR's own author.
-``recommend(pr, k)`` keeps the first ``k`` entries of the full ranking.
+Each recommender is built on the as-of index (:class:`AsOf`) it queries;
+:func:`base_recommenders` builds the five. All of them use strictly-prior
+data only (commits authored before, and PRs opened before, the PR under
+recommendation) and never rank the PR's own author. ``recommend(pr, k)``
+keeps the first ``k`` entries of the full ranking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from functools import cached_property
 
 from .catalog import KU_COUNT
 from .errors import NoKuError
-from .mining import KuStore
-from .prstore import PrDataset, PullRequest
+from .prstore import PullRequest
 from .profiles import AsOf
 # perfbench/tracing.py hooks these profile builders by this module's name
 # (tests/test_bench_hooks.py guards it) until in-tree metrics replace the hooks.
@@ -38,19 +36,6 @@ class Recommendation:
 
     def top(self, k: int) -> list[str]:
         return [dev for dev, _ in self.ranked[:k]]
-
-
-@dataclass(frozen=True)
-class History:
-    """Everything a recommender may consult (filtered by PR date at use)."""
-
-    store: KuStore
-    prs: PrDataset
-
-    @cached_property
-    def asof(self) -> AsOf:
-        """The as-of index every recommender queries, built on first use."""
-        return AsOf(self.store, self.prs.prs)
 
 
 def rank(
@@ -78,19 +63,12 @@ def recency_bonus(last: datetime | None, pr_open: datetime) -> float:
 
 
 class BaseRecommender:
+    """Ranks a PR's candidates from what ``asof`` knew before it opened."""
+
     kind = "base"
 
-    def __init__(self) -> None:
-        self.history_: History | None = None
-
-    def fit(self, history: History) -> "BaseRecommender":
-        self.history_ = history
-        return self
-
-    def _history(self) -> History:
-        if self.history_ is None:
-            raise RuntimeError(f"{type(self).__name__} is not fitted")
-        return self.history_
+    def __init__(self, asof: AsOf) -> None:
+        self.asof = asof
 
     def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
         """The ranking of ``pr``'s candidates, its first ``k`` entries (all if None)."""
@@ -115,7 +93,7 @@ class KurecRecommender(BaseRecommender):
         return self._scores(pr)
 
     def _scores(self, pr: PullRequest) -> dict[str, tuple[float, float]]:
-        asof = self._history().asof
+        asof = self.asof
         # the sides first: the review side resolves every PR's vector in date
         # order, so this PR's vector is then a memo hit, not a sweep restart
         sides = (asof.development(pr.opened_at), asof.review(pr.opened_at))
@@ -156,7 +134,7 @@ class CfRecommender(BaseRecommender):
     kind = "cf"
 
     def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
-        counts = self._history().asof.commit_counts(pr.opened_at)
+        counts = self.asof.commit_counts(pr.opened_at)
         counts.pop(pr.author, None)
         return rank({dev: float(n) for dev, n in counts.items()}, pr.id, self.kind, k)
 
@@ -171,14 +149,14 @@ class RfRecommender(BaseRecommender):
 
     kind = "rf"
 
-    def __init__(self, mode: str = "prs"):
-        super().__init__()
+    def __init__(self, asof: AsOf, mode: str = "prs"):
+        super().__init__(asof)
         if mode not in RF_MODES:
             raise ValueError(f"unknown RF mode {mode!r}")
         self.mode = mode
 
     def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
-        counts = self._history().asof.review_counts(pr.opened_at, self.mode)
+        counts = self.asof.review_counts(pr.opened_at, self.mode)
         counts.pop(pr.author, None)
         return rank({dev: float(n) for dev, n in counts.items()}, pr.id, self.kind, k)
 
@@ -189,7 +167,7 @@ class ErRecommender(BaseRecommender):
     kind = "er"
 
     def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
-        last = self._history().asof.last_commits(pr.changed_files, pr.opened_at)
+        last = self.asof.last_commits(pr.changed_files, pr.opened_at)
         last.pop(pr.author, None)
         scores = {
             dev: when.replace(tzinfo=timezone.utc).timestamp() for dev, when in last.items()
@@ -207,10 +185,9 @@ class ChrevRecommender(BaseRecommender):
     kind = "chrev"
 
     def recommend(self, pr: PullRequest, k: int | None = None) -> Recommendation:
-        asof = self._history().asof
         scores: dict[str, float] = {}
         for path in pr.changed_files:
-            for reviewer, x in self._file_stats(asof.file_reviews(path, pr.opened_at)):
+            for reviewer, x in self._file_stats(self.asof.file_reviews(path, pr.opened_at)):
                 scores[reviewer] = scores.get(reviewer, 0.0) + x
         scores.pop(pr.author, None)
         return rank(scores, pr.id, self.kind, k)
@@ -235,21 +212,15 @@ class ChrevRecommender(BaseRecommender):
         return out
 
 
-BASE_RECOMMENDERS = {
-    "kurec": KurecRecommender,
-    "cf": CfRecommender,
-    "rf": RfRecommender,
-    "er": ErRecommender,
-    "chrev": ChrevRecommender,
-}
-
-
-def make_recommender(kind: str, **params) -> BaseRecommender:
-    try:
-        cls = BASE_RECOMMENDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown recommender kind {kind!r}") from None
-    return cls(**params)
+def base_recommenders(asof: AsOf, rf_mode: str = "prs") -> dict[str, BaseRecommender]:
+    """The five base recommenders on ``asof``, by kind, in ``KIND_ORDER``."""
+    return {
+        "kurec": KurecRecommender(asof),
+        "rf": RfRecommender(asof, rf_mode),
+        "chrev": ChrevRecommender(asof),
+        "er": ErRecommender(asof),
+        "cf": CfRecommender(asof),
+    }
 
 
 def safe_recommend(

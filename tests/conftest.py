@@ -147,7 +147,7 @@ def synthetic_project(tmp_path_factory):
     """Materialized synthetic repo + PR export, mined once per session."""
     from kurev.mining import build_ku_store
     from kurev.prstore import chronological_split, filter_prs, load_prs
-    from kurev.recommenders import History
+    from kurev.profiles import AsOf
     from tests.synthetic import build_synthetic_project
 
     base = tmp_path_factory.mktemp("synthetic")
@@ -163,7 +163,7 @@ def synthetic_project(tmp_path_factory):
         "dataset": filtered,
         "train": train,
         "test": test,
-        "history": History(store=store, prs=filtered),
+        "asof": AsOf(store, filtered.prs),
     }
 
 
@@ -173,7 +173,7 @@ def crowded_project(tmp_path_factory):
     base rankings run past K_MAX, up to 15 candidates, on the 4 test PRs."""
     from kurev.mining import build_ku_store
     from kurev.prstore import chronological_split, filter_prs, load_prs
-    from kurev.recommenders import History
+    from kurev.profiles import AsOf
     from tests.synthetic import build_synthetic_project
 
     base = tmp_path_factory.mktemp("crowded")
@@ -189,5 +189,5 @@ def crowded_project(tmp_path_factory):
         "prs_path": prs_path,
         "store_dir": base / "store",
         "test": test,
-        "history": History(store=store, prs=filtered),
+        "asof": AsOf(store, filtered.prs),
     }

@@ -19,13 +19,13 @@ from kurev.detector import detect_kus
 from kurev.errors import NoKuError
 from kurev.evaluation import average_precision
 from kurev.prstore import chronological_split
-from kurev.recommenders import KIND_ORDER, KurecRecommender, make_recommender
+from kurev.recommenders import KIND_ORDER, KurecRecommender, base_recommenders
 from tests.conftest import commit, dt, ku, make_dataset, make_pr, make_store
 from tests.test_adaptive import replay_from_scratch
 from tests.test_clustering import blobs
 from tests.test_detector import SPOT_CHECKS, nonzero
 from tests.test_evaluation import brute_force_ap
-from tests.test_recommenders import NAIVE, history
+from tests.test_recommenders import NAIVE, as_of
 
 CORPUS = Path(__file__).parent / "fixtures" / "ku_corpus"
 
@@ -71,12 +71,11 @@ def test_criterion_2_average_precision_oracle():
 def test_criterion_3_base_recommender_equivalence(synthetic_project):
     """All five base recommenders match naive reimplementations; <10s."""
     start = time.perf_counter()
-    hist = synthetic_project["history"]
+    asof = synthetic_project["asof"]
     checked = 0
-    for kind in KIND_ORDER:
-        model = make_recommender(kind).fit(hist)
+    for kind, model in base_recommenders(asof).items():
         for pr in synthetic_project["test"].prs:
-            expected = NAIVE[kind](hist, pr)
+            expected = NAIVE[kind](asof, pr)
             if expected is None:
                 with pytest.raises(NoKuError):
                     model.recommend(pr)
@@ -99,7 +98,7 @@ def test_criterion_4_kurec_decomposition_fixtures():
         commit("c2", "bob", "2023-01-02T00:00:00Z", {"g.java": ku(k1=2)}),
     )
     pr = make_pr(1, "2023-01-03T00:00:00Z", "carol", ["f.java"], reviewers=["bob"])
-    model = KurecRecommender().fit(history(store, pr))
+    model = KurecRecommender(as_of(store, pr))
     assert model.decompose(pr) == {"alice": (1.0, 0.0), "bob": (1.5, 0.0)}
 
     # (b) zero-day guard: same-day touch earns the full 1.0 bonus
@@ -108,9 +107,7 @@ def test_criterion_4_kurec_decomposition_fixtures():
     )
     guard_pr = make_pr(1, "2023-01-03T09:00:00Z", "carol", ["f.java"],
                        reviewers=["alice"])
-    decomposed = KurecRecommender().fit(history(guard_store, guard_pr)).decompose(
-        guard_pr
-    )
+    decomposed = KurecRecommender(as_of(guard_store, guard_pr)).decompose(guard_pr)
     assert decomposed["alice"] == (2.0, 0.0)  # ratio 1.0 + guarded bonus 1.0
 
     # (c) strict cutoff: a commit at the opening instant contributes nothing
@@ -120,7 +117,7 @@ def test_criterion_4_kurec_decomposition_fixtures():
     )
     cut_pr = make_pr(1, "2023-01-05T00:00:00Z", "carol", ["f.java"],
                      reviewers=["alice"], head_commit="c1")
-    decomposed = KurecRecommender().fit(history(cut_store, cut_pr)).decompose(cut_pr)
+    decomposed = KurecRecommender(as_of(cut_store, cut_pr)).decompose(cut_pr)
     assert set(decomposed) == {"alice"}
     assert decomposed["alice"] == (1.0 + 0.25, 0.0)  # ratio 1.0 + 1/4 days
 
@@ -129,16 +126,14 @@ def test_criterion_4_kurec_decomposition_fixtures():
                        reviewers=["rita"])
     side_pr = make_pr(3, "2023-01-04T00:00:00Z", "carol", ["f.java"],
                       reviewers=["rita"])
-    decomposed = KurecRecommender().fit(
-        history(store, reviewed, side_pr)
-    ).decompose(side_pr)
+    decomposed = KurecRecommender(as_of(store, reviewed, side_pr)).decompose(side_pr)
     assert decomposed["rita"][1] == 1.5  # ratio 1.0 + bonus 1/2
 
     # (e) a KU-free PR refuses to score anyone
     no_ku = make_pr(4, "2023-01-04T00:00:00Z", "carol", ["notes.md"],
                     reviewers=["rita"])
     with pytest.raises(NoKuError):
-        KurecRecommender().fit(history(store, no_ku)).decompose(no_ku)
+        KurecRecommender(as_of(store, no_ku)).decompose(no_ku)
     done(4, "five decomposition fixtures incl. zero-day guard and strict cutoff")
 
 
@@ -149,7 +144,7 @@ def test_criterion_5_chrev_hand_values():
                    comments=[("rita", "x.java", "2023-01-01T02:00:00Z")])
     target = make_pr(2, "2023-01-05T00:00:00Z", "carol", ["x.java"],
                      reviewers=["rita"])
-    rec = make_recommender("chrev").fit(history(store, sole, target)).recommend(target)
+    rec = base_recommenders(as_of(store, sole, target))["chrev"].recommend(target)
     assert abs(dict(rec.ranked)["rita"] - 3.0) < 1e-12
 
     shared = make_pr(
@@ -163,9 +158,7 @@ def test_criterion_5_chrev_hand_values():
     )
     target = make_pr(2, "2023-01-10T00:00:00Z", "carol", ["x.java"],
                      reviewers=["ron"])
-    rec = make_recommender("chrev").fit(
-        history(store, shared, target)
-    ).recommend(target)
+    rec = base_recommenders(as_of(store, shared, target))["chrev"].recommend(target)
     scores = dict(rec.ranked)
     assert abs(scores["rita"] - 1.2) < 1e-12
     assert abs(scores["ron"] - 2.0) < 1e-12
@@ -174,14 +167,14 @@ def test_criterion_5_chrev_hand_values():
 
 def test_criterion_6_adaptive_replay_protocol(synthetic_project):
     """Replay is seed-deterministic, windows cap at 10, prefixes agree."""
-    hist = synthetic_project["history"]
+    asof = synthetic_project["asof"]
     test_prs = list(synthetic_project["test"].prs)
     for variant in ("freq", "rec", "hybrid"):
         # the steps, the winners and each step's ranking
-        first = replay_from_scratch(hist, test_prs, variant, 11)
-        second = replay_from_scratch(hist, test_prs, variant, 11)
+        first = replay_from_scratch(asof, test_prs, variant, 11)
+        second = replay_from_scratch(asof, test_prs, variant, 11)
         assert first == second, variant
-        prefix = replay_from_scratch(hist, test_prs[:2], variant, 11)
+        prefix = replay_from_scratch(asof, test_prs[:2], variant, 11)
         assert tuple(part[:2] for part in first) == prefix, variant
 
     from kurev.adaptive import WINDOW_SIZE, Brst

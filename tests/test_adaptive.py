@@ -269,21 +269,21 @@ def test_replay_prefix_matches_full_run():
     assert full[:3] == prefix
 
 
-def replay_from_scratch(history, test_prs, variant, seed):
+def replay_from_scratch(asof, test_prs, variant, seed):
     """A variant's steps, the winners and each step's ranking, from base
     rankings run anew."""
-    base = run_base_recommenders(history, test_prs)
+    base = run_base_recommenders(asof, test_prs)
     winners = best_performers(base_scores(base, test_prs))
     steps = AdaptiveRecommender(variant, seed=seed).replay(test_prs, base, winners)
     return steps, winners, [base[s.delegate][s.pr_id].ranked for s in steps]
 
 
 def test_replay_on_synthetic_project_is_reproducible(synthetic_project):
-    history = synthetic_project["history"]
+    asof = synthetic_project["asof"]
     test_prs = list(synthetic_project["test"].prs)
     for variant in ("freq", "rec", "hybrid"):
-        first, winners_a, rankings_a = replay_from_scratch(history, test_prs, variant, 11)
-        second, winners_b, rankings_b = replay_from_scratch(history, test_prs, variant, 11)
+        first, winners_a, rankings_a = replay_from_scratch(asof, test_prs, variant, 11)
+        second, winners_b, rankings_b = replay_from_scratch(asof, test_prs, variant, 11)
         assert [(s.pr_id, s.delegate) for s in first] == [
             (s.pr_id, s.delegate) for s in second
         ]

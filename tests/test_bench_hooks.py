@@ -12,7 +12,8 @@ from pathlib import Path
 
 from kurev import detector, mining, pipeline, recommenders
 from kurev.javaparse import parser
-from kurev.recommenders import KIND_ORDER, History
+from kurev.profiles import AsOf
+from kurev.recommenders import KIND_ORDER
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -98,7 +99,7 @@ def test_hooked_names_see_every_evaluation_call(synthetic_project, monkeypatch):
     assert {f"{owner.__name__}.{name}" for owner, name in hooked} <= targets
 
     test_prs = synthetic_project["test"].prs
-    fresh = History(store=synthetic_project["store"], prs=synthetic_project["dataset"])
+    fresh = AsOf(synthetic_project["store"], synthetic_project["dataset"].prs)
     base = pipeline.run_base_recommenders(fresh, list(test_prs))
     picks = {(pr_id, rec.ranked[0][0])
              for recs in base.values() for pr_id, rec in recs.items() if rec.ranked}
@@ -125,8 +126,8 @@ def test_hooked_names_see_every_evaluation_call(synthetic_project, monkeypatch):
 
     monkeypatch.setattr(pipeline, "safe_recommend", counted_safe)
     monkeypatch.setattr(pipeline, "reasonableness", counted_judge)
-    history = History(store=synthetic_project["store"], prs=synthetic_project["dataset"])
-    pipeline.evaluate_project(history, synthetic_project["test"])
+    asof = AsOf(synthetic_project["store"], synthetic_project["dataset"].prs)
+    pipeline.evaluate_project(asof, synthetic_project["test"])
     n = len(test_prs)
     assert calls == {**dict.fromkeys(KIND_ORDER, n), "safe_recommend": 5 * n}
     assert judged == Counter(dict.fromkeys(picks, 1))

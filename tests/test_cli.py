@@ -13,7 +13,7 @@ from kurev.detector import detect_kus
 from kurev.mining import KuStore, build_ku_store
 from kurev.pipeline import ALL_KINDS, run_base_recommenders
 from kurev.prstore import filter_prs, load_prs
-from kurev.recommenders import KIND_ORDER, make_recommender, safe_recommend
+from kurev.recommenders import KIND_ORDER, base_recommenders, safe_recommend
 from kurev.util import parse_rfc3339
 from tests.test_adaptive import replay_from_scratch
 from tests.test_detector import NESTED_2000
@@ -160,14 +160,24 @@ def drop_hash(lines):
     return [json.dumps(first), *lines[1:]]
 
 
+def undated(lines):
+    first = json.loads(lines[0])
+    first["authored_at"] = "yesterday"
+    return [json.dumps(first), *lines[1:]]
+
+
 @pytest.mark.parametrize(
     "name,edit",
     [
         ("index.json", lambda lines: [json.dumps({"format": 2})]),
         ("index.json", lambda lines: ["[]"]),
+        ("index.json", lambda lines: []),
         ("commits.jsonl", drop_hash),
+        ("commits.jsonl", undated),
+        ("file_kus.jsonl", lambda lines: [*lines, "{blob: 1}"]),
     ],
-    ids=["index-without-catalog", "index-not-an-object", "commit-without-hash"],
+    ids=["index-without-catalog", "index-not-an-object", "index-empty",
+         "commit-without-hash", "commit-date-not-a-date", "verdict-line-not-json"],
 )
 def test_cluster_on_a_malformed_store_is_a_data_error_naming_the_file(
     mined, tmp_path, capsys, name, edit
@@ -204,15 +214,15 @@ def test_recommend_prints_the_first_top_rows_of_the_full_ranking(crowded_project
                                                                  capsys, top):
     # the last test PR replays the whole test split; its rankings run to 15,
     # and at --top 1 its ad_rec delegate still depends on ranks 2..K_MAX
-    history, test_prs = crowded_project["history"], list(crowded_project["test"].prs)
+    asof, test_prs = crowded_project["asof"], list(crowded_project["test"].prs)
     pr = test_prs[-1]
     rankings = {
-        f"ad_{step_kind}": replay_from_scratch(history, test_prs, step_kind, 0)[2][-1]
+        f"ad_{step_kind}": replay_from_scratch(asof, test_prs, step_kind, 0)[2][-1]
         for step_kind in ("freq", "rec", "hybrid")
     }
     for which in ALL_KINDS:
         if which in KIND_ORDER:
-            full = safe_recommend(make_recommender(which).fit(history), pr).ranked
+            full = safe_recommend(base_recommenders(asof)[which], pr).ranked
         else:
             full = rankings[which]
         assert main(["recommend", "--store", str(crowded_project["store_dir"]),
@@ -254,9 +264,9 @@ def test_adaptive_recommend_replays_only_up_to_the_target(mined, tmp_path, capsy
     same_instant.write_text("".join(json.dumps(r) + "\n" for r in records))
     replayed = []
 
-    def spy(history, prefix, rf_mode="prs", k=None):
+    def spy(asof, prefix, rf_mode="prs", k=None):
         replayed.append([pr.id for pr in prefix])
-        return run_base_recommenders(history, prefix, rf_mode=rf_mode, k=k)
+        return run_base_recommenders(asof, prefix, rf_mode=rf_mode, k=k)
 
     def ranking(prs_path, variant):
         assert main(["recommend", "--store", str(mined["store"]), "--prs", str(prs_path),

@@ -11,8 +11,9 @@ import pytest
 
 from kurev.mining import build_ku_store
 from kurev.pipeline import ProjectConfig, run_pipeline
+from kurev.profiles import AsOf
 from kurev.prstore import filter_prs, load_prs
-from kurev.recommenders import RF_MODES, History, make_recommender, safe_recommend
+from kurev.recommenders import RF_MODES, base_recommenders, safe_recommend
 from kurev.util import parse_rfc3339
 from tests.synthetic import DEVELOPERS, build_synthetic_project, build_synthetic_repo
 from tests.test_pipeline import config_for, tree_bytes
@@ -45,12 +46,12 @@ def test_reordered_export_lines_change_only_the_prs_stamp(synthetic_project, tmp
 
 # The recommenders whose rankings read only commits that change Java files;
 # CF counts every commit, so it is left out.
-JAVA_ONLY = [("kurec", {}), *(("rf", {"mode": m}) for m in RF_MODES), ("chrev", {}), ("er", {})]
+JAVA_ONLY = [("kurec", "prs"), *(("rf", m) for m in RF_MODES), ("chrev", "prs"), ("er", "prs")]
 
 
-def rankings(history, kind, **params):
-    model = make_recommender(kind, **params).fit(history)
-    return [safe_recommend(model, pr).ranked for pr in history.prs.prs]
+def rankings(asof, kind, rf_mode="prs"):
+    model = base_recommenders(asof, rf_mode)[kind]
+    return [safe_recommend(model, pr).ranked for pr in asof.prs]
 
 
 def test_commits_of_only_non_java_files_by_known_authors_change_no_verdict_or_ranking(
@@ -77,9 +78,9 @@ def test_commits_of_only_non_java_files_by_known_authors_change_no_verdict_or_ra
     table = "file_kus.jsonl"
     assert (tmp_path / "noisy" / table).read_bytes() == (tmp_path / "base" / table).read_bytes()
     prs = synthetic_project["dataset"]
-    before, after = synthetic_project["history"], History(store=noisy, prs=prs)
-    for kind, params in JAVA_ONLY:
-        assert rankings(after, kind, **params) == rankings(before, kind, **params), kind
+    before, after = synthetic_project["asof"], AsOf(noisy, prs.prs)
+    for kind, rf_mode in JAVA_ONLY:
+        assert rankings(after, kind, rf_mode) == rankings(before, kind, rf_mode), kind
     # the extra commits fall among the PRs: CF, which counts them, moves
     assert rankings(after, "cf") != rankings(before, "cf")
 
@@ -120,8 +121,8 @@ def test_shifting_dates_by_part_of_a_day_moves_chrevs_workdays(synthetic_project
     # on a PR fall 00:00 and 05:00 UTC; two hours earlier they straddle
     # midnight.
     repo, prs_path = build_synthetic_project(tmp_path, offset=timedelta(hours=-2))
-    shifted = History(store=build_ku_store(repo), prs=filter_prs(load_prs(prs_path))[0])
-    base = synthetic_project["history"]
+    shifted = AsOf(build_ku_store(repo), filter_prs(load_prs(prs_path))[0].prs)
+    base = synthetic_project["asof"]
     assert rankings(shifted, "chrev") != rankings(base, "chrev")
 
 

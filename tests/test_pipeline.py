@@ -52,9 +52,7 @@ def tree_bytes(root):
 
 
 def test_evaluate_project_covers_all_recommenders(synthetic_project):
-    report = evaluate_project(
-        synthetic_project["history"], synthetic_project["test"], seed=11
-    )
+    report = evaluate_project(synthetic_project["asof"], synthetic_project["test"], seed=11)
     kinds = report.recommenders()
     assert sorted(kinds) == sorted(ALL_KINDS)
     assert len(kinds) == 8
@@ -68,11 +66,11 @@ def test_evaluate_project_covers_all_recommenders(synthetic_project):
             assert report.accuracy[(kind, k + 1)] >= report.accuracy[(kind, k)]
 
 
-def naive_report(history, test_prs, seed):
+def naive_report(asof, test_prs, seed):
     """Accuracy, MAP and reasonableness rescored per k from every ranking,
     with each top-1 pick judged against the whole history before the PR."""
     truth = {pr.id: set(pr.reviewers) for pr in test_prs}
-    base = run_base_recommenders(history, test_prs)
+    base = run_base_recommenders(asof, test_prs)
     recs = {kind: [base[kind][pr.id] for pr in test_prs] for kind in base}
     for variant in VARIANTS:
         steps = naive_replay(variant, seed, test_prs, base)[0]
@@ -85,8 +83,8 @@ def naive_report(history, test_prs, seed):
         verdicts = [
             reasonableness(
                 pr, rec.top(1)[0],
-                [c for c in history.store.commits if c.authored_at < pr.opened_at],
-                [p for p in history.prs.prs if p.opened_at < pr.opened_at],
+                [c for c in asof.store.commits if c.authored_at < pr.opened_at],
+                [p for p in asof.prs if p.opened_at < pr.opened_at],
             )
             for pr, rec in zip(test_prs, kind_recs)
             if rec.ranked
@@ -98,10 +96,10 @@ def naive_report(history, test_prs, seed):
 
 @pytest.mark.parametrize("seed", [0, 11])
 def test_report_equals_the_per_k_rescoring(synthetic_project, seed):
-    history, test = synthetic_project["history"], synthetic_project["test"]
-    report = evaluate_project(history, test, seed=seed)
+    asof, test = synthetic_project["asof"], synthetic_project["test"]
+    report = evaluate_project(asof, test, seed=seed)
     assert (report.accuracy, report.mean_ap, report.reasonable_pct) == naive_report(
-        history, list(test.prs), seed
+        asof, list(test.prs), seed
     )
 
 
@@ -110,8 +108,8 @@ def test_evaluation_keeps_each_base_ranking_to_its_first_k_max(crowded_project,
     # the report reads ranks 1..K_MAX only, so evaluation cuts each base
     # ranking there; the cut is the full ranking's prefix, and the report
     # still equals the per-k rescoring of the full rankings
-    history, test = crowded_project["history"], crowded_project["test"]
-    expected = naive_report(history, list(test.prs), seed=0)
+    asof, test = crowded_project["asof"], crowded_project["test"]
+    expected = naive_report(asof, list(test.prs), seed=0)
     full_rank = recommenders.rank
     ranked = []
 
@@ -121,7 +119,7 @@ def test_evaluation_keeps_each_base_ranking_to_its_first_k_max(crowded_project,
         return rec
 
     monkeypatch.setattr(recommenders, "rank", spy)
-    report = evaluate_project(history, test, seed=0)
+    report = evaluate_project(asof, test, seed=0)
     assert len(ranked) == 5 * len(test.prs)
     assert any(len(full) > K_MAX for _, full in ranked)
     assert all(cut == full[:K_MAX] for cut, full in ranked)
@@ -232,9 +230,9 @@ def test_the_cluster_stage_runs_after_the_store_and_history_are_released(
         refs["store"] = weakref.ref(store)
         return store
 
-    def evaluated(history, *args, **kwargs):
-        refs["history"] = weakref.ref(history)
-        return evaluate(history, *args, **kwargs)
+    def evaluated(asof, *args, **kwargs):
+        refs["history"] = weakref.ref(asof)
+        return evaluate(asof, *args, **kwargs)
 
     def clustered(*args, **kwargs):
         gc.collect()
@@ -517,3 +515,19 @@ def test_the_java_front_end_loads_before_numpy(module):
     )
     parser_at, numpy_at = map(int, done.stdout.split())
     assert parser_at < numpy_at
+
+
+def test_the_layers_below_the_pipeline_do_not_load_it():
+    # the recommenders, profiles, evaluation and adaptive replay are what
+    # the pipeline and the CLI drive; an import of either from below would
+    # be a module cycle
+    probe = (
+        "import sys, kurev.recommenders, kurev.profiles, kurev.evaluation, kurev.adaptive; "
+        "print(sorted({'kurev.pipeline', 'kurev.cli'} & set(sys.modules)))"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.strip() == "[]"

@@ -24,7 +24,7 @@ from kurev.profiles import (
     save_last_touch,
     save_matrix,
 )
-from kurev.recommenders import RF_MODES, History
+from kurev.recommenders import RF_MODES
 from kurev.util import read_jsonl
 from tests.conftest import commit, dt, ku, make_dataset, make_pr, make_store
 
@@ -354,7 +354,7 @@ def test_unresolvable_files_are_logged_in_one_warning(synthetic_project, caplog)
     }
     assert unresolved, "the synthetic project should have unresolvable PR files"
     with caplog.at_level(logging.WARNING, logger="kurev.profiles"):
-        evaluate_project(History(store=store, prs=dataset), synthetic_project["test"])
+        evaluate_project(AsOf(store, dataset.prs), synthetic_project["test"])
     logged = [record for record in caplog.records if "no content resolvable" in record.msg]
     assert len(logged) == 1
     count, *first = logged[0].args
@@ -509,7 +509,7 @@ def test_evaluation_folds_each_event_a_bounded_number_of_times(
     monkeypatch.setattr(_Sweep, "at", counting)
     test = chronological_split(dataset)[1]
     assert len(test.prs) >= (3 if project == "synthetic" else 30)
-    evaluate_project(History(store=store, prs=dataset), test, rf_mode=rf_mode)
+    evaluate_project(AsOf(store, dataset.prs), test, rf_mode=rf_mode)
     assert len(folded) == 8  # every sweep but the other RF mode's
     for sweep, n in folded.items():
         assert n <= 2 * len(sweep.events), sweep.fold.__name__

@@ -13,11 +13,11 @@ from kurev.evaluation import reasonableness
 from kurev.mining import KuStore
 from kurev.pipeline import evaluate_project
 from kurev.profiles import AsOf
-from kurev.prstore import PrDataset
 from kurev.recommenders import (
-    History,
+    KIND_ORDER,
     KurecRecommender,
-    make_recommender,
+    RfRecommender,
+    base_recommenders,
     rank,
     recency_bonus,
     safe_recommend,
@@ -25,8 +25,8 @@ from kurev.recommenders import (
 from tests.conftest import commit, dt, ku, make_dataset, make_pr, make_store
 
 
-def history(store, *prs):
-    return History(store=store, prs=make_dataset(*prs))
+def as_of(store, *prs):
+    return AsOf(store, make_dataset(*prs).prs)
 
 
 def test_recency_bonus_values():
@@ -60,7 +60,7 @@ def test_kurec_hand_example():
         commit("c2", "bob", "2023-01-02T00:00:00Z", {"g.java": ku(k1=2)}),
     )
     pr = make_pr(7, "2023-01-03T00:00:00Z", "carol", ["f.java"], reviewers=["bob"])
-    model = KurecRecommender().fit(history(store, pr))
+    model = KurecRecommender(as_of(store, pr))
     scores = dict(model.recommend(pr).ranked)
     assert scores == {"alice": 1.0, "bob": 1.5}
     decomposed = model.decompose(pr)
@@ -75,7 +75,7 @@ def test_kurec_adds_review_side():
     reviewed = make_pr(1, "2023-01-02T00:00:00Z", "carol", ["f.java"],
                        reviewers=["rita"])
     pr = make_pr(2, "2023-01-04T00:00:00Z", "carol", ["f.java"], reviewers=["rita"])
-    model = KurecRecommender().fit(history(store, reviewed, pr))
+    model = KurecRecommender(as_of(store, reviewed, pr))
     decomposed = model.decompose(pr)
     # rita: dev side 0; review side ratio 1.0 + recency 1/2 = 1.5
     assert decomposed["rita"] == (0.0, 1.5)
@@ -90,7 +90,7 @@ def test_kurec_cutoff_is_strict_and_author_excluded():
     )
     pr = make_pr(1, "2023-01-05T00:00:00Z", "alice", ["f.java"], reviewers=["bob"],
                  head_commit="c1")
-    model = KurecRecommender().fit(history(store, pr))
+    model = KurecRecommender(as_of(store, pr))
     rec = model.recommend(pr)
     # bob's commit is at the opening instant: excluded from expertise,
     # and alice (the author) never appears
@@ -104,7 +104,7 @@ def test_kurec_raises_on_ku_free_pr():
     pr = make_pr(1, "2023-01-02T00:00:00Z", "carol", ["docs/readme.md"],
                  reviewers=["bob"])
     with pytest.raises(NoKuError):
-        KurecRecommender().fit(history(store, pr)).recommend(pr)
+        KurecRecommender(as_of(store, pr)).recommend(pr)
 
 
 def test_cf_counts_prior_commits():
@@ -115,7 +115,7 @@ def test_cf_counts_prior_commits():
         commit("c4", "bob", "2023-01-09T00:00:00Z", {"g.java": ku(k1=1)}),
     )
     pr = make_pr(1, "2023-01-05T00:00:00Z", "carol", ["f.java"], reviewers=["bob"])
-    rec = make_recommender("cf").fit(history(store, pr)).recommend(pr)
+    rec = base_recommenders(as_of(store, pr))["cf"].recommend(pr)
     assert rec.ranked == (("alice", 2.0), ("bob", 1.0))
 
 
@@ -132,11 +132,21 @@ def test_rf_modes():
         make_pr(3, "2023-01-03T00:00:00Z", "a", ["x.java"], reviewers=["ron"]),
     ]
     pr = make_pr(4, "2023-01-04T00:00:00Z", "carol", ["x.java"], reviewers=["ron"])
-    hist = history(store, *earlier, pr)
-    by_prs = make_recommender("rf").fit(hist).recommend(pr)
+    asof = as_of(store, *earlier, pr)
+    by_prs = RfRecommender(asof).recommend(pr)
     assert dict(by_prs.ranked) == {"rita": 2.0, "ron": 2.0}
-    by_comments = make_recommender("rf", mode="comments").fit(hist).recommend(pr)
+    by_comments = RfRecommender(asof, mode="comments").recommend(pr)
     assert dict(by_comments.ranked) == {"rita": 3.0, "ron": 1.0}
+
+
+def test_base_recommenders_share_one_index_in_kind_order():
+    asof = as_of(make_store())
+    models = base_recommenders(asof, "comments")
+    assert list(models) == list(KIND_ORDER)
+    assert all(m.kind == kind and m.asof is asof for kind, m in models.items())
+    assert models["rf"].mode == "comments"
+    with pytest.raises(ValueError):
+        base_recommenders(asof, "reviews")
 
 
 def test_er_scores_are_epoch_seconds_of_last_touch():
@@ -146,7 +156,7 @@ def test_er_scores_are_epoch_seconds_of_last_touch():
         commit("c3", "alice", "2023-01-04T00:00:00Z", {"g.java": ku(k1=1)}),
     )
     pr = make_pr(1, "2023-01-05T00:00:00Z", "carol", ["f.java"], reviewers=["bob"])
-    rec = make_recommender("er").fit(history(store, pr)).recommend(pr)
+    rec = base_recommenders(as_of(store, pr))["er"].recommend(pr)
     scores = dict(rec.ranked)
     assert scores["alice"] == dt("2023-01-01T00:00:00Z").timestamp()
     assert scores["bob"] == dt("2023-01-03T00:00:00Z").timestamp()
@@ -159,7 +169,7 @@ def test_chrev_single_reviewer_scores_three():
     earlier = make_pr(1, "2023-01-01T00:00:00Z", "a", ["x.java"], reviewers=["rita"],
                       comments=[("rita", "x.java", "2023-01-01T02:00:00Z")])
     pr = make_pr(2, "2023-01-05T00:00:00Z", "carol", ["x.java"], reviewers=["rita"])
-    rec = make_recommender("chrev").fit(history(store, earlier, pr)).recommend(pr)
+    rec = base_recommenders(as_of(store, earlier, pr))["chrev"].recommend(pr)
     assert abs(dict(rec.ranked)["rita"] - 3.0) < 1e-12
 
 
@@ -178,7 +188,7 @@ def test_chrev_share_and_recency_example():
         ],
     )
     pr = make_pr(2, "2023-01-10T00:00:00Z", "carol", ["x.java"], reviewers=["ron"])
-    rec = make_recommender("chrev").fit(history(store, earlier, pr)).recommend(pr)
+    rec = base_recommenders(as_of(store, earlier, pr))["chrev"].recommend(pr)
     scores = dict(rec.ranked)
     assert abs(scores["rita"] - 1.2) < 1e-12
     assert abs(scores["ron"] - 2.0) < 1e-12
@@ -191,7 +201,7 @@ def test_chrev_ignores_comments_written_after_the_pr_opened():
     earlier = make_pr(1, "2023-01-01T00:00:00Z", "a", ["x.java"], reviewers=["rita"],
                       comments=[("rita", "x.java", "2023-01-09T00:00:00Z")])
     pr = make_pr(2, "2023-01-05T00:00:00Z", "carol", ["x.java"], reviewers=["rita"])
-    rec = make_recommender("chrev").fit(history(store, earlier, pr)).recommend(pr)
+    rec = base_recommenders(as_of(store, earlier, pr))["chrev"].recommend(pr)
     assert rec.developers() == []
 
 
@@ -202,10 +212,10 @@ def test_rf_ignores_comments_written_after_the_pr_opened():
     earlier = make_pr(1, "2023-01-01T00:00:00Z", "a", ["x.java"], reviewers=["rita"],
                       comments=[("rita", "x.java", "2023-01-09T00:00:00Z")])
     pr = make_pr(2, "2023-01-05T00:00:00Z", "carol", ["x.java"], reviewers=["rita"])
-    hist = history(store, earlier, pr)
-    rec = make_recommender("rf", mode="comments").fit(hist).recommend(pr)
+    asof = as_of(store, earlier, pr)
+    rec = RfRecommender(asof, mode="comments").recommend(pr)
     assert rec.developers() == []
-    by_prs = make_recommender("rf").fit(hist).recommend(pr)
+    by_prs = RfRecommender(asof).recommend(pr)
     assert dict(by_prs.ranked) == {"rita": 1.0}
 
 
@@ -216,25 +226,25 @@ def test_chrev_only_counts_comments_on_the_changed_path():
         comments=[("rita", "y.java", "2023-01-01T01:00:00Z")],
     )
     pr = make_pr(2, "2023-01-05T00:00:00Z", "carol", ["x.java"], reviewers=["rita"])
-    rec = make_recommender("chrev").fit(history(store, earlier, pr)).recommend(pr)
+    rec = base_recommenders(as_of(store, earlier, pr))["chrev"].recommend(pr)
     assert rec.developers() == []
 
 
 # --- brute-force equivalence oracle on the synthetic project ----------------
 
 
-def naive_cf(history_obj, pr):
+def naive_cf(asof, pr):
     counts = {}
-    for c in history_obj.store.commits:
+    for c in asof.store.commits:
         if c.authored_at < pr.opened_at:
             counts[c.author] = counts.get(c.author, 0) + 1
     counts.pop(pr.author, None)
     return counts
 
 
-def naive_rf(history_obj, pr):
+def naive_rf(asof, pr):
     counts = {}
-    for p in history_obj.prs.prs:
+    for p in asof.prs:
         if p.opened_at < pr.opened_at and p.id != pr.id:
             for r in p.reviewers:
                 counts[r] = counts.get(r, 0) + 1
@@ -242,9 +252,9 @@ def naive_rf(history_obj, pr):
     return counts
 
 
-def naive_rf_comments(history_obj, pr):
+def naive_rf_comments(asof, pr):
     counts = {}
-    for p in history_obj.prs.prs:
+    for p in asof.prs:
         for c in p.review_comments:
             if c.commented_at < pr.opened_at:
                 counts[c.reviewer] = counts.get(c.reviewer, 0) + 1
@@ -252,10 +262,10 @@ def naive_rf_comments(history_obj, pr):
     return counts
 
 
-def naive_er(history_obj, pr):
+def naive_er(asof, pr):
     last = {}
     changed = set(pr.changed_files)
-    for c in history_obj.store.commits:
+    for c in asof.store.commits:
         if c.authored_at >= pr.opened_at:
             continue
         if changed & set(c.changed_java_files):
@@ -265,11 +275,11 @@ def naive_er(history_obj, pr):
     return last
 
 
-def naive_chrev(history_obj, pr):
+def naive_chrev(asof, pr):
     scores = {}
     for path in pr.changed_files:
         comments, days = {}, {}
-        for p in history_obj.prs.prs:
+        for p in asof.prs:
             if p.opened_at >= pr.opened_at or p.id == pr.id:
                 continue
             if path not in p.changed_files:
@@ -294,11 +304,11 @@ def naive_chrev(history_obj, pr):
     return scores
 
 
-def naive_kurec(history_obj, pr):
+def naive_kurec(asof, pr):
     from kurev.catalog import KU_COUNT
     from kurev.profiles import pr_ku_vector, resolve_pr_file_vector
 
-    store, prs = history_obj.store, history_obj.prs
+    store, prs = asof.store, asof.prs
     vector = pr_ku_vector(store, pr)
     present = [k for k in range(KU_COUNT) if vector[k] > 0]
     if not present:
@@ -317,7 +327,7 @@ def naive_kurec(history_obj, pr):
                     key = (c.author, k)
                     if key not in dev_last or c.authored_at > dev_last[key]:
                         dev_last[key] = c.authored_at
-    for p in prs.prs:
+    for p in prs:
         if p.opened_at >= pr.opened_at or not p.reviewers:
             continue
         v = pr_ku_vector(store, p)
@@ -358,17 +368,17 @@ NAIVE = {
     "chrev": naive_chrev,
     "kurec": naive_kurec,
 }
-# oracle name -> (recommender kind, parameters), where they differ
-PARAMS = {"rf-comments": ("rf", {"mode": "comments"})}
+# oracle name -> (recommender kind, RF mode), where they differ
+PARAMS = {"rf-comments": ("rf", "comments")}
 
 
 @pytest.mark.parametrize("kind", sorted(NAIVE))
 def test_brute_force_equivalence_on_synthetic_project(synthetic_project, kind):
-    hist = synthetic_project["history"]
-    name, params = PARAMS.get(kind, (kind, {}))
-    model = make_recommender(name, **params).fit(hist)
+    asof = synthetic_project["asof"]
+    name, rf_mode = PARAMS.get(kind, (kind, "prs"))
+    model = base_recommenders(asof, rf_mode)[name]
     for pr in synthetic_project["test"].prs:
-        expected = NAIVE[kind](hist, pr)
+        expected = NAIVE[kind](asof, pr)
         if expected is None:
             with pytest.raises(NoKuError):
                 model.recommend(pr)
@@ -379,34 +389,32 @@ def test_brute_force_equivalence_on_synthetic_project(synthetic_project, kind):
             assert actual[dev] == pytest.approx(expected[dev], abs=1e-9)
 
 
-def cut_at(hist, when):
+def cut_at(asof, when):
     """The history as it stood just before ``when``: nothing dated later."""
-    commits = [c for c in hist.store.commits if c.authored_at < when]
+    commits = [c for c in asof.store.commits if c.authored_at < when]
     prs = tuple(
         replace(p, review_comments=tuple(
             c for c in p.review_comments if c.commented_at < when))
-        for p in hist.prs.prs
+        for p in asof.prs
         if p.opened_at < when
     )
-    return History(
-        store=KuStore(commits, hist.store.verdicts), prs=PrDataset(hist.prs.project, prs)
-    )
+    return AsOf(KuStore(commits, asof.store.verdicts), prs)
 
 
 # Metamorphic as-of check. Reviewers are credited at a PR's opening date
 # (the README's "PRs opened before" convention), so cutting commits and PRs
 # at the opening date removes nothing a recommendation may use.
 @pytest.mark.parametrize(
-    "kind,params",
-    [("kurec", {}), ("cf", {}), ("rf", {}), ("rf", {"mode": "comments"}),
-     ("er", {}), ("chrev", {})],
+    "kind,rf_mode",
+    [("kurec", "prs"), ("cf", "prs"), ("rf", "prs"), ("rf", "comments"),
+     ("er", "prs"), ("chrev", "prs")],
     ids=["kurec", "cf", "rf", "rf-comments", "er", "chrev"],
 )
-def test_cutting_history_at_opening_date_keeps_ranking(synthetic_project, kind, params):
-    hist = synthetic_project["history"]
-    model = make_recommender(kind, **params).fit(hist)
-    for pr in hist.prs.prs:
-        cut = make_recommender(kind, **params).fit(cut_at(hist, pr.opened_at))
+def test_cutting_history_at_opening_date_keeps_ranking(synthetic_project, kind, rf_mode):
+    asof = synthetic_project["asof"]
+    model = base_recommenders(asof, rf_mode)[kind]
+    for pr in asof.prs:
+        cut = base_recommenders(cut_at(asof, pr.opened_at), rf_mode)[kind]
         assert safe_recommend(cut, pr) == safe_recommend(model, pr), pr.id
 
 
@@ -419,8 +427,8 @@ def test_evaluation_computes_each_pr_vector_once(synthetic_project, monkeypatch)
         return file_vector(self, pr, path)
 
     monkeypatch.setattr(AsOf, "file_vector", counting)
-    hist = History(store=synthetic_project["store"], prs=synthetic_project["dataset"])
-    evaluate_project(hist, synthetic_project["test"])
+    asof = AsOf(synthetic_project["store"], synthetic_project["dataset"].prs)
+    evaluate_project(asof, synthetic_project["test"])
     assert resolved, "evaluation should resolve PR files"
     assert set(resolved.values()) == {1}
 
@@ -432,10 +440,10 @@ def test_evaluation_judges_each_top1_pick_once(synthetic_project, monkeypatch):
         judged[pr.id, top1] += 1
         return reasonableness(pr, top1, commits, prior_prs)
 
-    hist = History(store=synthetic_project["store"], prs=synthetic_project["dataset"])
-    expected = evaluate_project(hist, synthetic_project["test"])
+    asof = AsOf(synthetic_project["store"], synthetic_project["dataset"].prs)
+    expected = evaluate_project(asof, synthetic_project["test"])
     monkeypatch.setattr("kurev.pipeline.reasonableness", counting)
-    report = evaluate_project(hist, synthetic_project["test"])
+    report = evaluate_project(asof, synthetic_project["test"])
     assert judged, "evaluation should judge top-1 picks"
     assert set(judged.values()) == {1}
     assert report == expected
